@@ -11,6 +11,7 @@ from .errors import (
     DegenerateSideInfo,
     DimensionMismatch,
     DistortionOutOfRange,
+    InvalidCount,
     InvalidPrime,
     LatfunError,
     MissingMomentEstimate,

@@ -39,7 +39,7 @@ def _g6(x: float) -> str:
 
 
 def _print_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,7 @@ def cmd_region(args) -> int:
             "c": args.c_scalar,
             "d": args.d,
             "sigma_z_sq": sz2,
-            "sum_rate_bits": regions.bt_min_sum_rate(model, args.d)
-            if args.d < sz2
-            else 0.0,
+            "sum_rate_bits": regions.bt_min_sum_rate(model, args.d),
             "regime": regions.bt_regime(model, args.d),
         }
         if args.d < sz2 and args.c_scalar > 0:

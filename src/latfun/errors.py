@@ -41,6 +41,10 @@ class DistortionOutOfRange(LatfunError):
     """Distortion outside the valid range for the requested quantity."""
 
 
+class InvalidCount(LatfunError):
+    """Trial count and chunk size must be at least 1."""
+
+
 class NonPositiveQ(LatfunError):
     """Quantization-noise variances must be strictly positive."""
 

@@ -329,14 +329,6 @@ def verify_nesting(pair: NestedPair) -> bool:
     return bool(det > 1.0 - 1e-9)
 
 
-def is_nested(fine: Lattice, coarse: Lattice) -> bool:
-    """Nesting check without constructing a pair."""
-    j = np.linalg.solve(fine.gen, coarse.gen)
-    if not np.all(np.abs(j - np.rint(j)) <= _INT_TOL):
-        return False
-    return bool(abs(np.linalg.det(np.rint(j))) > 1.0 - 1e-9)
-
-
 def _int_det(m: np.ndarray) -> int:
     """Exact determinant of a small integer matrix (fraction-free Gauss)."""
     a = [[int(v) for v in row] for row in np.asarray(m)]

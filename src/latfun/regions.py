@@ -3,6 +3,7 @@
 Two-user direct lattice binning, the quantize-and-bin (Berger-Tung) inner
 bound with its optimal noise allocation and regime structure, the K-user
 partitioned scheme, decoder side information, and encoder scaling analysis.
+The quantize-and-bin minimum sum rate is a closed form for every sign of c.
 All rates are in bits per sample (log base 2 throughout).
 """
 
@@ -35,7 +36,8 @@ REGIME_INTERIOR = "interior"
 REGIME_Q2_INFINITE = "q2-infinite"
 REGIME_Q1_INFINITE = "q1-infinite"
 REGIME_ZERO_RATE = "zero-rate"
-REGIME_NUMERIC = "numeric"  # c <= 0: no closed-form regime analysis applies
+# c <= 0 has no regime split; the label is kept as part of the sweep CSV schema.
+REGIME_NUMERIC = "numeric"
 
 SCHEME_LATTICE = "lattice"
 SCHEME_BERGER_TUNG = "berger-tung"
@@ -157,15 +159,6 @@ def _two_user_params(model: SourceModel) -> Tuple[float, float, float, float]:
     return rho, c, alpha, sz2
 
 
-def bt_distortion(model: SourceModel, q1: float, q2: float) -> float:
-    """Distortion of the quantize-and-bin scheme at backward noise (q1, q2)."""
-    rho, c, alpha, sz2 = _two_user_params(model)
-    if q1 <= 0 or q2 <= 0:
-        raise NonPositiveQ("q1 and q2 must be positive")
-    den = (1.0 + q1) * (1.0 + q2) - rho * rho
-    return (q1 * alpha + q2 * c * c * alpha + q1 * q2 * sz2) / den
-
-
 def bt_rate_point(model: SourceModel, q1: float, q2: float) -> BtRegionPoint:
     """Individual and sum rate bounds plus distortion at (q1, q2)."""
     rho, c, alpha, sz2 = _two_user_params(model)
@@ -197,7 +190,10 @@ def bt_optimal_q(model: SourceModel, d: float) -> BtOptimum:
     """
     rho, c, alpha, sz2 = _two_user_params(model)
     if c <= 0:
-        raise DistortionOutOfRange("closed-form optimum requires c > 0; use the numeric minimizer")
+        raise DistortionOutOfRange(
+            "optimal noise pair is reported for c > 0 only; "
+            "bt_min_sum_rate gives the minimum sum rate for any c"
+        )
     _check_distortion(d, sz2)
     boundary = bt_regime_boundary(model)
     if d < boundary:
@@ -211,9 +207,19 @@ def bt_optimal_q(model: SourceModel, d: float) -> BtOptimum:
     return BtOptimum(q1=math.inf, q2=q2, regime=REGIME_Q1_INFINITE)
 
 
+def _bt_distortions(d_values) -> np.ndarray:
+    """Distortions as a float array; rejects any that is not finite and > 0."""
+    d = np.asarray(d_values, dtype=np.float64)
+    bad = d[~(np.isfinite(d) & (d > 0))]
+    if bad.size:
+        raise DistortionOutOfRange(f"need finite D > 0, got D = {bad[0]:.6g}")
+    return d
+
+
 def bt_regime(model: SourceModel, d: float) -> str:
     """Regime label for the minimum-sum-rate expression at distortion d."""
     rho, c, alpha, sz2 = _two_user_params(model)
+    _bt_distortions(d)
     if d >= sz2:
         return REGIME_ZERO_RATE
     if c <= 0:
@@ -223,121 +229,50 @@ def bt_regime(model: SourceModel, d: float) -> str:
     return REGIME_Q2_INFINITE if c <= 1.0 else REGIME_Q1_INFINITE
 
 
-def bt_min_sum_rate(model: SourceModel, d: float) -> float:
-    """Pointwise minimum sum rate of the quantize-and-bin scheme (bits).
+def _bt_min_sum(rho: float, c: float, d: np.ndarray) -> np.ndarray:
+    """Quantize-and-bin minimum sum rate at each distortion, any sign of c.
 
-    Total on d > 0: zero for d >= Var(Z). For c > 0 this is the closed form
-    of the regime analysis; for c <= 0 the closed-form regime split does not
-    apply and the value comes from a numeric minimization over (q1, q2).
-    Time sharing is NOT applied here; see ``bt_min_sum_curve`` for the lower
-    convex envelope over a distortion grid.
-    """
-    rho, c, alpha, sz2 = _two_user_params(model)
-    if d <= 0:
-        raise DistortionOutOfRange(f"need D > 0, got {d:.6g}")
-    if d >= sz2:
-        return 0.0
-    if c <= 0:
-        return _bt_min_sum_numeric(rho, c, d)
-    regime = bt_regime(model, d)
-    if regime == REGIME_INTERIOR:
-        return 0.5 * math.log2(4.0 * c * (alpha * c - rho * d) / (d * d))
-    if regime == REGIME_Q2_INFINITE:
-        return 0.5 * math.log2((1.0 - rho * c) ** 2 / (d - alpha * c * c))
-    return 0.5 * math.log2((c - rho) ** 2 / (d - alpha))
-
-
-def _scan_with_zoom(fn, n: int, zooms: int) -> float:
-    """Minimize fn over (0, 1) by a dense two-sided grid plus local zooms.
-
-    The grid is log-dense near both endpoints so optima at very small q or
-    very large q (t near 1) are resolved at high relative precision.
-    """
-    t = np.unique(
-        np.concatenate(
-            [np.geomspace(1e-9, 0.5, n // 2), 1.0 - np.geomspace(1e-12, 0.5, n // 2)]
-        )
-    )
-    r = fn(t)
-    i = int(np.argmin(r))
-    best = float(r[i])
-    if not np.isfinite(best):
-        return math.inf
-    for _ in range(zooms):
-        lo, hi = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
-        t = np.linspace(lo, hi, 4001)
-        r = fn(t)
-        i = int(np.argmin(r))
-        best = min(best, float(r[i]))
-    return best
-
-
-def _bt_min_sum_numeric(
-    rho: float, c: float, d: float, n: int = 20000, zooms: int = 3
-) -> float:
-    """Numeric sum-rate minimum without the closed-form regime analysis.
-
-    The sum rate strictly decreases and the distortion strictly increases in
-    each backward noise, so the optimum sits on the distortion-equality
-    curve or escapes to infinite noise for one encoder. Both places are
-    scanned in compactified coordinates t = q / (1 + q), where the equality
-    constraint is linear in the other coordinate and infinite noise is the
-    boundary t = 1.
+    The sum rate falls and the distortion rises in each backward noise, so
+    the optimum meets the distortion with equality: either at the
+    stationary pair (q1*, q2*) of ``bt_optimal_q``, where the sum rate is
+    half log2(4 c (alpha c - rho D) / D^2), or with one encoder silent (its
+    noise at infinity), where the other noise solves the equality and the
+    rate is half log2((Var Z - v) / (D - v)) with v the silent encoder's
+    floor: c^2 alpha (Var Z - v = (1 - rho c)^2) or alpha ((c - rho)^2).
+    Each candidate counts only where it exists; the minimum is the least.
     """
     alpha = 1.0 - rho * rho
     sz2 = 1.0 + c * c - 2.0 * rho * c
-    cc = c * c
-    if d >= sz2:
-        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # q1* > 0 and q2* > 0, since alpha and D are positive.
+        stationary = (c * (2.0 * alpha * c - (rho + c) * d) > 0) & (
+            2.0 * alpha * c * c - (1.0 + rho * c) * d > 0
+        )
+        best = np.where(
+            stationary, 0.5 * np.log2(4.0 * c * (alpha * c - rho * d) / (d * d)), np.inf
+        )
+        for floor, lift in ((alpha * c * c, (1.0 - rho * c) ** 2), (alpha, (c - rho) ** 2)):
+            silent = np.where(d > floor, 0.5 * np.log2(lift / (d - floor)), np.inf)
+            best = np.minimum(best, silent)
+    return np.where(d >= sz2, 0.0, np.maximum(best, 0.0))
 
-    def curve_rate(t1: np.ndarray) -> np.ndarray:
-        num = t1 * alpha - d * (1.0 - rho * rho * (1.0 - t1))
-        den = d * rho * rho * (1.0 - t1) - (1.0 - t1) * cc * alpha - t1 * (sz2 - alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t2 = num / den
-            s = 1.0 - rho * rho * (1.0 - t1) * (1.0 - t2)
-            ok = (t1 > 0) & (t1 < 1) & (t2 > 0) & (t2 <= 1.0) & (s > 0)
-            return np.where(ok, 0.5 * np.log2(np.where(ok, s / (t1 * t2), 1.0)), np.inf)
 
-    def slice_rate(other_var: float):
-        # One encoder silent (its noise at infinity): distortion is linear
-        # in the remaining coordinate and the rate is half log2(1/t).
-        def fn(t: np.ndarray) -> np.ndarray:
-            dist = (1.0 - t) * other_var + t * sz2
-            ok = (t > 0) & (t < 1) & (dist <= d * (1.0 + 1e-12))
-            return np.where(ok, 0.5 * np.log2(np.where(t > 0, 1.0 / t, 1.0)), np.inf)
+def bt_min_sum_rate(model: SourceModel, d: float) -> float:
+    """Pointwise minimum sum rate of the quantize-and-bin scheme (bits).
 
-        return fn
-
-    vals = [
-        _scan_with_zoom(curve_rate, n, zooms),
-        _scan_with_zoom(slice_rate(cc * alpha), n, zooms),  # q2 -> infinity
-        _scan_with_zoom(slice_rate(alpha), n, zooms),       # q1 -> infinity
-    ]
-    return max(min(vals), 0.0)
+    Total on finite d > 0: zero for d >= Var(Z), otherwise the closed form
+    of ``_bt_min_sum`` for any sign of c. For c > 0 it equals the regime
+    expression named by ``bt_regime``. Time sharing is NOT applied here;
+    see ``bt_min_sum_curve`` for the lower convex envelope over a
+    distortion grid.
+    """
+    return float(bt_min_sum_rates(model, [d])[0])
 
 
 def bt_min_sum_rates(model: SourceModel, d_values: Sequence[float]) -> np.ndarray:
-    """Pointwise minimum sum rates over many distortions.
-
-    Dispatches to the closed form for c > 0 and to a lighter-grid numeric
-    scan per distortion for c <= 0, which keeps large sweeps cheap.
-    """
-    d_arr = np.asarray(d_values, dtype=np.float64)
-    if np.any(d_arr <= 0):
-        raise DistortionOutOfRange("all distortions must be positive")
-    if model.c > 0:
-        return np.array([bt_min_sum_rate(model, float(d)) for d in d_arr])
-    return _bt_min_sum_numeric_batch(model.rho, model.c, d_arr)
-
-
-def _bt_min_sum_numeric_batch(
-    rho: float, c: float, d_values: np.ndarray, n: int = 4000, zooms: int = 2
-) -> np.ndarray:
-    """Per-distortion numeric minima with a lighter scan than the scalar path."""
-    return np.array(
-        [_bt_min_sum_numeric(rho, c, float(d), n=n, zooms=zooms) for d in d_values]
-    )
+    """Pointwise minimum sum rates over many distortions, in one array pass."""
+    rho, c, _, _ = _two_user_params(model)
+    return _bt_min_sum(rho, c, _bt_distortions(d_values))
 
 
 def lower_convex_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -378,7 +313,7 @@ def bt_min_sum_curve(
         d = np.geomspace(1e-3 * sz2, 1.05 * sz2, n_points)
     else:
         d = np.asarray(d_grid, dtype=np.float64)
-    pointwise = np.array([bt_min_sum_rate(model, float(di)) for di in d])
+    pointwise = bt_min_sum_rates(model, d)
     envelope = lower_convex_envelope(d, pointwise)
     return d, pointwise, envelope
 
@@ -482,8 +417,8 @@ def sum_rate_gap(rho: float, c: float, d: float) -> float:
     """Quantize-and-bin minus direct-binning minimum sum rate (bits).
 
     Positive values mean the direct lattice scheme needs fewer total bits at
-    distortion d. Defined for correlation in (0, 1) and 0 < d < Var(Z);
-    negative c is supported through the numeric minimizer.
+    distortion d. Defined for correlation in (0, 1), 0 < d < Var(Z) and
+    any sign of c.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"correlation must lie in (0, 1), got {rho}")

@@ -29,6 +29,7 @@ from scipy.integrate import simpson
 from .errors import (
     DimensionMismatch,
     DistortionOutOfRange,
+    InvalidCount,
     NonPositiveQ,
     QOutOfRange,
 )
@@ -75,13 +76,11 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _chunk_sizes(trials: int, chunk_size: int):
-    sizes = []
-    done = 0
-    while done < trials:
-        m = min(chunk_size, trials - done)
-        sizes.append(m)
-        done += m
-    return sizes
+    """Chunk lengths for a run; rejects counts below 1."""
+    if trials < 1 or chunk_size < 1:
+        raise InvalidCount(f"need trials >= 1 and chunk_size >= 1, got {trials} and {chunk_size}")
+    full, rest = divmod(trials, chunk_size)
+    return [chunk_size] * full + ([rest] if rest else [])
 
 
 def _chunk_rng(seed: int, k: int) -> np.random.Generator:
@@ -322,11 +321,6 @@ def build_two_user_codec(
     )
 
 
-def margin_rate_overhead(codec) -> float:
-    """Extra bits per sample per encoder paid for the coarse-cell margin."""
-    return math.log2(codec.margin)
-
-
 def encode(codec: TwoUserCodec, encoder_index: int, block, dither) -> np.ndarray:
     """One encoder step: quantize with the fine lattice, reduce mod coarse.
 
@@ -417,6 +411,7 @@ def run_two_user_experiment(
     ``fixed_dither`` freezes one dither pair for the whole run (the
     derandomized mode); dithers are otherwise redrawn each trial.
     """
+    sizes = _chunk_sizes(trials, chunk_size)
     fixed = None
     if fixed_dither:
         drng = _dither_rng(seed)
@@ -424,7 +419,6 @@ def run_two_user_experiment(
             sample_dither(codec.fine1, drng, 1)[0],
             sample_dither(codec.fine2, drng, 1)[0],
         )
-    sizes = _chunk_sizes(trials, chunk_size)
 
     def work(k: int):
         rng = _chunk_rng(seed, k)
@@ -512,13 +506,13 @@ def run_side_info_experiment(
     codec: SideInfoCodec, trials: int, seed: int, chunk_size: int = DEFAULT_CHUNK
 ) -> SimReport:
     """Monte Carlo run of the side-information codec."""
+    sizes = _chunk_sizes(trials, chunk_size)
     c1, c2 = codec.si_model.coeffs
     lmat = _gaussian_factor(codec.si_model.cov)
     beta_y = codec.side_coefficient
     s_eta = codec.innovations_variance
     gain = 1.0 - codec.d_target / s_eta
     n = codec.n
-    sizes = _chunk_sizes(trials, chunk_size)
 
     def work(k: int):
         rng = _chunk_rng(seed, k)
@@ -616,13 +610,13 @@ def run_k_user_experiment(
     the closed-form weights. Per-cell overload rates and mod-input second
     moments are reported alongside the end-to-end distortion.
     """
+    sizes = _chunk_sizes(trials, chunk_size)
     codec = build_k_user_codec(model, plan, n, margin, base_lattice)
     coeff_map = decoder_coeff_map(model, plan)
     final_w, _ = final_estimator(model, plan)
     cells_ordered = plan.cells_in_order()
     cell_pos = {cell: idx for idx, cell in enumerate(codec.plan.partition)}
     lmat = _gaussian_factor(model.cov)
-    sizes = _chunk_sizes(trials, chunk_size)
     n_cells = len(plan.partition)
 
     def work(k: int):

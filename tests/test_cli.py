@@ -47,6 +47,15 @@ def test_region_bt_zero_rate(capsys):
     assert payload["regime"] == "zero-rate"
 
 
+@pytest.mark.parametrize("d", ["nan", "inf", "-inf"])
+def test_region_bt_non_finite_distortion_exit_two(capsys, d):
+    code, out, err = run_cli(capsys, "region", "--scheme", "bt",
+                             "--rho", "0.8", "--c", "0.8", f"--d={d}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_region_kuser_single_cell_matches_lattice(capsys, tmp_path):
     sz2, d = 0.36, 0.1
     qa = sz2 * d / (sz2 - d)
@@ -158,6 +167,14 @@ def test_simulate_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_nonpositive_trials_exit_two(capsys, trials):
+    code, out, err = run_cli(capsys, "simulate", f"--trials={trials}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_simulate_q1_out_of_range_names_interval(capsys):

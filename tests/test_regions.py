@@ -190,6 +190,16 @@ def test_bt_min_sum_zero_beyond_function_variance():
     assert bt_regime(M88, 0.4) == REGIME_ZERO_RATE
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_bt_rejects_non_finite_or_nonpositive_distortion(d):
+    with pytest.raises(DistortionOutOfRange):
+        bt_min_sum_rate(M88, d)
+    with pytest.raises(DistortionOutOfRange):
+        bt_min_sum_rates(M88, [0.1, d])
+    with pytest.raises(DistortionOutOfRange):
+        bt_regime(M88, d)
+
+
 def test_bt_min_sum_continuous_at_regime_boundary():
     boundary = bt_regime_boundary(M88)
     below = bt_min_sum_rate(M88, boundary * (1 - 1e-9))
@@ -215,15 +225,42 @@ def test_bt_min_sum_numeric_path_vs_grid_oracle():
     assert bt_regime(model, 0.2) == REGIME_NUMERIC
 
 
-def test_bt_min_sum_numeric_path_recovers_closed_form():
-    # Positive c has a closed form; the numeric machinery must reproduce it.
-    from latfun.regions import _bt_min_sum_numeric
+def _near(x):
+    return [x * (1 - 1e-6), x * (1 + 1e-6)]
 
-    for rho, c, d in [(0.8, 0.8, 0.1), (0.8, 0.8, 0.3), (0.5, 1.5, 0.9), (0.3, 0.25, 0.37)]:
+
+def test_bt_min_sum_closed_form_matches_oracle():
+    # Two independent routes to the minimum: the library's closed form and
+    # the brute-force grid-plus-refinement oracle, at interior points and on
+    # both sides of D = alpha, D = c^2 alpha and the regime boundary.
+    cases = [(0.8, 0.8, [0.1, 0.3]), (0.5, 1.5, [0.9]), (0.3, 0.25, [0.37])]
+    for rho, c in [(0.5, 1.5), (0.8, 0.0), (0.8, -0.5), (0.5, -2.0)]:
+        alpha = 1 - rho * rho
         model = two_user_model(rho, c)
-        assert _bt_min_sum_numeric(rho, c, d) == pytest.approx(
-            bt_min_sum_rate(model, d), abs=1e-9
-        )
+        d_values = _near(alpha) + (_near(c * c * alpha) if c else [])
+        if c > 0:
+            d_values += _near(bt_regime_boundary(model))
+        cases.append((rho, c, d_values))
+    for rho, c, d_values in cases:
+        model = two_user_model(rho, c)
+        for d in d_values:
+            assert bt_min_sum_rate(model, d) == pytest.approx(
+                bt_sum_rate_oracle(rho, c, d), abs=1e-9
+            ), (rho, c, d)
+
+
+@given(
+    rho=st.floats(0.05, 0.95),
+    c=st.floats(-3.0, 3.0),
+    frac=st.floats(1e-3, 1.0, exclude_max=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_bt_min_sum_closed_form_never_beats_oracle(rho, c, frac):
+    # The oracle's grids can only miss the minimum from above.
+    d = frac * (1 + c * c - 2 * rho * c)
+    got = bt_min_sum_rate(two_user_model(rho, c), d)
+    oracle = bt_sum_rate_oracle(rho, c, d)
+    assert oracle - 1e-6 <= got <= oracle + 1e-9
 
 
 def test_bt_min_sum_batch_agrees_with_scalar():

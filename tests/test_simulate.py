@@ -9,6 +9,7 @@ import pytest
 from latfun import (
     DegenerateSideInfo,
     DistortionOutOfRange,
+    InvalidCount,
     NonPositiveQ,
     QOutOfRange,
     SourceModel,
@@ -253,6 +254,19 @@ def test_experiment_deterministic_for_fixed_seed():
     a = run_two_user_experiment(codec, 30_000, seed=11)
     b = run_two_user_experiment(codec, 30_000, seed=11)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("trials, chunk_size", [(0, 10), (-3, 10), (100, 0), (100, -1)])
+def test_experiments_reject_nonpositive_counts(trials, chunk_size):
+    codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
+    si_codec = build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.2), 0.1, 0.06)
+    with pytest.raises(InvalidCount):
+        run_two_user_experiment(codec, trials, 0, chunk_size=chunk_size)
+    with pytest.raises(InvalidCount):
+        run_side_info_experiment(si_codec, trials, 0, chunk_size=chunk_size)
+    with pytest.raises(InvalidCount):
+        run_k_user_experiment(M88, singleton_plan(2, (0.05, 0.05)), trials=trials,
+                              chunk_size=chunk_size)
 
 
 def test_experiment_thread_count_does_not_change_output(monkeypatch):
