@@ -99,8 +99,9 @@ def cmd_region(args) -> int:
         }
         if args.d < sz2 and args.c_scalar > 0:
             opt = regions.bt_optimal_q(model, args.d)
-            payload["q1_star"] = opt.q1
-            payload["q2_star"] = opt.q2
+            # A silent encoder's noise is unbounded; JSON has no infinity.
+            payload["q1_star"] = opt.q1 if math.isfinite(opt.q1) else None
+            payload["q2_star"] = opt.q2 if math.isfinite(opt.q2) else None
     else:  # kuser
         if args.plan is None:
             raise LatfunError("--plan is required for the kuser scheme")

@@ -47,6 +47,20 @@ def test_region_bt_zero_rate(capsys):
     assert payload["regime"] == "zero-rate"
 
 
+@pytest.mark.parametrize(
+    "rho, c, d, silent",
+    [("0.8", "0.8", "0.3", "q2_star"), ("0.5", "1.5", "1.5", "q1_star")],
+)
+def test_region_bt_silent_encoder_noise_is_null(capsys, rho, c, d, silent):
+    payload = run_json(capsys, "region", "--scheme", "bt",
+                       "--rho", rho, "--c", c, "--d", d)
+    assert payload["regime"] == silent[:2] + "-infinite"
+    assert payload[silent] is None
+    other = "q1_star" if silent == "q2_star" else "q2_star"
+    assert math.isfinite(payload[other]) and payload[other] > 0
+    assert payload["sum_rate_bits"] > 0
+
+
 @pytest.mark.parametrize("d", ["nan", "inf", "-inf"])
 def test_region_bt_non_finite_distortion_exit_two(capsys, d):
     code, out, err = run_cli(capsys, "region", "--scheme", "bt",
