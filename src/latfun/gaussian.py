@@ -8,6 +8,7 @@ the final combining stage. Sampling appears only in test oracles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -18,6 +19,17 @@ from .errors import DegenerateSideInfo, SingularObservationGram
 _COND_GUARD = 1e-10
 _SYM_TOL = 1e-12
 _EIG_TOL = -1e-10
+
+
+def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
+    """Checks shared by the source models: finite entries and a symmetric
+    positive semidefinite covariance."""
+    if not (np.isfinite(cov).all() and np.isfinite(coeffs).all()):
+        raise ValueError("covariance and coefficients must be finite")
+    if np.max(np.abs(cov - cov.T)) > _SYM_TOL * max(1.0, np.max(np.abs(cov))):
+        raise ValueError("covariance must be symmetric")
+    if np.min(np.linalg.eigvalsh(cov)) < _EIG_TOL:
+        raise ValueError("covariance must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -38,10 +50,7 @@ class SourceModel:
             raise ValueError("covariance must be square")
         if cov.shape[0] != coeffs.shape[0]:
             raise ValueError("coefficient length must match covariance size")
-        if np.max(np.abs(cov - cov.T)) > _SYM_TOL * max(1.0, np.max(np.abs(cov))):
-            raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < _EIG_TOL:
-            raise ValueError("covariance must be positive semidefinite")
+        _check_covariance(cov, coeffs)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -123,8 +132,8 @@ class PartitionPlan:
             raise ValueError("cells must be disjoint and cover all users")
         if sorted(order) != list(range(len(part))):
             raise ValueError("decode order must be a permutation of the cells")
-        if any(v <= 0 for v in q):
-            raise ValueError("all q values must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in q):
+            raise ValueError(f"all q values must be positive and finite, got {list(q)}")
 
     @property
     def k(self) -> int:
@@ -286,10 +295,7 @@ class SideInfoModel:
             raise ValueError("side-information model needs a 3 x 3 covariance")
         if coeffs.shape != (2,):
             raise ValueError("side-information model needs 2 function coefficients")
-        if np.max(np.abs(cov - cov.T)) > _SYM_TOL * max(1.0, np.max(np.abs(cov))):
-            raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < _EIG_TOL:
-            raise ValueError("covariance must be positive semidefinite")
+        _check_covariance(cov, coeffs)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -8,10 +8,17 @@ vanishing-overload regime is an asymptotic statement not reachable at desk
 scale. The ``margin`` knob inflates only the coarse lattice, trading rate
 for overload; margin = 1 is the nominal parameter choice.
 
+All three codecs run on one cell-sequential engine driven by a cell plan:
+cells of encoders, each sharing a coarse lattice, decoded in order against a
+prediction from the decoder's side values and the cells decoded before; the
+estimate of Z weighs side values and cells. The two-user codec is one cell
+of two encoders, side information is a predictor known before decoding, and
+the K-user codec runs its partition plan.
+
 Trials are partitioned into chunks; chunk k draws from a stream seeded by
-(seed, k) and reports merge by exact summation in chunk order, so results
-are bit-identical for a fixed (seed, trials, chunk_size) regardless of
-worker count.
+(seed, k). Chunk statistics are merged by an ordered floating-point sum in
+chunk order: not exact, but deterministic, so results are bit-identical for
+a fixed (seed, trials, chunk_size) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -170,9 +177,12 @@ def _g6(x: float) -> str:
 
 
 class _Accumulator:
-    """Exact sufficient statistics merged across chunks in order."""
+    """Sufficient statistics merged across chunks by an ordered float sum
+    (deterministic, not exact). The mod-input moment is that of the last
+    decoded cell ``last``, over trials whose earlier cells did not overload."""
 
-    def __init__(self, n_cells: int = 1):
+    def __init__(self, n_cells: int, last: int):
+        self.last = last
         self.trials = 0
         self.err_sum = 0.0
         self.err_sq_sum = 0.0
@@ -185,27 +195,22 @@ class _Accumulator:
         self.cell_v_sq = np.zeros(n_cells)
         self.cell_v_counts = np.zeros(n_cells, dtype=np.int64)
 
-    def add(self, err, overload, v_sq, v_sq_mask=None,
-            cell_overload=None, cell_v_sq=None, cell_v_mask=None):
+    def add(self, err, cell_overload, cell_v_sq, cell_v_mask):
+        """Fold in one chunk: per-trial errors and (trials, cells) arrays."""
         self.trials += err.shape[0]
         self.err_sum += float(np.sum(err))
         self.err_sq_sum += float(np.sum(err**2))
+        overload = np.any(cell_overload, axis=1)
         keep = ~overload
         self.cond_err_sum += float(np.sum(err[keep]))
         self.cond_trials += int(np.sum(keep))
         self.overloads += int(np.sum(overload))
-        if v_sq_mask is None:
-            self.v_sq_sum += float(np.sum(v_sq))
-            self.v_sq_count += v_sq.shape[0]
-        else:
-            self.v_sq_sum += float(np.sum(v_sq[v_sq_mask]))
-            self.v_sq_count += int(np.sum(v_sq_mask))
-        if cell_overload is not None:
-            self.cell_overloads += np.sum(cell_overload, axis=0)
-        if cell_v_sq is not None:
-            mask = cell_v_mask if cell_v_mask is not None else np.ones_like(cell_v_sq, dtype=bool)
-            self.cell_v_sq += np.sum(np.where(mask, cell_v_sq, 0.0), axis=0)
-            self.cell_v_counts += np.sum(mask, axis=0)
+        mask = cell_v_mask[:, self.last]
+        self.v_sq_sum += float(np.sum(cell_v_sq[:, self.last][mask]))
+        self.v_sq_count += int(np.sum(mask))
+        self.cell_overloads += np.sum(cell_overload, axis=0)
+        self.cell_v_sq += np.sum(np.where(cell_v_mask, cell_v_sq, 0.0), axis=0)
+        self.cell_v_counts += np.sum(cell_v_mask, axis=0)
 
     def report(self, rates: RatePoint, seed: int, margin: float, n: int,
                per_cell: bool = False) -> SimReport:
@@ -230,6 +235,96 @@ class _Accumulator:
             cell_overload_rates=tuple(self.cell_overloads / t) if per_cell else (),
             cell_moment_checks=tuple(self.cell_v_sq / counts) if per_cell else (),
         )
+
+
+# ---------------------------------------------------------------------------
+# Cell-sequential engine
+
+
+class _Member(NamedTuple):
+    """One encoder: quantizes ``scale * x[..., col]`` with ``fine`` and
+    enters its cell's sum with ``sign``. ``dither`` is a fixed dither, or
+    None to draw a fresh one per trial."""
+
+    col: int
+    scale: float
+    sign: float
+    fine: Lattice
+    dither: Optional[np.ndarray] = None
+
+
+class _Cell(NamedTuple):
+    """Encoders sharing one coarse lattice. ``pred`` weighs the side values
+    and then the cells decoded before this one, in decode order."""
+
+    members: Tuple[_Member, ...]
+    coarse: Lattice
+    pred: Sequence[float]
+
+
+class _Plan(NamedTuple):
+    """What the engine runs, for sources x = factor @ (standard normals)."""
+
+    factor: np.ndarray
+    coeffs: np.ndarray                    # Z = sum_i coeffs[i] x[..., i]
+    side: Tuple[Tuple[int, float], ...]   # side values weight * x[..., col]
+    cells: Tuple[_Cell, ...]              # partition order
+    order: Tuple[int, ...]                # decode order
+    final: Sequence[float]                # over side values, then cells
+
+
+def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
+    """One chunk of m trials; returns Z, its estimate, the shift-free mod
+    input of each cell, and the per-cell overload and clean-history masks.
+
+    Draw order: the (m, n, cols) source normals, then one dither per member
+    of each cell in decode order (none where the dither is fixed).
+    """
+    n = plan.cells[0].coarse.dim
+    x = rng.standard_normal((m, n, plan.factor.shape[0])) @ plan.factor.T
+    known = [w * x[..., col] for col, w in plan.side]
+    decoded = [None] * len(plan.cells)
+    v = [None] * len(plan.cells)
+    overload = np.zeros((m, len(plan.cells)), dtype=bool)
+    clean_before = np.zeros_like(overload)
+    clean = np.ones(m, dtype=bool)  # no overload in earlier cells yet
+    for idx in plan.order:
+        cell = plan.cells[idx]
+        total = np.zeros((m, n))
+        ideal = np.zeros((m, n))  # the cell sum free of coarse coset shifts
+        for mem in cell.members:
+            u = sample_dither(mem.fine, rng, m) if mem.dither is None else mem.dither
+            y = nearest_point(mem.fine, mem.scale * x[..., mem.col] + u)
+            total += mem.sign * (mod_lattice(cell.coarse, y) - u)
+            ideal += mem.sign * (y - u)
+        pred = sum(w * value for w, value in zip(cell.pred, known))
+        # Overload is wraparound of the shift-free mod input; the transmitted
+        # sum additionally carries coarse points, which the reduction removes.
+        v[idx] = ideal - pred
+        overload[:, idx] = np.any(nearest_point_coords(cell.coarse, v[idx]) != 0, axis=-1)
+        # The mod-input moment is meaningful where earlier cells decoded
+        # correctly; wrapped predictors would contaminate it.
+        clean_before[:, idx] = clean
+        clean = clean & ~overload[:, idx]
+        decoded[idx] = mod_lattice(cell.coarse, total - pred) + pred
+        known.append(decoded[idx])
+    z = sum(coeff * x[..., col] for col, coeff in enumerate(plan.coeffs))
+    zhat = sum(w * value for w, value in zip(plan.final, known[: len(plan.side)] + decoded))
+    return z, zhat, v, overload, clean_before
+
+
+def _run(plan: _Plan, sizes, seed: int) -> _Accumulator:
+    """Run the chunks of one experiment and merge their statistics."""
+
+    def work(k: int):
+        z, zhat, v, overload, clean_before = _run_cells(plan, sizes[k], _chunk_rng(seed, k))
+        v_sq = np.stack([np.mean(vi**2, axis=-1) for vi in v], axis=1)
+        return np.mean((z - zhat) ** 2, axis=-1), overload, v_sq, clean_before
+
+    acc = _Accumulator(len(plan.cells), plan.order[-1])
+    for chunk in _map_chunks(work, len(sizes)):
+        acc.add(*chunk)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +362,41 @@ def q1_interval(sz2: float, d: float) -> float:
     return d * sz2 / (sz2 - d)
 
 
+def _base_lattice(n: int, margin: float, base_lattice: Optional[Lattice]) -> Lattice:
+    """The base lattice of a codec, after the checks every builder shares."""
+    if not (math.isfinite(margin) and margin >= 1.0):
+        raise ValueError(f"margin must be finite and >= 1, got {margin}")
+    base = base_lattice if base_lattice is not None else integer_lattice(n)
+    if base.dim != n:
+        raise DimensionMismatch(f"base lattice dimension {base.dim} != n = {n}")
+    return base
+
+
+def _pair_lattices(var: float, d: float, q1: float, n: int, margin: float,
+                   base_lattice: Optional[Lattice], commensurate: bool = False):
+    """Fine, fine and coarse lattices and the rates of a two-encoder cell
+    reconstructing a quantity of variance ``var`` (see build_two_user_codec)."""
+    if not 0.0 < d < var:
+        raise DistortionOutOfRange(f"need 0 < D < {var:.6g}, got D = {d:.6g}")
+    q1_hi = q1_interval(var, d)
+    if not 0.0 < q1 < q1_hi:
+        raise QOutOfRange(f"q1 must lie in (0, {q1_hi:.6g}), got {q1:.6g}")
+    base = _base_lattice(n, margin, base_lattice)
+    m2 = q1_hi - q1
+    mc = var**2 / (var - d) * margin**2
+    fine1 = scale_to_second_moment(base, q1)
+    fine2 = scale_to_second_moment(base, m2)
+    coarse = scale_to_second_moment(base, mc)
+    if commensurate:
+        k1 = max(2, math.ceil(math.sqrt(mc / q1)))
+        coarse = fine1.scaled(float(k1))
+        k2 = max(2, math.ceil(math.sqrt(mc / m2)))
+        fine2 = coarse.scaled(1.0 / k2)
+    r1 = 0.5 * math.log2(var**2 / (q1 * (var - d)))
+    r2 = 0.5 * math.log2(var**2 / (d * var - q1 * (var - d)))
+    return fine1, fine2, coarse, RatePoint((r1, r2), d, SCHEME_LATTICE)
+
+
 def build_two_user_codec(
     model: SourceModel,
     d: float,
@@ -291,30 +421,9 @@ def build_two_user_codec(
     margin, less second-channel noise).
     """
     model.require_two_user()
-    sz2 = function_variance(model)
-    if not 0.0 < d < sz2:
-        raise DistortionOutOfRange(f"need 0 < D < {sz2:.6g}, got D = {d:.6g}")
-    q1_hi = q1_interval(sz2, d)
-    if not 0.0 < q1 < q1_hi:
-        raise QOutOfRange(f"q1 must lie in (0, {q1_hi:.6g}), got {q1:.6g}")
-    if margin < 1.0:
-        raise ValueError("margin must be >= 1")
-    base = base_lattice if base_lattice is not None else integer_lattice(n)
-    if base.dim != n:
-        raise DimensionMismatch(f"base lattice dimension {base.dim} != n = {n}")
-    m2 = q1_hi - q1
-    mc = sz2**2 / (sz2 - d) * margin**2
-    fine1 = scale_to_second_moment(base, q1)
-    fine2 = scale_to_second_moment(base, m2)
-    coarse = scale_to_second_moment(base, mc)
-    if commensurate:
-        k1 = max(2, math.ceil(math.sqrt(mc / q1)))
-        coarse = fine1.scaled(float(k1))
-        k2 = max(2, math.ceil(math.sqrt(mc / m2)))
-        fine2 = coarse.scaled(1.0 / k2)
-    r1 = 0.5 * math.log2(sz2**2 / (q1 * (sz2 - d)))
-    r2 = 0.5 * math.log2(sz2**2 / (d * sz2 - q1 * (sz2 - d)))
-    rates = RatePoint((r1, r2), d, SCHEME_LATTICE)
+    fine1, fine2, coarse, rates = _pair_lattices(
+        function_variance(model), d, q1, n, margin, base_lattice, commensurate
+    )
     return TwoUserCodec(
         model=model, d_target=d, q1=q1, fine1=fine1, fine2=fine2,
         coarse=coarse, margin=margin, n=n, rates=rates,
@@ -344,58 +453,28 @@ def decode_two_user(codec: TwoUserCodec, s1, s2, u1, u2) -> np.ndarray:
     return codec.beta * mod_lattice(codec.coarse, t)
 
 
-def _two_user_chunk(codec: TwoUserCodec, m: int, rng: np.random.Generator,
-                    pipeline: str, fixed: Optional[Tuple[np.ndarray, np.ndarray]]):
-    """One chunk of trials; returns per-trial arrays.
-
-    Draw order per chunk: source normals, then the dithers of encoder 0 and
-    encoder 1 (skipped in fixed-dither mode).
-    """
-    n = codec.n
-    c = codec.model.c
-    lmat = _gaussian_factor(codec.model.cov)
-    std = rng.standard_normal((m, n, 2))
-    x = std @ lmat.T
-    x1 = x[..., 0]
-    x2c = c * x[..., 1]
-    if fixed is None:
-        u1 = sample_dither(codec.fine1, rng, m)
-        u2 = sample_dither(codec.fine2, rng, m)
-    else:
-        u1 = np.broadcast_to(fixed[0], (m, n))
-        u2 = np.broadcast_to(fixed[1], (m, n))
-    y1 = nearest_point(codec.fine1, x1 + u1)
-    y2 = nearest_point(codec.fine2, x2c + u2)
-    e1 = y1 - (x1 + u1)
-    e2 = y2 - (x2c + u2)
-    z = x1 - x2c
-    v = z + e1 - e2
-    # Overload is wraparound relative to the shift-free mod input v; in the
-    # transmitted pipeline the mod argument additionally carries coarse
-    # lattice points, which the reduction removes by design.
-    coords_v = nearest_point_coords(codec.coarse, v)
-    overload = np.any(coords_v != 0, axis=-1)
-    if pipeline == "direct":
-        s1 = mod_lattice(codec.coarse, y1)
-        s2 = mod_lattice(codec.coarse, y2)
-        t = (s1 - u1) - (s2 - u2)
-        w = mod_lattice(codec.coarse, t)
-    elif pipeline == "equivalent":
-        w = v - coords_v @ codec.coarse.gen.T
-    else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    zhat = codec.beta * w
-    err = np.mean((z - zhat) ** 2, axis=-1)
-    v_sq = np.mean(v**2, axis=-1)
-    return z, zhat, err, overload, v_sq
+def _two_user_plan(codec: TwoUserCodec, dithers=(None, None)) -> _Plan:
+    """One cell: X1 enters with sign +1, c X2 with sign -1; Zhat = beta * cell."""
+    cell = _Cell((_Member(0, 1.0, 1.0, codec.fine1, dithers[0]),
+                  _Member(1, codec.model.c, -1.0, codec.fine2, dithers[1])), codec.coarse, ())
+    return _Plan(_gaussian_factor(codec.model.cov), codec.model.coeffs, (), (cell,), (0,),
+                 (codec.beta,))
 
 
 def two_user_blocks(codec: TwoUserCodec, trials: int, seed: int,
                     pipeline: str = "direct") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (Z, Zhat, overload) blocks for pipeline-equivalence checks."""
-    rng = _chunk_rng(seed, 0)
-    z, zhat, _, overload, _ = _two_user_chunk(codec, trials, rng, pipeline, None)
-    return z, zhat, overload
+    """Raw (Z, Zhat, overload) blocks for pipeline-equivalence checks.
+
+    ``"direct"`` is the transmitted pipeline the engine runs;
+    ``"equivalent"`` reduces the shift-free mod input v instead,
+    w = v - Q_coarse(v), and serves as its reference.
+    """
+    z, zhat, v, overload, _ = _run_cells(_two_user_plan(codec), trials, _chunk_rng(seed, 0))
+    if pipeline == "equivalent":
+        zhat = codec.beta * (v[0] - nearest_point_coords(codec.coarse, v[0]) @ codec.coarse.gen.T)
+    elif pipeline != "direct":
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    return z, zhat, overload[:, 0]
 
 
 def run_two_user_experiment(
@@ -403,7 +482,6 @@ def run_two_user_experiment(
     trials: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK,
-    pipeline: str = "direct",
     fixed_dither: bool = False,
 ) -> SimReport:
     """Sample sources and dithers, run the codec, summarize the error law.
@@ -412,23 +490,12 @@ def run_two_user_experiment(
     derandomized mode); dithers are otherwise redrawn each trial.
     """
     sizes = _chunk_sizes(trials, chunk_size)
-    fixed = None
+    dithers = (None, None)
     if fixed_dither:
         drng = _dither_rng(seed)
-        fixed = (
-            sample_dither(codec.fine1, drng, 1)[0],
-            sample_dither(codec.fine2, drng, 1)[0],
-        )
-
-    def work(k: int):
-        rng = _chunk_rng(seed, k)
-        _, _, err, overload, v_sq = _two_user_chunk(codec, sizes[k], rng, pipeline, fixed)
-        return err, overload, v_sq
-
-    acc = _Accumulator()
-    for err, overload, v_sq in _map_chunks(work, len(sizes)):
-        acc.add(err, overload, v_sq)
-    return acc.report(codec.rates, seed, codec.margin, codec.n)
+        dithers = (sample_dither(codec.fine1, drng, 1)[0], sample_dither(codec.fine2, drng, 1)[0])
+    return _run(_two_user_plan(codec, dithers), sizes, seed).report(
+        codec.rates, seed, codec.margin, codec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +539,9 @@ def build_side_info_codec(
     With side information Y the function variance is replaced by
     Var(Z - E(Z|Y)) everywhere in the lattice moments and rates.
     """
-    s_eta = require_informative(si_model)
-    if not 0.0 < d < s_eta:
-        raise DistortionOutOfRange(f"need 0 < D < {s_eta:.6g}, got D = {d:.6g}")
-    q1_hi = q1_interval(s_eta, d)
-    if not 0.0 < q1 < q1_hi:
-        raise QOutOfRange(f"q1 must lie in (0, {q1_hi:.6g}), got {q1:.6g}")
-    if margin < 1.0:
-        raise ValueError("margin must be >= 1")
-    base = base_lattice if base_lattice is not None else integer_lattice(n)
-    fine1 = scale_to_second_moment(base, q1)
-    fine2 = scale_to_second_moment(base, q1_hi - q1)
-    coarse = scale_to_second_moment(base, s_eta**2 / (s_eta - d) * margin**2)
-    r1 = 0.5 * math.log2(s_eta**2 / (q1 * (s_eta - d)))
-    r2 = 0.5 * math.log2(s_eta**2 / (d * s_eta - q1 * (s_eta - d)))
-    rates = RatePoint((r1, r2), d, SCHEME_LATTICE)
+    fine1, fine2, coarse, rates = _pair_lattices(
+        require_informative(si_model), d, q1, n, margin, base_lattice
+    )
     return SideInfoCodec(
         si_model=si_model, d_target=d, q1=q1, fine1=fine1, fine2=fine2,
         coarse=coarse, margin=margin, n=n, rates=rates,
@@ -505,47 +560,20 @@ def decode_side_info(codec: SideInfoCodec, s_list, u_list, zy_block) -> np.ndarr
 def run_side_info_experiment(
     codec: SideInfoCodec, trials: int, seed: int, chunk_size: int = DEFAULT_CHUNK
 ) -> SimReport:
-    """Monte Carlo run of the side-information codec."""
+    """Monte Carlo run of the side-information codec.
+
+    The sources are (X1, X2, Y); the side value beta_Y Y = E(Z|Y) predicts
+    the one cell, and Zhat = (D / s) beta_Y Y + (1 - D / s) * cell for the
+    innovations variance s.
+    """
     sizes = _chunk_sizes(trials, chunk_size)
     c1, c2 = codec.si_model.coeffs
-    lmat = _gaussian_factor(codec.si_model.cov)
-    beta_y = codec.side_coefficient
-    s_eta = codec.innovations_variance
-    gain = 1.0 - codec.d_target / s_eta
-    n = codec.n
-
-    def work(k: int):
-        rng = _chunk_rng(seed, k)
-        m = sizes[k]
-        std = rng.standard_normal((m, n, 3))
-        xyz = std @ lmat.T
-        b1 = c1 * xyz[..., 0]
-        b2 = c2 * xyz[..., 1]
-        yv = xyz[..., 2]
-        u1 = sample_dither(codec.fine1, rng, m)
-        u2 = sample_dither(codec.fine2, rng, m)
-        y1 = nearest_point(codec.fine1, b1 + u1)
-        y2 = nearest_point(codec.fine2, b2 + u2)
-        e1 = y1 - (b1 + u1)
-        e2 = y2 - (b2 + u2)
-        z = b1 + b2
-        zy = beta_y * yv
-        v = (z - zy) + e1 + e2
-        coords_v = nearest_point_coords(codec.coarse, v)
-        overload = np.any(coords_v != 0, axis=-1)
-        s1 = mod_lattice(codec.coarse, y1)
-        s2 = mod_lattice(codec.coarse, y2)
-        t = (s1 - u1) + (s2 - u2) - zy
-        w = mod_lattice(codec.coarse, t)
-        zhat = gain * w + zy
-        err = np.mean((z - zhat) ** 2, axis=-1)
-        v_sq = np.mean(v**2, axis=-1)
-        return err, overload, v_sq
-
-    acc = _Accumulator()
-    for err, overload, v_sq in _map_chunks(work, len(sizes)):
-        acc.add(err, overload, v_sq)
-    return acc.report(codec.rates, seed, codec.margin, codec.n)
+    shrink = codec.d_target / codec.innovations_variance
+    cell = _Cell((_Member(0, c1, 1.0, codec.fine1), _Member(1, c2, 1.0, codec.fine2)),
+                 codec.coarse, (1.0,))
+    plan = _Plan(_gaussian_factor(codec.si_model.cov), codec.si_model.coeffs,
+                 ((2, codec.side_coefficient),), (cell,), (0,), (shrink, 1.0 - shrink))
+    return _run(plan, sizes, seed).report(codec.rates, seed, codec.margin, codec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +603,9 @@ def build_k_user_codec(
 ) -> KUserCodec:
     """Scale per-user fine lattices to q_i and per-cell coarse lattices to the
     residual-plus-noise variance of the cell's partial function."""
-    if margin < 1.0:
-        raise ValueError("margin must be >= 1")
+    base = _base_lattice(n, margin, base_lattice)
     if plan.k != model.k:
         raise DimensionMismatch("plan and model disagree on the number of users")
-    base = base_lattice if base_lattice is not None else integer_lattice(n)
     st = sigma_theta(model, plan)
     fines = tuple(scale_to_second_moment(base, q) for q in plan.q)
     coarses = {
@@ -614,61 +640,14 @@ def run_k_user_experiment(
     codec = build_k_user_codec(model, plan, n, margin, base_lattice)
     coeff_map = decoder_coeff_map(model, plan)
     final_w, _ = final_estimator(model, plan)
-    cells_ordered = plan.cells_in_order()
-    cell_pos = {cell: idx for idx, cell in enumerate(codec.plan.partition)}
-    lmat = _gaussian_factor(model.cov)
-    n_cells = len(plan.partition)
-
-    def work(k: int):
-        rng = _chunk_rng(seed, k)
-        m = sizes[k]
-        std = rng.standard_normal((m, n, model.k))
-        x = std @ lmat.T  # (m, n, K)
-        z = np.tensordot(x, model.coeffs, axes=([2], [0]))
-        decoded = {}
-        cell_overload = np.zeros((m, n_cells), dtype=bool)
-        cell_v_sq = np.zeros((m, n_cells))
-        cell_v_mask = np.zeros((m, n_cells), dtype=bool)
-        clean = np.ones(m, dtype=bool)  # no overload in earlier cells yet
-        for cell in cells_ordered:
-            coarse = codec.coarses[cell]
-            total = np.zeros((m, n))
-            ideal = np.zeros((m, n))  # Z_A + e_A, free of coarse coset shifts
-            for i in cell:
-                fine = codec.fines[i]
-                u = sample_dither(fine, rng, m)
-                block = model.coeffs[i] * x[..., i]
-                y = nearest_point(fine, block + u)
-                t_i = mod_lattice(coarse, y)
-                total += t_i - u
-                ideal += y - u  # = block + e_i
-            w_prev = coeff_map[cell]
-            pred = np.zeros((m, n))
-            for widx, prev_cell in enumerate(cells_ordered[: len(w_prev)]):
-                pred += w_prev[widx] * decoded[prev_cell]
-            v_ideal = ideal - pred
-            coords_v = nearest_point_coords(coarse, v_ideal)
-            pos = cell_pos[cell]
-            cell_overload[:, pos] = np.any(coords_v != 0, axis=-1)
-            # The mod-input moment is meaningful where earlier cells decoded
-            # correctly; wrapped predictors would contaminate it.
-            cell_v_sq[:, pos] = np.mean(v_ideal**2, axis=-1)
-            cell_v_mask[:, pos] = clean
-            clean = clean & ~cell_overload[:, pos]
-            decoded[cell] = mod_lattice(coarse, total - pred) + pred
-        zhat = np.zeros((m, n))
-        for idx, cell in enumerate(codec.plan.partition):
-            zhat += final_w[idx] * decoded[cell]
-        err = np.mean((z - zhat) ** 2, axis=-1)
-        overload = np.any(cell_overload, axis=1)
-        last = cell_pos[cells_ordered[-1]]
-        return err, overload, cell_v_sq[:, last], cell_v_mask[:, last], cell_overload, cell_v_sq, cell_v_mask
-
-    acc = _Accumulator(n_cells=n_cells)
-    for err, overload, v_sq, v_mask, c_ov, c_vs, c_vm in _map_chunks(work, len(sizes)):
-        acc.add(err, overload, v_sq, v_sq_mask=v_mask,
-                cell_overload=c_ov, cell_v_sq=c_vs, cell_v_mask=c_vm)
-    return acc.report(codec.rates, seed, margin, n, per_cell=True)
+    cells = tuple(
+        _Cell(tuple(_Member(i, model.coeffs[i], 1.0, codec.fines[i]) for i in cell),
+              codec.coarses[cell], coeff_map[cell])
+        for cell in plan.partition
+    )
+    plan_run = _Plan(_gaussian_factor(model.cov), model.coeffs, (), cells, plan.decode_order,
+                     final_w)
+    return _run(plan_run, sizes, seed).report(codec.rates, seed, margin, n, per_cell=True)
 
 
 # ---------------------------------------------------------------------------

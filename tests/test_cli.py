@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,40 @@ def test_simulate_nonpositive_trials_exit_two(capsys, trials):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--c", "inf"),
+    ("simulate", "--c", "nan"),
+    ("simulate", "--margin", "inf"),
+    ("simulate", "--margin", "nan"),
+    ("region", "--scheme", "lattice", "--c", "inf"),
+    ("region", "--scheme", "bt", "--c", "nan"),
+], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+def test_non_finite_inputs_exit_two(capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("q", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", [("simulate", "--trials", "1000"),
+                                     ("region", "--scheme", "kuser")], ids=["simulate", "region"])
+def test_plan_with_non_finite_q_exit_two(capsys, tmp_path, command, q):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text('{"partition": [[0], [1]], "order": [0, 1], "q": [%s, 0.1]}' % q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *command, "--plan", str(plan_file),
+                                 "--c", "1,-0.8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
 
 
 def test_simulate_q1_out_of_range_names_interval(capsys):

@@ -8,11 +8,14 @@ import pytest
 
 from latfun import (
     DegenerateSideInfo,
+    DimensionMismatch,
     DistortionOutOfRange,
     InvalidCount,
     NonPositiveQ,
+    PartitionPlan,
     QOutOfRange,
     SourceModel,
+    build_k_user_codec,
     build_side_info_codec,
     build_two_user_codec,
     decode_side_info,
@@ -269,12 +272,60 @@ def test_experiments_reject_nonpositive_counts(trials, chunk_size):
                               chunk_size=chunk_size)
 
 
-def test_experiment_thread_count_does_not_change_output(monkeypatch):
+def _two_user_run(fixed_dither):
     codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
-    a = run_two_user_experiment(codec, 100_000, seed=12, chunk_size=10_000)
-    monkeypatch.setenv("LATFUN_THREADS", "4")
-    b = run_two_user_experiment(codec, 100_000, seed=12, chunk_size=10_000)
+    return lambda: run_two_user_experiment(codec, 100_000, seed=12, chunk_size=10_000,
+                                           fixed_dither=fixed_dither)
+
+
+def _side_info_run():
+    codec = build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02,
+                                  n=2, margin=2.0)
+    return lambda: run_side_info_experiment(codec, 100_000, seed=12, chunk_size=10_000)
+
+
+def _k_user_run():
+    model = SourceModel(np.array([[1.0, 0.6, 0.6], [0.6, 1.0, 0.6], [0.6, 0.6, 1.0]]),
+                        np.array([1.0, -0.8, 0.5]))
+    plan = PartitionPlan(((0, 1), (2,)), (1, 0), (0.05, 0.05, 0.05))
+    return lambda: run_k_user_experiment(model, plan, n=2, trials=100_000, seed=12,
+                                         margin=2.0, chunk_size=10_000)
+
+
+@pytest.mark.parametrize("make_run", [
+    pytest.param(lambda: _two_user_run(False), id="two_user"),
+    pytest.param(lambda: _two_user_run(True), id="fixed_dither"),
+    pytest.param(_side_info_run, id="side_info"),
+    pytest.param(_k_user_run, id="k_user"),
+])
+def test_experiment_thread_count_does_not_change_output(monkeypatch, make_run):
+    run = make_run()
+    monkeypatch.setenv("LATFUN_THREADS", "1")
+    a = run()
+    monkeypatch.setenv("LATFUN_THREADS", "2")
+    b = run()
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("margin", [math.inf, math.nan, 0.5])
+def test_builders_reject_margin_not_finite_or_below_one(margin):
+    with pytest.raises(ValueError, match="margin"):
+        build_two_user_codec(M88, 0.1, 0.06, margin=margin)
+    with pytest.raises(ValueError, match="margin"):
+        build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.2), 0.1, 0.06, margin=margin)
+    with pytest.raises(ValueError, match="margin"):
+        build_k_user_codec(M88, singleton_plan(2, (0.05, 0.05)), margin=margin)
+
+
+def test_builders_reject_base_lattice_of_other_dimension():
+    base = integer_lattice(2)
+    with pytest.raises(DimensionMismatch):
+        build_two_user_codec(M88, 0.1, 0.06, n=1, base_lattice=base)
+    with pytest.raises(DimensionMismatch):
+        build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.2), 0.1, 0.06, n=1,
+                              base_lattice=base)
+    with pytest.raises(DimensionMismatch):
+        build_k_user_codec(M88, singleton_plan(2, (0.05, 0.05)), n=1, base_lattice=base)
 
 
 def test_fixed_dither_mode_runs_and_is_deterministic():
