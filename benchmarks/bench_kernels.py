@@ -1,8 +1,12 @@
-"""Benchmark: compiled vs pure-Python closest-point kernel.
+"""Benchmark: the public closest-point path against the scalar backends.
 
-The sphere search dominates Monte Carlo runs on non-diagonal lattices
-(dither sampling, moment estimation, block quantization), so this compares
-both backends on batched workloads of increasing dimension.
+The closest-point search dominates Monte Carlo runs on non-diagonal lattices
+(dither sampling, moment estimation, block quantization). This times the
+public ``kernels.nearest_point_batch`` (the numpy slicer, or the compiled
+kernel when it is built) beside the scalar pure-Python search and, where
+built, the compiled kernel, on batches of increasing dimension. The public
+path is timed twice: with the lattice's relevant vectors precomputed, as
+``lattices`` calls it, and without, which adds their computation to the call.
 
 Usage: python benchmarks/bench_kernels.py [--batch 20000] [--repeats 3]
 """
@@ -12,6 +16,7 @@ import time
 
 import numpy as np
 
+from latfun import kernels
 from latfun.kernels import _sphere_py, available_backends
 
 
@@ -26,14 +31,22 @@ def _prepare(gen, rng, batch):
     return r, y
 
 
-def _time(impl, r, y, repeats):
-    out = np.zeros(y.shape, dtype=np.longlong)
+def _time(run, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        impl.nearest_point_batch(r, y, out)
+        out = run()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def _scalar(impl, r, y):
+    def run():
+        out = np.zeros(y.shape, dtype=np.longlong)
+        impl.nearest_point_batch(r, y, out)
+        return out
+
+    return run
 
 
 def _conditioned(rng, n):
@@ -50,12 +63,12 @@ def main():
     args = parser.parse_args()
 
     backends = available_backends()
-    print(f"available backends: {backends}")
+    print(f"available backends: {backends}; public path backend: {kernels.BACKEND}")
     if "cython" in backends:
         from latfun.kernels import _sphere_cy
     else:
         _sphere_cy = None
-        print("compiled kernel not built; timing the pure backend only\n")
+        print("compiled kernel not built; its column is empty\n")
 
     rng = np.random.default_rng(7)
     cases = [
@@ -65,19 +78,24 @@ def main():
         ("random n=8", _conditioned(rng, 8)),
     ]
 
-    header = f"{'case':<16}{'batch':>8}{'python':>12}{'cython':>12}{'speedup':>10}"
+    header = (f"{'case':<16}{'batch':>8}{'public':>11}{'+relevant':>11}"
+              f"{'scalar py':>11}{'cython':>11}{'py/public':>11}")
     print(header)
     print("-" * len(header))
     for name, gen in cases:
         r, y = _prepare(gen, rng, args.batch)
-        t_py, out_py = _time(_sphere_py, r, y, args.repeats)
+        relevant = kernels.relevant_vectors(r)
+        t_pub, out_pub = _time(lambda: kernels.nearest_point_batch(r, y, relevant), args.repeats)
+        t_cold, _ = _time(lambda: kernels.nearest_point_batch(r, y), args.repeats)
+        t_py, out_py = _time(_scalar(_sphere_py, r, y), args.repeats)
+        assert np.array_equal(out_pub, out_py), "public path and scalar search disagree"
+        cy = "-"
         if _sphere_cy is not None:
-            t_cy, out_cy = _time(_sphere_cy, r, y, args.repeats)
+            t_cy, out_cy = _time(_scalar(_sphere_cy, r, y), args.repeats)
             assert np.array_equal(out_py, out_cy), "backend outputs disagree"
-            print(f"{name:<16}{args.batch:>8}{t_py:>11.3f}s{t_cy:>11.4f}s"
-                  f"{t_py / t_cy:>9.0f}x")
-        else:
-            print(f"{name:<16}{args.batch:>8}{t_py:>11.3f}s{'-':>12}{'-':>10}")
+            cy = f"{t_cy:.4f}s"
+        print(f"{name:<16}{args.batch:>8}{t_pub:>10.4f}s{t_cold:>10.4f}s"
+              f"{t_py:>10.3f}s{cy:>11}{t_py / t_pub:>10.0f}x")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .errors import (
     InvalidPrime,
     LatfunError,
     MissingMomentEstimate,
+    MomentOverflow,
     NonPositiveQ,
     NonPositiveTarget,
     OrthogonalScaling,

@@ -17,6 +17,10 @@ class SingularLattice(LatfunError):
     """Generator matrix is singular or numerically rank deficient."""
 
 
+class MomentOverflow(LatfunError):
+    """A second moment inflated by the margin is not a finite number."""
+
+
 class NonPositiveTarget(LatfunError):
     """Requested second moment must be strictly positive."""
 

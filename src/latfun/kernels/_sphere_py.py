@@ -1,8 +1,11 @@
-"""Pure-Python closest-point search (Schnorr-Euchner enumeration).
+"""Pure-Python closest-point search (Schnorr-Euchner enumeration), one row
+at a time.
 
-Reference implementation of the hot kernel; the compiled module
-``_sphere_cy`` mirrors this algorithm statement for statement so both
-backends return identical integer coordinates.
+This scalar search defines the answer, ties included: the compiled module
+``_sphere_cy`` mirrors it statement for statement, and the numpy slicer in
+``kernels`` returns the same coordinates. Without the compiled kernel it runs
+only where the slicer needs it: on rows the slicer leaves on a Voronoi
+boundary, and to find each lattice's relevant vectors.
 """
 
 import numpy as np

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,16 +59,20 @@ class Lattice:
 
     ``moment`` caches a second-moment estimate so that scaling operations can
     reuse it; diagonal generators never need the cache because their moments
-    are exact.
+    are exact. The closest-point search context (QR factors and relevant
+    vectors) is computed on first use and carried through scaling.
     """
 
     gen: np.ndarray
     moment: Optional[MomentEstimate] = None
+    _sphere: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gen, dtype=np.float64)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise SingularLattice("generator must be a square n x n matrix")
+        if not np.isfinite(g).all():
+            raise SingularLattice("generator has a non-finite entry")
         object.__setattr__(self, "gen", g)
         # Scale-free singularity check: |det G| relative to the product of
         # column norms (Hadamard ratio).
@@ -94,14 +98,25 @@ class Lattice:
         return bool(np.all(np.abs(off) <= 1e-12 * np.max(np.abs(self.gen))))
 
     def with_moment(self, est: MomentEstimate) -> "Lattice":
-        return replace(self, moment=est)
+        out = replace(self, moment=est)
+        object.__setattr__(out, "_sphere", self._sphere)
+        return out
 
     def scaled(self, factor: float) -> "Lattice":
-        """Lattice with generator multiplied by ``factor`` (cache rescaled)."""
+        """Lattice with generator multiplied by ``factor`` (caches rescaled)."""
+        if not math.isfinite(factor):
+            raise SingularLattice(f"scale factor must be finite, got {factor}")
         est = self.moment
         if est is not None:
             est = MomentEstimate(est.value * factor**2, est.std_error * factor**2, est.samples)
-        return Lattice(self.gen * factor, est)
+        out = Lattice(self.gen * factor, est)
+        if self._sphere is not None:
+            # G = QR gives fG = (sign(f) Q)(|f| R); integer coordinates of the
+            # relevant vectors do not change.
+            qt, r, relevant = self._sphere
+            sphere = (qt * math.copysign(1.0, factor), r * abs(factor), relevant)
+            object.__setattr__(out, "_sphere", sphere)
+        return out
 
     def to_json(self) -> str:
         payload = {
@@ -151,13 +166,13 @@ class NestedPair:
 
 def integer_lattice(dim: int, scale: float = 1.0) -> Lattice:
     """Scaled integer lattice ``scale * Z^dim`` (exact moments)."""
-    return Lattice(np.eye(dim) * scale)
+    return Lattice(np.eye(dim)).scaled(scale)
 
 
 def hexagonal_lattice(scale: float = 1.0) -> Lattice:
     """The planar hexagonal lattice with basis [[1, 1/2], [0, sqrt(3)/2]]."""
     gen = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
-    return Lattice(gen * scale)
+    return Lattice(gen).scaled(scale)
 
 
 def make_pair(fine: Lattice, coarse: Lattice) -> NestedPair:
@@ -184,20 +199,24 @@ def _round_half_down(y: np.ndarray) -> np.ndarray:
 
 
 def _sphere_context(lat: Lattice):
-    q, r = np.linalg.qr(lat.gen)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    r = signs[:, None] * r
-    q = q * signs[None, :]
-    return q.T.copy(), r
+    """``(Q^T, R, relevant vectors)`` of a non-diagonal lattice, cached on it."""
+    if lat._sphere is None:
+        q, r = np.linalg.qr(lat.gen)
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        r = signs[:, None] * r
+        q = q * signs[None, :]
+        sphere = (q.T.copy(), r, kernels.relevant_vectors(r))
+        object.__setattr__(lat, "_sphere", sphere)
+    return lat._sphere
 
 
 def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     """Integer coordinates of the nearest lattice points (batched).
 
     ``x`` has shape (..., n). Diagonal generators use componentwise rounding
-    at any dimension; general generators use exact sphere search, limited to
-    n <= 8.
+    at any dimension; general generators use the exact closest-point search
+    of ``kernels``, limited to n <= 8.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_dim(lat, x)
@@ -210,8 +229,8 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
         raise UnsupportedDimension(
             f"exact sphere search limited to n <= {MAX_SPHERE_DIM}, got n = {lat.dim}"
         )
-    qt, r = _sphere_context(lat)
-    coords = kernels.nearest_point_batch(r, flat @ qt.T)
+    qt, r, relevant = _sphere_context(lat)
+    coords = kernels.nearest_point_batch(r, flat @ qt.T, relevant)
     return coords.reshape(x.shape)
 
 

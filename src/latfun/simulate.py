@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     DistortionOutOfRange,
     InvalidCount,
+    MomentOverflow,
     NonPositiveQ,
     QOutOfRange,
 )
@@ -146,7 +147,14 @@ class SimReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """Strict JSON; an undefined statistic (NaN) is written as ``null``."""
+        payload = {}
+        for key, value in self.to_dict().items():
+            if isinstance(value, list):
+                payload[key] = [_json_number(x) for x in value]
+            else:
+                payload[key] = _json_number(value)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     CSV_HEADER = (
         "scheme,n,trials,seed,margin,target_distortion,empirical_distortion,"
@@ -174,6 +182,10 @@ class SimReport:
 
 def _g6(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _json_number(x):
+    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 class _Accumulator:
@@ -372,6 +384,19 @@ def _base_lattice(n: int, margin: float, base_lattice: Optional[Lattice]) -> Lat
     return base
 
 
+def _inflated_moment(moment: float, margin: float) -> float:
+    """Coarse second moment ``moment * margin**2``, checked to be finite."""
+    try:
+        inflated = moment * margin**2
+    except OverflowError:
+        inflated = math.inf
+    if not math.isfinite(inflated):
+        raise MomentOverflow(
+            f"coarse second moment {moment:.6g} * margin^2 is not finite (margin {margin:.6g})"
+        )
+    return inflated
+
+
 def _pair_lattices(var: float, d: float, q1: float, n: int, margin: float,
                    base_lattice: Optional[Lattice], commensurate: bool = False):
     """Fine, fine and coarse lattices and the rates of a two-encoder cell
@@ -383,7 +408,7 @@ def _pair_lattices(var: float, d: float, q1: float, n: int, margin: float,
         raise QOutOfRange(f"q1 must lie in (0, {q1_hi:.6g}), got {q1:.6g}")
     base = _base_lattice(n, margin, base_lattice)
     m2 = q1_hi - q1
-    mc = var**2 / (var - d) * margin**2
+    mc = _inflated_moment(var**2 / (var - d), margin)
     fine1 = scale_to_second_moment(base, q1)
     fine2 = scale_to_second_moment(base, m2)
     coarse = scale_to_second_moment(base, mc)
@@ -609,7 +634,7 @@ def build_k_user_codec(
     st = sigma_theta(model, plan)
     fines = tuple(scale_to_second_moment(base, q) for q in plan.q)
     coarses = {
-        cell: scale_to_second_moment(base, (st[cell] + plan.q_cell(cell)) * margin**2)
+        cell: scale_to_second_moment(base, _inflated_moment(st[cell] + plan.q_cell(cell), margin))
         for cell in plan.partition
     }
     rates = k_user_rates(model, plan)

@@ -199,6 +199,10 @@ def test_simulate_nonpositive_trials_exit_two(capsys, trials):
     ("simulate", "--margin", "nan"),
     ("region", "--scheme", "lattice", "--c", "inf"),
     ("region", "--scheme", "bt", "--c", "nan"),
+    ("simulate", "--margin", "1e308"),
+    ("lattice", "--op", "nsm", "--scale", "inf"),
+    ("lattice", "--op", "nsm", "--dim", "3", "--scale", "nan"),
+    ("lattice", "--lattice", "a2", "--op", "nsm", "--scale=-inf"),
 ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
 def test_non_finite_inputs_exit_two(capsys, args):
     with warnings.catch_warnings():
@@ -224,6 +228,20 @@ def test_plan_with_non_finite_q_exit_two(capsys, tmp_path, command, q):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "finite" in err
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_simulate_undefined_statistic_is_null(capsys):
+    # One trial that overloads leaves the conditional distortion undefined.
+    code, out, err = run_cli(capsys, "simulate", "--trials", "1", "--seed", "3", "--margin", "1")
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["overload_rate"] == 1.0
+    assert payload["conditional_distortion"] is None
+    assert math.isfinite(payload["empirical_distortion"])
 
 
 def test_simulate_q1_out_of_range_names_interval(capsys):

@@ -1,19 +1,24 @@
-"""Closest-point kernel: brute-force oracle agreement and backend parity."""
+"""Closest-point kernel: brute-force oracle agreement and backend parity,
+for the scalar search and for the public path."""
 
 from itertools import product
 
 import numpy as np
 import pytest
 
+from latfun import kernels
 from latfun.kernels import _sphere_py, available_backends
 
 
-def _run(impl, gen, points):
+def _factor(gen):
     q, r = np.linalg.qr(gen)
     s = np.sign(np.diag(r))
     s[s == 0] = 1.0
-    r = np.ascontiguousarray(s[:, None] * r)
-    q = q * s[None, :]
+    return np.ascontiguousarray(s[:, None] * r), q * s[None, :]
+
+
+def _run(impl, gen, points):
+    r, q = _factor(gen)
     y = np.ascontiguousarray(points @ q)
     out = np.zeros(y.shape, dtype=np.longlong)
     impl.nearest_point_batch(r, y, out)
@@ -81,3 +86,137 @@ def test_backend_parity_on_boundary_targets():
     gen = np.eye(3)
     grid = np.array(list(product([-1.5, -0.5, 0.0, 0.5, 1.5], repeat=3)))
     assert np.array_equal(_run(_sphere_py, gen, grid), _run(_sphere_cy, gen, grid))
+
+
+# ---------------------------------------------------------------------------
+# Public path: ``kernels.nearest_point_batch`` (the slicer without the
+# compiled kernel) against an exhaustive box search.
+
+A2 = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
+D4 = np.array([[2.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+E8 = np.array([[2, -1, 0, 0, 0, 0, 0, 0.5], [0, 1, -1, 0, 0, 0, 0, 0.5],
+               [0, 0, 1, -1, 0, 0, 0, 0.5], [0, 0, 0, 1, -1, 0, 0, 0.5],
+               [0, 0, 0, 0, 1, -1, 0, 0.5], [0, 0, 0, 0, 0, 1, -1, 0.5],
+               [0, 0, 0, 0, 0, 0, 1, 0.5], [0, 0, 0, 0, 0, 0, 0, 0.5]])
+
+
+def _public(gen, points):
+    r, q = _factor(gen)
+    return kernels.nearest_point_batch(r, np.ascontiguousarray(points @ q))
+
+
+def _box_oracle(gen, x, start, basis=None):
+    """Nearest points of ``x`` under the lexicographic tie rule, by exhaustive
+    search of a box that holds every lattice point at least as close as the
+    lattice point ``G @ start``: |w_i - (B^-1 x)_i| <= |row i of B^-1| * radius
+    in the coordinates w of ``basis`` B (default G), another generator of the
+    same lattice. Returns (lexicographically smallest nearest coordinates in
+    G's basis, number of ties)."""
+    basis = gen if basis is None else basis
+    inv = np.linalg.inv(basis)
+    centre = inv @ x
+    radius = np.linalg.norm(x - gen @ start)
+    half = radius * np.linalg.norm(inv, axis=1) + 1e-9
+    axes = [np.arange(np.floor(c - h), np.ceil(c + h) + 1) for c, h in zip(centre, half)]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(x))
+    d2 = np.sum((box @ basis.T - x) ** 2, axis=1)
+    ties = box[d2 <= d2.min() + 1e-12 * max(1.0, float(x @ x))]
+    coords = np.rint(ties @ np.linalg.solve(gen, basis).T).astype(np.int64)
+    return min(map(tuple, coords)), len(ties)
+
+
+def _check_against_oracle(gen, points, basis=None):
+    """Public path equals the oracle on every row; returns the tie count."""
+    got = _public(gen, points)
+    tied = 0
+    for row in range(points.shape[0]):
+        want, count = _box_oracle(gen, points[row], got[row], basis)
+        assert tuple(got[row]) == want, (row, points[row])
+        tied += count > 1
+    return tied
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_public_path_matches_box_oracle(n, rng):
+    gen = _conditioned_basis(rng, n)
+    near = rng.normal(scale=2.0, size=(12, n)) @ gen.T
+    far = rng.normal(scale=40.0, size=(4, n)) @ gen.T
+    _check_against_oracle(gen, np.vstack([near, far]))
+    # Many more rows against the scalar search, which shares the tie rule.
+    x = rng.normal(scale=3.0, size=(3000, n)) @ gen.T
+    assert np.array_equal(_public(gen, x), _run(_sphere_py, gen, x))
+
+
+def _unimodular(n):
+    """A skewed basis of Z^n: upper triangular with ones on the diagonal."""
+    return np.triu(np.ones((n, n))) + np.triu(np.ones((n, n)), 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("skewed", [False, True], ids=["identity", "skewed"])
+def test_public_path_ties_on_zn_half_integers(n, skewed, rng):
+    gen = _unimodular(n) if skewed else np.eye(n)
+    points = rng.choice([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], size=(24, n))
+    points[0] = 0.5
+    assert _check_against_oracle(gen, points, basis=np.eye(n)) >= 12
+
+
+def _with_shifts(gen, points, shifts):
+    """Each point plus each integer-coordinate shift of the lattice."""
+    return np.vstack([points + gen @ np.asarray(s, dtype=np.float64) for s in shifts])
+
+
+def test_public_path_ties_at_a2_voronoi_vertices_and_edges():
+    angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(6)
+    vertices = np.stack([np.cos(angles), np.sin(angles)], axis=1) / np.sqrt(3.0)
+    relevant = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]])
+    edges = np.vstack([relevant, -relevant]) / 2.0
+    points = _with_shifts(A2, np.vstack([vertices, edges]), [(0, 0), (1, 0), (-2, 3), (5, -1)])
+    assert _check_against_oracle(A2, points) == points.shape[0]
+
+
+def test_public_path_ties_at_d4_deep_holes():
+    halves = np.array(list(product([-0.5, 0.5], repeat=4)))
+    odd = np.vstack([np.eye(4), -np.eye(4), [[1.0, 1.0, 1.0, 0.0], [2.0, 1.0, 0.0, 0.0]]])
+    midpoints = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, -0.5, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    points = _with_shifts(D4, np.vstack([halves, odd, midpoints]), [(0, 0, 0, 0), (1, -2, 0, 3)])
+    assert _check_against_oracle(D4, points) == points.shape[0]
+
+
+@pytest.mark.parametrize("gen", [A2, D4], ids=["a2", "d4"])
+def test_public_path_on_coset_leaders_of_a_nested_pair(gen):
+    from latfun.lattices import Lattice, NestedPair, coset_leaders
+
+    n = gen.shape[0]
+    pair = NestedPair(Lattice(gen), Lattice(2.0 * gen), 2 * np.eye(n))
+    leaders = coset_leaders(pair)
+    assert leaders.shape[0] == 2**n
+    # Fine points of a box: many lie on the boundary of a coarse Voronoi cell.
+    coords = np.array(list(product(range(-2, 3), repeat=n)), dtype=np.float64)
+    points = np.vstack([leaders, coords @ gen.T])
+    assert _check_against_oracle(2.0 * gen, points) > 0
+
+
+def test_public_path_blocks_keep_row_order(monkeypatch, rng):
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+    x = rng.choice([-0.5, 0.0, 0.5, 1.0], size=(50, 2)) + rng.normal(scale=1e-3, size=(50, 2)) * (
+        rng.random((50, 1)) < 0.5)
+    assert np.array_equal(_public(A2, x), _run(_sphere_py, A2, x))
+    assert _public(A2, np.zeros((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("gen, count", [
+    *[(np.eye(n), 2 * n) for n in range(1, 9)],
+    (_unimodular(5), 10),
+    (A2, 6),
+    (D4, 24),
+    (E8, 240),
+], ids=[*[f"z{n}" for n in range(1, 9)], "z5-skewed", "a2", "d4", "e8"])
+def test_relevant_vector_counts(gen, count):
+    r, _ = _factor(gen)
+    rel = kernels.relevant_vectors(r)
+    assert rel.shape == (count, gen.shape[0])
+    assert len({tuple(v) for v in rel}) == count
+    # Scale-free: the same integer coordinates at any scale.
+    assert np.array_equal(kernels.relevant_vectors(3.7 * r), rel)

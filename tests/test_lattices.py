@@ -135,6 +135,37 @@ def test_singular_generator_rejected():
         Lattice(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_generator_rejected(bad):
+    with pytest.raises(SingularLattice, match="non-finite"):
+        Lattice(np.array([[1.0, 0.5], [0.0, bad]]))
+    with pytest.raises(SingularLattice, match="finite"):
+        integer_lattice(3, bad)
+    with pytest.raises(SingularLattice, match="finite"):
+        hexagonal_lattice(bad)
+
+
+def test_search_context_is_cached_and_carried_through_scaling(rng):
+    diag = integer_lattice(3, 0.7)
+    nearest_point(diag, rng.normal(size=(5, 3)))
+    assert diag._sphere is None  # diagonal lattices never reach the kernel
+    lat = Lattice(rng.normal(size=(3, 3)) + 3 * np.eye(3))
+    assert lat._sphere is None
+    nearest_point(lat, rng.normal(size=(5, 3)))
+    qt, r, relevant = lat._sphere
+    x = rng.normal(scale=4.0, size=(400, 3))
+    for factor in (2.5, -0.3):
+        scaled = lat.scaled(factor)
+        assert scaled._sphere[2] is relevant
+        assert scaled._sphere[0] == pytest.approx(np.sign(factor) * qt, abs=1e-15)
+        assert scaled._sphere[1] == pytest.approx(abs(factor) * r, rel=1e-14)
+        fresh = Lattice(lat.gen * factor)
+        assert np.array_equal(nearest_point(scaled, x), nearest_point(fresh, x))
+    est = second_moment(lat, 2000, rng)
+    assert scale_to_second_moment(lat.with_moment(est), 0.1)._sphere[2] is relevant
+
+
 def test_membership_roundtrip(rng):
     lat = Lattice(rng.normal(size=(4, 4)) + 4 * np.eye(4))
     coords = rng.integers(-10, 10, size=4)

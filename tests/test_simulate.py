@@ -11,6 +11,7 @@ from latfun import (
     DimensionMismatch,
     DistortionOutOfRange,
     InvalidCount,
+    MomentOverflow,
     NonPositiveQ,
     PartitionPlan,
     QOutOfRange,
@@ -315,6 +316,16 @@ def test_builders_reject_margin_not_finite_or_below_one(margin):
         build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.2), 0.1, 0.06, margin=margin)
     with pytest.raises(ValueError, match="margin"):
         build_k_user_codec(M88, singleton_plan(2, (0.05, 0.05)), margin=margin)
+
+
+def test_builders_reject_margin_that_overflows_the_coarse_moment():
+    with pytest.raises(MomentOverflow):
+        build_two_user_codec(M88, 0.1, 0.06, margin=1e308)
+    with pytest.raises(MomentOverflow):
+        build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.2), 0.1, 0.06, margin=1e200)
+    with pytest.raises(MomentOverflow):
+        build_k_user_codec(M88, singleton_plan(2, (0.05, 0.05)), margin=1e308)
+    assert build_two_user_codec(M88, 0.1, 0.06, margin=1e150).coarse.gen[0, 0] > 1e150
 
 
 def test_builders_reject_base_lattice_of_other_dimension():
