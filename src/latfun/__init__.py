@@ -24,6 +24,7 @@ from .errors import (
     SingularObservationGram,
     TooManyCosets,
     UnsupportedDimension,
+    VarianceOverflow,
 )
 from .gaussian import (
     PartitionPlan,

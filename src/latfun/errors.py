@@ -21,6 +21,10 @@ class MomentOverflow(LatfunError):
     """A second moment inflated by the margin is not a finite number."""
 
 
+class VarianceOverflow(LatfunError):
+    """The variance of the target function is not a finite number."""
+
+
 class NonPositiveTarget(LatfunError):
     """Requested second moment must be strictly positive."""
 

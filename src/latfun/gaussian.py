@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSideInfo, SingularObservationGram
+from .errors import DegenerateSideInfo, SingularObservationGram, VarianceOverflow
 
 _COND_GUARD = 1e-10
 _SYM_TOL = 1e-12
@@ -22,14 +22,22 @@ _EIG_TOL = -1e-10
 
 
 def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
-    """Checks shared by the source models: finite entries and a symmetric
-    positive semidefinite covariance."""
+    """Checks shared by the source models: finite entries, a symmetric
+    positive semidefinite covariance and a finite function variance."""
     if not (np.isfinite(cov).all() and np.isfinite(coeffs).all()):
         raise ValueError("covariance and coefficients must be finite")
     if np.max(np.abs(cov - cov.T)) > _SYM_TOL * max(1.0, np.max(np.abs(cov))):
         raise ValueError("covariance must be symmetric")
     if np.min(np.linalg.eigvalsh(cov)) < _EIG_TOL:
         raise ValueError("covariance must be positive semidefinite")
+    k = coeffs.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(coeffs @ cov[:k, :k] @ coeffs)
+    if not math.isfinite(var):
+        raise VarianceOverflow(
+            "the function variance c Sigma c^T overflows; coefficients and covariance "
+            "must keep it below about 1.8e308"
+        )
 
 
 @dataclass(frozen=True)
@@ -319,7 +327,11 @@ class SideInfoModel:
         if var_y <= 0.0:
             return 0.0, var_z
         beta = cov_zy / var_y
-        return beta, max(var_z - cov_zy**2 / var_y, 0.0)
+        try:
+            explained = cov_zy**2 / var_y
+        except OverflowError:
+            raise VarianceOverflow("Cov(Z, Y)^2 overflows; scale the coefficients down") from None
+        return beta, max(var_z - explained, 0.0)
 
     def innovations_variance(self) -> float:
         _, s = self.side_regression()

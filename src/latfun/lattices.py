@@ -38,6 +38,11 @@ MAX_SPHERE_DIM = 8
 MAX_COSET_ENUM = 4096
 
 _DET_GUARD = 1e-12
+_RANGE_ERROR = (
+    "generator out of range: squared column lengths and det G must be finite and nonzero, "
+    "which needs column lengths within about 1e-154..1e154 and |det G| within about "
+    "1e-308..1e308 (largest |entry| {:.3g})"
+)
 _INT_TOL = 1e-9
 
 
@@ -59,13 +64,24 @@ class Lattice:
 
     ``moment`` caches a second-moment estimate so that scaling operations can
     reuse it; diagonal generators never need the cache because their moments
-    are exact. The closest-point search context (QR factors and relevant
-    vectors) is computed on first use and carried through scaling.
+    are exact. The diagonal test runs once, at construction: a generator whose
+    off-diagonal entries are within 1e-12 of its largest entry is diagonal,
+    and ``_scales`` keeps its diagonal. Where the off-diagonal entries are
+    exactly zero (``_exact_diag``), quantization and dithers stay in float64
+    and skip the matrix product. The closest-point search context (QR factors
+    and relevant vectors) is computed on first use and carried through
+    scaling.
+
+    Squared column lengths (the Gram diagonal, which bounds the rest of the
+    Gram matrix) and the determinant must be finite and nonzero, so that
+    closest-point distances stay finite and the covolume is representable.
     """
 
     gen: np.ndarray
     moment: Optional[MomentEstimate] = None
     _sphere: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _scales: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _exact_diag: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gen, dtype=np.float64)
@@ -74,14 +90,23 @@ class Lattice:
         if not np.isfinite(g).all():
             raise SingularLattice("generator has a non-finite entry")
         object.__setattr__(self, "gen", g)
-        # Scale-free singularity check: |det G| relative to the product of
-        # column norms (Hadamard ratio).
-        colnorms = np.linalg.norm(g, axis=0)
-        if np.any(colnorms == 0.0):
+        if np.any(np.all(g == 0.0, axis=0)):
             raise SingularLattice("generator has a zero column")
-        det = np.linalg.det(g)
-        if abs(det) / float(np.prod(colnorms)) < _DET_GUARD:
+        with np.errstate(over="ignore", under="ignore"):
+            sq_lengths = np.sum(g * g, axis=0)  # the Gram diagonal
+            det = float(np.linalg.det(g))
+        if not (np.isfinite(sq_lengths).all() and np.all(sq_lengths > 0.0)):
+            raise SingularLattice(_RANGE_ERROR.format(np.max(np.abs(g))))
+        # Scale-free singularity check: |det G| relative to the product of
+        # column norms (Hadamard ratio), fail-closed on NaN.
+        if not abs(np.linalg.det(g / np.sqrt(sq_lengths))) >= _DET_GUARD:
             raise SingularLattice("generator is singular within tolerance")
+        if not (math.isfinite(det) and det != 0.0):
+            raise SingularLattice(_RANGE_ERROR.format(np.max(np.abs(g))))
+        off = g - np.diag(np.diag(g))
+        if np.all(np.abs(off) <= 1e-12 * np.max(np.abs(g))):
+            object.__setattr__(self, "_scales", np.diag(g).copy())
+            object.__setattr__(self, "_exact_diag", not np.any(off))
 
     @property
     def dim(self) -> int:
@@ -94,8 +119,7 @@ class Lattice:
 
     @property
     def is_diagonal(self) -> bool:
-        off = self.gen - np.diag(np.diag(self.gen))
-        return bool(np.all(np.abs(off) <= 1e-12 * np.max(np.abs(self.gen))))
+        return self._scales is not None
 
     def with_moment(self, est: MomentEstimate) -> "Lattice":
         out = replace(self, moment=est)
@@ -195,7 +219,8 @@ def _check_dim(lat: Lattice, x: np.ndarray):
 def _round_half_down(y: np.ndarray) -> np.ndarray:
     # Nearest integer; exact halves resolve downward, which is the
     # lexicographically smaller choice per coordinate.
-    return np.ceil(y - 0.5)
+    t = y - 0.5
+    return np.ceil(t, out=t)
 
 
 def _sphere_context(lat: Lattice):
@@ -222,8 +247,7 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     _check_dim(lat, x)
     flat = x.reshape(-1, lat.dim)
     if lat.is_diagonal:
-        scales = np.diag(lat.gen)
-        coords = _round_half_down(flat / scales)
+        coords = _round_half_down(flat / lat._scales)
         return coords.astype(np.int64).reshape(x.shape)
     if lat.dim > MAX_SPHERE_DIM:
         raise UnsupportedDimension(
@@ -236,9 +260,21 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
 
 def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     """The lattice point closest to ``x`` (ties: lexicographically smallest
-    integer coordinates)."""
-    coords = nearest_point_coords(lat, np.asarray(x, dtype=np.float64))
-    return coords @ lat.gen.T
+    integer coordinates).
+
+    An exactly diagonal generator stays in float64: the rounded coordinates
+    are multiplied by the scales, and adding 0.0 turns -0.0 into +0.0, so
+    the result equals ``nearest_point_coords(lat, x) @ lat.gen.T`` bit for
+    bit without the integer round trip or the matrix product.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not lat._exact_diag:
+        return nearest_point_coords(lat, x) @ lat.gen.T
+    _check_dim(lat, x)
+    point = _round_half_down(x / lat._scales)
+    point *= lat._scales
+    point += 0.0
+    return point
 
 
 def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
@@ -272,10 +308,16 @@ def sample_dither(lat: Lattice, rng: np.random.Generator, size: int = 1) -> np.n
 
     Draws uniformly over the fundamental parallelepiped ``G [0,1)^n`` and
     reduces mod the lattice; the mod map carries any fundamental region
-    uniformly onto the Voronoi cell, so no rejection loop is needed.
+    uniformly onto the Voronoi cell, so no rejection loop is needed. An
+    exactly diagonal generator maps the draws ``w`` as ``w * scales + 0.0``,
+    which equals ``w @ G.T`` bit for bit.
     """
     w = rng.random((size, lat.dim))
-    u = w @ lat.gen.T
+    if lat._exact_diag:
+        u = w * lat._scales
+        u += 0.0
+    else:
+        u = w @ lat.gen.T
     return mod_lattice(lat, u)
 
 
@@ -288,8 +330,7 @@ def second_moment(
     supplied stream otherwise.
     """
     if lat.is_diagonal:
-        scales = np.diag(lat.gen)
-        value = float(np.sum(scales**2) / 12.0 / lat.dim)
+        value = float(np.sum(lat._scales**2) / 12.0 / lat.dim)
         return MomentEstimate(value, 0.0, 0)
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a moment estimate")

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (
     DimensionMismatch,
@@ -285,16 +284,40 @@ class _Plan(NamedTuple):
     final: Sequence[float]                # over side values, then cells
 
 
+def _sources(factor: np.ndarray, m: int, n: int, rng: np.random.Generator):
+    """The source columns, each (m, n), of ``g @ factor.T`` for one draw
+    ``g = rng.standard_normal((m, n, cols))``.
+
+    numpy runs that stacked product as one tiny BLAS call per trial. Two
+    cheaper forms give the same bits (a test pins this for n up to 8 and up
+    to 3 columns): for n > 1 one 2-D product of the (m n, cols) rows, and
+    for n = 1 one matrix-vector product per column. For one trial at n = 1
+    the stacked product is itself one 2-D product, which the per-column form
+    does not match, so it is kept there.
+    """
+    cols = factor.shape[0]
+    g = rng.standard_normal((m, n, cols))
+    if n == 1 and m > 1:
+        g2d = g.reshape(m, cols)
+        return [(g2d @ factor[i]).reshape(m, 1) for i in range(cols)]
+    if n > 1:
+        x = (g.reshape(-1, cols) @ factor.T).reshape(m, n, cols)
+    else:
+        x = g @ factor.T
+    return [x[..., i] for i in range(cols)]
+
+
 def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
     """One chunk of m trials; returns Z, its estimate, the shift-free mod
     input of each cell, and the per-cell overload and clean-history masks.
 
-    Draw order: the (m, n, cols) source normals, then one dither per member
-    of each cell in decode order (none where the dither is fixed).
+    Draw order: the (m, n, cols) source normals (see ``_sources``), then one
+    dither per member of each cell in decode order (none where the dither is
+    fixed).
     """
     n = plan.cells[0].coarse.dim
-    x = rng.standard_normal((m, n, plan.factor.shape[0])) @ plan.factor.T
-    known = [w * x[..., col] for col, w in plan.side]
+    x = _sources(plan.factor, m, n, rng)
+    known = [w * x[col] for col, w in plan.side]
     decoded = [None] * len(plan.cells)
     v = [None] * len(plan.cells)
     overload = np.zeros((m, len(plan.cells)), dtype=bool)
@@ -306,7 +329,7 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
         ideal = np.zeros((m, n))  # the cell sum free of coarse coset shifts
         for mem in cell.members:
             u = sample_dither(mem.fine, rng, m) if mem.dither is None else mem.dither
-            y = nearest_point(mem.fine, mem.scale * x[..., mem.col] + u)
+            y = nearest_point(mem.fine, mem.scale * x[mem.col] + u)
             total += mem.sign * (mod_lattice(cell.coarse, y) - u)
             ideal += mem.sign * (y - u)
         pred = sum(w * value for w, value in zip(cell.pred, known))
@@ -320,7 +343,7 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
         clean = clean & ~overload[:, idx]
         decoded[idx] = mod_lattice(cell.coarse, total - pred) + pred
         known.append(decoded[idx])
-    z = sum(coeff * x[..., col] for col, coeff in enumerate(plan.coeffs))
+    z = sum(coeff * x[col] for col, coeff in enumerate(plan.coeffs))
     zhat = sum(w * value for w, value in zip(plan.final, known[: len(plan.side)] + decoded))
     return z, zhat, v, overload, clean_before
 
@@ -408,7 +431,11 @@ def _pair_lattices(var: float, d: float, q1: float, n: int, margin: float,
         raise QOutOfRange(f"q1 must lie in (0, {q1_hi:.6g}), got {q1:.6g}")
     base = _base_lattice(n, margin, base_lattice)
     m2 = q1_hi - q1
-    mc = _inflated_moment(var**2 / (var - d), margin)
+    try:
+        nominal = var**2 / (var - d)
+    except OverflowError:
+        nominal = math.inf
+    mc = _inflated_moment(nominal, margin)
     fine1 = scale_to_second_moment(base, q1)
     fine2 = scale_to_second_moment(base, m2)
     coarse = scale_to_second_moment(base, mc)
@@ -688,6 +715,8 @@ def epi_entropy_sandwich(q1: float, q2: float, samples: int = 120_001):
     entropies, the numerically integrated entropy of the exact density, and
     the Gaussian max-entropy bound at the same variance.
     """
+    from scipy.integrate import simpson  # importing it costs about 0.6 s
+
     if q1 <= 0 or q2 <= 0:
         raise NonPositiveQ("q1 and q2 must be positive")
     s1 = math.sqrt(12.0 * q1)

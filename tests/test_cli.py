@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latfun
 from latfun.cli import main
 from latfun.gaussian import PartitionPlan
 
@@ -212,6 +217,43 @@ def test_non_finite_inputs_exit_two(capsys, args):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "finite" in err
+
+
+def _run_cli_process(*args, timeout):
+    """Run ``python -W error -m latfun ARGS`` in a child process; a hang
+    fails the test at ``timeout`` seconds instead of stalling the suite."""
+    src = str(Path(latfun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "latfun", *args],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("args, cause", [
+    (("lattice", "--lattice", "a2", "--op", "nsm", "--scale", "1e200"), "1e-154..1e154"),
+    (("lattice", "--lattice", "a2", "--op", "nsm", "--scale", "1e-200"), "1e-154..1e154"),
+    (("lattice", "--op", "nsm", "--dim", "8", "--scale", "1e40"), "1e-308..1e308"),
+    (("simulate", "--c", "1e200"), "function variance"),
+    (("region", "--scheme", "lattice", "--c", "1e200", "--d", "0.1"), "function variance"),
+    (("simulate", "--c", "1e150", "--trials", "1000"), "second moment"),
+    (("simulate", "--c", "1e150", "--side-info", "0.1", "--trials", "1000"), "Cov"),
+], ids=lambda v: "-".join(a.lstrip("-") for a in v) if isinstance(v, tuple) else None)
+def test_overflowing_inputs_exit_two_in_time(args, cause):
+    proc = _run_cli_process(*args, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert cause in proc.stderr
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(latfun.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import latfun, latfun.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("q", ["NaN", "Infinity"])

@@ -10,6 +10,7 @@ from latfun import (
     PartitionPlan,
     SingularObservationGram,
     SourceModel,
+    VarianceOverflow,
     final_estimator,
     function_variance,
     independent_side_model,
@@ -226,6 +227,21 @@ def test_model_validation():
         SourceModel(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         two_user_model(0.0, 0.8).require_two_user()
+
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_function_variance_rejected():
+    with pytest.raises(VarianceOverflow):
+        two_user_model(0.8, 1e200)
+    with pytest.raises(VarianceOverflow):
+        SourceModel(np.eye(3), np.array([1.0, 1e155, 1e155]))
+    with pytest.raises(VarianceOverflow):
+        noisy_function_side_model(0.8, 1e200, 0.1)
+    # Var Z = 1e300 is finite, but Cov(Z, Y)^2 in the side regression is not.
+    with pytest.raises(VarianceOverflow):
+        noisy_function_side_model(0.8, 1e150, 0.1).innovations_variance()
+    assert function_variance(two_user_model(0.8, 1e150)) == pytest.approx(1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from latfun import (
     make_pair,
     mod_lattice,
     nearest_point,
+    nearest_point_coords,
     normalized_second_moment,
     sample_dither,
     scale_to_second_moment,
@@ -109,6 +110,92 @@ def test_distributive_law_random_lattices(rng):
         lhs = mod_lattice(lat, mod_lattice(lat, x) + y)
         rhs = mod_lattice(lat, x + y)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def _assert_same_bits(got, want):
+    # Equal values and equal signs of zero.
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose ``random`` returns given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, shape):
+        return self.values.reshape(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_diagonal_fast_path_matches_generic_formulas(rng, n):
+    # Unequal scales, one negative; rows of random points, exact half-integer
+    # ties of both signs, +-0 and points that round to 0 from below.
+    scales = rng.uniform(0.2, 3.0, size=n)
+    scales[n // 2] *= -1.0
+    lat = Lattice(np.diag(scales))
+    assert lat.is_diagonal and lat._exact_diag
+    ties = (rng.integers(-4, 5, size=(40, n)) + rng.choice([-0.5, 0.5], size=(40, n))) * scales
+    x = np.concatenate([
+        rng.normal(scale=4.0, size=(300, n)),
+        ties,
+        np.zeros((1, n)),
+        np.full((1, n), -0.0),
+        -0.3 * np.abs(scales)[None, :],
+    ])
+    generic = nearest_point_coords(lat, x) @ lat.gen.T
+    _assert_same_bits(nearest_point(lat, x), generic)
+    _assert_same_bits(mod_lattice(lat, x), x - generic)
+    _assert_same_bits(nearest_point(lat, x[0]), generic[0])
+
+    # The same uniform draws, including an exact 0, through both formulas.
+    w = np.concatenate([rng.random((500, n)), np.zeros((1, n))])
+    dither = sample_dither(lat, _FixedDraws(w), len(w))
+    u = w @ lat.gen.T
+    _assert_same_bits(dither, u - nearest_point_coords(lat, u) @ lat.gen.T)
+
+
+def test_near_diagonal_generator_keeps_its_branch(rng):
+    # Off-diagonal entries within 1e-12 of the largest entry: still diagonal,
+    # rounded componentwise, and mapped through the full generator.
+    gen = np.diag([1.5, 0.5, 2.0])
+    gen[0, 2] = 1e-13 * 2.0
+    lat = Lattice(gen)
+    assert lat.is_diagonal and not lat._exact_diag
+    x = rng.normal(scale=3.0, size=(200, 3))
+    coords = nearest_point_coords(lat, x)
+    assert np.array_equal(coords, np.ceil(x / np.diag(gen) - 0.5).astype(np.int64))
+    _assert_same_bits(nearest_point(lat, x), coords @ gen.T)
+    assert lat._sphere is None
+    gen[0, 2] = 1e-11 * 2.0
+    assert not Lattice(gen).is_diagonal
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hexagonal_lattice(1e200),
+    lambda: hexagonal_lattice(1e-200),
+    lambda: integer_lattice(2, 1e-200),
+    lambda: integer_lattice(8, 1e40),   # det 1e320 overflows
+    lambda: integer_lattice(8, 1e-50),  # det 1e-400 underflows
+    lambda: Lattice(np.array([[1e160, 0.0], [1e160, 1.0]])),
+], ids=["a2-1e200", "a2-1e-200", "z2-1e-200", "z8-det-overflow", "z8-det-underflow", "gram"])
+@pytest.mark.filterwarnings("error")
+def test_generator_out_of_range_rejected(make):
+    with pytest.raises(SingularLattice, match="out of range.*1e-154..1e154"):
+        make()
+
+
+def test_singular_and_zero_column_messages():
+    with pytest.raises(SingularLattice, match="singular within tolerance"):
+        Lattice(np.array([[1.0, 2.0], [0.5, 1.0]]))
+    with pytest.raises(SingularLattice, match="zero column"):
+        Lattice(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # The Hadamard ratio is scale-free: the same near-singular shape is
+    # rejected at any scale inside the range.
+    for scale in (1e-100, 1.0, 1e100):
+        with pytest.raises(SingularLattice, match="singular within tolerance"):
+            Lattice(scale * np.array([[1.0, 1.0], [0.0, 1e-13]]))
 
 
 def test_dimension_mismatch():

@@ -35,7 +35,7 @@ from latfun import (
     two_user_model,
 )
 from latfun.regions import RatePoint, SCHEME_LATTICE
-from latfun.simulate import TwoUserCodec, two_user_blocks
+from latfun.simulate import TwoUserCodec, _sources, two_user_blocks
 
 M88 = two_user_model(0.8, 0.8)
 
@@ -308,6 +308,24 @@ def test_experiment_thread_count_does_not_change_output(monkeypatch, make_run):
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("cols", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_source_columns_equal_the_stacked_product(n, cols):
+    # The engine forms its sources without numpy's stacked (m, n, cols) @
+    # (cols, cols) product; every shape must keep that product's bits.
+    gen = np.random.default_rng(cols)
+    a = gen.normal(size=(cols, cols))
+    factors = [np.linalg.cholesky(a @ a.T + 0.1 * np.eye(cols)), a]
+    for factor in factors:
+        for m in (1, 7, 2048, 65536):
+            got = _sources(factor, m, n, np.random.default_rng([m, n]))
+            want = np.random.default_rng([m, n]).standard_normal((m, n, cols)) @ factor.T
+            assert len(got) == cols
+            for i in range(cols):
+                assert got[i].shape == (m, n)
+                assert np.array_equal(got[i].view(np.int64), want[..., i].view(np.int64))
+
+
 @pytest.mark.parametrize("margin", [math.inf, math.nan, 0.5])
 def test_builders_reject_margin_not_finite_or_below_one(margin):
     with pytest.raises(ValueError, match="margin"):
@@ -326,6 +344,9 @@ def test_builders_reject_margin_that_overflows_the_coarse_moment():
     with pytest.raises(MomentOverflow):
         build_k_user_codec(M88, singleton_plan(2, (0.05, 0.05)), margin=1e308)
     assert build_two_user_codec(M88, 0.1, 0.06, margin=1e150).coarse.gen[0, 0] > 1e150
+    # Var Z = 1e300 is finite, but the nominal coarse moment Var Z^2 / (Var Z - D) is not.
+    with pytest.raises(MomentOverflow):
+        build_two_user_codec(two_user_model(0.8, 1e150), 0.1, 0.06)
 
 
 def test_builders_reject_base_lattice_of_other_dimension():
