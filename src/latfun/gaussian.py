@@ -28,16 +28,22 @@ def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
         raise ValueError("covariance and coefficients must be finite")
     if np.max(np.abs(cov - cov.T)) > _SYM_TOL * max(1.0, np.max(np.abs(cov))):
         raise ValueError("covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) < _EIG_TOL:
+    eigs = np.linalg.eigvalsh(cov)  # ascending
+    if eigs[0] < _EIG_TOL:
         raise ValueError("covariance must be positive semidefinite")
-    k = coeffs.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = float(coeffs @ cov[:k, :k] @ coeffs)
-    if not math.isfinite(var):
-        raise VarianceOverflow(
-            "the function variance c Sigma c^T overflows; coefficients and covariance "
-            "must keep it below about 1.8e308"
-        )
+    # c Sigma c^T is at most k lambda_max max|c_i|^2 and its partial sums at
+    # most k times that, so below the 1e300 bound nothing can overflow; only
+    # above it is the variance itself computed and checked.
+    c_max = max(abs(v) for v in coeffs.tolist())
+    if not float(eigs[-1]) * c_max * c_max * coeffs.shape[0] < 1e300:
+        k = coeffs.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = float(coeffs @ cov[:k, :k] @ coeffs)
+        if not math.isfinite(var):
+            raise VarianceOverflow(
+                "the function variance c Sigma c^T overflows; coefficients and covariance "
+                "must keep it below about 1.8e308"
+            )
 
 
 @dataclass(frozen=True)
