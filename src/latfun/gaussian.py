@@ -34,9 +34,9 @@ def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
     # c Sigma c^T is at most k lambda_max max|c_i|^2 and its partial sums at
     # most k times that, so below the 1e300 bound nothing can overflow; only
     # above it is the variance itself computed and checked.
+    k = coeffs.shape[0]
     c_max = max(abs(v) for v in coeffs.tolist())
-    if not float(eigs[-1]) * c_max * c_max * coeffs.shape[0] < 1e300:
-        k = coeffs.shape[0]
+    if not float(eigs[-1]) * c_max * c_max * k < 1e300:
         with np.errstate(over="ignore", invalid="ignore"):
             var = float(coeffs @ cov[:k, :k] @ coeffs)
         if not math.isfinite(var):
