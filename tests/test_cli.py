@@ -219,12 +219,14 @@ def test_non_finite_inputs_exit_two(capsys, args):
     assert "finite" in err
 
 
+_SRC = str(Path(latfun.__file__).resolve().parent.parent)
+
+
 def _run_cli_process(*args, timeout):
     """Run ``python -W error -m latfun ARGS`` in a child process; a hang
     fails the test at ``timeout`` seconds instead of stalling the suite."""
-    src = str(Path(latfun.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-W", "error", "-m", "latfun", *args],
                           capture_output=True, text=True, timeout=timeout, env=env)
 
@@ -247,10 +249,9 @@ def test_overflowing_inputs_exit_two_in_time(args, cause):
 
 
 def test_import_leaves_scipy_out():
-    src = str(Path(latfun.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import latfun, latfun.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, _SRC], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
