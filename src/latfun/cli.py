@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import lattices, regions, simulate
-from .errors import LatfunError
+from .errors import InvalidCount, LatfunError
 from .gaussian import (
     PartitionPlan,
     SourceModel,
@@ -124,41 +124,63 @@ def cmd_region(args) -> int:
 
 def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """Yield CSV rows; one per (rho, c, D), or per (rho, c) when collapsing
-    to the distortion with the largest gap."""
+    to the distortion with the largest gap.
+
+    ``d_of_model`` maps Var(Z) to a distortion grid and is called once, with
+    the array of every cell's Var(Z); grids vary along the last axis. Each
+    cell's grid has the bits of a call of its own, except that np.linspace
+    switches every cell to its zero-step formula when one cell's step is
+    zero (Var(Z) = 0, or an underflowing step), which can move the others'
+    points by an ulp. Errors surface as a cell-by-cell loop would raise
+    them: a cell that cannot be built, or whose grid is invalid, fails only
+    after the cells before it.
+    """
+    cells, late_error = [], None
+    try:
+        for rho in rho_values:
+            for c in c_values:
+                cells.append((rho, c, two_user_model(rho, c)))
+    except ValueError as exc:
+        late_error = exc
+    var_z = [function_variance(model) for _, _, model in cells]
+    try:
+        grids = d_of_model(np.array(var_z))
+        grids = np.broadcast_to(grids, (len(cells), grids.shape[-1]))
+    except ValueError:
+        grids = None  # some grid is invalid: build them cell by cell
     rows = []
-    for rho in rho_values:
-        for c in c_values:
-            model = two_user_model(rho, c)
-            sz2 = function_variance(model)
-            d_grid = d_of_model(sz2)
-            d_grid = d_grid[(d_grid > 0) & (d_grid < sz2)]
-            if len(d_grid) == 0:
-                continue
-            lattice_bits = np.array(
-                [regions.lattice_min_sum_rate(model, float(d)) for d in d_grid]
-            )
-            bt_bits = regions.bt_min_sum_rates(model, d_grid)
-            gaps = bt_bits - lattice_bits
-            if collapse_d:
-                idx = int(np.argmax(gaps))
-                sel = [idx]
-            else:
-                sel = range(len(d_grid))
-            for i in sel:
-                regime = regions.bt_regime(model, float(d_grid[i]))
-                rows.append(
-                    ",".join(
-                        [
-                            _g6(rho),
-                            _g6(c),
-                            _g6(float(d_grid[i])),
-                            _g6(float(lattice_bits[i])),
-                            _g6(float(bt_bits[i])),
-                            _g6(float(gaps[i])),
-                            regime,
-                        ]
-                    )
+    for cell, ((rho, c, model), sz2) in enumerate(zip(cells, var_z)):
+        d_grid = d_of_model(sz2) if grids is None else grids[cell]
+        d_grid = d_grid[(d_grid > 0) & (d_grid < sz2)]
+        if len(d_grid) == 0:
+            continue
+        lattice_bits = np.array(
+            [regions.lattice_min_sum_rate(model, float(d)) for d in d_grid]
+        )
+        bt_bits = regions.bt_min_sum_rates(model, d_grid)
+        gaps = bt_bits - lattice_bits
+        if collapse_d:
+            idx = int(np.argmax(gaps))
+            sel = [idx]
+        else:
+            sel = range(len(d_grid))
+        for i in sel:
+            regime = regions.bt_regime(model, float(d_grid[i]))
+            rows.append(
+                ",".join(
+                    [
+                        _g6(rho),
+                        _g6(c),
+                        _g6(float(d_grid[i])),
+                        _g6(float(lattice_bits[i])),
+                        _g6(float(bt_bits[i])),
+                        _g6(float(gaps[i])),
+                        regime,
+                    ]
                 )
+            )
+    if late_error is not None:
+        raise late_error
     return rows
 
 
@@ -188,7 +210,7 @@ def sweep_rows_fig3(n_c: int = 40, n_d: int = 40, rho: float = 0.8):
 def sweep_rows_fig4(n_d: int = 256, rho: float = 0.8, c: float = 0.8):
     """Both schemes against distortion at one (rho, c); shows the crossover."""
     return _sweep_rows(
-        [rho], [c], lambda sz2: np.geomspace(0.021, 0.355, n_d), collapse_d=False
+        [rho], [c], lambda var_z: np.geomspace(0.021, 0.355, n_d), collapse_d=False
     )
 
 
@@ -199,9 +221,25 @@ def sweep_rows_fig5(n_c: int = 128, n_rho: int = 9, n_d: int = 32):
     return _sweep_rows(
         rho_values,
         c_values,
-        lambda sz2: np.geomspace(0.01 * sz2, 0.95 * sz2, n_d),
+        lambda var_z: np.geomspace(0.01 * var_z, 0.95 * var_z, n_d, axis=-1),
         collapse_d=True,
     )
+
+
+def _check_custom_grid(args) -> None:
+    """Reject custom sweep bounds and counts that give no valid grid."""
+    for name in ("rho", "c", "d"):
+        count = getattr(args, f"{name}_count")
+        if count < 1:
+            raise InvalidCount(f"--{name}-count must be at least 1, got {count}")
+    for name in ("rho_min", "rho_max", "c_min", "c_max", "d_min", "d_max"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise LatfunError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if args.d_scale == "log" and not (args.d_min > 0 and args.d_max > 0):
+        raise LatfunError(
+            f"the log scale needs --d-min and --d-max > 0, got {args.d_min} and {args.d_max}"
+        )
 
 
 def cmd_sweep(args) -> int:
@@ -212,13 +250,13 @@ def cmd_sweep(args) -> int:
     elif args.preset == "fig5":
         rows = sweep_rows_fig5()
     else:
+        _check_custom_grid(args)
         rho_values = np.linspace(args.rho_min, args.rho_max, args.rho_count)
         c_values = np.linspace(args.c_min, args.c_max, args.c_count)
 
-        def d_grid(sz2):
-            if args.d_scale == "linear":
-                return np.linspace(args.d_min * sz2, args.d_max * sz2, args.d_count)
-            return np.geomspace(args.d_min * sz2, args.d_max * sz2, args.d_count)
+        def d_grid(var_z):
+            space = np.linspace if args.d_scale == "linear" else np.geomspace
+            return space(args.d_min * var_z, args.d_max * var_z, args.d_count, axis=-1)
 
         rows = _sweep_rows(rho_values, c_values, d_grid, collapse_d=False)
     try:

@@ -50,7 +50,7 @@ class DistortionOutOfRange(LatfunError):
 
 
 class InvalidCount(LatfunError):
-    """Trial count and chunk size must be at least 1."""
+    """Counts (trials, chunk size, sweep grid points) must be at least 1."""
 
 
 class NonPositiveQ(LatfunError):

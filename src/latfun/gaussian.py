@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +21,17 @@ _SYM_TOL = 1e-12
 _EIG_TOL = -1e-10
 
 
-def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy, so values derived from it cannot go stale."""
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+def _check_covariance(cov: np.ndarray, coeffs: np.ndarray) -> float:
     """Checks shared by the source models: finite entries, a symmetric
-    positive semidefinite covariance and a finite function variance."""
+    positive semidefinite covariance and a finite function variance.
+    Returns that variance, c Sigma c^T over the leading block of cov."""
     if not (np.isfinite(cov).all() and np.isfinite(coeffs).all()):
         raise ValueError("covariance and coefficients must be finite")
     if np.max(np.abs(cov - cov.T)) > _SYM_TOL * max(1.0, np.max(np.abs(cov))):
@@ -33,17 +41,30 @@ def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
         raise ValueError("covariance must be positive semidefinite")
     # c Sigma c^T is at most k lambda_max max|c_i|^2 and its partial sums at
     # most k times that, so below the 1e300 bound nothing can overflow; only
-    # above it is the variance itself computed and checked.
+    # above it is the variance checked with overflow warnings silenced.
     k = coeffs.shape[0]
     c_max = max(abs(v) for v in coeffs.tolist())
     if not float(eigs[-1]) * c_max * c_max * k < 1e300:
         with np.errstate(over="ignore", invalid="ignore"):
-            var = float(coeffs @ cov[:k, :k] @ coeffs)
-        if not math.isfinite(var):
-            raise VarianceOverflow(
-                "the function variance c Sigma c^T overflows; coefficients and covariance "
-                "must keep it below about 1.8e308"
-            )
+            if not math.isfinite(float(coeffs @ cov[:k, :k] @ coeffs)):
+                raise VarianceOverflow(
+                    "the function variance c Sigma c^T overflows; coefficients and "
+                    "covariance must keep it below about 1.8e308"
+                )
+    return float(coeffs @ cov[:k, :k] @ coeffs)
+
+
+def _two_user_problem(cov: np.ndarray, coeffs: np.ndarray) -> Optional[str]:
+    """Why the two-user closed forms do not apply to a model, or None."""
+    if cov.shape[0] != 2:
+        return "operation requires a two-user model"
+    if abs(cov[0, 0] - 1.0) > 1e-12 or abs(cov[1, 1] - 1.0) > 1e-12:
+        return "two-user closed forms require unit source variances"
+    if not 0.0 < cov[0, 1] < 1.0:
+        return "two-user closed forms require correlation in (0, 1)"
+    if abs(coeffs[0] - 1.0) > 1e-12:
+        return "two-user closed forms require coefficients (1, -c)"
+    return None
 
 
 @dataclass(frozen=True)
@@ -51,20 +72,27 @@ class SourceModel:
     """K jointly Gaussian sources and the linear function to reconstruct.
 
     ``cov`` is the K x K source covariance and ``coeffs`` the row vector c of
-    the target function Z = c . X.
+    the target function Z = c . X. Both are stored as read-only copies, so
+    the caller's arrays stay writable and editing them later changes nothing
+    here. What the model derives from them is computed once, at
+    construction: the function variance (``_variance``) and the outcome of
+    the two-user check (``_two_user_error``, None when it passes).
     """
 
     cov: np.ndarray
     coeffs: np.ndarray
+    _variance: float = field(default=0.0, init=False, repr=False, compare=False)
+    _two_user_error: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=np.float64)
-        coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(-1)
+        cov = _frozen(self.cov)
+        coeffs = _frozen(self.coeffs).reshape(-1)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError("covariance must be square")
         if cov.shape[0] != coeffs.shape[0]:
             raise ValueError("coefficient length must match covariance size")
-        _check_covariance(cov, coeffs)
+        object.__setattr__(self, "_variance", _check_covariance(cov, coeffs))
+        object.__setattr__(self, "_two_user_error", _two_user_problem(cov, coeffs))
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -85,14 +113,10 @@ class SourceModel:
         return float(-self.coeffs[1])
 
     def require_two_user(self):
-        if self.k != 2:
-            raise ValueError("operation requires a two-user model")
-        if abs(self.cov[0, 0] - 1.0) > 1e-12 or abs(self.cov[1, 1] - 1.0) > 1e-12:
-            raise ValueError("two-user closed forms require unit source variances")
-        if not 0.0 < self.cov[0, 1] < 1.0:
-            raise ValueError("two-user closed forms require correlation in (0, 1)")
-        if abs(self.coeffs[0] - 1.0) > 1e-12:
-            raise ValueError("two-user closed forms require coefficients (1, -c)")
+        """Raise ValueError unless the two-user closed forms apply: two
+        unit-variance sources, correlation in (0, 1), coefficients (1, -c)."""
+        if self._two_user_error is not None:
+            raise ValueError(self._two_user_error)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -194,9 +218,9 @@ def singleton_plan(k: int, q: Sequence[float]) -> PartitionPlan:
 
 
 def function_variance(model: SourceModel) -> float:
-    """Variance of the target function, c Sigma c^T."""
-    c = model.coeffs
-    return float(c @ model.cov @ c)
+    """Variance of the target function, c Sigma c^T, as computed once when
+    the model was built."""
+    return model._variance
 
 
 def mmse_coeffs(
@@ -296,15 +320,18 @@ class SideInfoModel:
     """Two sources plus one decoder side variable, jointly Gaussian.
 
     ``cov`` is the 3 x 3 covariance of (X1, X2, Y) and ``coeffs`` the target
-    function coefficients (c1, c2) for Z = c1 X1 + c2 X2.
+    function coefficients (c1, c2) for Z = c1 X1 + c2 X2. Both are stored as
+    read-only copies, and the ``SourceModel`` of (X1, X2) is built once, at
+    construction.
     """
 
     cov: np.ndarray
     coeffs: np.ndarray
+    _source: Optional[SourceModel] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=np.float64)
-        coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(-1)
+        cov = _frozen(self.cov)
+        coeffs = _frozen(self.coeffs).reshape(-1)
         if cov.shape != (3, 3):
             raise ValueError("side-information model needs a 3 x 3 covariance")
         if coeffs.shape != (2,):
@@ -312,10 +339,12 @@ class SideInfoModel:
         _check_covariance(cov, coeffs)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_source", SourceModel(cov[:2, :2], coeffs))
 
     @property
     def source_model(self) -> SourceModel:
-        return SourceModel(self.cov[:2, :2], self.coeffs)
+        """The two sources and the target function, without Y (built once)."""
+        return self._source
 
     def function_variance(self) -> float:
         return function_variance(self.source_model)

@@ -337,9 +337,14 @@ def second_moment(
     if rng is None:
         raise ValueError("a seeded numpy Generator is required for non-diagonal lattices")
     u = sample_dither(lat, rng, samples)
-    per_sample = np.sum(u**2, axis=1) / lat.dim
-    value = float(np.mean(per_sample))
-    std_error = float(np.std(per_sample, ddof=1) / math.sqrt(samples))
+    # The norms are taken in a frame scaled by 2^-e, with 2^e the binary
+    # magnitude of the largest |u_i|. Powers of two scale exactly, so the
+    # estimate keeps its bits, and np.std, which squares |u|^2 again, can
+    # neither overflow nor underflow at any generator scale.
+    _, e = math.frexp(float(np.max(np.abs(u))))
+    per_sample = np.sum(np.ldexp(u, -e) ** 2, axis=1) / lat.dim
+    value = math.ldexp(float(np.mean(per_sample)), 2 * e)
+    std_error = math.ldexp(float(np.std(per_sample, ddof=1) / math.sqrt(samples)), 2 * e)
     return MomentEstimate(value, std_error, samples)
 
 

@@ -43,6 +43,8 @@ SCHEME_LATTICE = "lattice"
 SCHEME_BERGER_TUNG = "berger-tung"
 SCHEME_HYBRID = "hybrid"
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal double
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -102,7 +104,7 @@ class SideInfoRegion:
 
     @property
     def min_sum_rate(self) -> float:
-        return math.log2(2.0 * self.innovations_variance / self.distortion)
+        return _log2_twice_ratio(self.innovations_variance, self.distortion)
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,15 @@ class ScalingOptimum:
 
 # ---------------------------------------------------------------------------
 # Two-user direct lattice region
+
+
+def _log2_twice_ratio(var: float, d: float) -> float:
+    """log2(2 var / D). Where the ratio overflows (tiny D), the logs are
+    taken apart as 1 + log2(var) - log2(D); elsewhere the ratio keeps its bits."""
+    ratio = 2.0 * var / d
+    if ratio == math.inf:
+        return 1.0 + math.log2(var) - math.log2(d)
+    return math.log2(ratio)
 
 
 def _check_distortion(d: float, upper: float, inclusive: bool = False):
@@ -143,7 +154,7 @@ def lattice_min_sum_rate(model: SourceModel, d: float) -> float:
     model.require_two_user()
     sz2 = function_variance(model)
     _check_distortion(d, sz2, inclusive=True)
-    return math.log2(2.0 * sz2 / d)
+    return _log2_twice_ratio(sz2, d)
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +254,27 @@ def _bt_min_sum(rho: float, c: float, d: np.ndarray) -> np.ndarray:
     """
     alpha = 1.0 - rho * rho
     sz2 = 1.0 + c * c - 2.0 * rho * c
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # q1* > 0 and q2* > 0, since alpha and D are positive.
         stationary = (c * (2.0 * alpha * c - (rho + c) * d) > 0) & (
             2.0 * alpha * c * c - (1.0 + rho * c) * d > 0
         )
-        best = np.where(
-            stationary, 0.5 * np.log2(4.0 * c * (alpha * c - rho * d) / (d * d)), np.inf
-        )
+        num = 4.0 * c * (alpha * c - rho * d)
+        d_sq = d * d
+        rate = 0.5 * np.log2(num / d_sq)
+        # Where D^2 leaves the normal range or a ratio overflows (tiny D),
+        # the logs are taken apart; elsewhere each ratio keeps its bits.
+        apart = (d_sq < _TINY) | (rate == np.inf)
+        if apart.any():
+            rate = np.where(apart, 0.5 * np.log2(num) - np.log2(d), rate)
+        best = np.where(stationary, rate, np.inf)
         for floor, lift in ((alpha * c * c, (1.0 - rho * c) ** 2), (alpha, (c - rho) ** 2)):
-            silent = np.where(d > floor, 0.5 * np.log2(lift / (d - floor)), np.inf)
-            best = np.minimum(best, silent)
+            excess = d - floor
+            rate = 0.5 * np.log2(lift / excess)
+            apart = rate == np.inf
+            if apart.any():
+                rate = np.where(apart, 0.5 * (np.log2(lift) - np.log2(excess)), rate)
+            best = np.minimum(best, np.where(d > floor, rate, np.inf))
     return np.where(d >= sz2, 0.0, np.maximum(best, 0.0))
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,14 @@ import numpy as np
 import pytest
 
 import latfun
-from latfun.cli import main
+from latfun import (
+    bt_min_sum_rates,
+    bt_regime,
+    function_variance,
+    lattice_min_sum_rate,
+    two_user_model,
+)
+from latfun.cli import _g6, _sweep_rows, main
 from latfun.gaussian import PartitionPlan
 
 
@@ -162,6 +170,127 @@ def test_sweep_bad_path_fails_with_io_code(capsys):
     assert "failed to write" in err
 
 
+def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d):
+    """The sweep cell by cell, from the public functions only: the rows and
+    the error a per-cell loop gives."""
+    rows = []
+    for rho in rho_values:
+        for c in c_values:
+            model = two_user_model(rho, c)
+            var_z = function_variance(model)
+            grid = d_of_var(var_z)
+            grid = grid[(grid > 0) & (grid < var_z)]
+            if len(grid) == 0:
+                continue
+            lattice_bits = np.array([lattice_min_sum_rate(model, float(d)) for d in grid])
+            bt_bits = bt_min_sum_rates(model, grid)
+            gaps = bt_bits - lattice_bits
+            sel = [int(np.argmax(gaps))] if collapse_d else range(len(grid))
+            for i in sel:
+                d = float(grid[i])
+                values = (rho, c, d, float(lattice_bits[i]), float(bt_bits[i]), float(gaps[i]))
+                rows.append(",".join([_g6(v) for v in values] + [bt_regime(model, d)]))
+    return rows
+
+
+def _geom(lo, hi, n):
+    return lambda var_z: np.geomspace(lo * var_z, hi * var_z, n, axis=-1)
+
+
+def _lin(lo, hi, n):
+    return lambda var_z: np.linspace(lo * var_z, hi * var_z, n, axis=-1)
+
+
+_SWEEP_GRIDS = {
+    # fig4: one cell, a grid that ignores Var(Z)
+    "fig4": ([0.8], [0.8], lambda var_z: np.geomspace(0.021, 0.355, 64), False),
+    # fig5: max-gap row per cell, c on both sides of 0
+    "fig5": (np.linspace(0.1, 0.9, 5), np.linspace(-2.0, 2.0, 13), _geom(0.01, 0.95, 32), True),
+    # linear, D up to 1.3 Var(Z) (filtered), c < 0, c = 0 and c > 0
+    "linear": (np.linspace(0.1, 0.9, 7), np.linspace(-2.0, 2.0, 9), _lin(0.01, 1.3, 33), False),
+    # a Var(Z) = 0 cell (rho = 1, c = 1) keeps no D
+    "zero_var": ([0.5, 1.0], [1.0], _lin(0.05, 0.95, 24), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_GRIDS))
+def test_sweep_rows_match_per_cell_reference(name):
+    rho_values, c_values, d_of_var, collapse_d = _SWEEP_GRIDS[name]
+    rows = _sweep_rows(rho_values, c_values, d_of_var, collapse_d)
+    assert rows == _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d)
+    assert rows
+
+
+@pytest.mark.parametrize("rho_values, c_values, d_of_var", [
+    ([0.0, 1.5], [0.8], _geom(0.05, 0.95, 8)),   # region error, then a bad covariance
+    ([0.0, 1.0], [1.0], _geom(0.05, 0.95, 8)),   # region error, then a zero geometric bound
+    ([1.0, 0.0], [1.0], _geom(0.05, 0.95, 8)),   # the zero bound first
+    ([0.5, 1.0], [1.0], _geom(0.05, 0.95, 8)),   # valid cell, then the zero bound
+    ([0.5, float("nan")], [0.8], _geom(0.05, 0.95, 8)),
+    ([0.5], [0.8], _geom(0.05, 0.95, -1)),       # a bad count
+    # 1e-323 Var(Z) underflows to 0 only where Var(Z) < 0.5 (rho 0.9, c 0.9)
+    ([0.0, 0.9], [0.9], _geom(1e-323, 0.95, 8)),
+], ids=["region-then-cov", "region-then-grid", "grid-then-region", "grid", "nan-rho", "count",
+        "region-then-underflow"])
+def test_sweep_rows_raise_the_first_failing_cell_error(rho_values, c_values, d_of_var):
+    with pytest.raises(ValueError) as want:
+        _reference_sweep_rows(rho_values, c_values, d_of_var, False)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _sweep_rows(rho_values, c_values, d_of_var, False)
+
+
+@pytest.mark.parametrize("args", [
+    ("--d-min", "nan"),
+    ("--d-max", "inf"),
+    ("--d-min=-0.5",),
+    ("--d-min", "0"),
+    ("--rho-min", "inf", "--rho-count", "3"),
+    ("--c-max", "nan", "--c-count", "3"),
+    ("--rho-count", "0"),
+    ("--c-count", "0"),
+    ("--d-count", "0"),
+    ("--d-count=-1",),
+], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+def test_sweep_custom_grid_rejects_bad_inputs(capsys, tmp_path, args):
+    out = tmp_path / "bad.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, "sweep", "--out", str(out), *args)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert args[0].split("=")[0] in err  # names the flag at fault
+    assert not out.exists()
+
+
+def test_sweep_tiny_distortions_give_finite_rates(capsys, tmp_path):
+    out = tmp_path / "tiny.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "sweep", "--out", str(out), "--d-min", "1e-320",
+                               "--d-max", "1e-310", "--d-count", "3",
+                               "--c-min", "-1", "--c-max", "1", "--c-count", "3")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 9
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row[3:6]), row
+
+
+@pytest.mark.parametrize("args", [
+    ("--scheme", "lattice", "--d", "1e-320"),
+    ("--scheme", "bt", "--d", "1e-300"),
+    ("--scheme", "bt", "--d", "1e-320", "--c", "0"),
+    ("--scheme", "bt", "--d", "1e-320", "--c", "-0.5"),
+], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+def test_region_tiny_distortion_is_finite(capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(capsys, "region", *args)
+    rate = payload.get("min_sum_rate_bits", payload.get("sum_rate_bits"))
+    assert math.isfinite(rate) and rate > 500
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -246,6 +375,16 @@ def test_overflowing_inputs_exit_two_in_time(args, cause):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert cause in proc.stderr
+
+
+@pytest.mark.parametrize("scale", ["1e100", "1e150"])
+def test_lattice_nsm_at_extreme_scale(scale):
+    proc = _run_cli_process("lattice", "--lattice", "a2", "--op", "nsm", "--scale", scale,
+                            "--samples", "5000", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    target = 5.0 / (36.0 * math.sqrt(3.0))
+    assert abs(payload["normalized_second_moment"] - target) < 5 * payload["std_error"]
 
 
 def test_import_leaves_scipy_out():

@@ -230,6 +230,39 @@ def test_model_validation():
 
 
 
+def test_model_keeps_read_only_copies_of_its_arrays():
+    cov = np.array([[1.0, 0.8], [0.8, 1.0]])
+    coeffs = np.array([1.0, -0.8])
+    model = SourceModel(cov, coeffs)
+    var_z = function_variance(model)
+    cov[0, 1] = cov[1, 0] = 0.1
+    coeffs[1] = 5.0
+    assert function_variance(model) == var_z == float(model.coeffs @ model.cov @ model.coeffs)
+    assert model.rho == 0.8 and model.c == 0.8
+    with pytest.raises(ValueError):
+        model.cov[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        model.coeffs[0] = 2.0
+    si = noisy_function_side_model(0.8, 0.8, 0.1)
+    assert si.source_model is si.source_model
+    with pytest.raises(ValueError):
+        si.cov[2, 2] = 0.0
+
+
+@pytest.mark.parametrize("cov, coeffs, message", [
+    (np.eye(3), [1.0, -0.5, 0.2], "operation requires a two-user model"),
+    ([[2.0, 0.5], [0.5, 1.0]], [1.0, -0.5], "two-user closed forms require unit source variances"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, -0.5], "two-user closed forms require correlation in (0, 1)"),
+    ([[1.0, 0.5], [0.5, 1.0]], [2.0, -0.5], "two-user closed forms require coefficients (1, -c)"),
+])
+def test_require_two_user_messages(cov, coeffs, message):
+    model = SourceModel(np.array(cov), np.array(coeffs))
+    for check in (model.require_two_user, lambda: model.rho, lambda: model.c):
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == message
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_function_variance_rejected():
     with pytest.raises(VarianceOverflow):

@@ -322,6 +322,16 @@ def test_second_moment_diagonal_exact():
     assert est.value == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_second_moment_at_extreme_scales(scale):
+    # np.std squares |u|^2 again, which overflowed past scale ~1e77.
+    want = second_moment(A2, 4000, np.random.default_rng(5))
+    got = second_moment(A2.scaled(scale), 4000, np.random.default_rng(5))
+    assert got.value / scale**2 == pytest.approx(want.value, rel=1e-12)
+    assert got.std_error / scale**2 == pytest.approx(want.std_error, rel=1e-9)
+
+
 def test_hexagonal_nsm_matches_quadrature(rng):
     # Quadrature oracle: average of |x|^2/n over the Voronoi cell, computed
     # on a fine membership-tested grid inside the fundamental parallelepiped

@@ -279,6 +279,36 @@ def test_bt_min_sum_batch_agrees_with_scalar():
 # envelope
 
 
+def _split_log_rates(rho, c, d):
+    """Both minimum sum rates at small D with the logs taken apart: the
+    direct scheme, and quantize-and-bin at its stationary pair (c != 0) or
+    with X2 silent (c = 0, where Var Z - c^2 alpha = 1)."""
+    alpha = 1.0 - rho * rho
+    lattice = 1.0 + math.log2(1.0 + c * c - 2.0 * rho * c) - math.log2(d)
+    if c == 0:
+        return lattice, -0.5 * math.log2(d)
+    return lattice, 0.5 * math.log2(4.0 * c * (alpha * c - rho * d)) - math.log2(d)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho, c", [(0.8, 0.8), (0.5, 1.5), (0.3, -0.5), (0.8, 0.0)])
+def test_tiny_distortion_rates_are_finite_and_monotone(rho, c):
+    model = two_user_model(rho, c)
+    d_values = [1e-100, 1e-200, 1e-300, 1e-310, 1e-320]
+    lattice = [lattice_min_sum_rate(model, d) for d in d_values]
+    bt = [float(r) for r in bt_min_sum_rates(model, d_values)]
+    for rates in (lattice, bt):
+        assert all(math.isfinite(r) for r in rates)
+        assert all(a < b for a, b in zip(rates, rates[1:]))
+    # Where the ratios are representable the direct forms are kept; they
+    # agree with the split forms.
+    want_lattice, want_bt = _split_log_rates(rho, c, 1e-100)
+    assert abs(lattice[0] - want_lattice) <= 1e-12
+    assert abs(bt[0] - want_bt) <= 1e-12
+    assert bt_min_sum_rate(model, 1e-320) == bt[-1]
+    assert math.isfinite(side_info_region(independent_side_model(rho, c), 1e-320).min_sum_rate)
+
+
 def test_lower_convex_envelope_leaves_convex_curve():
     x = np.linspace(0.1, 2.0, 50)
     y = 1.0 / x
