@@ -126,14 +126,12 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """Yield CSV rows; one per (rho, c, D), or per (rho, c) when collapsing
     to the distortion with the largest gap.
 
-    ``d_of_model`` maps Var(Z) to a distortion grid and is called once, with
-    the array of every cell's Var(Z); grids vary along the last axis. Each
-    cell's grid has the bits of a call of its own, except that np.linspace
-    switches every cell to its zero-step formula when one cell's step is
-    zero (Var(Z) = 0, or an underflowing step), which can move the others'
-    points by an ulp. Errors surface as a cell-by-cell loop would raise
-    them: a cell that cannot be built, or whose grid is invalid, fails only
-    after the cells before it.
+    ``d_of_model`` maps Var(Z) to a distortion grid. It is called once, with
+    every cell's Var(Z) in one array, and returns the grids along the last
+    axis. They match per-cell calls bit for bit unless np.linspace meets a
+    zero step in some cell (Var(Z) = 0 or an underflowing step), which can
+    move the other cells' points by an ulp. Errors come from the first
+    failing cell in (rho, c) order, as in a cell-by-cell loop.
     """
     cells, late_error = [], None
     try:

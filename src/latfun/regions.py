@@ -259,14 +259,15 @@ def _bt_min_sum(rho: float, c: float, d: np.ndarray) -> np.ndarray:
         stationary = (c * (2.0 * alpha * c - (rho + c) * d) > 0) & (
             2.0 * alpha * c * c - (1.0 + rho * c) * d > 0
         )
-        num = 4.0 * c * (alpha * c - rho * d)
         d_sq = d * d
-        rate = 0.5 * np.log2(num / d_sq)
-        # Where D^2 leaves the normal range or a ratio overflows (tiny D),
-        # the logs are taken apart; elsewhere each ratio keeps its bits.
+        rate = 0.5 * np.log2(4.0 * c * (alpha * c - rho * d) / d_sq)
+        # Where D^2 leaves the normal range or a product or ratio overflows
+        # (tiny D, huge c), the logs are taken apart; elsewhere each ratio
+        # keeps its bits. Where q1*, q2* > 0, c and alpha c - rho D share a sign.
         apart = (d_sq < _TINY) | (rate == np.inf)
         if apart.any():
-            rate = np.where(apart, 0.5 * np.log2(num) - np.log2(d), rate)
+            logs = np.log2(4.0 * abs(c)) + np.log2(np.abs(alpha * c - rho * d))
+            rate = np.where(apart, 0.5 * logs - np.log2(d), rate)
         best = np.where(stationary, rate, np.inf)
         for floor, lift in ((alpha * c * c, (1.0 - rho * c) ** 2), (alpha, (c - rho) ** 2)):
             excess = d - floor

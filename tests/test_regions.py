@@ -309,6 +309,16 @@ def test_tiny_distortion_rates_are_finite_and_monotone(rho, c):
     assert math.isfinite(side_info_region(independent_side_model(rho, c), 1e-320).min_sum_rate)
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_c_stationary_rate_takes_logs_apart():
+    # 4 c (alpha c - rho D) overflows at c = 1e154 while Var Z stays finite;
+    # the stationary rate must not drop out of the minimum.
+    rho, c, d = 0.1, 1e154, 1.0
+    alpha = 1.0 - rho * rho
+    want = 0.5 * (math.log2(4.0 * c) + math.log2(alpha * c - rho * d)) - math.log2(d)
+    assert abs(bt_min_sum_rate(two_user_model(rho, c), d) - want) <= 1e-12
+
+
 def test_lower_convex_envelope_leaves_convex_curve():
     x = np.linspace(0.1, 2.0, 50)
     y = 1.0 / x
