@@ -342,7 +342,8 @@ def second_moment(
     # estimate keeps its bits, and np.std, which squares |u|^2 again, can
     # neither overflow nor underflow at any generator scale.
     _, e = math.frexp(float(np.max(np.abs(u))))
-    per_sample = np.sum(np.ldexp(u, -e) ** 2, axis=1) / lat.dim
+    np.ldexp(u, -e, out=u)
+    per_sample = np.sum(u**2, axis=1) / lat.dim
     value = math.ldexp(float(np.mean(per_sample)), 2 * e)
     std_error = math.ldexp(float(np.std(per_sample, ddof=1) / math.sqrt(samples)), 2 * e)
     return MomentEstimate(value, std_error, samples)
