@@ -124,61 +124,41 @@ def cmd_region(args) -> int:
 
 def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """Yield CSV rows; one per (rho, c, D), or per (rho, c) when collapsing
-    to the distortion with the largest gap.
-
-    ``d_of_model`` maps Var(Z) to a distortion grid. It is called once, with
-    every cell's Var(Z) in one array, and returns the grids along the last
-    axis. They match per-cell calls bit for bit unless np.linspace meets a
-    zero step in some cell (Var(Z) = 0 or an underflowing step), which can
-    move the other cells' points by an ulp. Errors come from the first
-    failing cell in (rho, c) order, as in a cell-by-cell loop.
-    """
-    cells, late_error = [], None
-    try:
-        for rho in rho_values:
-            for c in c_values:
-                cells.append((rho, c, two_user_model(rho, c)))
-    except ValueError as exc:
-        late_error = exc
-    var_z = [function_variance(model) for _, _, model in cells]
-    try:
-        grids = d_of_model(np.array(var_z))
-        grids = np.broadcast_to(grids, (len(cells), grids.shape[-1]))
-    except ValueError:
-        grids = None  # some grid is invalid: build them cell by cell
+    to the distortion with the largest gap."""
     rows = []
-    for cell, ((rho, c, model), sz2) in enumerate(zip(cells, var_z)):
-        d_grid = d_of_model(sz2) if grids is None else grids[cell]
-        d_grid = d_grid[(d_grid > 0) & (d_grid < sz2)]
-        if len(d_grid) == 0:
-            continue
-        lattice_bits = np.array(
-            [regions.lattice_min_sum_rate(model, float(d)) for d in d_grid]
-        )
-        bt_bits = regions.bt_min_sum_rates(model, d_grid)
-        gaps = bt_bits - lattice_bits
-        if collapse_d:
-            idx = int(np.argmax(gaps))
-            sel = [idx]
-        else:
-            sel = range(len(d_grid))
-        for i in sel:
-            regime = regions.bt_regime(model, float(d_grid[i]))
-            rows.append(
-                ",".join(
-                    [
-                        _g6(rho),
-                        _g6(c),
-                        _g6(float(d_grid[i])),
-                        _g6(float(lattice_bits[i])),
-                        _g6(float(bt_bits[i])),
-                        _g6(float(gaps[i])),
-                        regime,
-                    ]
-                )
+    for rho in rho_values:
+        for c in c_values:
+            model = two_user_model(rho, c)
+            sz2 = function_variance(model)
+            d_grid = d_of_model(sz2)
+            d_grid = d_grid[(d_grid > 0) & (d_grid < sz2)]
+            if len(d_grid) == 0:
+                continue
+            lattice_bits = np.array(
+                [regions.lattice_min_sum_rate(model, float(d)) for d in d_grid]
             )
-    if late_error is not None:
-        raise late_error
+            bt_bits = regions.bt_min_sum_rates(model, d_grid)
+            gaps = bt_bits - lattice_bits
+            if collapse_d:
+                idx = int(np.argmax(gaps))
+                sel = [idx]
+            else:
+                sel = range(len(d_grid))
+            for i in sel:
+                regime = regions.bt_regime(model, float(d_grid[i]))
+                rows.append(
+                    ",".join(
+                        [
+                            _g6(rho),
+                            _g6(c),
+                            _g6(float(d_grid[i])),
+                            _g6(float(lattice_bits[i])),
+                            _g6(float(bt_bits[i])),
+                            _g6(float(gaps[i])),
+                            regime,
+                        ]
+                    )
+                )
     return rows
 
 
@@ -208,7 +188,7 @@ def sweep_rows_fig3(n_c: int = 40, n_d: int = 40, rho: float = 0.8):
 def sweep_rows_fig4(n_d: int = 256, rho: float = 0.8, c: float = 0.8):
     """Both schemes against distortion at one (rho, c); shows the crossover."""
     return _sweep_rows(
-        [rho], [c], lambda var_z: np.geomspace(0.021, 0.355, n_d), collapse_d=False
+        [rho], [c], lambda sz2: np.geomspace(0.021, 0.355, n_d), collapse_d=False
     )
 
 
@@ -219,7 +199,7 @@ def sweep_rows_fig5(n_c: int = 128, n_rho: int = 9, n_d: int = 32):
     return _sweep_rows(
         rho_values,
         c_values,
-        lambda var_z: np.geomspace(0.01 * var_z, 0.95 * var_z, n_d, axis=-1),
+        lambda sz2: np.geomspace(0.01 * sz2, 0.95 * sz2, n_d),
         collapse_d=True,
     )
 
@@ -252,9 +232,10 @@ def cmd_sweep(args) -> int:
         rho_values = np.linspace(args.rho_min, args.rho_max, args.rho_count)
         c_values = np.linspace(args.c_min, args.c_max, args.c_count)
 
-        def d_grid(var_z):
-            space = np.linspace if args.d_scale == "linear" else np.geomspace
-            return space(args.d_min * var_z, args.d_max * var_z, args.d_count, axis=-1)
+        def d_grid(sz2):
+            if args.d_scale == "linear":
+                return np.linspace(args.d_min * sz2, args.d_max * sz2, args.d_count)
+            return np.geomspace(args.d_min * sz2, args.d_max * sz2, args.d_count)
 
         rows = _sweep_rows(rho_values, c_values, d_grid, collapse_d=False)
     try:

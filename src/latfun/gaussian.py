@@ -28,10 +28,9 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-def _check_covariance(cov: np.ndarray, coeffs: np.ndarray) -> float:
-    """Checks shared by the source models: finite entries, a symmetric
-    positive semidefinite covariance and a finite function variance.
-    Returns that variance, c Sigma c^T over the leading block of cov."""
+def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
+    """Checks shared by the source models: finite entries and a symmetric
+    positive semidefinite covariance."""
     if not (np.isfinite(cov).all() and np.isfinite(coeffs).all()):
         raise ValueError("covariance and coefficients must be finite")
     if np.max(np.abs(cov - cov.T)) > _SYM_TOL * max(1.0, np.max(np.abs(cov))):
@@ -39,19 +38,18 @@ def _check_covariance(cov: np.ndarray, coeffs: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(cov)  # ascending
     if eigs[0] < _EIG_TOL:
         raise ValueError("covariance must be positive semidefinite")
-    # c Sigma c^T is at most k lambda_max max|c_i|^2 and its partial sums at
-    # most k times that, so below the 1e300 bound nothing can overflow; only
-    # above it is the variance checked with overflow warnings silenced.
-    k = coeffs.shape[0]
-    c_max = max(abs(v) for v in coeffs.tolist())
-    if not float(eigs[-1]) * c_max * c_max * k < 1e300:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not math.isfinite(float(coeffs @ cov[:k, :k] @ coeffs)):
-                raise VarianceOverflow(
-                    "the function variance c Sigma c^T overflows; coefficients and "
-                    "covariance must keep it below about 1.8e308"
-                )
-    return float(coeffs @ cov[:k, :k] @ coeffs)
+
+
+def _checked_variance(cov: np.ndarray, coeffs: np.ndarray) -> float:
+    """The function variance c Sigma c^T, which must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(coeffs @ cov @ coeffs)
+    if not math.isfinite(var):
+        raise VarianceOverflow(
+            "the function variance c Sigma c^T overflows; coefficients and covariance "
+            "must keep it below about 1.8e308"
+        )
+    return var
 
 
 def _two_user_problem(cov: np.ndarray, coeffs: np.ndarray) -> Optional[str]:
@@ -91,7 +89,8 @@ class SourceModel:
             raise ValueError("covariance must be square")
         if cov.shape[0] != coeffs.shape[0]:
             raise ValueError("coefficient length must match covariance size")
-        object.__setattr__(self, "_variance", _check_covariance(cov, coeffs))
+        _check_covariance(cov, coeffs)
+        object.__setattr__(self, "_variance", _checked_variance(cov, coeffs))
         object.__setattr__(self, "_two_user_error", _two_user_problem(cov, coeffs))
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "coeffs", coeffs)
@@ -339,6 +338,7 @@ class SideInfoModel:
         _check_covariance(cov, coeffs)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "coeffs", coeffs)
+        # its construction checks the function variance
         object.__setattr__(self, "_source", SourceModel(cov[:2, :2], coeffs))
 
     @property
