@@ -124,13 +124,36 @@ def cmd_region(args) -> int:
 
 def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """Yield CSV rows; one per (rho, c, D), or per (rho, c) when collapsing
-    to the distortion with the largest gap."""
+    to the distortion with the largest gap.
+
+    ``d_of_model`` maps Var(Z) to a distortion grid. All cells' grids come
+    from one call on the array of their Var(Z), along the last axis, unless
+    a model or that call fails or some grid is not strictly monotone; then
+    each cell's grid comes from its own call, and the first failing cell
+    raises. np.linspace (with which np.geomspace spaces its logs) switches
+    every row to another formula when one row's step is zero, and such a
+    row is not strictly monotone past two points; so the grids are the
+    per-cell ones bit for bit.
+    """
+    try:
+        models = [two_user_model(rho, c) for rho in rho_values for c in c_values]
+        var_z = [function_variance(model) for model in models]
+        grids = d_of_model(np.array(var_z))
+        grids = np.broadcast_to(grids, (len(models), grids.shape[-1]))
+        steps = np.diff(grids, axis=-1)
+        monotone = (steps > 0).all(axis=-1) | (steps < 0).all(axis=-1)
+        cells = zip(models, var_z, grids) if monotone.all() else None
+    except ValueError:
+        cells = None
     rows = []
     for rho in rho_values:
         for c in c_values:
-            model = two_user_model(rho, c)
-            sz2 = function_variance(model)
-            d_grid = d_of_model(sz2)
+            if cells is None:
+                model = two_user_model(rho, c)
+                sz2 = function_variance(model)
+                d_grid = d_of_model(sz2)
+            else:
+                model, sz2, d_grid = next(cells)
             d_grid = d_grid[(d_grid > 0) & (d_grid < sz2)]
             if len(d_grid) == 0:
                 continue
@@ -199,7 +222,7 @@ def sweep_rows_fig5(n_c: int = 128, n_rho: int = 9, n_d: int = 32):
     return _sweep_rows(
         rho_values,
         c_values,
-        lambda sz2: np.geomspace(0.01 * sz2, 0.95 * sz2, n_d),
+        lambda sz2: np.geomspace(0.01 * sz2, 0.95 * sz2, n_d, axis=-1),
         collapse_d=True,
     )
 
@@ -234,8 +257,8 @@ def cmd_sweep(args) -> int:
 
         def d_grid(sz2):
             if args.d_scale == "linear":
-                return np.linspace(args.d_min * sz2, args.d_max * sz2, args.d_count)
-            return np.geomspace(args.d_min * sz2, args.d_max * sz2, args.d_count)
+                return np.linspace(args.d_min * sz2, args.d_max * sz2, args.d_count, axis=-1)
+            return np.geomspace(args.d_min * sz2, args.d_max * sz2, args.d_count, axis=-1)
 
         rows = _sweep_rows(rho_values, c_values, d_grid, collapse_d=False)
     try:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -170,8 +171,9 @@ def test_sweep_bad_path_fails_with_io_code(capsys):
 
 
 def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d):
-    """The sweep cell by cell, from the public functions only."""
-    rows = []
+    """The sweep cell by cell, from the public functions only: the rows and
+    each cell's distortions, as raw bytes."""
+    rows, grids = [], []
     for rho in rho_values:
         for c in c_values:
             model = two_user_model(rho, c)
@@ -180,6 +182,7 @@ def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d):
             grid = grid[(grid > 0) & (grid < var_z)]
             if len(grid) == 0:
                 continue
+            grids.append(grid.tobytes())
             lattice_bits = np.array([lattice_min_sum_rate(model, float(d)) for d in grid])
             bt_bits = bt_min_sum_rates(model, grid)
             gaps = bt_bits - lattice_bits
@@ -188,15 +191,15 @@ def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d):
                 d = float(grid[i])
                 values = (rho, c, d, float(lattice_bits[i]), float(bt_bits[i]), float(gaps[i]))
                 rows.append(",".join([_g6(v) for v in values] + [bt_regime(model, d)]))
-    return rows
+    return rows, grids
 
 
 def _geom(lo, hi, n):
-    return lambda var_z: np.geomspace(lo * var_z, hi * var_z, n)
+    return lambda var_z: np.geomspace(lo * var_z, hi * var_z, n, axis=-1)
 
 
 def _lin(lo, hi, n):
-    return lambda var_z: np.linspace(lo * var_z, hi * var_z, n)
+    return lambda var_z: np.linspace(lo * var_z, hi * var_z, n, axis=-1)
 
 
 _SWEEP_GRIDS = {
@@ -206,17 +209,48 @@ _SWEEP_GRIDS = {
     "fig5": (np.linspace(0.1, 0.9, 5), np.linspace(-2.0, 2.0, 13), _geom(0.01, 0.95, 32), True),
     # linear, D up to 1.3 Var(Z) (filtered), c < 0, c = 0 and c > 0
     "linear": (np.linspace(0.1, 0.9, 7), np.linspace(-2.0, 2.0, 9), _lin(0.01, 1.3, 33), False),
-    # a Var(Z) = 0 cell (rho = 1, c = 1) keeps no D
-    "zero_var": ([0.5, 1.0], [1.0], _lin(0.05, 0.95, 24), False),
+    # a Var(Z) = 0 cell (rho = 1, c = 1) keeps no D; spaced with the other
+    # cell in one np.linspace call, its zero step would move 7 of that
+    # cell's 24 distortions by an ulp
+    "zero_var": ([0.6, 1.0], [1.0], _lin(0.05, 0.95, 24), False),
+    # an empty sweep
+    "empty": ([], [0.8], _geom(0.01, 0.95, 8), False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP_GRIDS))
-def test_sweep_rows_match_per_cell_reference(name):
+def test_sweep_rows_match_per_cell_reference(monkeypatch, name):
     rho_values, c_values, d_of_var, collapse_d = _SWEEP_GRIDS[name]
+    grids = []
+
+    def recording(model, d_values, bt_min_sum_rates=latfun.regions.bt_min_sum_rates):
+        grids.append(np.asarray(d_values).tobytes())
+        return bt_min_sum_rates(model, d_values)
+
+    monkeypatch.setattr(latfun.regions, "bt_min_sum_rates", recording)
     rows = _sweep_rows(rho_values, c_values, d_of_var, collapse_d)
-    assert rows == _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d)
-    assert rows
+    want_rows, want_grids = _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d)
+    assert rows == want_rows
+    assert grids == want_grids
+    assert bool(rows) == (name != "empty")
+
+
+@pytest.mark.parametrize("rho_values, c_values, d_of_var", [
+    ([0.0, 1.5], [0.8], _geom(0.05, 0.95, 8)),   # region error, then a bad covariance
+    ([0.0, 1.0], [1.0], _geom(0.05, 0.95, 8)),   # region error, then a zero geometric bound
+    ([1.0, 0.0], [1.0], _geom(0.05, 0.95, 8)),   # the zero bound first
+    ([0.5, 1.0], [1.0], _geom(0.05, 0.95, 8)),   # valid cell, then the zero bound
+    ([0.5, float("nan")], [0.8], _geom(0.05, 0.95, 8)),
+    ([0.5], [0.8], _geom(0.05, 0.95, -1)),       # a bad count
+    # 1e-323 Var(Z) underflows to 0 only where Var(Z) < 0.5 (rho 0.9, c 0.9)
+    ([0.0, 0.9], [0.9], _geom(1e-323, 0.95, 8)),
+], ids=["region-then-cov", "region-then-grid", "grid-then-region", "grid", "nan-rho", "count",
+        "region-then-underflow"])
+def test_sweep_rows_raise_the_first_failing_cell_error(rho_values, c_values, d_of_var):
+    with pytest.raises(ValueError) as want:
+        _reference_sweep_rows(rho_values, c_values, d_of_var, False)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _sweep_rows(rho_values, c_values, d_of_var, False)
 
 
 @pytest.mark.parametrize("args", [
