@@ -88,9 +88,6 @@ from .simulate import (
     build_k_user_codec,
     build_side_info_codec,
     build_two_user_codec,
-    decode_side_info,
-    decode_two_user,
-    encode,
     epi_entropy_sandwich,
     run_k_user_experiment,
     run_side_info_experiment,

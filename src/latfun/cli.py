@@ -255,10 +255,22 @@ def cmd_sweep(args) -> int:
         rho_values = np.linspace(args.rho_min, args.rho_max, args.rho_count)
         c_values = np.linspace(args.c_min, args.c_max, args.c_count)
 
+        space = np.linspace if args.d_scale == "linear" else np.geomspace
+
         def d_grid(sz2):
-            if args.d_scale == "linear":
-                return np.linspace(args.d_min * sz2, args.d_max * sz2, args.d_count, axis=-1)
-            return np.geomspace(args.d_min * sz2, args.d_max * sz2, args.d_count, axis=-1)
+            # numpy's overflow warnings are silenced and the result checked
+            # instead: the values are unchanged, and an overflow becomes an
+            # error that names its flag.
+            with np.errstate(over="ignore", invalid="ignore"):
+                lo, hi = args.d_min * sz2, args.d_max * sz2
+                grid = space(lo, hi, args.d_count, axis=-1)
+            var_z = f"Var(Z) = {np.max(sz2):.6g}"
+            for flag, frac, bound in (("--d-min", args.d_min, lo), ("--d-max", args.d_max, hi)):
+                if not np.isfinite(bound).all():
+                    raise LatfunError(f"{flag} {frac:g} times {var_z} overflows")
+            if not np.isfinite(grid).all():
+                raise LatfunError(f"the span from --d-min to --d-max times {var_z} overflows")
+            return grid
 
         rows = _sweep_rows(rho_values, c_values, d_grid, collapse_d=False)
     try:

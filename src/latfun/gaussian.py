@@ -261,6 +261,19 @@ def cell_coeff_vector(model: SourceModel, cell: Tuple[int, ...]) -> np.ndarray:
     return t
 
 
+def _sequential_mmse(model: SourceModel, plan: PartitionPlan):
+    """``{cell: (weights, residual)}``, in decode order: the MMSE of each
+    cell's partial function from the cells decoded before it (see
+    ``sigma_theta`` and ``decoder_coeff_map``)."""
+    out = {}
+    obs = []
+    for cell in plan.cells_in_order():
+        t = cell_coeff_vector(model, cell)
+        out[cell] = mmse_coeffs(model, t, obs)
+        obs.append((t, plan.q_cell(cell)))
+    return out
+
+
 def sigma_theta(model: SourceModel, plan: PartitionPlan):
     """Residual variance of each cell's partial function at decode time.
 
@@ -270,14 +283,7 @@ def sigma_theta(model: SourceModel, plan: PartitionPlan):
     has no side information, so its value is Var(Z_A). Returns a dict keyed
     by cell tuple.
     """
-    out = {}
-    obs = []
-    for cell in plan.cells_in_order():
-        t = cell_coeff_vector(model, cell)
-        _, err = mmse_coeffs(model, t, obs)
-        out[cell] = err
-        obs.append((t, plan.q_cell(cell)))
-    return out
+    return {cell: err for cell, (_, err) in _sequential_mmse(model, plan).items()}
 
 
 def decoder_coeff_map(model: SourceModel, plan: PartitionPlan):
@@ -287,14 +293,7 @@ def decoder_coeff_map(model: SourceModel, plan: PartitionPlan):
     functions (in decode order) to form the side-information predictor of
     Z_A used by the sequential decoder.
     """
-    out = {}
-    obs = []
-    for cell in plan.cells_in_order():
-        t = cell_coeff_vector(model, cell)
-        w, _ = mmse_coeffs(model, t, obs)
-        out[cell] = w
-        obs.append((t, plan.q_cell(cell)))
-    return out
+    return {cell: w for cell, (w, _) in _sequential_mmse(model, plan).items()}
 
 
 def final_estimator(model: SourceModel, plan: PartitionPlan) -> Tuple[np.ndarray, float]:

@@ -330,8 +330,11 @@ def second_moment(
     supplied stream otherwise.
     """
     if lat.is_diagonal:
-        value = float(np.sum(lat._scales**2) / 12.0 / lat.dim)
-        return MomentEstimate(value, 0.0, 0)
+        # Summed in the exact power-of-two frame described below, so the
+        # sum of squared scales cannot overflow where the moment is finite.
+        _, e = math.frexp(float(np.max(np.abs(lat._scales))))
+        value = float(np.sum(np.ldexp(lat._scales, -e) ** 2) / 12.0 / lat.dim)
+        return MomentEstimate(math.ldexp(value, 2 * e), 0.0, 0)
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a moment estimate")
     if rng is None:

@@ -99,9 +99,6 @@ class SideInfoRegion:
     def rhs(self) -> float:
         return self.distortion / self.innovations_variance
 
-    def feasible(self, r1: float, r2: float) -> bool:
-        return 2.0 ** (-2.0 * r1) + 2.0 ** (-2.0 * r2) <= self.rhs + 1e-12
-
     @property
     def min_sum_rate(self) -> float:
         return _log2_twice_ratio(self.innovations_variance, self.distortion)
@@ -209,7 +206,11 @@ def bt_optimal_q(model: SourceModel, d: float) -> BtOptimum:
     boundary = bt_regime_boundary(model)
     if d < boundary:
         q1 = alpha * c * d / (2.0 * alpha * c - (rho + c) * d)
-        q2 = alpha * d / (2.0 * alpha * c * c - (1.0 + rho * c) * d)
+        two_alpha_c2 = 2.0 * alpha * c * c
+        if math.isfinite(two_alpha_c2):
+            q2 = alpha * d / (two_alpha_c2 - (1.0 + rho * c) * d)
+        else:  # divided through by c, so q2 does not silently read 0
+            q2 = (alpha * d / c) / (2.0 * alpha * c - (1.0 / c + rho) * d)
         return BtOptimum(q1=q1, q2=q2, regime=REGIME_INTERIOR)
     if c <= 1.0:
         q1 = (d - alpha * c * c) / (sz2 - d)

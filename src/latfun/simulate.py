@@ -1,4 +1,4 @@
-"""Monte Carlo execution of the nested-lattice encode/decode pipelines.
+"""Monte Carlo execution of the nested-lattice codecs.
 
 Two-user, side-information, and K-user sequential codecs run at small
 lattice dimension with exactly uniform dithers. Overload (wraparound of the
@@ -8,8 +8,11 @@ vanishing-overload regime is an asymptotic statement not reachable at desk
 scale. The ``margin`` knob inflates only the coarse lattice, trading rate
 for overload; margin = 1 is the nominal parameter choice.
 
-All three codecs run on one cell-sequential engine driven by a cell plan:
-cells of encoders, each sharing a coarse lattice, decoded in order against a
+The public surface is the ``build_*_codec`` builders, the
+``run_*_experiment`` runners, their ``SimReport`` and
+``epi_entropy_sandwich``. Encoding and decoding exist only in the
+cell-sequential engine ``_run_cells``, driven by a cell plan: cells of
+encoders, each sharing a coarse lattice, decoded in order against a
 prediction from the decoder's side values and the cells decoded before; the
 estimate of Z weighs side values and cells. The two-user codec is one cell
 of two encoders, side information is a predictor known before decoding, and
@@ -482,51 +485,12 @@ def build_two_user_codec(
     )
 
 
-def encode(codec: TwoUserCodec, encoder_index: int, block, dither) -> np.ndarray:
-    """One encoder step: quantize with the fine lattice, reduce mod coarse.
-
-    ``encoder_index`` is 0 or 1; encoder 1 expects its input pre-scaled by c
-    (the scheme quantizes c X2, not X2). Batched over leading axes.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    dither = np.asarray(dither, dtype=np.float64)
-    if block.shape[-1] != codec.n or dither.shape[-1] != codec.n:
-        raise DimensionMismatch("block and dither must have length n")
-    lat = codec.fine1 if encoder_index == 0 else codec.fine2
-    y = nearest_point(lat, block + dither)
-    return mod_lattice(codec.coarse, y)
-
-
-def decode_two_user(codec: TwoUserCodec, s1, s2, u1, u2) -> np.ndarray:
-    """Decoder: difference of dither-corrected indices, mod coarse, rescale."""
-    t = (np.asarray(s1) - np.asarray(u1)) - (np.asarray(s2) - np.asarray(u2))
-    if t.shape[-1] != codec.n:
-        raise DimensionMismatch("inputs must have length n")
-    return codec.beta * mod_lattice(codec.coarse, t)
-
-
 def _two_user_plan(codec: TwoUserCodec, dithers=(None, None)) -> _Plan:
     """One cell: X1 enters with sign +1, c X2 with sign -1; Zhat = beta * cell."""
     cell = _Cell((_Member(0, 1.0, 1.0, codec.fine1, dithers[0]),
                   _Member(1, codec.model.c, -1.0, codec.fine2, dithers[1])), codec.coarse, ())
     return _Plan(_gaussian_factor(codec.model.cov), codec.model.coeffs, (), (cell,), (0,),
                  (codec.beta,))
-
-
-def two_user_blocks(codec: TwoUserCodec, trials: int, seed: int,
-                    pipeline: str = "direct") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (Z, Zhat, overload) blocks for pipeline-equivalence checks.
-
-    ``"direct"`` is the transmitted pipeline the engine runs;
-    ``"equivalent"`` reduces the shift-free mod input v instead,
-    w = v - Q_coarse(v), and serves as its reference.
-    """
-    z, zhat, v, overload, _ = _run_cells(_two_user_plan(codec), trials, _chunk_rng(seed, 0))
-    if pipeline == "equivalent":
-        zhat = codec.beta * (v[0] - nearest_point_coords(codec.coarse, v[0]) @ codec.coarse.gen.T)
-    elif pipeline != "direct":
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    return z, zhat, overload[:, 0]
 
 
 def run_two_user_experiment(
@@ -600,13 +564,16 @@ def build_side_info_codec(
     )
 
 
-def decode_side_info(codec: SideInfoCodec, s_list, u_list, zy_block) -> np.ndarray:
-    """Decoder: dither-corrected sum minus the side estimate, mod, add back."""
-    total = sum(np.asarray(s) - np.asarray(u) for s, u in zip(s_list, u_list))
-    zy = np.asarray(zy_block, dtype=np.float64)
-    s_eta = codec.innovations_variance
-    w = mod_lattice(codec.coarse, total - zy)
-    return (1.0 - codec.d_target / s_eta) * w + zy
+def _side_info_plan(codec: SideInfoCodec) -> _Plan:
+    """One cell: c1 X1 and c2 X2 enter with sign +1, predicted by the side
+    value beta_Y Y; Zhat = (D / s) beta_Y Y + (1 - D / s) * cell for the
+    innovations variance s."""
+    c1, c2 = codec.si_model.coeffs
+    shrink = codec.d_target / codec.innovations_variance
+    cell = _Cell((_Member(0, c1, 1.0, codec.fine1), _Member(1, c2, 1.0, codec.fine2)),
+                 codec.coarse, (1.0,))
+    return _Plan(_gaussian_factor(codec.si_model.cov), codec.si_model.coeffs,
+                 ((2, codec.side_coefficient),), (cell,), (0,), (shrink, 1.0 - shrink))
 
 
 def run_side_info_experiment(
@@ -615,17 +582,11 @@ def run_side_info_experiment(
     """Monte Carlo run of the side-information codec.
 
     The sources are (X1, X2, Y); the side value beta_Y Y = E(Z|Y) predicts
-    the one cell, and Zhat = (D / s) beta_Y Y + (1 - D / s) * cell for the
-    innovations variance s.
+    the one cell (see ``_side_info_plan``).
     """
     sizes = _chunk_sizes(trials, chunk_size)
-    c1, c2 = codec.si_model.coeffs
-    shrink = codec.d_target / codec.innovations_variance
-    cell = _Cell((_Member(0, c1, 1.0, codec.fine1), _Member(1, c2, 1.0, codec.fine2)),
-                 codec.coarse, (1.0,))
-    plan = _Plan(_gaussian_factor(codec.si_model.cov), codec.si_model.coeffs,
-                 ((2, codec.side_coefficient),), (cell,), (0,), (shrink, 1.0 - shrink))
-    return _run(plan, sizes, seed).report(codec.rates, seed, codec.margin, codec.n)
+    return _run(_side_info_plan(codec), sizes, seed).report(
+        codec.rates, seed, codec.margin, codec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +604,6 @@ class KUserCodec:
     margin: float
     n: int
     rates: RatePoint
-    expected_distortion: float
 
 
 def build_k_user_codec(
@@ -664,10 +624,9 @@ def build_k_user_codec(
         cell: scale_to_second_moment(base, _inflated_moment(st[cell] + plan.q_cell(cell), margin))
         for cell in plan.partition
     }
-    rates = k_user_rates(model, plan)
     return KUserCodec(
         model=model, plan=plan, fines=fines, coarses=coarses, margin=margin,
-        n=n, rates=rates, expected_distortion=rates.distortion,
+        n=n, rates=k_user_rates(model, plan),
     )
 
 

@@ -35,7 +35,7 @@ from latfun import (
     two_user_model,
     verify_nesting,
 )
-from latfun.simulate import two_user_blocks
+from latfun.simulate import _chunk_rng, _run_cells, _sources, _two_user_plan
 
 RHO_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 C_GRID = [0.25, 0.5, 0.8, 1.0, 1.5, 2.0]
@@ -168,17 +168,23 @@ def test_criterion_06_codec_distortion_identity():
 def test_criterion_07_pipeline_equivalence():
     model = two_user_model(0.8, 0.8)
     codec = build_two_user_codec(model, 0.1, 0.06, n=1, margin=2.0)
-    za, zha, ova = two_user_blocks(codec, 10_000, seed=777, pipeline="direct")
-    zb, zhb, ovb = two_user_blocks(codec, 10_000, seed=777, pipeline="equivalent")
-    assert np.array_equal(za, zb)
-    max_diff = float(np.max(np.abs(zha - zhb)))
+    plan = _two_user_plan(codec)
+    z, zhat, v, overload, _ = _run_cells(plan, 10_000, _chunk_rng(777, 0))
+    # Reference: Z from the chunk's sources drawn again, and the equivalent
+    # pipeline w = v - Q_coarse(v), which reduces the shift-free mod input v
+    # instead of the transmitted sum; overload is where that reduction moves v.
+    x = _sources(plan.factor, 10_000, 1, _chunk_rng(777, 0))
+    assert np.array_equal(z, x[0] - codec.model.c * x[1])
+    w = v[0] - latfun.nearest_point_coords(codec.coarse, v[0]) @ codec.coarse.gen.T
+    max_diff = float(np.max(np.abs(zhat - codec.beta * w)))
     # Exact up to float associativity: the two pipelines evaluate the same
     # real-valued map through different groupings, so agreement is required
     # at 1e-12 (about 1e4 ulp) rather than bitwise.
     assert max_diff <= 1e-12
-    assert np.array_equal(ova, ovb)
+    ref_overload = np.any(w != v[0], axis=-1)
+    assert np.array_equal(overload[:, 0], ref_overload)
     _report(7, f"10^4 seeded trials: max |difference| = {max_diff:.2e} <= 1e-12, "
-               f"identical overload flags")
+               f"identical overload flags ({int(ref_overload.sum())} overloads)")
 
 
 def test_criterion_08_construction_a():

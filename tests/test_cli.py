@@ -75,6 +75,16 @@ def test_region_bt_silent_encoder_noise_is_null(capsys, rho, c, d, silent):
     assert payload["sum_rate_bits"] > 0
 
 
+def test_region_bt_q2_star_where_two_alpha_c_squared_overflows(capsys):
+    # 2 alpha c^2 overflows at c = 1e154; q2* = alpha d / (2 alpha c^2 - ...)
+    # must not silently read 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(capsys, "region", "--scheme", "bt",
+                           "--c", "1e154", "--rho", "0.1", "--d", "1")
+    assert abs(payload["q2_star"] - 5e-309) <= 1e-6 * 5e-309
+
+
 @pytest.mark.parametrize("d", ["nan", "inf", "-inf"])
 def test_region_bt_non_finite_distortion_exit_two(capsys, d):
     code, out, err = run_cli(capsys, "region", "--scheme", "bt",
@@ -264,6 +274,9 @@ def test_sweep_rows_raise_the_first_failing_cell_error(rho_values, c_values, d_o
     ("--c-count", "0"),
     ("--d-count", "0"),
     ("--d-count=-1",),
+    ("--d-max", "1e300", "--c-min", "1e10", "--c-max", "1e10"),
+    ("--d-min=-1.5", "--d-max", "1.5", "--d-scale", "linear", "--c-min", "1e154",
+     "--c-max", "1e154"),
 ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
 def test_sweep_custom_grid_rejects_bad_inputs(capsys, tmp_path, args):
     out = tmp_path / "bad.csv"
@@ -399,6 +412,14 @@ def test_lattice_nsm_at_extreme_scale(scale):
     payload = json.loads(proc.stdout)
     target = 5.0 / (36.0 * math.sqrt(3.0))
     assert abs(payload["normalized_second_moment"] - target) < 5 * payload["std_error"]
+
+
+def test_lattice_diagonal_moment_at_the_edge_of_the_range():
+    # Each squared scale (1.44e308) is finite but their sum is not.
+    proc = _run_cli_process("lattice", "--op", "moment", "--dim", "2", "--scale", "1.2e154",
+                            timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["second_moment"] == 1.2e307
 
 
 def test_import_leaves_scipy_out():

@@ -1,4 +1,4 @@
-"""Codec Monte Carlo: construction, unit pipelines, statistics, entropy."""
+"""Codec Monte Carlo: construction, engine hand cases, statistics, entropy."""
 
 import json
 import math
@@ -19,12 +19,10 @@ from latfun import (
     build_k_user_codec,
     build_side_info_codec,
     build_two_user_codec,
-    decode_side_info,
-    decode_two_user,
-    encode,
     epi_entropy_sandwich,
     independent_side_model,
     integer_lattice,
+    nearest_point_coords,
     noisy_function_side_model,
     run_k_user_experiment,
     run_side_info_experiment,
@@ -35,7 +33,14 @@ from latfun import (
     two_user_model,
 )
 from latfun.regions import RatePoint, SCHEME_LATTICE
-from latfun.simulate import TwoUserCodec, _sources, two_user_blocks
+from latfun.simulate import (
+    TwoUserCodec,
+    _chunk_rng,
+    _run_cells,
+    _side_info_plan,
+    _sources,
+    _two_user_plan,
+)
 
 M88 = two_user_model(0.8, 0.8)
 
@@ -112,39 +117,93 @@ def test_build_two_user_codec_commensurate_mode():
     assert rep.conditional_distortion < 0.1 * 1.05
 
 
+def _two_user_chunk(codec, trials, seed):
+    """The first chunk of a two-user run: Z, Zhat, v, overload, clean_before."""
+    return _run_cells(_two_user_plan(codec), trials, _chunk_rng(seed, 0))
+
+
+class _ChosenNormals:
+    """Generator stand-in whose ``standard_normal`` returns chosen values;
+    every other draw (the dithers) comes from ``rng``."""
+
+    def __init__(self, normals, rng=None):
+        self.normals = normals
+        self.rng = rng
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals.copy()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _chunk(plan, x, rng=None):
+    """``_run_cells`` on one chunk whose sources are exactly ``x`` (m, n, cols):
+    the plan's covariance factor becomes the identity."""
+    x = np.asarray(x, dtype=np.float64)
+    plan = plan._replace(factor=np.eye(x.shape[-1]))
+    return _run_cells(plan, x.shape[0], _ChosenNormals(x, rng))
+
+
+def _with_dithers(plan, dithers):
+    """A one-cell plan whose members keep the given dithers fixed."""
+    (cell,) = plan.cells
+    members = tuple(m._replace(dither=np.asarray(u, dtype=np.float64))
+                    for m, u in zip(cell.members, dithers))
+    return plan._replace(cells=(cell._replace(members=members),))
+
+
 # ---------------------------------------------------------------------------
-# encode / decode unit cases
+# engine hand cases (hand codec: fine lattices Z, coarse 4Z, n = 1)
 
 
 def test_encode_fixed_point():
-    codec = _hand_codec()
     # A fine point inside the coarse cell, zero dither: transmitted as is.
-    got = encode(codec, 0, np.array([1.0]), np.array([0.0]))
-    assert got == pytest.approx([1.0])
+    codec = _hand_codec()
+    plan = _two_user_plan(codec, (np.zeros(1), np.zeros(1)))
+    z, zhat, v, overload, _ = _chunk(plan, [[[1.0, 0.0]]])
+    assert np.array_equal(z, [[1.0]])
+    assert np.array_equal(v[0], [[1.0]])
+    assert np.array_equal(zhat, [[codec.beta]])
+    assert not overload.any()
 
 
 def test_encode_hand_case_with_ties():
+    # X1 + U1 = 2.5 quantizes down to 2 and c X2 + U2 = 0.5 down to 0 (tie
+    # rule), so the dither-corrected sum is exactly 2. 2 mod 4Z keeps 2
+    # because the wrap tie between 0 and 4 also resolves to the smaller
+    # coordinate; for the same reason v = 2 is no overload.
     codec = _hand_codec()
-    # x + U = 2.5 quantizes down to 2 (tie rule); 2 mod 4Z keeps 2 because
-    # the wrap tie between 0 and 4 also resolves to the smaller coordinate.
-    got = encode(codec, 0, np.array([2.3]), np.array([0.2]))
-    assert got == pytest.approx([2.0])
+    plan = _two_user_plan(codec, (np.array([0.5]), np.array([0.5])))
+    _, zhat, v, overload, _ = _chunk(plan, [[[2.0, 0.0]]])
+    assert np.array_equal(v[0], [[2.0]])
+    assert np.array_equal(zhat, [[codec.beta * 2.0]])
+    assert not overload.any()
 
 
-def test_encode_invariant_under_coarse_shifts(rng):
+def test_encode_invariant_under_coarse_shifts():
+    # Shifting X1 by the coarse point 4 changes encoder 1's fine point but
+    # not what it transmits after the reduction mod 4Z, so the decoded
+    # estimate keeps its bits; both runs draw the same per-trial dithers.
     codec = _hand_codec()
-    for _ in range(20):
-        x = rng.normal(scale=3.0, size=(1,))
-        u = rng.uniform(-0.5, 0.5, size=(1,))
-        assert encode(codec, 0, x, u) == pytest.approx(
-            encode(codec, 0, x + 4.0, u), abs=1e-12
-        )
+    x = np.random.default_rng(3).normal(scale=3.0, size=(200, 1, 2))
+    shifted = x.copy()
+    shifted[..., 0] += 4.0
+    _, zhat, _, _, _ = _chunk(_two_user_plan(codec), x, np.random.default_rng(5))
+    _, zhat_shifted, _, _, _ = _chunk(_two_user_plan(codec), shifted, np.random.default_rng(5))
+    assert np.array_equal(zhat, zhat_shifted)
 
 
 def test_decode_zero_dither_equal_indices():
+    # All-zero sources and dithers decode to zero, and so do equal fine
+    # points X1 = c X2 = 1.
     codec = _hand_codec()
-    z = np.zeros(1)
-    assert decode_two_user(codec, [1.0], [1.0], z, z) == pytest.approx([0.0])
+    plan = _two_user_plan(codec, (np.zeros(1), np.zeros(1)))
+    _, zhat, v, overload, _ = _chunk(plan, [[[0.0, 0.0]], [[1.0, 1.25]]])
+    assert np.array_equal(v[0], np.zeros((2, 1)))
+    assert np.array_equal(zhat, np.zeros((2, 1)))
+    assert not overload.any()
 
 
 def test_decode_wraparound_detected():
@@ -190,7 +249,7 @@ def test_two_user_experiment_margin_one_overloads():
 
 def test_source_variance_sanity():
     codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
-    z, _, _ = two_user_blocks(codec, 100_000, seed=9)
+    z = _two_user_chunk(codec, 100_000, seed=9)[0]
     var = float(np.mean(z**2))
     se = 3.0 * math.sqrt(2.0) * 0.36 / math.sqrt(z.size)
     assert abs(var - 0.36) < se
@@ -199,8 +258,6 @@ def test_source_variance_sanity():
 def test_quantization_noise_statistics():
     # e_i behaves like an independent pair of sign-flipped dithers.
     codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
-    from latfun.simulate import _chunk_rng
-
     rng = _chunk_rng(123, 0)
     m = 100_000
     n = codec.n
@@ -238,19 +295,20 @@ def test_two_user_experiment_hexagonal_base(rng):
 
 def test_dither_components_uncorrelated_across_dimensions():
     codec = build_two_user_codec(M88, 0.1, 0.06, n=2, margin=2.0)
-    z, zhat, _ = two_user_blocks(codec, 50_000, seed=10)
+    z, zhat = _two_user_chunk(codec, 50_000, seed=10)[:2]
     resid = z - zhat
     corr = np.corrcoef(resid[:, 0], resid[:, 1])[0, 1]
     assert abs(corr) < 0.02
 
 
 def test_pipeline_equivalence_trial_by_trial():
+    # The transmitted estimate against beta (v - Q_coarse(v)), the reduction
+    # of the shift-free mod input v; overload is where that reduction moves v.
     codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
-    za, zha, ova = two_user_blocks(codec, 10_000, seed=5, pipeline="direct")
-    zb, zhb, ovb = two_user_blocks(codec, 10_000, seed=5, pipeline="equivalent")
-    assert np.array_equal(za, zb)
-    assert np.max(np.abs(zha - zhb)) < 1e-12
-    assert np.array_equal(ova, ovb)
+    _, zhat, v, overload, _ = _two_user_chunk(codec, 10_000, seed=5)
+    w = v[0] - nearest_point_coords(codec.coarse, v[0]) @ codec.coarse.gen.T
+    assert np.max(np.abs(zhat - codec.beta * w)) < 1e-12
+    assert np.array_equal(overload[:, 0], np.any(w != v[0], axis=-1))
 
 
 def test_experiment_deterministic_for_fixed_seed():
@@ -437,11 +495,17 @@ def test_side_info_experiment_hits_target():
 
 
 def test_side_info_decode_unit_case():
-    si = independent_side_model(0.8, 0.8)
-    codec = build_side_info_codec(si, 0.1, 0.06, n=1, margin=2.0)
-    zero = np.zeros(1)
-    out = decode_side_info(codec, [zero, zero], [zero, zero], zero)
-    assert out == pytest.approx([0.0])
+    # All-zero sources and dithers decode to zero. With only Y = 1, the cell
+    # decodes to zero and Zhat is the shrunk side estimate (D / s) beta_Y.
+    codec = build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02,
+                                  n=1, margin=2.0)
+    plan = _with_dithers(_side_info_plan(codec), (np.zeros(1), np.zeros(1)))
+    _, zhat, v, overload, _ = _chunk(plan, [[[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]])
+    assert np.array_equal(zhat[0], [0.0])
+    shrink = codec.d_target / codec.innovations_variance
+    assert zhat[1] == pytest.approx([shrink * codec.side_coefficient], rel=1e-12)
+    assert np.array_equal(v[0], [[0.0], [-codec.side_coefficient]])
+    assert not overload.any()
 
 
 def test_side_info_degenerate_rejected():
