@@ -1,20 +1,3 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    # Pure-Python fallback kernels are used when the extension is absent.
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "latfun.kernels._sphere_cy",
-                ["src/latfun/kernels/_sphere_cy.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup()

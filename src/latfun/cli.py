@@ -4,7 +4,8 @@ Subcommands: ``region`` (closed-form rates as JSON), ``sweep`` (CSV grids
 for the scheme comparison figures), ``simulate`` (Monte Carlo codec runs),
 and ``lattice`` (lattice inspection and construction). JSON output carries
 full double precision; CSV is formatted to 6 significant digits. Exit codes:
-0 success, 1 I/O failure, 2 argument/validation error.
+0 success, 1 failure to write an output file, 2 argument or validation
+error, an unreadable or malformed input file included.
 """
 
 from __future__ import annotations
@@ -50,9 +51,25 @@ def _parse_coeffs(text: str) -> np.ndarray:
     return np.asarray([float(tok) for tok in text.split(",")], dtype=np.float64)
 
 
+def _read_input(path: str, kind: str, parse):
+    """``parse`` applied to the text of an input file. A file that cannot be
+    read or does not hold what ``parse`` expects is a one-line error that
+    names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except LatfunError:
+        raise
+    except OSError as exc:
+        raise LatfunError(f"cannot read {kind} file {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise LatfunError(f"{kind} file {path} has no key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LatfunError(f"malformed {kind} file {path}: {exc}") from None
+
+
 def _load_plan(path: str) -> PartitionPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PartitionPlan.from_json(fh.read())
+    return _read_input(path, "plan", PartitionPlan.from_json)
 
 
 def _load_model(args) -> SourceModel:
@@ -61,9 +78,8 @@ def _load_model(args) -> SourceModel:
     coeffs = _parse_coeffs(args.c)
     k = len(coeffs)
     if args.cov is not None:
-        with open(args.cov, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        cov = np.asarray(payload, dtype=np.float64).reshape(k, k)
+        cov = _read_input(args.cov, "covariance",
+                          lambda text: np.asarray(json.loads(text), dtype=np.float64).reshape(k, k))
         return SourceModel(cov, coeffs)
     cov = np.full((k, k), args.rho)
     np.fill_diagonal(cov, 1.0)
@@ -341,8 +357,7 @@ def _resolve_lattice(args) -> lattices.Lattice:
         return lattices.integer_lattice(args.dim, args.scale)
     if args.lattice == "a2":
         return lattices.hexagonal_lattice(args.scale)
-    with open(args.lattice, "r", encoding="utf-8") as fh:
-        return lattices.Lattice.from_json(fh.read())
+    return _read_input(args.lattice, "lattice", lattices.Lattice.from_json)
 
 
 def cmd_lattice(args) -> int:
@@ -505,7 +520,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LatfunError, ValueError, FileNotFoundError) as exc:
+    except (LatfunError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,32 +1,20 @@
-"""Closest-point search: backend selection and the vectorized slicer.
+"""Closest-point search: the vectorized slicer and its scalar tie search.
 
-When the compiled Cython kernel is built, ``nearest_point_batch`` hands every
-row to it. Otherwise the rows go through a numpy *iterative slicer* (Sommer,
-Feder and Shalvi, "Finding the closest lattice point by iterative slicing",
-SIAM J. Discrete Math. 2009): each row starts at Babai's nearest-plane point
-and repeatedly adds the Voronoi-relevant vector that brings it closest to its
+``nearest_point_batch`` runs a numpy *iterative slicer* (Sommer, Feder and
+Shalvi, "Finding the closest lattice point by iterative slicing", SIAM J.
+Discrete Math. 2009): each row starts at Babai's nearest-plane point and
+repeatedly adds the Voronoi-relevant vector that brings it closest to its
 target, until no relevant vector helps. Rows that end on a Voronoi boundary
 (a tie within tolerance) go to the scalar Schnorr-Euchner search of
-``_sphere_py``, so both paths return identical integer coordinates, ties
-included. Set ``LATFUN_PURE_PYTHON=1`` to ignore the compiled kernel (used by
-the benchmark and by backend-parity tests).
+``_sphere_py``, which is the reference for ties, so the slicer returns its
+integer coordinates, ties included.
 """
-
-import os
 
 import numpy as np
 
 from . import _sphere_py
 
-if os.environ.get("LATFUN_PURE_PYTHON", "") == "1":
-    _impl = _sphere_py
-else:
-    try:
-        from . import _sphere_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _sphere_py
-
-BACKEND = _impl.BACKEND
+BACKEND = "python"
 
 # Rows per slicer block: bounds the (rows x relevant vectors) gain matrix.
 BLOCK_ROWS = 2048
@@ -51,7 +39,7 @@ def relevant_vectors(r_mat: np.ndarray) -> np.ndarray:
     cosets = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
     half = np.ascontiguousarray(0.5 * cosets @ r_mat.T)
     u = np.zeros(half.shape, dtype=np.longlong)
-    _impl.nearest_point_batch(r_mat, half, u)
+    _sphere_py.nearest_point_batch(r_mat, half, u)
     cand = cosets - 2 * u.astype(np.int64)
     gram = r_mat.T @ r_mat
     inner = np.abs(cand @ gram @ cand.T)
@@ -67,17 +55,14 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
 
     ``r_mat`` is the upper-triangular generator factor with positive diagonal
     and ``targets`` the already rotated query points (``Q.T @ x`` rows).
-    ``relevant`` holds the lattice's ``relevant_vectors(r_mat)``; the slicer
-    computes them when it is omitted, the compiled kernel never needs them.
+    ``relevant`` holds the lattice's ``relevant_vectors(r_mat)``; they are
+    computed when it is omitted.
     Ties on Voronoi boundaries resolve to the lexicographically smallest
     integer coordinate vector.
     """
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
     out = np.zeros(targets.shape, dtype=np.longlong)
-    if _impl is not _sphere_py:
-        _impl.nearest_point_batch(r_mat, targets, out)
-        return out.astype(np.int64, copy=False)
     if relevant is None:
         relevant = relevant_vectors(r_mat)
     steps = relevant @ r_mat.T
@@ -125,12 +110,5 @@ def _slice(r_mat, y, relevant, steps, half_sq):
 
 
 def available_backends():
-    """Names of importable kernel backends."""
-    names = ["python"]
-    try:
-        from . import _sphere_cy  # noqa: F401
-
-        names.append("cython")
-    except ImportError:
-        pass
-    return names
+    """Names of the kernel backends: there is one."""
+    return [BACKEND]

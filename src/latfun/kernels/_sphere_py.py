@@ -1,16 +1,13 @@
 """Pure-Python closest-point search (Schnorr-Euchner enumeration), one row
 at a time.
 
-This scalar search defines the answer, ties included: the compiled module
-``_sphere_cy`` mirrors it statement for statement, and the numpy slicer in
-``kernels`` returns the same coordinates. Without the compiled kernel it runs
-only where the slicer needs it: on rows the slicer leaves on a Voronoi
-boundary, and to find each lattice's relevant vectors.
+This scalar search is the reference for the answer, ties included: the numpy
+slicer in ``kernels`` returns the same coordinates. It runs only where the
+slicer needs it: on rows the slicer leaves on a Voronoi boundary, and to find
+each lattice's relevant vectors.
 """
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def nearest_point_batch(r_mat, targets, out):

@@ -234,7 +234,9 @@ class _Accumulator:
         std_err = math.sqrt(var / t)
         cond = self.cond_err_sum / self.cond_trials if self.cond_trials else math.nan
         moment = self.v_sq_sum / self.v_sq_count if self.v_sq_count else math.nan
-        counts = np.maximum(self.cell_v_counts, 1)
+        # NaN (JSON null) for a cell with no trial left to measure.
+        moments = np.full(self.cell_v_sq.shape, np.nan)
+        np.divide(self.cell_v_sq, self.cell_v_counts, out=moments, where=self.cell_v_counts > 0)
         return SimReport(
             trials=t,
             empirical_distortion=mean,
@@ -247,7 +249,7 @@ class _Accumulator:
             margin=margin,
             n=n,
             cell_overload_rates=tuple(self.cell_overloads / t) if per_cell else (),
-            cell_moment_checks=tuple(self.cell_v_sq / counts) if per_cell else (),
+            cell_moment_checks=tuple(moments) if per_cell else (),
         )
 
 

@@ -21,7 +21,7 @@ from latfun import (
     two_user_model,
 )
 from latfun.cli import _g6, _sweep_rows, main
-from latfun.gaussian import PartitionPlan
+from latfun.gaussian import PartitionPlan, singleton_plan
 
 
 def run_cli(capsys, *args):
@@ -531,3 +531,36 @@ def test_validation_error_exit_two(capsys):
                            "--rho", "0.8", "--c", "0.8", "--d", "0.99")
     assert code == 2
     assert "error:" in err
+
+
+_INPUT_FLAGS = {
+    "plan": ("simulate", "--c", "1,-0.8", "--trials", "10", "--plan"),
+    "cov": ("simulate", "--c", "1,-0.8", "--trials", "10", "--plan", "PLAN", "--cov"),
+    "lattice": ("lattice", "--op", "nsm", "--samples", "10", "--lattice"),
+}
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("plan", None), ("cov", None), ("lattice", None),
+    ("plan", "{}"),
+    ("plan", '{"partition": 5, "order": [0], "q": [0.1]}'),
+    ("cov", '{"cov": [1, 0, 0, 1]}'),
+    ("lattice", '{"dim": 2}'),
+    ("lattice", "[1, 2]"),
+], ids=["plan-dir", "cov-dir", "lattice-dir", "plan-empty", "plan-partition-int",
+        "cov-object", "lattice-no-gen", "lattice-list"])
+def test_malformed_input_file_exit_two(capsys, tmp_path, kind, text):
+    """A directory, or a file of the wrong JSON shape, is one line naming it."""
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(singleton_plan(2, (0.1, 0.1)).to_json())
+    bad = tmp_path / "bad"
+    if text is None:
+        bad.mkdir()
+    else:
+        bad.write_text(text)
+    args = [str(plan_file) if a == "PLAN" else a for a in _INPUT_FLAGS[kind]]
+    code, out, err = run_cli(capsys, *args, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err

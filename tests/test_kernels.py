@@ -1,13 +1,14 @@
-"""Closest-point kernel: brute-force oracle agreement and backend parity,
-for the scalar search and for the public path."""
+"""Closest-point kernel: brute-force oracle agreement for the scalar search
+and for the public path."""
 
 from itertools import product
 
 import numpy as np
 import pytest
 
+import latfun
 from latfun import kernels
-from latfun.kernels import _sphere_py, available_backends
+from latfun.kernels import _sphere_py
 
 
 def _factor(gen):
@@ -62,6 +63,11 @@ def test_tie_break_is_lexicographic():
     assert got.tolist() == [[0, -1], [1, 2], [-1, -2]]
 
 
+def test_backend_names_read_by_the_benchmark():
+    assert latfun.KERNEL_BACKEND == "python"
+    assert kernels.available_backends() == ["python"]
+
+
 def test_skewed_basis_regression(rng):
     gen = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
     x = np.array([[0.9, 0.9]])
@@ -69,28 +75,9 @@ def test_skewed_basis_regression(rng):
     assert tuple(got[0]) == _brute_force_lex(gen, x[0], radius=3)
 
 
-@pytest.mark.skipif("cython" not in available_backends(), reason="extension not built")
-def test_backend_parity(rng):
-    from latfun.kernels import _sphere_cy
-
-    for n in [1, 2, 3, 5, 8]:
-        gen = _conditioned_basis(rng, n)
-        x = rng.normal(size=(200, n), scale=3.0)
-        assert np.array_equal(_run(_sphere_py, gen, x), _run(_sphere_cy, gen, x))
-
-
-@pytest.mark.skipif("cython" not in available_backends(), reason="extension not built")
-def test_backend_parity_on_boundary_targets():
-    from latfun.kernels import _sphere_cy
-
-    gen = np.eye(3)
-    grid = np.array(list(product([-1.5, -0.5, 0.0, 0.5, 1.5], repeat=3)))
-    assert np.array_equal(_run(_sphere_py, gen, grid), _run(_sphere_cy, gen, grid))
-
-
 # ---------------------------------------------------------------------------
-# Public path: ``kernels.nearest_point_batch`` (the slicer without the
-# compiled kernel) against an exhaustive box search.
+# Public path: ``kernels.nearest_point_batch`` (the slicer) against an
+# exhaustive box search.
 
 A2 = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 D4 = np.array([[2.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0],

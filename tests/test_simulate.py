@@ -35,6 +35,7 @@ from latfun import (
 from latfun.regions import RatePoint, SCHEME_LATTICE
 from latfun.simulate import (
     TwoUserCodec,
+    _Accumulator,
     _chunk_rng,
     _run_cells,
     _side_info_plan,
@@ -466,6 +467,18 @@ def test_k_user_moment_checks_match_cell_variances():
     for got, want in zip(rep.cell_moment_checks, expected):
         se = 3.0 * math.sqrt(2.0) * want / math.sqrt(rep.trials)
         assert abs(got - want) < se
+
+
+def test_cell_moment_check_is_nan_for_a_cell_with_no_clean_trial():
+    acc = _Accumulator(2, last=1)
+    v_sq = np.array([[2.0, 5.0], [4.0, 7.0]])
+    mask = np.array([[True, False], [True, False]])
+    acc.add(np.array([0.1, 0.3]), np.zeros((2, 2), dtype=bool), v_sq, mask)
+    rep = acc.report(RatePoint((1.0, 1.0), 0.1, SCHEME_LATTICE), 0, 1.0, 1, per_cell=True)
+    assert rep.cell_moment_checks[0] == 3.0
+    assert math.isnan(rep.cell_moment_checks[1])
+    assert math.isnan(rep.dither_moment_check)
+    assert json.loads(rep.to_json())["cell_moment_checks"] == [3.0, None]
 
 
 # ---------------------------------------------------------------------------
