@@ -6,8 +6,11 @@ public ``kernels.nearest_point_batch`` (the numpy slicer) beside the scalar
 pure-Python search, on batches of increasing dimension. The public path is
 timed twice: with the lattice's relevant vectors precomputed, as
 ``lattices`` calls it, and without, which adds their computation to the call.
+``--batch`` takes a comma-separated list of batch sizes. The default covers
+the codec's calls (1,024 A2 rows and 256 D4 rows per call), where per-call
+overhead sets the cost, and 20,000 rows, where the arithmetic does.
 
-Usage: python benchmarks/bench_kernels.py [--batch 20000] [--repeats 3]
+Usage: python benchmarks/bench_kernels.py [--batch 256,1024,20000] [--repeats 3]
 """
 
 import argparse
@@ -55,9 +58,14 @@ def _conditioned(rng, n):
             return g
 
 
+def _batches(text):
+    """Comma-separated batch sizes, e.g. ``256,1024``."""
+    return [int(part) for part in text.split(",")]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--batch", type=int, default=20_000)
+    parser.add_argument("--batch", type=_batches, default=[256, 1024, 20_000])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
@@ -76,14 +84,17 @@ def main():
     print(header)
     print("-" * len(header))
     for name, gen in cases:
-        r, y = _prepare(gen, rng, args.batch)
+        r, y_all = _prepare(gen, rng, max(args.batch))
         relevant = kernels.relevant_vectors(r)
-        t_pub, out_pub = _time(lambda: kernels.nearest_point_batch(r, y, relevant), args.repeats)
-        t_cold, _ = _time(lambda: kernels.nearest_point_batch(r, y), args.repeats)
-        t_py, out_py = _time(_scalar(r, y), args.repeats)
-        assert np.array_equal(out_pub, out_py), "public path and scalar search disagree"
-        print(f"{name:<16}{args.batch:>8}{t_pub:>10.4f}s{t_cold:>10.4f}s"
-              f"{t_py:>10.3f}s{t_py / t_pub:>10.0f}x")
+        for batch in args.batch:
+            y = y_all[:batch]
+            t_pub, out_pub = _time(lambda: kernels.nearest_point_batch(r, y, relevant), args.repeats)
+            t_cold, _ = _time(lambda: kernels.nearest_point_batch(r, y), args.repeats)
+            t_py, out_py = _time(_scalar(r, y), args.repeats)
+            if not np.array_equal(out_pub, out_py):
+                raise SystemExit(f"{name}, batch {batch}: public path and scalar search disagree")
+            print(f"{name:<16}{batch:>8}{t_pub * 1e3:>9.3f}ms{t_cold * 1e3:>9.3f}ms"
+                  f"{t_py * 1e3:>9.1f}ms{t_py / t_pub:>10.0f}x")
 
 
 if __name__ == "__main__":

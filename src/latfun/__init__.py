@@ -16,6 +16,7 @@ from .errors import (
     LatfunError,
     MissingMomentEstimate,
     MomentOverflow,
+    NonFiniteTarget,
     NonPositiveQ,
     NonPositiveTarget,
     OrthogonalScaling,

@@ -9,6 +9,10 @@ class DimensionMismatch(LatfunError):
     """Vector length does not match the lattice dimension."""
 
 
+class NonFiniteTarget(LatfunError):
+    """A query point has a NaN or infinite coordinate."""
+
+
 class UnsupportedDimension(LatfunError):
     """Operation not available at this dimension (exact search is n <= 8)."""
 

@@ -8,6 +8,18 @@ target, until no relevant vector helps. Rows that end on a Voronoi boundary
 (a tie within tolerance) go to the scalar Schnorr-Euchner search of
 ``_sphere_py``, which is the reference for ties, so the slicer returns its
 integer coordinates, ties included.
+
+The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
+targets and residuals are ``(n, m)`` arrays, one column per target, and the
+gains of all ``k`` relevant vectors come from one ``(k, m)`` product. The
+residual carries a last row of ones and the product's left factor a last
+column of ``-|v|^2 / 2``, so that product is already the (half) gain. Each
+target's best gain is then a maximum over ``axis=0``, which numpy runs as
+``k - 1`` element-wise maxima along contiguous rows instead of one short
+reduction per target. Only the targets that still move get the argmax, the
+gathers and the coordinate updates; their argmax runs on a row-major
+product of the movers alone, which is cheaper than gathering columns of the
+``(k, m)`` gains when ``k`` reaches the hundreds (n = 8).
 """
 
 import numpy as np
@@ -66,11 +78,15 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
     if relevant is None:
         relevant = relevant_vectors(r_mat)
     steps = relevant @ r_mat.T
-    half_sq = 0.5 * np.einsum("ij,ij->i", steps, steps)
+    # Half the gain of moving by step v is <e, v> - |v|^2 / 2 = lift @ [e; 1].
+    lift = np.empty((steps.shape[0], steps.shape[1] + 1))
+    lift[:, :-1] = steps
+    np.einsum("ij,ij->i", steps, steps, out=lift[:, -1])
+    lift[:, -1] *= -0.5
     ties = [np.zeros(0, dtype=np.intp)]
     for start in range(0, targets.shape[0], BLOCK_ROWS):
         block = targets[start:start + BLOCK_ROWS]
-        coords, tied = _slice(r_mat, block, relevant, steps, half_sq)
+        coords, tied = _slice(r_mat, np.ascontiguousarray(block.T), relevant, steps, lift)
         out[start:start + BLOCK_ROWS] = coords
         ties.append(start + tied)
     ties = np.concatenate(ties)
@@ -81,32 +97,37 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
     return out.astype(np.int64, copy=False)
 
 
-def _slice(r_mat, y, relevant, steps, half_sq):
-    """Slicer on one block: (coords, indices of rows left on a tie)."""
-    m, n = y.shape
+def _slice(r_mat, y, relevant, steps, lift):
+    """Slicer on one block of targets held column-major, ``y`` of shape
+    (n, m): (coords (m, n), indices of the targets left on a tie)."""
+    n, m = y.shape
     # Babai's nearest-plane point, rounded as the scalar search rounds.
-    u = np.zeros((m, n))
+    u = np.empty((n, m))
     for i in range(n - 1, -1, -1):
-        c = (y[:, i] - u[:, i + 1:] @ r_mat[i, i + 1:]) / r_mat[i, i]
-        u[:, i] = np.floor(c + 0.5)
-    coords = u.astype(np.int64)
-    resid = y - u @ r_mat.T
-    # Half the tie tolerance, as the gains below are halved.
-    tol = 0.5 * _TIE_TOL * np.maximum(1.0, np.einsum("ij,ij->i", y, y))
-    rows = np.arange(m)
-    tied = [rows[:0]]
-    while rows.size:
-        # Half the gain of moving by step v, (|e|^2 - |e - v|^2) / 2.
-        gain = resid[rows] @ steps.T
-        gain -= half_sq
-        best = np.argmax(gain, axis=1)
-        top = gain[np.arange(rows.size), best]
-        move = top > tol[rows]
-        tied.append(rows[~move & (top >= -tol[rows])])
-        rows, best = rows[move], best[move]
-        coords[rows] += relevant[best]
-        resid[rows] -= steps[best]
-    return coords, np.concatenate(tied)
+        c = y[i] - r_mat[i, i + 1:] @ u[i + 1:]
+        c /= r_mat[i, i]
+        c += 0.5
+        np.floor(c, out=u[i])
+    coords = u.T.astype(np.int64, order="C")
+    resid = np.empty((n + 1, m))
+    resid[n] = 1.0
+    np.subtract(y, r_mat @ u, out=resid[:n])
+    # Half the tie tolerance, as the gains are halved.
+    tol = (y * y).sum(axis=0)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= 0.5 * _TIE_TOL
+    cols = np.arange(m)
+    tied = []
+    while True:
+        top = (lift @ resid).max(axis=0)
+        tied.append(cols[np.abs(top) <= tol])
+        move = (top > tol).nonzero()[0]
+        if not move.size:
+            return coords, np.concatenate(tied)
+        cols, resid, tol = cols[move], resid[:, move], tol[move]
+        best = (resid.T @ lift.T).argmax(axis=1)
+        coords[cols] += relevant[best]
+        resid[:n] -= steps[best].T
 
 
 def available_backends():

@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     InvalidPrime,
     MissingMomentEstimate,
+    NonFiniteTarget,
     NonPositiveTarget,
     SingularLattice,
     TooManyCosets,
@@ -241,11 +242,14 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
 
     ``x`` has shape (..., n). Diagonal generators use componentwise rounding
     at any dimension; general generators use the exact closest-point search
-    of ``kernels``, limited to n <= 8.
+    of ``kernels``, limited to n <= 8. A NaN or infinite coordinate raises
+    ``NonFiniteTarget``: it has no nearest lattice point.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_dim(lat, x)
     flat = x.reshape(-1, lat.dim)
+    if not np.isfinite(flat).all():
+        raise NonFiniteTarget("query point has a NaN or infinite coordinate")
     if lat.is_diagonal:
         coords = _round_half_down(flat / lat._scales)
         return coords.astype(np.int64).reshape(x.shape)

@@ -185,6 +185,42 @@ def test_public_path_on_coset_leaders_of_a_nested_pair(gen):
     assert _check_against_oracle(2.0 * gen, points) > 0
 
 
+@pytest.mark.parametrize("gen, rows, samples", [(A2, 1024, 20_000), (D4, 256, 10_000)],
+                         ids=["a2", "d4"])
+def test_public_path_on_codec_shaped_ties(gen, rows, samples, monkeypatch):
+    """One coarse-lattice call of a two-user codec, built the way the benchmark
+    builds its A2 and D4 codecs (moment from ``second_moment``, fixed rng):
+    fine points of Gaussian targets, reduced modulo the incommensurate coarse
+    lattice. Fine points on the coarse cell's symmetry axes are ties: a
+    256-row D4 call holds about one on average, and this seed gives both
+    calls some."""
+    from latfun import gaussian, lattices, simulate
+
+    n = gen.shape[0]
+    base = lattices.Lattice(gen)
+    rng = np.random.default_rng(1)
+    est = lattices.second_moment(base, samples, rng)
+    codec = simulate.build_two_user_codec(
+        gaussian.two_user_model(0.8, 0.8), 0.1, 0.06, n=n, margin=2.0,
+        base_lattice=base.with_moment(est))
+    fine = lattices.nearest_point(codec.fine1, rng.normal(size=(rows, n)))
+    qt, r, _ = lattices._sphere_context(codec.coarse)
+    sent = []
+    scalar = _sphere_py.nearest_point_batch
+
+    def counted(r_mat, y, out):
+        sent.append(len(y))
+        return scalar(r_mat, y, out)
+
+    monkeypatch.setattr(_sphere_py, "nearest_point_batch", counted)
+    got = lattices.nearest_point_coords(codec.coarse, fine)
+    monkeypatch.undo()
+    want = np.zeros(fine.shape, dtype=np.longlong)
+    scalar(r, np.ascontiguousarray(fine @ qt.T), want)
+    assert np.array_equal(got, want)
+    assert sum(sent) >= 1
+
+
 def test_public_path_blocks_keep_row_order(monkeypatch, rng):
     monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
     x = rng.choice([-0.5, 0.0, 0.5, 1.0], size=(50, 2)) + rng.normal(scale=1e-3, size=(50, 2)) * (

@@ -13,6 +13,7 @@ from latfun import (
     InvalidPrime,
     Lattice,
     MissingMomentEstimate,
+    NonFiniteTarget,
     NonPositiveTarget,
     SingularLattice,
     TooManyCosets,
@@ -231,6 +232,29 @@ def test_non_finite_generator_rejected(bad):
         integer_lattice(3, bad)
     with pytest.raises(SingularLattice, match="finite"):
         hexagonal_lattice(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("lat", [A2, integer_lattice(2)], ids=["a2", "z2"])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_target_rejected(lat, bad):
+    for call in (nearest_point_coords, in_voronoi):
+        with pytest.raises(NonFiniteTarget, match="NaN or infinite") as err:
+            call(lat, np.array([[0.25, 0.5], [bad, 0.0]]))
+        assert "\n" not in str(err.value)
+    with pytest.raises(NonFiniteTarget):
+        mod_lattice(A2, [0.0, bad])
+
+
+@pytest.mark.xfail(strict=True, reason="the search's tie tolerances grow as |y|^2 "
+                   "(ROADMAP open item 2): at 3e7 the scalar search takes any point "
+                   "within squared distance 900 of the best as tied")
+def test_far_target_reduces_into_the_voronoi_cell():
+    # The nearest A2 point of (3e7, 0.3) is (3e7, 0), so the error is (0, 0.3);
+    # the search returns (28.5, -9.23), far outside the cell (covering radius
+    # 1/sqrt(3)).
+    err = mod_lattice(A2, [[3e7, 0.3]])[0]
+    assert np.linalg.norm(err) <= 1.0 / math.sqrt(3.0) + 1e-9
 
 
 def test_search_context_is_cached_and_carried_through_scaling(rng):
