@@ -24,6 +24,8 @@ from .errors import InvalidCount, LatfunError
 from .gaussian import (
     PartitionPlan,
     SourceModel,
+    _checked_variance,
+    _two_user_arrays,
     function_variance,
     noisy_function_side_model,
     two_user_model,
@@ -139,65 +141,93 @@ def cmd_region(args) -> int:
 
 
 def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
-    """Yield CSV rows; one per (rho, c, D), or per (rho, c) when collapsing
-    to the distortion with the largest gap.
+    """CSV rows; one per (rho, c, D), or per (rho, c) when collapsing to the
+    distortion with the largest gap.
 
-    ``d_of_model`` maps Var(Z) to a distortion grid. All cells' grids come
-    from one call on the array of their Var(Z), along the last axis, unless
-    a model or that call fails or some grid is not strictly monotone; then
-    each cell's grid comes from its own call, and the first failing cell
-    raises. np.linspace (with which np.geomspace spaces its logs) switches
-    every row to another formula when one row's step is zero, and such a
-    row is not strictly monotone past two points; so the grids are the
-    per-cell ones bit for bit.
+    ``d_of_model`` maps Var(Z) to a distortion grid. The rates come from one
+    array pass over the (cells, D) grid, with all grids from one call on the
+    array of the cells' Var(Z), along the last axis (``_whole_grid``).
+
+    When that pass cannot run (a rho outside (0, 1) or a non-finite rho or
+    c, an overflowing Var(Z), a failing ``d_of_model`` call, or a grid that
+    is not strictly monotone), the cells are taken in turn, and the first
+    failing cell raises the error a cell-by-cell sweep gives: its model is
+    built, then its grid; a cell whose grid keeps no D in (0, Var Z) is
+    skipped, even if it is not two-user; the others must be two-user, and
+    each one's rows come from the same array pass on that cell alone.
+    np.linspace (with which np.geomspace spaces its logs) switches every row
+    to another formula when one row's step is zero, and such a row is not
+    strictly monotone past two points; so the grids are the per-cell ones
+    bit for bit.
     """
-    try:
-        models = [two_user_model(rho, c) for rho in rho_values for c in c_values]
-        var_z = [function_variance(model) for model in models]
-        grids = d_of_model(np.array(var_z))
-        grids = np.broadcast_to(grids, (len(models), grids.shape[-1]))
-        steps = np.diff(grids, axis=-1)
-        monotone = (steps > 0).all(axis=-1) | (steps < 0).all(axis=-1)
-        cells = zip(models, var_z, grids) if monotone.all() else None
-    except ValueError:
-        cells = None
+    cells = [(rho, c) for rho in rho_values for c in c_values]
+    if not cells:
+        return []
+    rho = np.array([cell[0] for cell in cells], dtype=np.float64)
+    c = np.array([cell[1] for cell in cells], dtype=np.float64)
+    whole = _whole_grid(rho, c, d_of_model)
+    if whole is not None:
+        return _grid_rows(cells, rho, c, *whole, collapse_d)
     rows = []
-    for rho in rho_values:
-        for c in c_values:
-            if cells is None:
-                model = two_user_model(rho, c)
-                sz2 = function_variance(model)
-                d_grid = d_of_model(sz2)
-            else:
-                model, sz2, d_grid = next(cells)
-            d_grid = d_grid[(d_grid > 0) & (d_grid < sz2)]
-            if len(d_grid) == 0:
-                continue
-            lattice_bits = np.array(
-                [regions.lattice_min_sum_rate(model, float(d)) for d in d_grid]
+    for k, cell in enumerate(cells):
+        model = two_user_model(*cell)
+        var_z = function_variance(model)
+        grid = d_of_model(var_z)
+        if not ((grid > 0) & (grid < var_z)).any():
+            continue
+        model.require_two_user()
+        one = slice(k, k + 1)
+        rows += _grid_rows(cells[one], rho[one], c[one], np.array([var_z]), grid[None], collapse_d)
+    return rows
+
+
+def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
+    """(Var(Z), distortion grids) of every cell from one pass, or None when
+    some cell must be taken alone.
+
+    Finite c and rho in (0, 1) imply every check that ``two_user_model``
+    and ``require_two_user`` make, so no model is built; Var(Z) is the
+    expression the model computes, on the same arrays.
+    """
+    if not (((rho > 0) & (rho < 1)).all() and np.isfinite(c).all()):
+        return None
+    try:
+        var_z = np.array([
+            _checked_variance(*_two_user_arrays(r, v)) for r, v in zip(rho.tolist(), c.tolist())
+        ])
+        grids = d_of_model(var_z)
+    except ValueError:
+        return None
+    grids = np.broadcast_to(grids, (len(var_z), grids.shape[-1]))
+    steps = np.diff(grids, axis=-1)
+    if not ((steps > 0).all(axis=-1) | (steps < 0).all(axis=-1)).all():
+        return None
+    return var_z, grids
+
+
+def _grid_rows(cells, rho, c, var_z, grids, collapse_d: bool) -> List[str]:
+    """Rows of two-user cells, with their Var(Z) and (cells, n_d) grids, in
+    one array pass. Each rate is its scalar function's value bit for bit;
+    the distortions outside (0, Var Z) are replaced by Var(Z), which every
+    formula takes, and then left out."""
+    keep = (grids > 0) & (grids < var_z[:, None])
+    d = np.where(keep, grids, var_z[:, None])
+    rho, c = rho[:, None], c[:, None]
+    lattice_bits = regions._log2_twice_ratio(var_z[:, None], d)
+    bt_bits = regions._bt_min_sum(rho, c, d)
+    gaps = np.where(keep, bt_bits - lattice_bits, -np.inf)
+    regimes = regions._bt_regimes(rho, c, d)
+    rows = []
+    for k, (rho_k, c_k) in enumerate(cells):
+        if collapse_d:
+            sel = [int(np.argmax(gaps[k]))] if keep[k].any() else []
+        else:
+            sel = np.flatnonzero(keep[k])
+        for i in sel:
+            values = (d[k, i], lattice_bits[k, i], bt_bits[k, i], gaps[k, i])
+            rows.append(
+                ",".join([_g6(rho_k), _g6(c_k), *(_g6(float(v)) for v in values), regimes[k, i]])
             )
-            bt_bits = regions.bt_min_sum_rates(model, d_grid)
-            gaps = bt_bits - lattice_bits
-            if collapse_d:
-                idx = int(np.argmax(gaps))
-                sel = [idx]
-            else:
-                sel = range(len(d_grid))
-            for i in sel:
-                regime = regions.bt_regime(model, float(d_grid[i]))
-                rows.append(
-                    ",".join(
-                        [
-                            _g6(rho),
-                            _g6(c),
-                            _g6(float(d_grid[i])),
-                            _g6(float(lattice_bits[i])),
-                            _g6(float(bt_bits[i])),
-                            _g6(float(gaps[i])),
-                            regime,
-                        ]
-                    )
-                )
     return rows
 
 
@@ -206,20 +236,13 @@ def sweep_rows_fig3(n_c: int = 40, n_d: int = 40, rho: float = 0.8):
     rows = []
     for c in np.linspace(0.05, 2.0, n_c):
         model = two_user_model(rho, c)
+        model.require_two_user()
         sz2 = function_variance(model)
-        for d in np.geomspace(0.01, 0.99 * sz2, n_d):
+        d_grid = np.geomspace(0.01, 0.99 * sz2, n_d)
+        lattice_bits = regions._log2_twice_ratio(sz2, d_grid)
+        for d, bits in zip(d_grid.tolist(), lattice_bits.tolist()):
             rows.append(
-                ",".join(
-                    [
-                        _g6(rho),
-                        _g6(float(c)),
-                        _g6(float(d)),
-                        _g6(regions.lattice_min_sum_rate(model, float(d))),
-                        "nan",
-                        "nan",
-                        "lattice-only",
-                    ]
-                )
+                ",".join([_g6(rho), _g6(float(c)), _g6(d), _g6(bits), "nan", "nan", "lattice-only"])
             )
     return rows
 

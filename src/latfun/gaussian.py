@@ -135,10 +135,14 @@ class SourceModel:
         return SourceModel(cov, np.asarray(payload["coeffs"], dtype=np.float64))
 
 
+def _two_user_arrays(rho: float, c: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Covariance and coefficients of ``two_user_model(rho, c)``."""
+    return np.array([[1.0, rho], [rho, 1.0]]), np.array([1.0, -float(c)])
+
+
 def two_user_model(rho: float, c: float) -> SourceModel:
     """Unit-variance pair with correlation rho, target Z = X1 - c X2."""
-    cov = np.array([[1.0, rho], [rho, 1.0]])
-    return SourceModel(cov, np.array([1.0, -float(c)]))
+    return SourceModel(*_two_user_arrays(rho, c))
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,11 @@ def _sphere_context(lat: Lattice):
     return lat._sphere
 
 
+def _check_finite(x: np.ndarray):
+    if not np.isfinite(x).all():
+        raise NonFiniteTarget("query point has a NaN or infinite coordinate")
+
+
 def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     """Integer coordinates of the nearest lattice points (batched).
 
@@ -248,8 +253,7 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     _check_dim(lat, x)
     flat = x.reshape(-1, lat.dim)
-    if not np.isfinite(flat).all():
-        raise NonFiniteTarget("query point has a NaN or infinite coordinate")
+    _check_finite(flat)
     if lat.is_diagonal:
         coords = _round_half_down(flat / lat._scales)
         return coords.astype(np.int64).reshape(x.shape)
@@ -264,7 +268,8 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
 
 def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     """The lattice point closest to ``x`` (ties: lexicographically smallest
-    integer coordinates).
+    integer coordinates). A NaN or infinite coordinate raises
+    ``NonFiniteTarget``.
 
     An exactly diagonal generator stays in float64: the rounded coordinates
     are multiplied by the scales, and adding 0.0 turns -0.0 into +0.0, so
@@ -275,6 +280,7 @@ def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     if not lat._exact_diag:
         return nearest_point_coords(lat, x) @ lat.gen.T
     _check_dim(lat, x)
+    _check_finite(x)
     point = _round_half_down(x / lat._scales)
     point *= lat._scales
     point += 0.0

@@ -45,6 +45,11 @@ SCHEME_HYBRID = "hybrid"
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 
+# ``_bt_regimes`` labels, in the order of its rules
+_REGIMES = np.array([
+    REGIME_ZERO_RATE, REGIME_NUMERIC, REGIME_INTERIOR, REGIME_Q2_INFINITE, REGIME_Q1_INFINITE,
+])
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -101,7 +106,7 @@ class SideInfoRegion:
 
     @property
     def min_sum_rate(self) -> float:
-        return _log2_twice_ratio(self.innovations_variance, self.distortion)
+        return float(_log2_twice_ratio(self.innovations_variance, self.distortion))
 
 
 @dataclass(frozen=True)
@@ -116,13 +121,22 @@ class ScalingOptimum:
 # Two-user direct lattice region
 
 
-def _log2_twice_ratio(var: float, d: float) -> float:
-    """log2(2 var / D). Where the ratio overflows (tiny D), the logs are
-    taken apart as 1 + log2(var) - log2(D); elsewhere the ratio keeps its bits."""
-    ratio = 2.0 * var / d
-    if ratio == math.inf:
-        return 1.0 + math.log2(var) - math.log2(d)
-    return math.log2(ratio)
+def _log2_twice_ratio(var, d) -> np.ndarray:
+    """log2(2 var / D), elementwise over the broadcast arrays. Where the
+    ratio overflows (tiny D), the logs are taken apart as 1 + log2(var) -
+    log2(D); elsewhere the ratio keeps its bits. Each log is ``math.log2``:
+    numpy's log2 differs from it in the last bit on some inputs."""
+    var, d = np.broadcast_arrays(np.asarray(var, dtype=np.float64), np.asarray(d, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        ratio = 2.0 * var / d
+    out = np.fromiter(map(math.log2, ratio.ravel().tolist()), np.float64, ratio.size)
+    out = out.reshape(ratio.shape)
+    apart = ratio == math.inf
+    if apart.any():
+        out[apart] = [
+            1.0 + math.log2(v) - math.log2(x) for v, x in zip(var[apart].tolist(), d[apart].tolist())
+        ]
+    return out
 
 
 def _check_distortion(d: float, upper: float, inclusive: bool = False):
@@ -151,7 +165,7 @@ def lattice_min_sum_rate(model: SourceModel, d: float) -> float:
     model.require_two_user()
     sz2 = function_variance(model)
     _check_distortion(d, sz2, inclusive=True)
-    return _log2_twice_ratio(sz2, d)
+    return float(_log2_twice_ratio(sz2, d))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +196,16 @@ def bt_rate_point(model: SourceModel, q1: float, q2: float) -> BtRegionPoint:
 
 def bt_regime_boundary(model: SourceModel) -> float:
     """Distortion below which both optimal noise variances are finite."""
-    rho, c, alpha, _ = _two_user_params(model)
+    rho, c, _, _ = _two_user_params(model)
     if c <= 0:
         return 0.0
-    return min(2.0 * alpha * c / (rho + c), 2.0 * alpha * c * c / (1.0 + rho * c))
+    return float(_bt_boundary(rho, c))
+
+
+def _bt_boundary(rho, c):
+    """``bt_regime_boundary`` for c > 0, elementwise."""
+    alpha = 1.0 - rho * rho
+    return np.minimum(2.0 * alpha * c / (rho + c), 2.0 * alpha * c * c / (1.0 + rho * c))
 
 
 def bt_optimal_q(model: SourceModel, d: float) -> BtOptimum:
@@ -230,19 +250,26 @@ def _bt_distortions(d_values) -> np.ndarray:
 
 def bt_regime(model: SourceModel, d: float) -> str:
     """Regime label for the minimum-sum-rate expression at distortion d."""
-    rho, c, alpha, sz2 = _two_user_params(model)
-    _bt_distortions(d)
-    if d >= sz2:
-        return REGIME_ZERO_RATE
-    if c <= 0:
-        return REGIME_NUMERIC
-    if d < bt_regime_boundary(model):
-        return REGIME_INTERIOR
-    return REGIME_Q2_INFINITE if c <= 1.0 else REGIME_Q1_INFINITE
+    rho, c, _, _ = _two_user_params(model)
+    return str(_bt_regimes(rho, c, _bt_distortions(d)))
 
 
-def _bt_min_sum(rho: float, c: float, d: np.ndarray) -> np.ndarray:
-    """Quantize-and-bin minimum sum rate at each distortion, any sign of c.
+def _bt_regimes(rho, c, d) -> np.ndarray:
+    """``bt_regime`` elementwise over the broadcast rho, c and distortions:
+    zero rate from D = Var(Z) up, no regime split for c <= 0, the interior
+    below ``bt_regime_boundary``, and past it the user whose source matters
+    less falls silent (X2 for c <= 1)."""
+    rho, c = np.asarray(rho, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sz2 = 1.0 + c * c - 2.0 * rho * c
+        boundary = _bt_boundary(rho, c)
+    rule = np.select([d >= sz2, c <= 0, d < boundary, c <= 1.0], [0, 1, 2, 3], 4)
+    return _REGIMES[rule]
+
+
+def _bt_min_sum(rho, c, d: np.ndarray) -> np.ndarray:
+    """Quantize-and-bin minimum sum rate at each distortion, any sign of c;
+    elementwise, so rho and c may be arrays broadcast against d.
 
     The sum rate falls and the distortion rises in each backward noise, so
     the optimum meets the distortion with equality: either at the

@@ -180,10 +180,10 @@ def test_sweep_bad_path_fails_with_io_code(capsys):
     assert "failed to write" in err
 
 
-def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d):
-    """The sweep cell by cell, from the public functions only: the rows and
-    each cell's distortions, as raw bytes."""
-    rows, grids = [], []
+def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d, fmt=_g6):
+    """The sweep cell by cell, from the public functions only, with each
+    number formatted by ``fmt``."""
+    rows = []
     for rho in rho_values:
         for c in c_values:
             model = two_user_model(rho, c)
@@ -192,7 +192,6 @@ def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d):
             grid = grid[(grid > 0) & (grid < var_z)]
             if len(grid) == 0:
                 continue
-            grids.append(grid.tobytes())
             lattice_bits = np.array([lattice_min_sum_rate(model, float(d)) for d in grid])
             bt_bits = bt_min_sum_rates(model, grid)
             gaps = bt_bits - lattice_bits
@@ -200,8 +199,12 @@ def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d):
             for i in sel:
                 d = float(grid[i])
                 values = (rho, c, d, float(lattice_bits[i]), float(bt_bits[i]), float(gaps[i]))
-                rows.append(",".join([_g6(v) for v in values] + [bt_regime(model, d)]))
-    return rows, grids
+                rows.append(",".join([fmt(v) for v in values] + [bt_regime(model, d)]))
+    return rows
+
+
+def _hex(x):
+    return float(x).hex()
 
 
 def _geom(lo, hi, n):
@@ -225,24 +228,35 @@ _SWEEP_GRIDS = {
     "zero_var": ([0.6, 1.0], [1.0], _lin(0.05, 0.95, 24), False),
     # an empty sweep
     "empty": ([], [0.8], _geom(0.01, 0.95, 8), False),
+    # D down to 1e-310 Var(Z): both rates take their logs apart
+    "tiny_d": (np.linspace(0.1, 0.9, 3), [-1.0, 0.0, 0.8, 1.5], _geom(1e-310, 0.9, 16), False),
+    # |c| = 1e150, Var(Z) about 1e300
+    "huge_c": ([0.3, 0.7], [-1e150, 1e150], _geom(0.01, 0.95, 16), False),
+    # the rho = 0 cell is not two-user, but keeps no D, so it is skipped
+    "skip_non_two_user": ([0.0, 0.5], [-1.0], lambda var_z: np.geomspace(2.5, 2.9, 4), False),
 }
+
+# the grids on which the whole-grid pass cannot run, so the cells go one by one
+_CELL_BY_CELL = {"zero_var", "skip_non_two_user"}
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP_GRIDS))
 def test_sweep_rows_match_per_cell_reference(monkeypatch, name):
     rho_values, c_values, d_of_var, collapse_d = _SWEEP_GRIDS[name]
-    grids = []
-
-    def recording(model, d_values, bt_min_sum_rates=latfun.regions.bt_min_sum_rates):
-        grids.append(np.asarray(d_values).tobytes())
-        return bt_min_sum_rates(model, d_values)
-
-    monkeypatch.setattr(latfun.regions, "bt_min_sum_rates", recording)
     rows = _sweep_rows(rho_values, c_values, d_of_var, collapse_d)
-    want_rows, want_grids = _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d)
-    assert rows == want_rows
-    assert grids == want_grids
+    assert rows == _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d)
     assert bool(rows) == (name != "empty")
+    if rows:
+        cells = [(rho, c) for rho in rho_values for c in c_values]
+        rho, c = (np.array(v, dtype=np.float64) for v in zip(*cells))
+        whole = latfun.cli._whole_grid(rho, c, d_of_var)
+        assert (whole is None) == (name in _CELL_BY_CELL)
+    # Every D of every grid, every rate and every gap, bit for bit.
+    monkeypatch.setattr(latfun.cli, "_g6", _hex)
+    for collapse in {collapse_d, False}:
+        assert _sweep_rows(rho_values, c_values, d_of_var, collapse) == _reference_sweep_rows(
+            rho_values, c_values, d_of_var, collapse, fmt=_hex
+        )
 
 
 @pytest.mark.parametrize("rho_values, c_values, d_of_var", [
@@ -254,8 +268,10 @@ def test_sweep_rows_match_per_cell_reference(monkeypatch, name):
     ([0.5], [0.8], _geom(0.05, 0.95, -1)),       # a bad count
     # 1e-323 Var(Z) underflows to 0 only where Var(Z) < 0.5 (rho 0.9, c 0.9)
     ([0.0, 0.9], [0.9], _geom(1e-323, 0.95, 8)),
+    ([0.5], [0.8, 1e200], _geom(0.05, 0.95, 8)),  # valid cell, then Var(Z) overflows
+    ([-0.5], [0.8], _geom(0.05, 0.95, 8)),        # PSD, but not two-user
 ], ids=["region-then-cov", "region-then-grid", "grid-then-region", "grid", "nan-rho", "count",
-        "region-then-underflow"])
+        "region-then-underflow", "valid-then-overflow", "negative-rho"])
 def test_sweep_rows_raise_the_first_failing_cell_error(rho_values, c_values, d_of_var):
     with pytest.raises(ValueError) as want:
         _reference_sweep_rows(rho_values, c_values, d_of_var, False)

@@ -242,8 +242,11 @@ def test_non_finite_target_rejected(lat, bad):
         with pytest.raises(NonFiniteTarget, match="NaN or infinite") as err:
             call(lat, np.array([[0.25, 0.5], [bad, 0.0]]))
         assert "\n" not in str(err.value)
-    with pytest.raises(NonFiniteTarget):
-        mod_lattice(A2, [0.0, bad])
+    for call in (nearest_point, mod_lattice):
+        with pytest.raises(NonFiniteTarget, match="NaN or infinite"):
+            call(lat, [0.0, bad])
+        with pytest.raises(NonFiniteTarget, match="NaN or infinite"):
+            call(lat, np.array([[bad, 0.3], [0.25, 0.5]]))
 
 
 @pytest.mark.xfail(strict=True, reason="the search's tie tolerances grow as |y|^2 "
