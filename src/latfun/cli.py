@@ -144,21 +144,19 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """CSV rows; one per (rho, c, D), or per (rho, c) when collapsing to the
     distortion with the largest gap.
 
-    ``d_of_model`` maps Var(Z) to a distortion grid. The rates come from one
-    array pass over the (cells, D) grid, with all grids from one call on the
-    array of the cells' Var(Z), along the last axis (``_whole_grid``).
+    ``d_of_model`` maps Var(Z) to a distortion grid. Every rate, gap and
+    regime comes from one array pass over the (cells, D) grid
+    (``_grid_rows``), with all grids from one ``d_of_model`` call
+    (``_whole_grid``).
 
-    When that pass cannot run (a rho outside (0, 1) or a non-finite rho or
-    c, an overflowing Var(Z), a failing ``d_of_model`` call, or a grid that
-    is not strictly monotone), the cells are taken in turn, and the first
-    failing cell raises the error a cell-by-cell sweep gives: its model is
-    built, then its grid; a cell whose grid keeps no D in (0, Var Z) is
-    skipped, even if it is not two-user; the others must be two-user, and
-    each one's rows come from the same array pass on that cell alone.
-    np.linspace (with which np.geomspace spaces its logs) switches every row
-    to another formula when one row's step is zero, and such a row is not
-    strictly monotone past two points; so the grids are the per-cell ones
-    bit for bit.
+    When that pass cannot run (rho outside (0, 1), a non-finite c, an
+    overflowing Var(Z), a failing ``d_of_model`` call or a grid that is not
+    strictly monotone), the cells are taken in turn, so that the first
+    failing cell raises the error a cell-by-cell sweep gives. Each cell's
+    model is built, then its grid; a cell whose grid keeps no D in
+    (0, Var Z) is skipped, even if it is not two-user; every other cell
+    must be two-user, and its rows come from the same array pass on that
+    cell alone.
     """
     cells = [(rho, c) for rho in rho_values for c in c_values]
     if not cells:
@@ -183,11 +181,16 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
 
 def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
     """(Var(Z), distortion grids) of every cell from one pass, or None when
-    some cell must be taken alone.
+    the cells must be taken in turn.
 
     Finite c and rho in (0, 1) imply every check that ``two_user_model``
     and ``require_two_user`` make, so no model is built; Var(Z) is the
-    expression the model computes, on the same arrays.
+    expression the model computes, on the same arrays. The grids come from
+    one call on the array of Var(Z), along the last axis. np.linspace (with
+    which np.geomspace spaces its logs) switches every row to another
+    formula when one row's step is zero, and such a row is not strictly
+    monotone past two points; so strictly monotone grids are the per-cell
+    ones bit for bit.
     """
     if not (((rho > 0) & (rho < 1)).all() and np.isfinite(c).all()):
         return None
