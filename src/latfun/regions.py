@@ -19,7 +19,6 @@ from .errors import (
     DistortionOutOfRange,
     NonPositiveQ,
     OrthogonalScaling,
-    UnsupportedDimension,
 )
 from .gaussian import (
     PartitionPlan,
@@ -111,7 +110,7 @@ class SideInfoRegion:
 
 @dataclass(frozen=True)
 class ScalingOptimum:
-    """Best encoder-scaling direction found by angular grid search."""
+    """Best encoder-scaling direction (the unit vector along c) and its region RHS."""
 
     direction: np.ndarray
     rhs: float
@@ -404,59 +403,54 @@ def side_info_region(si_model: SideInfoModel, d: float) -> SideInfoRegion:
 # Encoder scaling analysis
 
 
+def _power_of_two_normalized(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that puts its largest magnitude in [0.5, 1).
+
+    The scaling is exact, so it changes no direction; it keeps the quadratic
+    forms below from overflowing or underflowing.
+    """
+    _, e = np.frexp(np.max(np.abs(v)))
+    return np.ldexp(v, -e)
+
+
 def scaling_region_rhs(model: SourceModel, d: float, eta: Sequence[float]) -> float:
     """Right-hand side of the sum-exponential constraint under scaling eta.
 
-    The realizable region is sum_i 2^-2Ri <= rhs; larger is better. Exactly
-    invariant under eta -> xi * eta.
+    The realizable region is sum_i 2^-2Ri <= rhs; larger is better.
+    Invariant under eta -> xi * eta, and exactly so whenever xi * eta is
+    exact: eta is first scaled by a power of two, which is exact, so no
+    product overflows or underflows at any size of eta. Needs
+    0 < D < Var(Z) and a finite eta.
     """
     eta_v = np.asarray(eta, dtype=np.float64).reshape(-1)
     if eta_v.shape[0] != model.k:
         raise ValueError("scaling vector length must match the number of sources")
+    if not np.isfinite(eta_v).all():
+        raise ValueError("scaling vector must be finite")
     sz2 = function_variance(model)
+    _check_distortion(d, sz2)
+    eta_v = _power_of_two_normalized(eta_v)
     cse = float(model.coeffs @ model.cov @ eta_v)
     ese = float(eta_v @ model.cov @ eta_v)
     scale = math.sqrt(max(sz2, 1e-300) * max(ese, 1e-300))
     if abs(cse) <= 1e-12 * max(scale, 1e-300):
         raise OrthogonalScaling("scaling direction is orthogonal to the target function")
-    return 1.0 - (sz2 - d) * ese / (cse * cse)
+    return 1.0 - (sz2 - d) / cse * (ese / cse)
 
 
-def _sphere_directions(k: int, n: int) -> np.ndarray:
-    if k == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if k == 3:
-        # Fibonacci sphere: near-uniform deterministic covering.
-        i = np.arange(n) + 0.5
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-        z = 1.0 - 2.0 * i / n
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    raise UnsupportedDimension("direction grids implemented for K = 2 and K = 3")
+def optimal_scaling(model: SourceModel, d: float) -> ScalingOptimum:
+    """The scaling direction that maximizes the region RHS, in closed form.
 
-
-def optimal_scaling(model: SourceModel, d: float, directions: int = 1024) -> ScalingOptimum:
-    """Grid search for the scaling direction that maximizes the region RHS.
-
-    Searches a deterministic covering of the unit sphere (circle grid for
-    two sources, Fibonacci sphere for three). The maximizer aligns with the
-    function coefficients up to sign and grid resolution.
+    By Cauchy-Schwarz in the Sigma inner product, (c'Sigma eta)^2 <=
+    (c'Sigma c)(eta'Sigma eta), with equality at eta = c. So for
+    0 < D < Var(Z) = c'Sigma c the RHS 1 - (Var(Z) - D) eta'Sigma eta /
+    (c'Sigma eta)^2 is largest at eta parallel to c, where it equals
+    D / Var(Z), for any number of sources. Returns the unit vector c / |c|.
     """
-    grid = _sphere_directions(model.k, directions)
-    best_rhs = -math.inf
-    best_dir = None
-    for direction in grid:
-        try:
-            rhs = scaling_region_rhs(model, d, direction)
-        except OrthogonalScaling:
-            continue
-        if rhs > best_rhs:
-            best_rhs = rhs
-            best_dir = direction
-    if best_dir is None:
-        raise OrthogonalScaling("no direction with nonzero projection found")
-    return ScalingOptimum(direction=np.asarray(best_dir), rhs=float(best_rhs))
+    sz2 = function_variance(model)
+    _check_distortion(d, sz2)
+    c = _power_of_two_normalized(model.coeffs)
+    return ScalingOptimum(direction=c / np.linalg.norm(c), rhs=d / sz2)
 
 
 # ---------------------------------------------------------------------------

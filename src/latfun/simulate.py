@@ -666,46 +666,30 @@ def run_k_user_experiment(
 # ---------------------------------------------------------------------------
 # Entropy sandwich
 
+# 0.5 log2(2 pi e q) - 0.5 log2(12 q): the Gaussian bound over the uniform entropy
+_HALF_LOG2_GAUSS_OVER_UNIFORM = 0.5 * math.log2(2.0 * math.pi * math.e / 12.0)
 
-def epi_entropy_sandwich(q1: float, q2: float, samples: int = 120_001):
-    """Bounds and numeric value of the entropy of a two-uniform difference.
+
+def epi_entropy_sandwich(q1: float, q2: float):
+    """Bounds and exact value of the entropy of a two-uniform difference.
 
     For independent uniform dither noises of variances q1 and q2 at n = 1,
-    the difference has a trapezoidal density. Returns (lower, estimate,
-    upper) in bits: the entropy-power combination of the two interval
-    entropies, the numerically integrated entropy of the exact density, and
-    the Gaussian max-entropy bound at the same variance.
+    the difference of uniforms of widths a >= b (w = sqrt(12 q)) has a
+    trapezoidal density, whose entropy is ln a + b / (2a) nats. Returns
+    (lower, estimate, upper) in bits: the entropy-power combination of the
+    two interval entropies, that exact entropy, and the Gaussian
+    max-entropy bound at the same variance. All three are log2 of the wider
+    width plus terms in the ratio of the variances, so they stay finite and
+    ordered for every positive finite pair.
     """
-    from scipy.integrate import simpson  # importing it costs about 0.6 s
-
-    if q1 <= 0 or q2 <= 0:
-        raise NonPositiveQ("q1 and q2 must be positive")
-    s1 = math.sqrt(12.0 * q1)
-    s2 = math.sqrt(12.0 * q2)
-    big, small = max(s1, s2), min(s1, s2)
-    half_top = (big - small) / 2.0
-    half_support = (big + small) / 2.0
-    lower = 0.5 * math.log2(s1 * s1 + s2 * s2)
-    upper = 0.5 * math.log2(2.0 * math.pi * math.e * (q1 + q2))
-
-    def neg_f_log_f(xs: np.ndarray) -> np.ndarray:
-        f = np.where(
-            np.abs(xs) <= half_top,
-            1.0 / big,
-            (half_support - np.abs(xs)) / (small * big),
-        )
-        f = np.clip(f, 0.0, None)
-        out = np.zeros_like(f)
-        mask = f > 0
-        out[mask] = -f[mask] * np.log2(f[mask])
-        return out
-
-    seg = max(samples // 3 | 1, 2001)
-    estimate = 0.0
-    segments = [(-half_support, -half_top), (-half_top, half_top), (half_top, half_support)]
-    for lo, hi in segments:
-        if hi - lo <= 0:
-            continue
-        xs = np.linspace(lo, hi, seg)
-        estimate += float(simpson(neg_f_log_f(xs), x=xs))
+    if not (0.0 < q1 < math.inf and 0.0 < q2 < math.inf):
+        raise NonPositiveQ("q1 and q2 must be positive and finite")
+    big, small = max(q1, q2), min(q1, q2)
+    mantissa, exponent = math.frexp(big)
+    log2_width = 0.5 * (exponent + math.log2(12.0 * mantissa))  # log2 sqrt(12 big), exactly scaled
+    ratio = small / big
+    half_log2_sum = 0.5 * math.log1p(ratio) / math.log(2.0)  # 0.5 log2((q1 + q2) / big)
+    lower = log2_width + half_log2_sum
+    estimate = log2_width + math.sqrt(ratio) / (2.0 * math.log(2.0))
+    upper = log2_width + (_HALF_LOG2_GAUSS_OVER_UNIFORM + half_log2_sum)
     return lower, estimate, upper

@@ -8,6 +8,7 @@ that library closed forms are checked against a second route.
 import math
 
 import numpy as np
+from scipy.integrate import simpson
 
 
 def bt_sum_rate_grid(rho, c, d, grid=400):
@@ -105,3 +106,52 @@ def lattice_sum_rate_oracle(sz2, d, n=400001):
     rhs = d / sz2 - 2.0 ** (-2 * r1)
     ok = rhs > 0
     return float(np.min(r1[ok] - 0.5 * np.log2(rhs[ok])))
+
+
+def epi_entropy_quadrature(q1, q2):
+    """Entropy in bits of the difference of two uniforms of variances q1, q2.
+
+    Simpson's rule on 40,001 points over each of the trapezoidal density's
+    three linear pieces.
+    """
+    s1 = math.sqrt(12.0 * q1)
+    s2 = math.sqrt(12.0 * q2)
+    big, small = max(s1, s2), min(s1, s2)
+    half_top = (big - small) / 2.0
+    half_support = (big + small) / 2.0
+
+    def neg_f_log_f(xs):
+        f = np.where(
+            np.abs(xs) <= half_top,
+            1.0 / big,
+            (half_support - np.abs(xs)) / (small * big),
+        )
+        f = np.clip(f, 0.0, None)
+        out = np.zeros_like(f)
+        mask = f > 0
+        out[mask] = -f[mask] * np.log2(f[mask])
+        return out
+
+    entropy = 0.0
+    segments = [(-half_support, -half_top), (-half_top, half_top), (half_top, half_support)]
+    for lo, hi in segments:
+        if hi - lo <= 0:
+            continue
+        xs = np.linspace(lo, hi, 40_001)
+        entropy += float(simpson(neg_f_log_f(xs), x=xs))
+    return entropy
+
+
+def sphere_directions(k, n):
+    """n deterministic, near-uniform unit vectors: a circle grid (k = 2) or a
+    Fibonacci sphere (k = 3)."""
+    if k == 2:
+        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if k == 3:
+        i = np.arange(n) + 0.5
+        phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+        z = 1.0 - 2.0 * i / n
+        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    raise ValueError("direction grids exist for k = 2 and k = 3")

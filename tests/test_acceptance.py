@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import bt_sum_rate_oracle
+from oracles import bt_sum_rate_oracle, epi_entropy_quadrature, sphere_directions
 
 import latfun
 from latfun import (
@@ -212,6 +212,7 @@ def test_criterion_08_construction_a():
 
 def test_criterion_09_entropy_sandwich():
     rng = np.random.default_rng(909)
+    worst = 0.0
     for _ in range(50):
         q1 = float(10 ** rng.uniform(-4, 2))
         q2 = float(10 ** rng.uniform(-4, 2))
@@ -220,10 +221,13 @@ def test_criterion_09_entropy_sandwich():
         if q1 > 1e-6 and q2 > 1e-6:
             assert est - lower > 1e-9
             assert upper - est > 1e-9
+        worst = max(worst, abs(est - epi_entropy_quadrature(q1, q2)))
+    assert worst <= 1e-9
     _, tri, _ = epi_entropy_sandwich(1.0 / 12.0, 1.0 / 12.0)
-    assert tri == pytest.approx(0.5 / math.log(2.0), abs=1e-6)
-    _report(9, "50 random pairs: lower <= estimate <= upper with strict "
-               "ordering; triangle entropy matches 1/2 nat to 1e-6 bits")
+    assert tri == 0.5 / math.log(2.0)
+    _report(9, f"50 random pairs: lower <= estimate <= upper with strict "
+               f"ordering; closed form within {worst:.1e} bits of Simpson "
+               f"quadrature; triangle entropy exactly 1/2 nat")
 
 
 def test_criterion_10_scaling_optimality():
@@ -236,7 +240,7 @@ def test_criterion_10_scaling_optimality():
         assert abs(scaled - base) <= 1e-12
 
     checked = 0
-    for k in (2, 3):
+    for k in (2, 3, 4, 6):
         for _ in range(3):
             a = rng.normal(size=(k, k))
             cov = a @ a.T + 0.5 * np.eye(k)
@@ -245,13 +249,21 @@ def test_criterion_10_scaling_optimality():
             coeffs = rng.normal(size=k)
             model_k = SourceModel(cov, coeffs)
             d = 0.5 * latfun.function_variance(model_k)
-            opt = optimal_scaling(model_k, d, directions=1024)
-            grid = latfun.regions._sphere_directions(k, 1024)
+            opt = optimal_scaling(model_k, d)
+            exact = d / latfun.function_variance(model_k)
+            assert opt.rhs == exact
+            assert abs(scaling_region_rhs(model_k, d, opt.direction) - exact) <= 1e-12
             unit = coeffs / np.linalg.norm(coeffs)
-            angles = np.arccos(np.clip(np.abs(grid @ unit), 0.0, 1.0))
-            best_angle = math.acos(min(abs(float(opt.direction @ unit)), 1.0))
-            assert best_angle <= float(np.min(angles)) + 1e-12
+            assert min(np.max(np.abs(opt.direction - unit)),
+                       np.max(np.abs(opt.direction + unit))) <= 1e-12
+            if k <= 3:
+                for direction in sphere_directions(k, 1024):
+                    try:
+                        rhs = scaling_region_rhs(model_k, d, direction)
+                    except latfun.OrthogonalScaling:
+                        continue
+                    assert opt.rhs >= rhs
             checked += 1
     _report(10, f"RHS exactly invariant under 50 random rescalings (1e-12); "
-                f"{checked} angular grid searches (K=2,3; 1024 directions) "
-                f"maximized at the grid direction nearest +/- c")
+                f"{checked} exact optima (K=2,3,4,6) along +/- c with RHS D/Var(Z), "
+                f"none beaten by a 1024-direction grid (K=2,3)")

@@ -440,6 +440,8 @@ def test_lattice_diagonal_moment_at_the_edge_of_the_range():
 
 def test_import_leaves_scipy_out():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import latfun, latfun.cli; "
+            "latfun.epi_entropy_sandwich(0.3, 0.02); "
+            "latfun.optimal_scaling(latfun.two_user_model(0.8, 0.8), 0.1); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code, _SRC], capture_output=True, text=True,
                           timeout=60)

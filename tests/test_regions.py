@@ -424,7 +424,7 @@ def test_scaling_rhs_at_function_direction():
     assert got == pytest.approx(0.1 / 0.36, abs=1e-12)
 
 
-@given(xi=st.floats(-100.0, 100.0).filter(lambda v: abs(v) > 1e-3))
+@given(xi=st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300)))
 @settings(max_examples=60, deadline=None)
 def test_scaling_rhs_scale_invariant(xi):
     base = scaling_region_rhs(M88, 0.1, [1.0, -0.8])
@@ -449,11 +449,33 @@ def test_scaling_orthogonal_direction_rejected():
         scaling_region_rhs(M88, 0.1, orth)
 
 
+def test_scaling_rejects_bad_distortion_and_eta():
+    for d in (math.nan, math.inf, -1.0, 0.0, 0.36, 10.0):
+        with pytest.raises(DistortionOutOfRange):
+            scaling_region_rhs(M88, d, [1.0, -0.8])
+        with pytest.raises(DistortionOutOfRange):
+            optimal_scaling(M88, d)
+    for eta in ([math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            scaling_region_rhs(M88, 0.1, eta)
+
+
 def test_optimal_scaling_grid_two_user():
-    opt = optimal_scaling(M88, 0.1, directions=1024)
+    opt = optimal_scaling(M88, 0.1)
     c_unit = np.array([1.0, -0.8]) / np.linalg.norm([1.0, -0.8])
     cosang = abs(float(opt.direction @ c_unit))
     assert math.acos(min(cosang, 1.0)) < 2 * math.pi / 1024 + 1e-9
+
+
+def test_scaling_at_huge_coefficients():
+    # |c|^2 = 2e320 overflows, but c Sigma c^T = 2.7e304 does not.
+    rho = 0.9999999999999999
+    model = SourceModel(np.array([[1.0, rho], [rho, 1.0]]), np.array([1e160, -1e160]))
+    d = 0.5 * float(model.coeffs @ model.cov @ model.coeffs)
+    opt = optimal_scaling(model, d)
+    assert np.allclose(opt.direction, [math.sqrt(0.5), -math.sqrt(0.5)], rtol=0, atol=1e-15)
+    assert opt.rhs == pytest.approx(0.5, rel=1e-15)
+    assert scaling_region_rhs(model, d, model.coeffs) == pytest.approx(0.5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+
+from oracles import epi_entropy_quadrature
 
 from latfun import (
     DegenerateSideInfo,
@@ -536,21 +539,16 @@ def test_epi_triangle_case():
     assert lower == pytest.approx(0.5, abs=1e-12)
     assert upper == pytest.approx(0.5 * math.log2(2 * math.pi * math.e / 6.0), abs=1e-12)
     # Triangular density on [-1, 1]: entropy is 1/2 nat.
-    assert est == pytest.approx(0.5 / math.log(2.0), abs=1e-6)
+    assert est == 0.5 / math.log(2.0)
     assert lower < est < upper
 
 
 def test_epi_matches_trapezoid_closed_form(rng):
-    # h = ln(max) + min / (2 max) nats for the difference of two uniforms
-    # with widths max >= min.
     for _ in range(10):
         q1 = float(10 ** rng.uniform(-3, 1))
         q2 = float(10 ** rng.uniform(-3, 1))
         _, est, _ = epi_entropy_sandwich(q1, q2)
-        s1, s2 = math.sqrt(12 * q1), math.sqrt(12 * q2)
-        big, small = max(s1, s2), min(s1, s2)
-        closed = (math.log(big) + small / (2 * big)) / math.log(2.0)
-        assert est == pytest.approx(closed, abs=1e-9)
+        assert est == pytest.approx(epi_entropy_quadrature(q1, q2), abs=1e-9)
 
 
 def test_epi_degenerate_second_noise():
@@ -566,8 +564,30 @@ def test_epi_strictly_ordered_for_equal_noise():
 
 
 def test_epi_rejects_nonpositive():
-    with pytest.raises(NonPositiveQ):
-        epi_entropy_sandwich(0.0, 0.1)
+    for bad in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        for q1, q2 in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(NonPositiveQ, match="positive and finite"):
+                epi_entropy_sandwich(q1, q2)
+
+
+_EXTREME_Q = [5e-324, 1e-320, sys.float_info.min, 1e-300, 1e-14, 1.0, 1e300, 1e307,
+              sys.float_info.max]
+
+
+@pytest.mark.parametrize("q2", _EXTREME_Q)
+@pytest.mark.parametrize("q1", _EXTREME_Q)
+def test_epi_finite_and_ordered_at_extreme_q(q1, q2):
+    lower, est, upper = epi_entropy_sandwich(q1, q2)
+    assert all(map(math.isfinite, (lower, est, upper)))
+    assert lower <= est <= upper
+    # The direct forms, where they neither overflow nor round 12 q or
+    # 2 pi e (q1 + q2) to a subnormal.
+    total = q1 + q2
+    if min(q1, q2) >= sys.float_info.min and 2 * math.pi * math.e * total < math.inf:
+        s1, s2 = math.sqrt(12 * q1), math.sqrt(12 * q2)
+        assert lower == pytest.approx(0.5 * math.log2(s1 * s1 + s2 * s2), rel=0, abs=1e-13)
+        assert upper == pytest.approx(0.5 * math.log2(2 * math.pi * math.e * total),
+                                      rel=0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
