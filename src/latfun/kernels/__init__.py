@@ -6,8 +6,9 @@ Discrete Math. 2009): each row starts at Babai's nearest-plane point and
 repeatedly adds the Voronoi-relevant vector that brings it closest to its
 target, until no relevant vector helps. Rows that end on a Voronoi boundary
 (a tie within tolerance) go to the scalar Schnorr-Euchner search of
-``_sphere_py``, which is the reference for ties, so the slicer returns its
-integer coordinates, ties included.
+``_sphere_py``, which is the reference for ties. It searches around the
+slicer's point, so its tie tolerance follows the residual's norm rather than
+the target's and ties do not change under translation by lattice vectors.
 
 The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
 targets and residuals are ``(n, m)`` arrays, one column per target, and the
@@ -31,7 +32,7 @@ BACKEND = "python"
 # Rows per slicer block: bounds the (rows x relevant vectors) gain matrix.
 BLOCK_ROWS = 2048
 # Relative tolerance for ties, both in the slicer's gains (scaled by
-# max(1, |target|^2), like the scalar search's) and in the relevance test.
+# max(1, |target|^2)) and in the relevance test.
 _TIE_TOL = 1e-9
 
 
@@ -91,9 +92,14 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
         ties.append(start + tied)
     ties = np.concatenate(ties)
     if ties.size:
+        # Search around the slicer's point, so the scalar search's tie
+        # tolerance scales with the residual, not with the target: a point
+        # and its translates by lattice vectors then see the same ties.
+        base = out[ties]
+        resid = targets[ties] - base @ r_mat.T
         tied_out = np.zeros((ties.size, targets.shape[1]), dtype=np.longlong)
-        _sphere_py.nearest_point_batch(r_mat, targets[ties], tied_out)
-        out[ties] = tied_out
+        _sphere_py.nearest_point_batch(r_mat, resid, tied_out)
+        out[ties] = base + tied_out
     return out.astype(np.int64, copy=False)
 
 

@@ -1,10 +1,10 @@
 """Pure-Python closest-point search (Schnorr-Euchner enumeration), one row
 at a time.
 
-This scalar search is the reference for the answer, ties included: the numpy
-slicer in ``kernels`` returns the same coordinates. It runs only where the
-slicer needs it: on rows the slicer leaves on a Voronoi boundary, and to find
-each lattice's relevant vectors.
+This scalar search is the reference for the answer, ties included. It runs
+only where the numpy slicer in ``kernels`` needs it: on rows the slicer leaves
+on a Voronoi boundary (translated by the slicer's point), and to find each
+lattice's relevant vectors.
 """
 
 import numpy as np

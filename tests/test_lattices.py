@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -93,6 +93,10 @@ def test_quantizer_consistency(rng):
     x0=st.floats(-20, 20), x1=st.floats(-20, 20),
     y0=st.floats(-20, 20), y1=st.floats(-20, 20),
 )
+# Near-ties that a tie tolerance growing with |x + y| resolved differently
+# on the two sides.
+@example(x0=1.0, x1=0.0, y0=11.000000000067127, y1=1.0)
+@example(x0=1e-12, x1=5.0, y0=0.0, y1=1.0)
 def test_distributive_law_hexagonal(x0, x1, y0, y1):
     x = np.array([x0, x1])
     y = np.array([y0, y1])
@@ -249,13 +253,10 @@ def test_non_finite_target_rejected(lat, bad):
             call(lat, np.array([[bad, 0.3], [0.25, 0.5]]))
 
 
-@pytest.mark.xfail(strict=True, reason="the search's tie tolerances grow as |y|^2 "
-                   "(ROADMAP open item 2): at 3e7 the scalar search takes any point "
-                   "within squared distance 900 of the best as tied")
 def test_far_target_reduces_into_the_voronoi_cell():
-    # The nearest A2 point of (3e7, 0.3) is (3e7, 0), so the error is (0, 0.3);
-    # the search returns (28.5, -9.23), far outside the cell (covering radius
-    # 1/sqrt(3)).
+    # The nearest A2 point of (3e7, 0.3) is (3e7, 0), so the error is (0, 0.3).
+    # A tie search around the target itself, with a tolerance of 1e-12 |y|^2,
+    # returned (28.5, -9.23), far outside the cell (covering radius 1/sqrt(3)).
     err = mod_lattice(A2, [[3e7, 0.3]])[0]
     assert np.linalg.norm(err) <= 1.0 / math.sqrt(3.0) + 1e-9
 
