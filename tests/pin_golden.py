@@ -1,7 +1,18 @@
-"""Rewrite the golden sweep pins that ``tests/test_golden.py`` checks.
+"""Rewrite the golden pins that ``tests/test_golden.py`` checks.
 
-Each case runs ``latfun sweep`` in-process through ``latfun.cli.main`` and
-pins the sha256 of the CSV it writes. Run from the repository root:
+Three groups of cases, each pinned as sha256 digests in ``tests/golden/``:
+
+- ``sweep.json``: ``latfun sweep`` run in-process through
+  ``latfun.cli.main``, the digest of the CSV it writes;
+- ``closest_point.json``: the bytes of ``nearest_point_coords`` and
+  ``mod_lattice`` on one fixed random basis per n = 2..8, for Gaussian
+  targets and for targets at half-integer coordinates (Voronoi ties);
+- ``codecs.json``: ``SimReport.to_json()`` of the A2 and D4 two-user codecs,
+  built as ``perfbench/workloads.py`` builds them, at two seeds with the
+  default chunk, 300-trial chunks and a fixed dither. The test runs each
+  case at ``LATFUN_THREADS`` 1 and 2; this script pins the 1-thread run.
+
+Run from the repository root:
 
     PYTHONPATH=src python tests/pin_golden.py
 
@@ -11,8 +22,10 @@ and the reason, in CHANGES.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -20,8 +33,20 @@ from pathlib import Path
 import numpy as np
 
 from latfun.cli import main
+from latfun.gaussian import two_user_model
+from latfun.lattices import (
+    Lattice,
+    hexagonal_lattice,
+    mod_lattice,
+    nearest_point_coords,
+    second_moment,
+)
+from latfun.simulate import build_two_user_codec, run_two_user_experiment
 
-PINS = Path(__file__).resolve().parent / "golden" / "sweep.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PINS = GOLDEN / "sweep.json"
+CLOSEST_POINT_PINS = GOLDEN / "closest_point.json"
+CODEC_PINS = GOLDEN / "codecs.json"
 
 # name -> arguments of ``latfun sweep`` after ``--out PATH``
 CASES = {
@@ -39,6 +64,26 @@ CASES = {
                       "--d-count", "33"],
 }
 
+# n-targets-op, e.g. ``n5-halves-mod``
+CLOSEST_POINT_ROWS = 256
+CLOSEST_POINT_OPS = {"coords": nearest_point_coords, "mod": mod_lattice}
+CLOSEST_POINT_CASES = [
+    f"n{n}-{targets}-{op}"
+    for n in range(2, 9) for targets in ("gaussian", "halves") for op in CLOSEST_POINT_OPS
+]
+
+# lattice-seed-setting, e.g. ``d4-seed7-chunk300``; keyword arguments of
+# ``run_two_user_experiment`` per setting
+CODEC_TRIALS = {"a2": 1024, "d4": 512}
+CODEC_SETTINGS = {"default": {}, "chunk300": {"chunk_size": 300}, "fixed-dither": {"fixed_dither": True}}
+CODEC_CASES = [
+    f"{tag}-seed{seed}-{setting}"
+    for tag in CODEC_TRIALS for seed in (0, 7) for setting in CODEC_SETTINGS
+]
+
+D4_GEN = np.array([[2.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
 
 def sweep_digest(args, out_dir) -> str:
     """sha256 of the CSV that ``latfun sweep --out ... *args`` writes."""
@@ -49,12 +94,73 @@ def sweep_digest(args, out_dir) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _closest_point_inputs(n: int):
+    """(lattice, {targets kind: (rows, n) array}) for dimension ``n``: a
+    random basis with condition number below 6, Gaussian targets spread over
+    a few cells, and points ``G @ (u / 2)`` with integer ``u``."""
+    rng = np.random.default_rng([n, 0x6370])
+    while True:
+        gen = rng.normal(size=(n, n))
+        if np.linalg.cond(gen) < 6.0:
+            break
+    gaussian = rng.normal(scale=2.0, size=(CLOSEST_POINT_ROWS, n)) @ gen.T
+    halves = 0.5 * rng.integers(-4, 5, size=(CLOSEST_POINT_ROWS, n)) @ gen.T
+    return Lattice(gen), {"gaussian": gaussian, "halves": halves}
+
+
+def closest_point_digest(name: str) -> str:
+    """sha256 of the output bytes of one closest-point case."""
+    dim, targets, op = name.split("-")
+    lat, inputs = _closest_point_inputs(int(dim[1:]))
+    out = CLOSEST_POINT_OPS[op](lat, inputs[targets])
+    return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _codecs():
+    """The benchmark's A2 and D4 two-user codecs (moment set-up 0)."""
+    rng = np.random.default_rng([0, 0x5350])
+    model = two_user_model(0.8, 0.8)
+    codecs = {}
+    for tag, base, samples in (("a2", hexagonal_lattice(), 20_000), ("d4", Lattice(D4_GEN), 10_000)):
+        est = second_moment(base, samples, rng)
+        codecs[tag] = build_two_user_codec(
+            model, 0.1, 0.06, n=base.dim, margin=2.0, base_lattice=base.with_moment(est))
+    return codecs
+
+
+def codec_json(name: str, threads: int) -> str:
+    """``SimReport.to_json()`` of one codec case at ``LATFUN_THREADS=threads``."""
+    tag, seed, setting = name.split("-", 2)
+    saved = os.environ.get("LATFUN_THREADS")
+    os.environ["LATFUN_THREADS"] = str(threads)
+    try:
+        rep = run_two_user_experiment(_codecs()[tag], CODEC_TRIALS[tag], int(seed[4:]),
+                                      **CODEC_SETTINGS[setting])
+    finally:
+        if saved is None:
+            del os.environ["LATFUN_THREADS"]
+        else:
+            os.environ["LATFUN_THREADS"] = saved
+    return rep.to_json()
+
+
+def codec_digest(name: str, threads: int) -> str:
+    return hashlib.sha256(codec_json(name, threads).encode()).hexdigest()
+
+
+def _write(path: Path, pins: dict):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({"numpy": np.__version__, "sha256": pins}, indent=2) + "\n")
+    print(f"wrote {len(pins)} pins to {path}")
+
+
 def main_pin() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        pins = {name: sweep_digest(args, tmp) for name, args in CASES.items()}
-    PINS.parent.mkdir(exist_ok=True)
-    PINS.write_text(json.dumps({"numpy": np.__version__, "sha256": pins}, indent=2) + "\n")
-    print(f"wrote {len(pins)} pins to {PINS}")
+        _write(PINS, {name: sweep_digest(args, tmp) for name, args in CASES.items()})
+    _write(CLOSEST_POINT_PINS, {name: closest_point_digest(name) for name in CLOSEST_POINT_CASES})
+    _write(CODEC_PINS, {name: codec_digest(name, 1) for name in CODEC_CASES})
     return 0
 
 

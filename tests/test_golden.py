@@ -1,8 +1,9 @@
-"""Golden outputs: each pinned sweep CSV must stay byte-identical.
+"""Golden outputs: each pinned case must stay byte-identical.
 
-The pins are sha256 digests in ``tests/golden/sweep.json``, written by
-``tests/pin_golden.py``. numpy or BLAS builds can move low-order bits, so a
-failure names the case and both numpy versions.
+The pins are sha256 digests in ``tests/golden/``, written by
+``tests/pin_golden.py``: the sweep CSVs, the closest-point layer's outputs
+and the A2/D4 two-user codec reports. numpy or BLAS builds can move
+low-order bits, so a failure names the case and both numpy versions.
 """
 
 import json
@@ -10,13 +11,32 @@ import json
 import numpy as np
 import pytest
 
-from pin_golden import CASES, PINS, sweep_digest
+from pin_golden import (
+    CASES,
+    CLOSEST_POINT_CASES,
+    CLOSEST_POINT_PINS,
+    CODEC_CASES,
+    CODEC_PINS,
+    PINS,
+    closest_point_digest,
+    codec_digest,
+    sweep_digest,
+)
 
 _PINNED = json.loads(PINS.read_text())
+_CLOSEST_POINT = json.loads(CLOSEST_POINT_PINS.read_text())
+_CODECS = json.loads(CODEC_PINS.read_text())
+
+
+def _mismatch(kind, name, got, pinned):
+    return (f"{kind} case {name!r} gave sha256 {got}, pinned {pinned['sha256'].get(name)}; "
+            f"numpy {np.__version__} here, pins taken with numpy {pinned['numpy']}")
 
 
 def test_pins_cover_every_case():
     assert sorted(_PINNED["sha256"]) == sorted(CASES)
+    assert sorted(_CLOSEST_POINT["sha256"]) == sorted(CLOSEST_POINT_CASES)
+    assert sorted(_CODECS["sha256"]) == sorted(CODEC_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -29,3 +49,17 @@ def test_sweep_csv_matches_pin(tmp_path, capsys, name):
         f"{got}, pinned {want}; numpy {np.__version__} here, pins taken with numpy "
         f"{_PINNED['numpy']}"
     )
+
+
+@pytest.mark.parametrize("name", CLOSEST_POINT_CASES)
+def test_closest_point_matches_pin(name):
+    got = closest_point_digest(name)
+    assert got == _CLOSEST_POINT["sha256"].get(name), _mismatch(
+        "closest-point", name, got, _CLOSEST_POINT)
+
+
+@pytest.mark.parametrize("name", CODEC_CASES)
+def test_codec_report_matches_pin_at_one_and_two_threads(name):
+    one, two = codec_digest(name, 1), codec_digest(name, 2)
+    assert one == two, f"codec case {name!r}: LATFUN_THREADS 1 and 2 disagree"
+    assert one == _CODECS["sha256"].get(name), _mismatch("codec", name, one, _CODECS)
