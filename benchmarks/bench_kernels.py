@@ -3,9 +3,10 @@
 The closest-point search dominates Monte Carlo runs on non-diagonal lattices
 (dither sampling, moment estimation, block quantization). This times the
 public ``kernels.nearest_point_batch`` (the numpy slicer) beside the scalar
-pure-Python search, on batches of increasing dimension. The public path is
-timed twice: with the lattice's relevant vectors precomputed, as
-``lattices`` calls it, and without, which adds their computation to the call.
+pure-Python search (``kernels.closest_coords``, row by row), on batches of
+increasing dimension. The public path is timed twice: with the lattice's
+relevant vectors precomputed, as ``lattices`` calls it, and without, which
+adds their computation to the call.
 ``--batch`` takes a comma-separated list of batch sizes. The default covers
 the codec's calls (1,024 A2 rows and 256 D4 rows per call), where per-call
 overhead sets the cost, and 20,000 rows, where the arithmetic does.
@@ -19,18 +20,12 @@ import time
 import numpy as np
 
 from latfun import kernels
-from latfun.kernels import _sphere_py
 
 
 def _prepare(gen, rng, batch):
-    q, r = np.linalg.qr(gen)
-    s = np.sign(np.diag(r))
-    s[s == 0] = 1.0
-    r = np.ascontiguousarray(s[:, None] * r)
-    q = q * s[None, :]
+    q, r = kernels.qr_factor(gen)
     x = rng.normal(scale=2.0, size=(batch, gen.shape[0])) @ gen.T
-    y = np.ascontiguousarray(x @ q)
-    return r, y
+    return r, x @ q
 
 
 def _time(run, repeats):
@@ -44,9 +39,7 @@ def _time(run, repeats):
 
 def _scalar(r, y):
     def run():
-        out = np.zeros(y.shape, dtype=np.longlong)
-        _sphere_py.nearest_point_batch(r, y, out)
-        return out
+        return np.array([kernels.closest_coords(r, row) for row in y], dtype=np.int64)
 
     return run
 

@@ -1,14 +1,19 @@
 """Closest-point search: the vectorized slicer and its scalar tie search.
 
+Every search here works in the frame of ``qr_factor``: the generator is
+``G = Q R`` with R upper-triangular with a positive diagonal, the lattice is
+``{R @ u : u integer}``, and targets are rotated by ``Q.T``.
+
 ``nearest_point_batch`` runs a numpy *iterative slicer* (Sommer, Feder and
 Shalvi, "Finding the closest lattice point by iterative slicing", SIAM J.
 Discrete Math. 2009): each row starts at Babai's nearest-plane point and
 repeatedly adds the Voronoi-relevant vector that brings it closest to its
 target, until no relevant vector helps. Rows that end on a Voronoi boundary
-(a tie within tolerance) go to the scalar Schnorr-Euchner search of
-``_sphere_py``, which is the reference for ties. It searches around the
-slicer's point, so its tie tolerance follows the residual's norm rather than
-the target's and ties do not change under translation by lattice vectors.
+(a tie within tolerance) go to ``closest_coords``, the scalar
+Schnorr-Euchner search, which is the reference for ties. It searches around
+the slicer's point, so its tie tolerance follows the residual's norm rather
+than the target's and ties do not change under translation by lattice
+vectors.
 
 The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
 targets and residuals are ``(n, m)`` arrays, one column per target, and the
@@ -23,9 +28,9 @@ product of the movers alone, which is cheaper than gathering columns of the
 ``(k, m)`` gains when ``k`` reaches the hundreds (n = 8).
 """
 
-import numpy as np
+import math
 
-from . import _sphere_py
+import numpy as np
 
 BACKEND = "python"
 
@@ -34,6 +39,17 @@ BLOCK_ROWS = 2048
 # Relative tolerance for ties, both in the slicer's gains (scaled by
 # max(1, |target|^2)) and in the relevance test.
 _TIE_TOL = 1e-9
+# Relative tolerance for ties in the scalar search.
+_SCALAR_TIE_TOL = 1e-12
+
+
+def qr_factor(gen: np.ndarray):
+    """``(Q, R)`` with ``gen = Q @ R`` and R upper-triangular with a positive
+    diagonal."""
+    q, r = np.linalg.qr(gen)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs, signs[:, None] * r
 
 
 def relevant_vectors(r_mat: np.ndarray) -> np.ndarray:
@@ -50,10 +66,8 @@ def relevant_vectors(r_mat: np.ndarray) -> np.ndarray:
     r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
     n = r_mat.shape[0]
     cosets = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
-    half = np.ascontiguousarray(0.5 * cosets @ r_mat.T)
-    u = np.zeros(half.shape, dtype=np.longlong)
-    _sphere_py.nearest_point_batch(r_mat, half, u)
-    cand = cosets - 2 * u.astype(np.int64)
+    half = 0.5 * cosets @ r_mat.T
+    cand = cosets - 2 * np.array([closest_coords(r_mat, row) for row in half], dtype=np.int64)
     gram = r_mat.T @ r_mat
     inner = np.abs(cand @ gram @ cand.T)
     norms = np.diag(inner).copy()
@@ -66,16 +80,15 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
                         relevant=None) -> np.ndarray:
     """Integer coordinates of the closest lattice points, row per target.
 
-    ``r_mat`` is the upper-triangular generator factor with positive diagonal
-    and ``targets`` the already rotated query points (``Q.T @ x`` rows).
-    ``relevant`` holds the lattice's ``relevant_vectors(r_mat)``; they are
-    computed when it is omitted.
+    ``r_mat`` is the R of ``qr_factor`` and ``targets`` the already rotated
+    query points (``Q.T @ x`` rows). ``relevant`` holds the lattice's
+    ``relevant_vectors(r_mat)``; they are computed when it is omitted.
     Ties on Voronoi boundaries resolve to the lexicographically smallest
     integer coordinate vector.
     """
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
-    out = np.zeros(targets.shape, dtype=np.longlong)
+    out = np.empty(targets.shape, dtype=np.int64)
     if relevant is None:
         relevant = relevant_vectors(r_mat)
     steps = relevant @ r_mat.T
@@ -97,10 +110,8 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
         # and its translates by lattice vectors then see the same ties.
         base = out[ties]
         resid = targets[ties] - base @ r_mat.T
-        tied_out = np.zeros((ties.size, targets.shape[1]), dtype=np.longlong)
-        _sphere_py.nearest_point_batch(r_mat, resid, tied_out)
-        out[ties] = base + tied_out
-    return out.astype(np.int64, copy=False)
+        out[ties] = base + np.array([closest_coords(r_mat, row) for row in resid], dtype=np.int64)
+    return out
 
 
 def _slice(r_mat, y, relevant, steps, lift):
@@ -134,6 +145,57 @@ def _slice(r_mat, y, relevant, steps, lift):
         best = (resid.T @ lift.T).argmax(axis=1)
         coords[cols] += relevant[best]
         resid[:n] -= steps[best].T
+
+
+def closest_coords(r_mat: np.ndarray, y: np.ndarray) -> list:
+    """Integer coordinates of the lattice point closest to one rotated target
+    ``y``, by Schnorr-Euchner enumeration; the reference for the answer, ties
+    included. Ties resolve to the lexicographically smallest coordinates."""
+    n = len(y)
+    u = [0] * n          # current integer coordinate at each level
+    step = [0] * n       # next zig-zag increment
+    b = [0.0] * n        # y[i] - sum_{j>i} R[i,j] u[j]
+    dist = [0.0] * n     # cost accumulated strictly above level i
+    best, best_u = math.inf, None
+    tol = _SCALAR_TIE_TOL * max(1.0, float(y @ y))
+
+    i = n - 1
+    b[i] = y[i]
+    _enter(u, step, b, r_mat, i)
+    while True:
+        e = b[i] - r_mat[i, i] * u[i]
+        d = dist[i] + e * e
+        if d <= best + tol:
+            if i == 0:
+                if best_u is None or d < best - tol or u < best_u:
+                    best, best_u = min(best, d), u[:]
+                _advance(u, step, i)
+            else:
+                i -= 1
+                dist[i] = d
+                acc = y[i]
+                for j in range(i + 1, n):
+                    acc -= r_mat[i, j] * u[j]
+                b[i] = acc
+                _enter(u, step, b, r_mat, i)
+        else:
+            i += 1
+            if i == n:
+                return best_u
+            _advance(u, step, i)
+
+
+def _enter(u, step, b, r_mat, i):
+    c = b[i] / r_mat[i, i]
+    ui = int(np.floor(c + 0.5))
+    u[i] = ui
+    step[i] = 1 if c - ui >= 0 else -1
+
+
+def _advance(u, step, i):
+    u[i] += step[i]
+    s = step[i]
+    step[i] = -s - (1 if s > 0 else -1)
 
 
 def available_backends():

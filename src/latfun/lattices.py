@@ -227,11 +227,7 @@ def _round_half_down(y: np.ndarray) -> np.ndarray:
 def _sphere_context(lat: Lattice):
     """``(Q^T, R, relevant vectors)`` of a non-diagonal lattice, cached on it."""
     if lat._sphere is None:
-        q, r = np.linalg.qr(lat.gen)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        r = signs[:, None] * r
-        q = q * signs[None, :]
+        q, r = kernels.qr_factor(lat.gen)
         sphere = (q.T.copy(), r, kernels.relevant_vectors(r))
         object.__setattr__(lat, "_sphere", sphere)
     return lat._sphere
