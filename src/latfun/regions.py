@@ -183,8 +183,8 @@ def _two_user_params(model: SourceModel) -> Tuple[float, float, float, float]:
 def bt_rate_point(model: SourceModel, q1: float, q2: float) -> BtRegionPoint:
     """Individual and sum rate bounds plus distortion at (q1, q2)."""
     rho, c, alpha, sz2 = _two_user_params(model)
-    if q1 <= 0 or q2 <= 0:
-        raise NonPositiveQ("q1 and q2 must be positive")
+    if not (0.0 < q1 < math.inf and 0.0 < q2 < math.inf):
+        raise NonPositiveQ("q1 and q2 must be positive and finite")
     den = (1.0 + q1) * (1.0 + q2) - rho * rho
     r1 = 0.5 * math.log2(den / (q1 * (1.0 + q2)))
     r2 = 0.5 * math.log2(den / (q2 * (1.0 + q1)))
