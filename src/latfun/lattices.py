@@ -172,10 +172,15 @@ class NestedPair:
     def __post_init__(self):
         if self.fine.dim != self.coarse.dim:
             raise DimensionMismatch("fine and coarse dimensions differ")
-        j = np.asarray(self.nesting_matrix)
-        object.__setattr__(self, "nesting_matrix", np.rint(j).astype(np.int64))
+        j = np.asarray(self.nesting_matrix, dtype=np.float64)
+        if j.shape != self.fine.gen.shape:
+            raise DimensionMismatch(f"nesting matrix has shape {j.shape}, not {self.fine.gen.shape}")
         if not verify_nesting(self):
             raise SingularLattice("coarse lattice is not a sublattice of the fine one")
+        # The tolerance of verify_nesting, on the coordinates J of G_coarse.
+        if not np.all(np.abs(np.linalg.solve(self.fine.gen, self.coarse.gen) - j) <= _INT_TOL):
+            raise SingularLattice("nesting matrix J does not satisfy G_fine J = G_coarse")
+        object.__setattr__(self, "nesting_matrix", np.rint(j).astype(np.int64))
 
     @property
     def index(self) -> int:

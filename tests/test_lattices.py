@@ -13,6 +13,7 @@ from latfun import (
     InvalidPrime,
     Lattice,
     MissingMomentEstimate,
+    NestedPair,
     NonFiniteTarget,
     NonPositiveTarget,
     SingularLattice,
@@ -435,6 +436,29 @@ def test_verify_nesting_integer_multiple():
 def test_verify_nesting_rejects_noninteger():
     with pytest.raises(SingularLattice):
         make_pair(integer_lattice(1), integer_lattice(1, 1.5))
+
+
+@pytest.mark.parametrize("j", [
+    3 * np.eye(2),                       # index 9 for a pair of index 4
+    [[2.0, 1.0], [0.0, 2.0]],            # same index, wrong matrix
+    [[2.0, 0.0], [0.0, -2.0]],           # a column of the wrong sign
+    2 * np.eye(2) + 1e-6,                # off by more than the tolerance
+    [[2.0, 0.0], [0.0, np.nan]],
+], ids=["index-9", "off-diagonal", "sign", "inexact", "nan"])
+def test_nested_pair_rejects_a_wrong_nesting_matrix(j):
+    with pytest.raises(SingularLattice, match="G_fine J = G_coarse"):
+        NestedPair(integer_lattice(2), integer_lattice(2, 2.0), np.array(j))
+
+
+def test_nested_pair_rejects_a_nesting_matrix_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        NestedPair(integer_lattice(2), integer_lattice(2, 2.0), 2 * np.eye(3))
+
+
+def test_nested_pair_keeps_a_nesting_matrix_within_tolerance():
+    pair = NestedPair(A2, A2.scaled(3.0), 3 * np.eye(2) + 1e-12)
+    assert pair.nesting_matrix.tolist() == [[3, 0], [0, 3]]
+    assert pair.index == coset_leaders(pair).shape[0] == 9
 
 
 def test_coset_leaders_interval():
