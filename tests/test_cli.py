@@ -234,10 +234,12 @@ _SWEEP_GRIDS = {
     "huge_c": ([0.3, 0.7], [-1e150, 1e150], _geom(0.01, 0.95, 16), False),
     # the rho = 0 cell is not two-user, but keeps no D, so it is skipped
     "skip_non_two_user": ([0.0, 0.5], [-1.0], lambda var_z: np.geomspace(2.5, 2.9, 4), False),
+    # equal D bounds: every grid repeats one D, so no grid is strictly monotone
+    "equal_d_bounds": ([0.3, 0.8], [-1.0, 0.8], _geom(0.4, 0.4, 5), False),
 }
 
 # the grids on which the whole-grid pass cannot run, so the cells go one by one
-_CELL_BY_CELL = {"zero_var", "skip_non_two_user"}
+_CELL_BY_CELL = {"zero_var", "skip_non_two_user", "equal_d_bounds"}
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP_GRIDS))

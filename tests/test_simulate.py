@@ -40,6 +40,7 @@ from latfun.simulate import (
     TwoUserCodec,
     _Accumulator,
     _chunk_rng,
+    _gaussian_factor,
     _run_cells,
     _side_info_plan,
     _sources,
@@ -470,6 +471,30 @@ def test_k_user_moment_checks_match_cell_variances():
     for got, want in zip(rep.cell_moment_checks, expected):
         se = 3.0 * math.sqrt(2.0) * want / math.sqrt(rep.trials)
         assert abs(got - want) < se
+
+
+def test_k_user_on_a_singular_covariance(monkeypatch):
+    # The all-ones covariance has no Cholesky factor, so the sources come
+    # from its eigendecomposition.
+    cov = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    factor = _gaussian_factor(cov)
+    assert np.allclose(factor @ factor.T, cov, atol=1e-12)
+    model = SourceModel(cov, np.array([1.0, -0.8, 0.5]))
+    plan = PartitionPlan(((0, 1), (2,)), (0, 1), (0.05, 0.05, 0.05))
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LATFUN_THREADS", threads)
+        reports.append(run_k_user_experiment(model, plan, n=2, trials=3000, seed=3, margin=2.0,
+                                             chunk_size=1000).to_json())
+    assert reports[0] == reports[1]
+    values = json.loads(reports[0])
+    numbers = [v for key in ("cell_moment_checks", "cell_overload_rates", "rates_bits")
+               for v in values[key]]
+    numbers += [values[key] for key in ("conditional_distortion", "distortion_std_error",
+                                        "dither_moment_check", "empirical_distortion")]
+    assert all(isinstance(v, float) and math.isfinite(v) for v in numbers)
 
 
 def test_cell_moment_check_is_nan_for_a_cell_with_no_clean_trial():
