@@ -163,7 +163,8 @@ class Lattice:
 
 @dataclass(frozen=True)
 class NestedPair:
-    """Fine/coarse lattice pair with verified coarse-in-fine containment."""
+    """Fine/coarse lattice pair with verified coarse-in-fine containment and
+    a nesting matrix checked against both generators."""
 
     fine: Lattice
     coarse: Lattice
@@ -174,7 +175,7 @@ class NestedPair:
             raise DimensionMismatch("fine and coarse dimensions differ")
         j = np.asarray(self.nesting_matrix, dtype=np.float64)
         if j.shape != self.fine.gen.shape:
-            raise DimensionMismatch(f"nesting matrix has shape {j.shape}, not {self.fine.gen.shape}")
+            raise DimensionMismatch(f"nesting matrix shape {j.shape} != {self.fine.gen.shape}")
         if not verify_nesting(self):
             raise SingularLattice("coarse lattice is not a sublattice of the fine one")
         # The tolerance of verify_nesting, on the coordinates J of G_coarse.

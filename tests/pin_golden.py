@@ -75,7 +75,11 @@ CLOSEST_POINT_CASES = [
 # lattice-seed-setting, e.g. ``d4-seed7-chunk300``; keyword arguments of
 # ``run_two_user_experiment`` per setting
 CODEC_TRIALS = {"a2": 1024, "d4": 512}
-CODEC_SETTINGS = {"default": {}, "chunk300": {"chunk_size": 300}, "fixed-dither": {"fixed_dither": True}}
+CODEC_SETTINGS = {
+    "default": {},
+    "chunk300": {"chunk_size": 300},
+    "fixed-dither": {"fixed_dither": True},
+}
 CODEC_CASES = [
     f"{tag}-seed{seed}-{setting}"
     for tag in CODEC_TRIALS for seed in (0, 7) for setting in CODEC_SETTINGS
@@ -123,15 +127,17 @@ def _codecs():
     rng = np.random.default_rng([0, 0x5350])
     model = two_user_model(0.8, 0.8)
     codecs = {}
-    for tag, base, samples in (("a2", hexagonal_lattice(), 20_000), ("d4", Lattice(D4_GEN), 10_000)):
+    bases = (("a2", hexagonal_lattice(), 20_000), ("d4", Lattice(D4_GEN), 10_000))
+    for tag, base, samples in bases:
         est = second_moment(base, samples, rng)
         codecs[tag] = build_two_user_codec(
             model, 0.1, 0.06, n=base.dim, margin=2.0, base_lattice=base.with_moment(est))
     return codecs
 
 
-def codec_json(name: str, threads: int) -> str:
-    """``SimReport.to_json()`` of one codec case at ``LATFUN_THREADS=threads``."""
+def codec_digest(name: str, threads: int) -> str:
+    """sha256 of ``SimReport.to_json()`` of one codec case at
+    ``LATFUN_THREADS=threads``."""
     tag, seed, setting = name.split("-", 2)
     saved = os.environ.get("LATFUN_THREADS")
     os.environ["LATFUN_THREADS"] = str(threads)
@@ -143,11 +149,7 @@ def codec_json(name: str, threads: int) -> str:
             del os.environ["LATFUN_THREADS"]
         else:
             os.environ["LATFUN_THREADS"] = saved
-    return rep.to_json()
-
-
-def codec_digest(name: str, threads: int) -> str:
-    return hashlib.sha256(codec_json(name, threads).encode()).hexdigest()
+    return hashlib.sha256(rep.to_json().encode()).hexdigest()
 
 
 def _write(path: Path, pins: dict):

@@ -113,15 +113,10 @@ def test_bt_rate_point_uncorrelated_factorizes():
 
 
 def test_bt_rate_point_rejects_nonpositive_q():
-    with pytest.raises(NonPositiveQ):
-        bt_rate_point(M88, 0.0, 0.1)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_bt_rate_point_rejects_non_finite_q(bad):
-    for q1, q2 in ((bad, 0.1), (0.1, bad)):
-        with pytest.raises(NonPositiveQ, match="positive and finite"):
-            bt_rate_point(M88, q1, q2)
+    for bad in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        for q1, q2 in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(NonPositiveQ, match="positive and finite"):
+                bt_rate_point(M88, q1, q2)
 
 
 # ---------------------------------------------------------------------------
