@@ -1,6 +1,7 @@
 """Rewrite the golden pins that ``tests/test_golden.py`` checks.
 
-Three groups of cases, each pinned as sha256 digests in ``tests/golden/``:
+Four groups of cases. The first three are pinned as sha256 digests in
+``tests/golden/``:
 
 - ``sweep.json``: ``latfun sweep`` run in-process through
   ``latfun.cli.main``, the digest of the CSV it writes;
@@ -11,6 +12,11 @@ Three groups of cases, each pinned as sha256 digests in ``tests/golden/``:
   built as ``perfbench/workloads.py`` builds them, at two seeds with the
   default chunk, 300-trial chunks and a fixed dither. The test runs each
   case at ``LATFUN_THREADS`` 1 and 2; this script pins the 1-thread run.
+
+The fourth, ``cli.json``, stores the full stdout of ``latfun region``,
+``simulate`` and ``lattice`` cases run in-process through
+``latfun.cli.main``. The test runs each ``simulate`` case at
+``LATFUN_THREADS`` 1 and 2; this script pins the 1-thread run.
 
 Run from the repository root:
 
@@ -23,7 +29,9 @@ and the reason, in CHANGES.md.
 from __future__ import annotations
 
 import functools
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -47,6 +55,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PINS = GOLDEN / "sweep.json"
 CLOSEST_POINT_PINS = GOLDEN / "closest_point.json"
 CODEC_PINS = GOLDEN / "codecs.json"
+CLI_PINS = GOLDEN / "cli.json"
 
 # name -> arguments of ``latfun sweep`` after ``--out PATH``
 CASES = {
@@ -84,6 +93,48 @@ CODEC_CASES = [
     f"{tag}-seed{seed}-{setting}"
     for tag in CODEC_TRIALS for seed in (0, 7) for setting in CODEC_SETTINGS
 ]
+
+# name -> ``latfun`` arguments; ``PLAN`` and ``LATTICE`` stand for the paths
+# of files holding CLI_FILES["PLAN"] and CLI_FILES["LATTICE"]
+CLI_FILES = {
+    "PLAN": '{"partition": [[0, 1], [2]], "order": [1, 0], "q": [0.05, 0.05, 0.05]}',
+    "LATTICE": '{"dim": 2, "gen": [2.0, 1.0, 0.0, 1.5]}',
+}
+_SIM = ["simulate", "--trials", "20000", "--seed", "7"]
+_PLAN = ["--rho", "0.5", "--c", "1,-0.8,0.5", "--plan", "PLAN"]
+_CONSTRUCTION_A = ["lattice", "--op", "construction-a"]
+CLI_CASES = {
+    "region-lattice": ["region", "--scheme", "lattice", "--rho", "0.8", "--c", "0.8", "--d", "0.1"],
+    "region-bt-interior": ["region", "--scheme", "bt", "--d", "0.1"],
+    # past the regime boundary X2 falls silent: q2_star is null
+    "region-bt-silent": ["region", "--scheme", "bt", "--d", "0.3"],
+    "region-bt-negative-c": ["region", "--scheme", "bt", "--c", "-0.5", "--d", "0.3"],
+    "region-kuser": ["region", "--scheme", "kuser", *_PLAN],
+    "simulate-z1": _SIM,
+    "simulate-z1-fixed-dither": [*_SIM, "--fixed-dither"],
+    # two chunks of the default 65,536 trials, so two workers share the run
+    "simulate-z1-two-chunks": ["simulate", "--trials", "70000", "--seed", "7"],
+    "simulate-z4": [*_SIM, "--n", "4"],
+    "simulate-z4-fixed-dither": [*_SIM, "--n", "4", "--fixed-dither"],
+    "simulate-plan": [*_SIM, "--n", "2", *_PLAN],
+    "simulate-side-info": [*_SIM, "--side-info", "0.1", "--d", "0.05", "--q1", "0.02", "--n", "2"],
+    "lattice-nsm-a2": ["lattice", "--lattice", "a2", "--op", "nsm", "--samples", "20000",
+                       "--seed", "2"],
+    "lattice-nsm-file": ["lattice", "--lattice", "LATTICE", "--op", "nsm", "--samples", "20000"],
+    "lattice-moment-zn": ["lattice", "--lattice", "zn", "--dim", "3", "--op", "moment"],
+    "lattice-cosets-a2": ["lattice", "--lattice", "a2", "--op", "cosets", "--nesting", "3"],
+    "lattice-cosets-zn": ["lattice", "--lattice", "zn", "--dim", "2", "--op", "cosets",
+                          "--nesting", "2"],
+    "construction-a-p3-k1-dim2": [*_CONSTRUCTION_A, "--p", "3", "--k", "1", "--dim", "2",
+                                  "--seed", "1"],
+    "construction-a-p5-k2-dim4": [*_CONSTRUCTION_A, "--p", "5", "--k", "2", "--dim", "4"],
+    # the two code rows are dependent: rank 1
+    "construction-a-p2-k2-dim3-rank1": [*_CONSTRUCTION_A, "--p", "2", "--k", "2", "--dim", "3",
+                                        "--seed", "0"],
+    "construction-a-a2": [*_CONSTRUCTION_A, "--lattice", "a2", "--p", "7", "--k", "1"],
+    "construction-a-file": [*_CONSTRUCTION_A, "--lattice", "LATTICE", "--p", "5", "--k", "1",
+                            "--seed", "3"],
+}
 
 D4_GEN = np.array([[2.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -135,26 +186,52 @@ def _codecs():
     return codecs
 
 
-def codec_digest(name: str, threads: int) -> str:
-    """sha256 of ``SimReport.to_json()`` of one codec case at
-    ``LATFUN_THREADS=threads``."""
-    tag, seed, setting = name.split("-", 2)
+@contextlib.contextmanager
+def _threads(count: int):
+    """``LATFUN_THREADS=count`` inside the block, restored after it."""
     saved = os.environ.get("LATFUN_THREADS")
-    os.environ["LATFUN_THREADS"] = str(threads)
+    os.environ["LATFUN_THREADS"] = str(count)
     try:
-        rep = run_two_user_experiment(_codecs()[tag], CODEC_TRIALS[tag], int(seed[4:]),
-                                      **CODEC_SETTINGS[setting])
+        yield
     finally:
         if saved is None:
             del os.environ["LATFUN_THREADS"]
         else:
             os.environ["LATFUN_THREADS"] = saved
+
+
+def codec_digest(name: str, threads: int) -> str:
+    """sha256 of ``SimReport.to_json()`` of one codec case at
+    ``LATFUN_THREADS=threads``."""
+    tag, seed, setting = name.split("-", 2)
+    with _threads(threads):
+        rep = run_two_user_experiment(_codecs()[tag], CODEC_TRIALS[tag], int(seed[4:]),
+                                      **CODEC_SETTINGS[setting])
     return hashlib.sha256(rep.to_json().encode()).hexdigest()
 
 
-def _write(path: Path, pins: dict):
+def cli_stdout(name: str, threads: int = 1) -> str:
+    """Stdout of one CLI case at ``LATFUN_THREADS=threads``; a nonzero exit
+    code raises."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, _threads(threads):
+        args = []
+        for arg in CLI_CASES[name]:
+            if arg in CLI_FILES:
+                path = Path(tmp) / arg.lower()
+                path.write_text(CLI_FILES[arg])
+                arg = str(path)
+            args.append(arg)
+        with contextlib.redirect_stdout(out):
+            code = main(args)
+    if code != 0:
+        raise RuntimeError(f"latfun {' '.join(CLI_CASES[name])} exited {code}")
+    return out.getvalue()
+
+
+def _write(path: Path, pins: dict, kind: str = "sha256"):
     path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps({"numpy": np.__version__, "sha256": pins}, indent=2) + "\n")
+    path.write_text(json.dumps({"numpy": np.__version__, kind: pins}, indent=2) + "\n")
     print(f"wrote {len(pins)} pins to {path}")
 
 
@@ -163,6 +240,7 @@ def main_pin() -> int:
         _write(PINS, {name: sweep_digest(args, tmp) for name, args in CASES.items()})
     _write(CLOSEST_POINT_PINS, {name: closest_point_digest(name) for name in CLOSEST_POINT_CASES})
     _write(CODEC_PINS, {name: codec_digest(name, 1) for name in CODEC_CASES})
+    _write(CLI_PINS, {name: cli_stdout(name) for name in CLI_CASES}, kind="stdout")
     return 0
 
 

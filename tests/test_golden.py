@@ -1,8 +1,9 @@
 """Golden outputs: each pinned case must stay byte-identical.
 
-The pins are sha256 digests in ``tests/golden/``, written by
-``tests/pin_golden.py``: the sweep CSVs, the closest-point layer's outputs
-and the A2/D4 two-user codec reports. numpy or BLAS builds can move
+The pins are in ``tests/golden/``, written by ``tests/pin_golden.py``:
+sha256 digests of the sweep CSVs, the closest-point layer's outputs and the
+A2/D4 two-user codec reports, and the full stdout of ``region``,
+``simulate`` and ``lattice`` CLI cases. numpy or BLAS builds can move
 low-order bits, so a failure names the case and both numpy versions.
 """
 
@@ -13,11 +14,14 @@ import pytest
 
 from pin_golden import (
     CASES,
+    CLI_CASES,
+    CLI_PINS,
     CLOSEST_POINT_CASES,
     CLOSEST_POINT_PINS,
     CODEC_CASES,
     CODEC_PINS,
     PINS,
+    cli_stdout,
     closest_point_digest,
     codec_digest,
     sweep_digest,
@@ -26,6 +30,7 @@ from pin_golden import (
 _PINNED = json.loads(PINS.read_text())
 _CLOSEST_POINT = json.loads(CLOSEST_POINT_PINS.read_text())
 _CODECS = json.loads(CODEC_PINS.read_text())
+_CLI = json.loads(CLI_PINS.read_text())
 
 
 def _mismatch(kind, name, got, pinned):
@@ -37,6 +42,7 @@ def test_pins_cover_every_case():
     assert sorted(_PINNED["sha256"]) == sorted(CASES)
     assert sorted(_CLOSEST_POINT["sha256"]) == sorted(CLOSEST_POINT_CASES)
     assert sorted(_CODECS["sha256"]) == sorted(CODEC_CASES)
+    assert sorted(_CLI["stdout"]) == sorted(CLI_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -63,3 +69,16 @@ def test_codec_report_matches_pin_at_one_and_two_threads(name):
     one, two = codec_digest(name, 1), codec_digest(name, 2)
     assert one == two, f"codec case {name!r}: LATFUN_THREADS 1 and 2 disagree"
     assert one == _CODECS["sha256"].get(name), _mismatch("codec", name, one, _CODECS)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stdout_matches_pin(capsys, name):
+    threads = (1, 2) if CLI_CASES[name][0] == "simulate" else (1,)
+    outs = [cli_stdout(name, count) for count in threads]
+    assert capsys.readouterr() == ("", "")
+    assert len(set(outs)) == 1, f"CLI case {name!r}: LATFUN_THREADS 1 and 2 disagree"
+    want = _CLI["stdout"].get(name)
+    assert outs[0] == want, (
+        f"CLI case {name!r} (latfun {' '.join(CLI_CASES[name])}) printed\n{outs[0]}pinned\n"
+        f"{want}numpy {np.__version__} here, pins taken with numpy {_CLI['numpy']}"
+    )
