@@ -176,17 +176,18 @@ class NestedPair:
         j = np.asarray(self.nesting_matrix, dtype=np.float64)
         if j.shape != self.fine.gen.shape:
             raise DimensionMismatch(f"nesting matrix shape {j.shape} != {self.fine.gen.shape}")
-        if not verify_nesting(self):
+        coords = np.linalg.solve(self.fine.gen, self.coarse.gen)
+        if not _is_nesting(coords):
             raise SingularLattice("coarse lattice is not a sublattice of the fine one")
         # The tolerance of verify_nesting, on the coordinates J of G_coarse.
-        if not np.all(np.abs(np.linalg.solve(self.fine.gen, self.coarse.gen) - j) <= _INT_TOL):
+        if not np.all(np.abs(coords - j) <= _INT_TOL):
             raise SingularLattice("nesting matrix J does not satisfy G_fine J = G_coarse")
         object.__setattr__(self, "nesting_matrix", np.rint(j).astype(np.int64))
 
     @property
     def index(self) -> int:
         """Number of fine cosets per coarse cell, |det J|."""
-        return int(round(abs(_int_det(self.nesting_matrix))))
+        return math.prod(_coset_box(self))
 
     @property
     def nesting_ratio(self) -> float:
@@ -399,45 +400,27 @@ def scale_to_second_moment(lat: Lattice, target: float) -> Lattice:
 # Nesting
 
 
+def _is_nesting(coords: np.ndarray) -> bool:
+    """True iff the coordinates G_fine^{-1} G_coarse are integral within
+    1e-9 and their rounding has |det| > 1 - 1e-9."""
+    if not np.all(np.abs(coords - np.rint(coords)) <= _INT_TOL):
+        return False
+    return bool(abs(np.linalg.det(np.rint(coords))) > 1.0 - 1e-9)
+
+
 def verify_nesting(pair: NestedPair) -> bool:
     """True iff G_fine^{-1} G_coarse is integral within 1e-9 and |det| > 1 - 1e-9."""
-    if pair.fine.dim != pair.coarse.dim:
-        raise DimensionMismatch("dimension mismatch between fine and coarse")
-    j = np.linalg.solve(pair.fine.gen, pair.coarse.gen)
-    if not np.all(np.abs(j - np.rint(j)) <= _INT_TOL):
-        return False
-    det = abs(np.linalg.det(np.rint(j)))
-    return bool(det > 1.0 - 1e-9)
+    return _is_nesting(np.linalg.solve(pair.fine.gen, pair.coarse.gen))
 
 
-def _int_det(m: np.ndarray) -> int:
-    """Exact determinant of a small integer matrix (fraction-free Gauss)."""
-    a = [[int(v) for v in row] for row in np.asarray(m)]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _hermite_basis(rows):
+    """Hermite normal form of the integer lattice spanned by ``rows``.
 
-
-def _row_echelon_integer(rows):
-    """Integer row echelon form via unimodular row operations.
-
-    Input rows generate a full-rank sublattice of Z^n; returns an n x n
-    upper-triangular basis (row i pivots at column i, positive diagonal).
+    The rows must span a full-rank sublattice of Z^n. Returns its canonical
+    n x n basis: upper triangular (row i pivots at column i), with positive
+    pivots and each entry above a pivot reduced into [0, pivot). Unimodular
+    row operations (Euclid's algorithm down each column) keep the lattice,
+    and the basis depends only on the lattice, not on the rows given.
     """
     work = [list(map(int, r)) for r in rows]
     n = len(work[0])
@@ -458,9 +441,21 @@ def _row_echelon_integer(rows):
         if pivot[col] < 0:
             for j in range(n):
                 pivot[j] = -pivot[j]
+        for r in basis:
+            f = r[col] // pivot[col]
+            for j in range(col, n):
+                r[j] -= f * pivot[j]
         basis.append(pivot)
         work = [r for r in work if r is not pivot and any(r)]
     return basis
+
+
+def _coset_box(pair: NestedPair) -> list:
+    """Pivots of the Hermite basis of J Z^n (rows: the columns of J). Their
+    product is |det J|, and the box of integer vectors below them holds one
+    representative of each coset of Z^n / J Z^n."""
+    h = _hermite_basis(np.asarray(pair.nesting_matrix).T.tolist())
+    return [h[i][i] for i in range(len(h))]
 
 
 def coset_leaders(pair: NestedPair) -> np.ndarray:
@@ -469,15 +464,11 @@ def coset_leaders(pair: NestedPair) -> np.ndarray:
     Boundary ties follow the nearest-point convention, so the leaders form an
     exact transversal of the fine-modulo-coarse cosets.
     """
-    index = pair.index
+    box = _coset_box(pair)
+    index = math.prod(box)
     if index > MAX_COSET_ENUM:
         raise TooManyCosets(f"nesting index {index} exceeds guard {MAX_COSET_ENUM}")
-    n = pair.fine.dim
-    # Coset representatives of Z^n / (J Z^n): box spanned by the diagonal of
-    # an upper-triangular row basis of the row span of J^T.
-    h = _row_echelon_integer(np.asarray(pair.nesting_matrix).T.tolist())
-    diag = [h[i][i] for i in range(n)]
-    grids = np.meshgrid(*[np.arange(d) for d in diag], indexing="ij")
+    grids = np.meshgrid(*[np.arange(d) for d in box], indexing="ij")
     reps = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.float64)
     points = reps @ pair.fine.gen.T
     leaders = mod_lattice(pair.coarse, points)
@@ -511,31 +502,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _rref_mod_p(mat: np.ndarray, p: int):
-    """Reduced row echelon form over Z_p; returns (rows, pivot columns)."""
-    a = [[int(x) % p for x in row] for row in mat]
-    k = len(a)
-    n = len(a[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, k) if a[i][col] % p != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][col], p - 2, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(k):
-            if i != r and a[i][col] % p != 0:
-                f = a[i][col]
-                a[i] = [(a[i][j] - f * a[r][j]) % p for j in range(n)]
-        pivots.append(col)
-        r += 1
-        if r == k:
-            break
-    return a[:r], pivots
-
-
 def construction_a(
     coarse: Lattice, p: int, k: int, rng: np.random.Generator
 ) -> CodeConstruction:
@@ -552,20 +518,10 @@ def construction_a(
     if not 1 <= k < n:
         raise ValueError(f"code dimension k must satisfy 1 <= k < n, got k = {k}")
     mat = np.asarray(rng.integers(0, p, size=(k, n)), dtype=np.int64)
-    rref, pivots = _rref_mod_p(mat, p)
-    rank = len(pivots)
-    # Basis of the integer lattice p * ((1/p) C + Z^n) = C + p Z^n:
-    # RREF rows lifted to Z, plus p e_j for non-pivot columns j.
-    rows = [list(r) for r in rref]
-    for j in range(n):
-        if j not in pivots:
-            e = [0] * n
-            e[j] = p
-            rows.append(e)
-    basis_int = _row_echelon_integer(rows)
-    b = np.asarray(basis_int, dtype=np.float64).T / p  # columns generate (1/p)(C + p Z^n)
-    fine_gen = coarse.gen @ b
-    fine = Lattice(fine_gen)
-    j_mat = np.linalg.solve(fine_gen, coarse.gen)
-    pair = NestedPair(fine, coarse, np.rint(j_mat))
-    return CodeConstruction(pair=pair, code_matrix=mat, prime=p, rank=rank)
+    # Hermite basis of the integer lattice p * ((1/p) C + Z^n) = C + p Z^n.
+    # Its pivots are 1 or p, and the unit ones count the dimension of C.
+    basis = _hermite_basis(mat.tolist() + (p * np.eye(n, dtype=np.int64)).tolist())
+    rank = sum(basis[i][i] == 1 for i in range(n))
+    b = np.asarray(basis, dtype=np.float64).T / p  # columns generate (1/p)(C + p Z^n)
+    fine = Lattice(coarse.gen @ b)
+    return CodeConstruction(pair=make_pair(fine, coarse), code_matrix=mat, prime=p, rank=rank)

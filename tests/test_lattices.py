@@ -35,7 +35,7 @@ from latfun import (
     verify_nesting,
 )
 from latfun.errors import DimensionMismatch
-from latfun.lattices import contains
+from latfun.lattices import _hermite_basis, contains
 
 A2 = hexagonal_lattice()
 
@@ -538,6 +538,50 @@ def test_construction_a_rank_deficient_draw():
     assert res.rank_deficient
     assert res.coset_count == 1
     assert res.pair.fine.gen == pytest.approx(coarse.gen)
+
+
+@pytest.mark.parametrize("p, n", list(product((2, 3, 5), (3, 4))))
+def test_construction_a_coset_count_is_the_code_size(p, n):
+    """At every k >= 2 the cosets number p^rank, the size of the code C
+    counted by brute force over all p^k messages."""
+    for k in range(2, n):
+        for seed in range(4):
+            res = construction_a(integer_lattice(n), p, k, np.random.default_rng([p, n, k, seed]))
+            words = {tuple(np.array(u) @ res.code_matrix % p) for u in product(range(p), repeat=k)}
+            assert p**res.rank == len(words) == res.coset_count
+            assert res.pair.index == coset_leaders(res.pair).shape[0] == res.coset_count
+            assert res.rank_deficient == (res.rank < k)
+            for word in words:
+                assert contains(res.pair.fine, np.array(word) / p)
+
+
+def _random_unimodular(rng, n):
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        u[i] += int(rng.integers(-2, 3)) * u[j]
+        if rng.random() < 0.3:
+            u[[i, j]] = u[[j, i]]
+    return u
+
+
+def test_hermite_basis_is_canonical(rng):
+    """Rows and a unimodular mix of them give one basis: upper triangular,
+    positive pivots whose product is |det|, entries above a pivot in
+    [0, pivot)."""
+    for n in (2, 3, 4):
+        for _ in range(10):
+            while True:
+                j = rng.integers(-4, 5, size=(n, n))
+                det = round(abs(float(np.linalg.det(j))))
+                if det:
+                    break
+            h = _hermite_basis(j.T.tolist())
+            assert h == _hermite_basis((_random_unimodular(rng, n) @ j.T).tolist())
+            assert math.prod(h[i][i] for i in range(n)) == det
+            for i in range(n):
+                assert all(h[i][col] == 0 for col in range(i))
+                assert all(0 <= h[r][i] < h[i][i] for r in range(i))
 
 
 # ---------------------------------------------------------------------------
