@@ -185,12 +185,33 @@ def bt_rate_point(model: SourceModel, q1: float, q2: float) -> BtRegionPoint:
     rho, c, alpha, sz2 = _two_user_params(model)
     if not (0.0 < q1 < math.inf and 0.0 < q2 < math.inf):
         raise NonPositiveQ("q1 and q2 must be positive and finite")
-    den = (1.0 + q1) * (1.0 + q2) - rho * rho
-    r1 = 0.5 * math.log2(den / (q1 * (1.0 + q2)))
-    r2 = 0.5 * math.log2(den / (q2 * (1.0 + q1)))
-    r_sum = 0.5 * math.log2(den / (q1 * q2))
-    dist = (q1 * alpha + q2 * c * c * alpha + q1 * q2 * sz2) / den
+    a, b = 1.0 + q1, 1.0 + q2
+    den = a * b - rho * rho
+    num = q1 * alpha + q2 * c * c * alpha + q1 * q2 * sz2
+    # den over each divisor exceeds 1, and most over q1 q2, the least.
+    divisors = (q1 * b, q2 * a, q1 * q2)
+    if den < math.inf and num < math.inf and divisors[2] >= _TINY and den / divisors[2] < math.inf:
+        r1, r2, r_sum = (0.5 * math.log2(den / v) for v in divisors)
+        return BtRegionPoint(r1=r1, r2=r2, r_sum=r_sum, distortion=num / den)
+    # A product overflows or underflows (huge or tiny q), so each quantity is
+    # taken over a b, with w = den / (a b): den / (q1 b) = 1 + (1 - rho^2 / b)
+    # / q1, den / (q1 q2) is that times b / q2 = 1 + 1 / q2, and the
+    # distortion is a sum of q1 / a, q2 / b and their product, each weighted.
+    r1 = _half_log2_1p(1.0 - rho * rho / b, q1)
+    r2 = _half_log2_1p(1.0 - rho * rho / a, q2)
+    r_sum = r1 + _half_log2_1p(1.0, q2)
+    w = 1.0 - rho * rho / a / b
+    s1, s2 = q1 / a, q2 / b
+    dist = s1 * (alpha / (b * w)) + s2 * (c * c * alpha / (a * w)) + s1 * s2 * (sz2 / w)
     return BtRegionPoint(r1=r1, r2=r2, r_sum=r_sum, distortion=dist)
+
+
+def _half_log2_1p(u: float, q: float) -> float:
+    """Half of log2(1 + u / q) for u, q > 0, also where u / q overflows."""
+    t = u / q
+    if t < math.inf:
+        return 0.5 * math.log1p(t) / math.log(2.0)
+    return 0.5 * (math.log2(u) - math.log2(q))
 
 
 def bt_regime_boundary(model: SourceModel) -> float:

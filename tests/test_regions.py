@@ -119,6 +119,53 @@ def test_bt_rate_point_rejects_nonpositive_q():
                 bt_rate_point(M88, q1, q2)
 
 
+LN2 = math.log(2.0)
+
+
+@pytest.mark.parametrize("q1, q2, expected", [
+    # huge q: each rate is about log2(e) / (2 q), the distortion Var(Z)
+    (1e300, 1e300, (0.5e-300 / LN2, 0.5e-300 / LN2, 1e-300 / LN2, 0.36)),
+    # tiny q: den is alpha = 0.36, and the distortion q1 + c^2 q2
+    (1e-300, 1e-300, (0.5 * (math.log2(0.36) - math.log2(1e-300)),
+                      0.5 * (math.log2(0.36) - math.log2(1e-300)),
+                      0.5 * (math.log2(0.36) - 2.0 * math.log2(1e-300)), 1.64e-300)),
+    (5e-324, 0.1, (0.5 * (math.log2(1.0 - 0.64 / 1.1) + 1074.0), 0.5 * math.log2(4.6),
+                   0.5 * (math.log2(1.0 - 0.64 / 1.1) + 1074.0 + math.log2(11.0)),
+                   0.1 * 0.64 * 0.36 / 0.46)),
+    (0.1, 5e-324, (0.5 * math.log2(4.6), 0.5 * (math.log2(1.0 - 0.64 / 1.1) + 1074.0),
+                   0.5 * (math.log2(4.6) + 1074.0), 0.1 * 0.36 / 0.46)),
+], ids=["1e300", "1e-300", "subnormal-q1", "subnormal-q2"])
+def test_bt_rate_point_is_finite_at_extreme_q(q1, q2, expected):
+    pt = bt_rate_point(M88, q1, q2)
+    got = (pt.r1, pt.r2, pt.r_sum, pt.distortion)
+    assert all(math.isfinite(v) and v > 0 for v in got)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def _bt_rate_point_direct(rho, c, q1, q2):
+    """The four fields of ``bt_rate_point``, each from its direct formula."""
+    alpha, sz2 = 1.0 - rho * rho, 1.0 + c * c - 2.0 * rho * c
+    den = (1.0 + q1) * (1.0 + q2) - rho * rho
+    return (
+        0.5 * math.log2(den / (q1 * (1.0 + q2))),
+        0.5 * math.log2(den / (q2 * (1.0 + q1))),
+        0.5 * math.log2(den / (q1 * q2)),
+        (q1 * alpha + q2 * c * c * alpha + q1 * q2 * sz2) / den,
+    )
+
+
+def test_bt_rate_point_keeps_the_direct_formula_bits_at_ordinary_q():
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        rho = float(rng.uniform(0.05, 0.95))
+        c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 2))
+        q1, q2 = (float(v) for v in 10.0 ** rng.uniform(-6, 6, size=2))
+        model = two_user_model(rho, c)
+        pt = bt_rate_point(model, q1, q2)
+        got = [v.hex() for v in (pt.r1, pt.r2, pt.r_sum, pt.distortion)]
+        assert got == [v.hex() for v in _bt_rate_point_direct(model.rho, model.c, q1, q2)]
+
+
 # ---------------------------------------------------------------------------
 # optimal noise allocation
 
@@ -163,6 +210,14 @@ def test_bt_optimal_q_meets_distortion_with_equality():
         opt = bt_optimal_q(M88, d)
         pt = bt_rate_point(M88, opt.q1, opt.q2)
         assert pt.distortion == pytest.approx(d, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.8])
+def test_bt_has_no_regime_split_for_c_not_positive(c):
+    model = two_user_model(0.8, c)
+    assert bt_regime_boundary(model) == 0.0
+    with pytest.raises(DistortionOutOfRange, match="c > 0 only"):
+        bt_optimal_q(model, 0.1)
 
 
 def test_bt_optimal_q_out_of_range():
