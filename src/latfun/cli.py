@@ -30,15 +30,10 @@ from .gaussian import (
     noisy_function_side_model,
     two_user_model,
 )
+from .simulate import _g6
 
 CSV_SCHEMA_LINE = "# schema=1"
 SWEEP_HEADER = "rho,c,D,lattice_sum_bits,bt_sum_bits,gap_bits,regime"
-
-
-def _g6(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.6g}"
 
 
 def _print_json(payload) -> None:
@@ -388,24 +383,23 @@ def _resolve_lattice(args) -> lattices.Lattice:
 
 def cmd_lattice(args) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.op == "construction-a":
-        coarse = _resolve_lattice(args)
-        result = lattices.construction_a(coarse, args.p, args.k, rng)
-        payload = {
-            "op": "construction-a",
-            "p": args.p,
-            "k": args.k,
-            "rank": result.rank,
-            "rank_deficient": result.rank_deficient,
-            "coset_count": result.coset_count,
-            "nesting_ratio": result.pair.nesting_ratio,
-            "nesting_verified": lattices.verify_nesting(result.pair),
-            "fine_gen": [float(v) for v in result.pair.fine.gen.reshape(-1)],
-        }
-        _print_json(payload)
-        return 0
     lat = _resolve_lattice(args)
-    if args.op == "moment":
+    if args.op == "construction-a":
+        result = lattices.construction_a(lat, args.p, args.k, rng)
+        _print_json(
+            {
+                "op": "construction-a",
+                "p": args.p,
+                "k": args.k,
+                "rank": result.rank,
+                "rank_deficient": result.rank_deficient,
+                "coset_count": result.coset_count,
+                "nesting_ratio": result.pair.nesting_ratio,
+                "nesting_verified": lattices.verify_nesting(result.pair),
+                "fine_gen": [float(v) for v in result.pair.fine.gen.reshape(-1)],
+            }
+        )
+    elif args.op == "moment":
         est = lattices.second_moment(lat, args.samples, rng)
         _print_json(
             {
@@ -426,7 +420,7 @@ def cmd_lattice(args) -> int:
                 "samples": est.samples,
             }
         )
-    elif args.op == "cosets":
+    else:  # cosets
         coarse = lattices.Lattice(lat.gen * args.nesting)
         pair = lattices.make_pair(lat, coarse)
         leaders = lattices.coset_leaders(pair)
@@ -438,8 +432,6 @@ def cmd_lattice(args) -> int:
                 "leaders": [[float(v) for v in row] for row in leaders],
             }
         )
-    else:
-        raise LatfunError(f"unknown lattice op {args.op!r}")
     return 0
 
 

@@ -183,6 +183,7 @@ class SimReport:
 
 
 def _g6(x: float) -> str:
+    """Six significant digits, the CSV number format (NaN prints ``nan``)."""
     return f"{x:.6g}"
 
 
