@@ -188,7 +188,7 @@ def bt_rate_point(model: SourceModel, q1: float, q2: float) -> BtRegionPoint:
     a, b = 1.0 + q1, 1.0 + q2
     den = a * b - rho * rho
     num = q1 * alpha + q2 * c * c * alpha + q1 * q2 * sz2
-    # den over each divisor exceeds 1, and most over q1 q2, the least.
+    # Each ratio den / divisor exceeds 1; the largest is over q1 q2, the least divisor.
     divisors = (q1 * b, q2 * a, q1 * q2)
     if den < math.inf and num < math.inf and divisors[2] >= _TINY and den / divisors[2] < math.inf:
         r1, r2, r_sum = (0.5 * math.log2(den / v) for v in divisors)
