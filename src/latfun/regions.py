@@ -181,22 +181,18 @@ def _two_user_params(model: SourceModel) -> Tuple[float, float, float, float]:
 
 
 def bt_rate_point(model: SourceModel, q1: float, q2: float) -> BtRegionPoint:
-    """Individual and sum rate bounds plus distortion at (q1, q2)."""
+    """Individual and sum rate bounds plus distortion at (q1, q2).
+
+    Each quantity is taken over a b = (1 + q1)(1 + q2), so no product
+    overflows or underflows at huge or tiny q: den / (q1 b) = 1 + (1 - rho^2
+    / b) / q1, den / (q1 q2) is that times b / q2 = 1 + 1 / q2, and the
+    distortion is a sum of q1 / a, q2 / b and their product, each weighted
+    by w = den / (a b).
+    """
     rho, c, alpha, sz2 = _two_user_params(model)
     if not (0.0 < q1 < math.inf and 0.0 < q2 < math.inf):
         raise NonPositiveQ("q1 and q2 must be positive and finite")
     a, b = 1.0 + q1, 1.0 + q2
-    den = a * b - rho * rho
-    num = q1 * alpha + q2 * c * c * alpha + q1 * q2 * sz2
-    # Each ratio den / divisor exceeds 1; the largest is over q1 q2, the least divisor.
-    divisors = (q1 * b, q2 * a, q1 * q2)
-    if den < math.inf and num < math.inf and divisors[2] >= _TINY and den / divisors[2] < math.inf:
-        r1, r2, r_sum = (0.5 * math.log2(den / v) for v in divisors)
-        return BtRegionPoint(r1=r1, r2=r2, r_sum=r_sum, distortion=num / den)
-    # A product overflows or underflows (huge or tiny q), so each quantity is
-    # taken over a b, with w = den / (a b): den / (q1 b) = 1 + (1 - rho^2 / b)
-    # / q1, den / (q1 q2) is that times b / q2 = 1 + 1 / q2, and the
-    # distortion is a sum of q1 / a, q2 / b and their product, each weighted.
     r1 = _half_log2_1p(1.0 - rho * rho / b, q1)
     r2 = _half_log2_1p(1.0 - rho * rho / a, q2)
     r_sum = r1 + _half_log2_1p(1.0, q2)

@@ -1,6 +1,7 @@
 """Closed-form rate regions: values against independent oracles, identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,22 +140,23 @@ def test_bt_rate_point_is_finite_at_extreme_q(q1, q2, expected):
     pt = bt_rate_point(M88, q1, q2)
     got = (pt.r1, pt.r2, pt.r_sum, pt.distortion)
     assert all(math.isfinite(v) and v > 0 for v in got)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def _bt_rate_point_direct(rho, c, q1, q2):
-    """The four fields of ``bt_rate_point``, each from its direct formula."""
-    alpha, sz2 = 1.0 - rho * rho, 1.0 + c * c - 2.0 * rho * c
-    den = (1.0 + q1) * (1.0 + q2) - rho * rho
-    return (
-        0.5 * math.log2(den / (q1 * (1.0 + q2))),
-        0.5 * math.log2(den / (q2 * (1.0 + q1))),
-        0.5 * math.log2(den / (q1 * q2)),
-        (q1 * alpha + q2 * c * c * alpha + q1 * q2 * sz2) / den,
-    )
+def _bt_rate_point_exact(rho, c, q1, q2):
+    """The four fields of ``bt_rate_point`` from exact rationals: each ratio
+    is formed in ``Fraction`` and rounded once before log1p."""
+    rho, c, q1, q2 = (Fraction(v) for v in (rho, c, q1, q2))
+    a, b = 1 + q1, 1 + q2
+    den = a * b - rho * rho
+    alpha = 1 - rho * rho
+    num = q1 * alpha + q2 * c * c * alpha + q1 * q2 * (1 + c * c - 2 * rho * c)
+    return tuple(
+        0.5 * math.log1p(float(den / v - 1)) / LN2 for v in (q1 * b, q2 * a, q1 * q2)
+    ) + (float(num / den),)
 
 
-def test_bt_rate_point_keeps_the_direct_formula_bits_at_ordinary_q():
+def test_bt_rate_point_matches_exact_rationals_at_ordinary_q():
     rng = np.random.default_rng(14)
     for _ in range(500):
         rho = float(rng.uniform(0.05, 0.95))
@@ -162,8 +164,9 @@ def test_bt_rate_point_keeps_the_direct_formula_bits_at_ordinary_q():
         q1, q2 = (float(v) for v in 10.0 ** rng.uniform(-6, 6, size=2))
         model = two_user_model(rho, c)
         pt = bt_rate_point(model, q1, q2)
-        got = [v.hex() for v in (pt.r1, pt.r2, pt.r_sum, pt.distortion)]
-        assert got == [v.hex() for v in _bt_rate_point_direct(model.rho, model.c, q1, q2)]
+        got = (pt.r1, pt.r2, pt.r_sum, pt.distortion)
+        want = _bt_rate_point_exact(model.rho, model.c, q1, q2)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
