@@ -28,8 +28,8 @@ and the reason, in CHANGES.md.
 
 from __future__ import annotations
 
-import functools
 import contextlib
+import functools
 import hashlib
 import io
 import json
