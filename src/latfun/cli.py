@@ -541,6 +541,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (LatfunError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:
+        # e.g. a --dim or --n whose n x n generator cannot be allocated
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
+        return 2
 
 
 if __name__ == "__main__":

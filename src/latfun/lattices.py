@@ -224,11 +224,13 @@ def _check_dim(lat: Lattice, x: np.ndarray):
         )
 
 
-def _round_half_down(y: np.ndarray) -> np.ndarray:
-    # Nearest integer; exact halves resolve downward, which is the
-    # lexicographically smaller choice per coordinate.
-    t = y - 0.5
-    return np.ceil(t, out=t)
+def _round_half_down(x: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    # Nearest integer to x / scales, rounded in place in that fresh quotient;
+    # exact halves resolve downward, which is the lexicographically smaller
+    # choice per coordinate.
+    q = x / scales
+    q -= 0.5
+    return np.ceil(q, out=q)
 
 
 def _sphere_context(lat: Lattice):
@@ -258,7 +260,7 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     flat = x.reshape(-1, lat.dim)
     _check_finite(flat)
     if lat.is_diagonal:
-        coords = _round_half_down(flat / lat._scales)
+        coords = _round_half_down(flat, lat._scales)
         return coords.astype(np.int64).reshape(x.shape)
     if lat.dim > MAX_SPHERE_DIM:
         raise UnsupportedDimension(
@@ -284,7 +286,7 @@ def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
         return nearest_point_coords(lat, x) @ lat.gen.T
     _check_dim(lat, x)
     _check_finite(x)
-    point = _round_half_down(x / lat._scales)
+    point = _round_half_down(x, lat._scales)
     point *= lat._scales
     point += 0.0
     return point
@@ -294,7 +296,8 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     """Quantization error ``x - nearest_point(x)``; lies in the basic Voronoi
     region. Batched over leading axes."""
     x = np.asarray(x, dtype=np.float64)
-    return x - nearest_point(lat, x)
+    point = nearest_point(lat, x)
+    return np.subtract(x, point, out=point)
 
 
 def in_voronoi(lat: Lattice, x: Sequence[float]) -> bool:

@@ -138,6 +138,19 @@ def _log2_twice_ratio(var, d) -> np.ndarray:
     return out
 
 
+def _half_log2_ratio(num: float, den: float, den_factors: Sequence[float]) -> float:
+    """0.5 log2(num / den) for a rate whose denominator ``den`` equals the
+    product of the positive ``den_factors``. The direct ratio keeps its bits
+    wherever it is finite; where ``den`` underflows to 0 or the ratio
+    overflows (a subnormal noise share), the logs are taken apart, as in
+    ``_log2_twice_ratio``."""
+    if den > 0.0:
+        ratio = num / den
+        if ratio < math.inf:
+            return 0.5 * math.log2(ratio)
+    return 0.5 * (math.log2(num) - sum(math.log2(f) for f in den_factors))
+
+
 def _check_distortion(d: float, upper: float, inclusive: bool = False):
     # The boundary comparison tolerates float noise in the computed variance.
     slack = 1e-12 * upper
@@ -400,7 +413,7 @@ def k_user_rates(model: SourceModel, plan: PartitionPlan) -> RatePoint:
     for cell in plan.partition:
         coarse_var = st[cell] + plan.q_cell(cell)
         for i in cell:
-            rates[i] = 0.5 * math.log2(coarse_var / plan.q[i])
+            rates[i] = _half_log2_ratio(coarse_var, plan.q[i], (plan.q[i],))
     _, dist = final_estimator(model, plan)
     return RatePoint(tuple(float(r) for r in rates), float(dist), SCHEME_HYBRID, plan)
 

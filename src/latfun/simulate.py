@@ -22,6 +22,19 @@ Trials are partitioned into chunks; chunk k draws from a stream seeded by
 (seed, k). Chunk statistics are merged by an ordered floating-point sum in
 chunk order: not exact, but deterministic, so results are bit-identical for
 a fixed (seed, trials, chunk_size) regardless of worker count.
+
+Within a chunk, work runs along the trial axis. Each source column is a
+contiguous (m, n) array (see ``_sources``), and every per-trial reduction
+over the short axis of an (m, k) array, k being the dimension n or the
+number of cells, is k whole-column passes over the m trials
+(``_row_any``, ``_row_mean``, ``_column_counts``), not numpy's row-by-row
+reduction. The passes keep numpy's order, so the bits are numpy's: an OR
+and an integer count are exact in any order, and a mean sums the columns
+left to right from +0.0 and divides by k, as numpy does for k < 8 (from
+k = 8 numpy sums pairwise, and its own call is kept). The engine's cell
+sums stay out of place: done in place, they raised the minor page faults of
+a 65,536-trial Z^1 chunk by a third under glibc's allocator, which cost
+more time than the copies they saved.
 """
 
 from __future__ import annotations
@@ -62,7 +75,7 @@ from .lattices import (
     sample_dither,
     scale_to_second_moment,
 )
-from .regions import RatePoint, SCHEME_LATTICE, k_user_rates
+from .regions import RatePoint, SCHEME_LATTICE, _half_log2_ratio, k_user_rates
 
 DEFAULT_CHUNK = 65536
 
@@ -215,17 +228,18 @@ class _Accumulator:
         self.trials += err.shape[0]
         self.err_sum += float(np.sum(err))
         self.err_sq_sum += float(np.sum(err**2))
-        overload = np.any(cell_overload, axis=1)
-        keep = ~overload
-        self.cond_err_sum += float(np.sum(err[keep]))
-        self.cond_trials += int(np.sum(keep))
-        self.overloads += int(np.sum(overload))
+        overload = _row_any(cell_overload)
+        overloads = int(np.count_nonzero(overload))
+        self.cond_err_sum += float(np.sum(err[~overload]))
+        self.cond_trials += err.shape[0] - overloads
+        self.overloads += overloads
         mask = cell_v_mask[:, self.last]
         self.v_sq_sum += float(np.sum(cell_v_sq[:, self.last][mask]))
-        self.v_sq_count += int(np.sum(mask))
-        self.cell_overloads += np.sum(cell_overload, axis=0)
+        self.v_sq_count += int(np.count_nonzero(mask))
+        self.cell_overloads += _column_counts(cell_overload)
+        # numpy sums one cell pairwise and two or more sequentially: keep its call.
         self.cell_v_sq += np.sum(np.where(cell_v_mask, cell_v_sq, 0.0), axis=0)
-        self.cell_v_counts += np.sum(cell_v_mask, axis=0)
+        self.cell_v_counts += _column_counts(cell_v_mask)
 
     def report(self, rates: RatePoint, seed: int, margin: float, n: int,
                per_cell: bool = False) -> SimReport:
@@ -252,6 +266,41 @@ class _Accumulator:
             cell_overload_rates=tuple(self.cell_overloads / t) if per_cell else (),
             cell_moment_checks=tuple(moments) if per_cell else (),
         )
+
+
+# ---------------------------------------------------------------------------
+# Reductions along the trial axis (see the module docstring)
+
+
+def _row_any(a: np.ndarray) -> np.ndarray:
+    """``np.any(a, axis=-1)`` of an (m, k) array: an OR of its k columns,
+    which is exact in any order."""
+    out = a[:, 0] != 0
+    for j in range(1, a.shape[1]):
+        out |= a[:, j] != 0
+    return out
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``np.mean(a, axis=-1)`` of an (m, k) array, bit for bit.
+
+    For k < 8 numpy sums each row left to right from +0.0 and divides by k;
+    summing the columns in that order gives the same bits. From k = 8 numpy
+    sums 8-way pairwise, so its own call is kept there.
+    """
+    k = a.shape[1]
+    if k >= 8:
+        return np.mean(a, axis=-1)
+    total = a[:, 0] + 0.0
+    for j in range(1, k):
+        total += a[:, j]
+    total /= k
+    return total
+
+
+def _column_counts(a: np.ndarray) -> np.ndarray:
+    """Nonzero entries per column of an (m, k) array (exact integers)."""
+    return np.array([np.count_nonzero(a[:, j]) for j in range(a.shape[1])], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +340,19 @@ class _Plan(NamedTuple):
 
 
 def _sources(factor: np.ndarray, m: int, n: int, rng: np.random.Generator):
-    """The source columns, each (m, n), of ``g @ factor.T`` for one draw
-    ``g = rng.standard_normal((m, n, cols))``.
+    """The source columns, each a contiguous (m, n) array, of
+    ``g @ factor.T`` for one draw ``g = rng.standard_normal((m, n, cols))``.
 
     numpy runs that stacked product as one tiny BLAS call per trial. Two
     cheaper forms give the same bits (a test pins this for n up to 8 and up
-    to 3 columns): for n > 1 one 2-D product of the (m n, cols) rows, and
-    for n = 1 one matrix-vector product per column. For one trial at n = 1
-    the stacked product is itself one 2-D product, which the per-column form
-    does not match, so it is kept there.
+    to 3 columns): for n > 1 one 2-D product ``factor @ g.T`` over the
+    (m n, cols) rows of g, whose rows are the columns, and for n = 1 one
+    matrix-vector product per column. Either way each column is laid out
+    along the trial axis, so the engine reads no strided source column and
+    its per-trial reductions run over whole columns (see the module
+    docstring for their order). For one trial at n = 1 the stacked product
+    is itself one 2-D product, which the per-column form does not match, so
+    it is kept there.
     """
     cols = factor.shape[0]
     g = rng.standard_normal((m, n, cols))
@@ -307,9 +360,8 @@ def _sources(factor: np.ndarray, m: int, n: int, rng: np.random.Generator):
         g2d = g.reshape(m, cols)
         return [(g2d @ factor[i]).reshape(m, 1) for i in range(cols)]
     if n > 1:
-        x = (g.reshape(-1, cols) @ factor.T).reshape(m, n, cols)
-    else:
-        x = g @ factor.T
+        return [row.reshape(m, n) for row in factor @ g.reshape(-1, cols).T]
+    x = g @ factor.T
     return [x[..., i] for i in range(cols)]
 
 
@@ -342,7 +394,7 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
         # Overload is wraparound of the shift-free mod input; the transmitted
         # sum additionally carries coarse points, which the reduction removes.
         v[idx] = ideal - pred
-        overload[:, idx] = np.any(nearest_point_coords(cell.coarse, v[idx]) != 0, axis=-1)
+        overload[:, idx] = _row_any(nearest_point_coords(cell.coarse, v[idx]))
         # The mod-input moment is meaningful where earlier cells decoded
         # correctly; wrapped predictors would contaminate it.
         clean_before[:, idx] = clean
@@ -359,8 +411,8 @@ def _run(plan: _Plan, sizes, seed: int) -> _Accumulator:
 
     def work(k: int):
         z, zhat, v, overload, clean_before = _run_cells(plan, sizes[k], _chunk_rng(seed, k))
-        v_sq = np.stack([np.mean(vi**2, axis=-1) for vi in v], axis=1)
-        return np.mean((z - zhat) ** 2, axis=-1), overload, v_sq, clean_before
+        v_sq = np.stack([_row_mean(vi**2) for vi in v], axis=1)
+        return _row_mean((z - zhat) ** 2), overload, v_sq, clean_before
 
     acc = _Accumulator(len(plan.cells), plan.order[-1])
     for chunk in _map_chunks(work, len(sizes)):
@@ -450,8 +502,9 @@ def _pair_lattices(var: float, d: float, q1: float, n: int, margin: float,
         coarse = fine1.scaled(float(k1))
         k2 = max(2, math.ceil(math.sqrt(mc / m2)))
         fine2 = coarse.scaled(1.0 / k2)
-    r1 = 0.5 * math.log2(var**2 / (q1 * (var - d)))
-    r2 = 0.5 * math.log2(var**2 / (d * var - q1 * (var - d)))
+    # d var - q1 (var - d) is (var - d) m2, the factors the split logs use.
+    r1 = _half_log2_ratio(var**2, q1 * (var - d), (q1, var - d))
+    r2 = _half_log2_ratio(var**2, d * var - q1 * (var - d), (var - d, m2))
     return fine1, fine2, coarse, RatePoint((r1, r2), d, SCHEME_LATTICE)
 
 

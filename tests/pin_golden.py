@@ -10,8 +10,11 @@ Four groups of cases. The first three are pinned as sha256 digests in
   targets and for targets at half-integer coordinates (Voronoi ties);
 - ``codecs.json``: ``SimReport.to_json()`` of the A2 and D4 two-user codecs,
   built as ``perfbench/workloads.py`` builds them, at two seeds with the
-  default chunk, 300-trial chunks and a fixed dither. The test runs each
-  case at ``LATFUN_THREADS`` 1 and 2; this script pins the 1-thread run.
+  default chunk, 300-trial chunks and a fixed dither; and of the Z^4
+  K-user and side-information codecs, built as that file's ``SequentialZ4``
+  builds them, at two seeds with the default chunk and with 1,500-trial
+  chunks (three chunks). The test runs each case at ``LATFUN_THREADS`` 1
+  and 2; this script pins the 1-thread run.
 
 The fourth, ``cli.json``, stores the full stdout of ``latfun region``,
 ``simulate`` and ``lattice`` cases run in-process through
@@ -41,7 +44,12 @@ from pathlib import Path
 import numpy as np
 
 from latfun.cli import main
-from latfun.gaussian import two_user_model
+from latfun.gaussian import (
+    PartitionPlan,
+    SourceModel,
+    noisy_function_side_model,
+    two_user_model,
+)
 from latfun.lattices import (
     Lattice,
     hexagonal_lattice,
@@ -49,7 +57,13 @@ from latfun.lattices import (
     nearest_point_coords,
     second_moment,
 )
-from latfun.simulate import build_two_user_codec, run_two_user_experiment
+from latfun.simulate import (
+    build_side_info_codec,
+    build_two_user_codec,
+    run_k_user_experiment,
+    run_side_info_experiment,
+    run_two_user_experiment,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PINS = GOLDEN / "sweep.json"
@@ -89,9 +103,16 @@ CODEC_SETTINGS = {
     "chunk300": {"chunk_size": 300},
     "fixed-dither": {"fixed_dither": True},
 }
+# the Z^4 codecs of the benchmark's ``mc_seq_codecs_z4``: ``kuser`` and
+# ``sideinfo`` runs of Z4_TRIALS trials, in one chunk or in three
+Z4_TRIALS = 4000
+Z4_SETTINGS = {"default": {}, "chunk1500": {"chunk_size": 1500}}
 CODEC_CASES = [
     f"{tag}-seed{seed}-{setting}"
     for tag in CODEC_TRIALS for seed in (0, 7) for setting in CODEC_SETTINGS
+] + [
+    f"{tag}-seed{seed}-{setting}"
+    for tag in ("kuser", "sideinfo") for seed in (0, 7) for setting in Z4_SETTINGS
 ]
 
 # name -> ``latfun`` arguments; ``PLAN`` and ``LATTICE`` stand for the paths
@@ -186,6 +207,31 @@ def _codecs():
     return codecs
 
 
+@functools.lru_cache(maxsize=None)
+def _z4_codecs():
+    """The benchmark's Z^4 K-user model and plan, and its side-information
+    codec (rho 0.8, c 0.8, margin 2)."""
+    cov = np.full((3, 3), 0.8)
+    np.fill_diagonal(cov, 1.0)
+    model = SourceModel(cov, np.array([1.0, -0.8, 0.5]))
+    plan = PartitionPlan(((0, 1), (2,)), (0, 1), (0.05, 0.05, 0.05))
+    side_info = build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02,
+                                      n=4, margin=2.0)
+    return model, plan, side_info
+
+
+def _codec_report(tag: str, seed: int, setting: str):
+    """The ``SimReport`` of one codec case."""
+    if tag == "kuser":
+        model, plan, _ = _z4_codecs()
+        return run_k_user_experiment(model, plan, n=4, trials=Z4_TRIALS, seed=seed, margin=2.0,
+                                     **Z4_SETTINGS[setting])
+    if tag == "sideinfo":
+        return run_side_info_experiment(_z4_codecs()[2], Z4_TRIALS, seed, **Z4_SETTINGS[setting])
+    return run_two_user_experiment(_codecs()[tag], CODEC_TRIALS[tag], seed,
+                                   **CODEC_SETTINGS[setting])
+
+
 @contextlib.contextmanager
 def _threads(count: int):
     """``LATFUN_THREADS=count`` inside the block, restored after it."""
@@ -205,8 +251,7 @@ def codec_digest(name: str, threads: int) -> str:
     ``LATFUN_THREADS=threads``."""
     tag, seed, setting = name.split("-", 2)
     with _threads(threads):
-        rep = run_two_user_experiment(_codecs()[tag], CODEC_TRIALS[tag], int(seed[4:]),
-                                      **CODEC_SETTINGS[setting])
+        rep = _codec_report(tag, int(seed[4:]), setting)
     return hashlib.sha256(rep.to_json().encode()).hexdigest()
 
 

@@ -451,6 +451,56 @@ def test_import_leaves_scipy_out():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--q1", "1e-320", "--trials", "200"),
+    ("simulate", "--trials", "200", "--plan", "PLAN", "--rho", "0.5", "--c", "1,-0.8,0.5"),
+    ("region", "--scheme", "kuser", "--plan", "PLAN", "--rho", "0.5", "--c", "1,-0.8,0.5"),
+], ids=["simulate-q1", "simulate-plan", "region-kuser"])
+def test_subnormal_noise_share_gives_finite_rates(capsys, tmp_path, command):
+    """A subnormal q gives rates of some 531 bits, not an infinite one."""
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text('{"partition": [[0, 1], [2]], "order": [1, 0], '
+                         '"q": [1e-320, 0.05, 0.05]}')
+    args = [str(plan_file) if a == "PLAN" else a for a in command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(capsys, *args)
+    rates = payload["rates_bits"]
+    assert all(math.isfinite(r) for r in rates)
+    assert 530.0 < rates[0] < 532.0
+
+
+_NUMPY_MEMORY_ERROR = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                       "and data type float64")
+
+
+@pytest.mark.parametrize("message, shown", [
+    (_NUMPY_MEMORY_ERROR, _NUMPY_MEMORY_ERROR), ("", "allocation failed"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("args", [
+    ("lattice", "--lattice", "zn", "--dim", "100000", "--op", "moment"),
+    ("simulate", "--n", "100000", "--trials", "10"),
+], ids=["lattice-moment", "simulate"])
+def test_unallocatable_dimension_exit_two(capsys, monkeypatch, args, message, shown):
+    """An n x n generator that cannot be allocated is one error line. np.eye
+    is patched to fail as numpy does, so nothing large is allocated."""
+    eye = np.eye
+    sizes = []
+
+    def eye_without_memory(n, *rest, **kwargs):
+        if n > 1000:
+            sizes.append(n)
+            raise MemoryError(message)
+        return eye(n, *rest, **kwargs)
+
+    monkeypatch.setattr(np, "eye", eye_without_memory)
+    code, out, err = run_cli(capsys, *args)
+    assert sizes == [100000]
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of memory: {shown}\n"
+
+
 @pytest.mark.parametrize("q", ["NaN", "Infinity"])
 @pytest.mark.parametrize("command", [("simulate", "--trials", "1000"),
                                      ("region", "--scheme", "kuser")], ids=["simulate", "region"])

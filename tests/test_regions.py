@@ -34,6 +34,7 @@ from latfun import (
     sum_rate_gap,
     two_user_model,
 )
+from latfun.gaussian import PartitionPlan, sigma_theta
 from latfun.regions import (
     REGIME_INTERIOR,
     REGIME_NUMERIC,
@@ -414,6 +415,31 @@ def test_k_user_two_singletons_example():
     st2 = 0.64 - 0.4096 / 1.1
     assert point.rates[1] == pytest.approx(0.5 * math.log2((st2 + 0.1) / 0.1), abs=1e-12)
     assert point.distortion == pytest.approx(0.04968 / 0.4044, abs=1e-12)
+
+
+_PLAN_CELLS = (((0, 1), (2,)), (1, 0))
+_PLAN_MODEL = SourceModel(np.full((3, 3), 0.5) + 0.5 * np.eye(3), np.array([1.0, -0.8, 0.5]))
+
+
+@pytest.mark.parametrize("q", [(0.05, 0.05, 0.05), (0.3, 1e-3, 2.0)])
+def test_k_user_rates_keep_the_direct_ratio_bits(q):
+    plan = PartitionPlan(*_PLAN_CELLS, q)
+    st = sigma_theta(_PLAN_MODEL, plan)
+    want = [0.5 * math.log2((st[cell] + plan.q_cell(cell)) / q[i])
+            for cell in plan.partition for i in cell]
+    assert k_user_rates(_PLAN_MODEL, plan).rates == tuple(want)
+
+
+@pytest.mark.parametrize("q0", [1e-320, 5e-324])
+def test_k_user_rates_stay_finite_at_subnormal_q(q0):
+    # The cell variance over q0 overflows, so the logs are taken apart.
+    plan = PartitionPlan(*_PLAN_CELLS, (q0, 0.05, 0.05))
+    rates = k_user_rates(_PLAN_MODEL, plan).rates
+    cell = plan.partition[0]
+    coarse_var = sigma_theta(_PLAN_MODEL, plan)[cell] + plan.q_cell(cell)
+    assert rates[0] == pytest.approx(0.5 * (math.log2(coarse_var) - math.log2(q0)), rel=1e-15)
+    assert rates[0] > 500.0
+    assert all(math.isfinite(r) for r in rates)
 
 
 def test_k_user_single_cell_recovers_direct_region():

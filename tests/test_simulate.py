@@ -23,6 +23,7 @@ from latfun import (
     build_side_info_codec,
     build_two_user_codec,
     epi_entropy_sandwich,
+    function_variance,
     independent_side_model,
     integer_lattice,
     nearest_point_coords,
@@ -40,7 +41,10 @@ from latfun.simulate import (
     TwoUserCodec,
     _Accumulator,
     _chunk_rng,
+    _column_counts,
     _gaussian_factor,
+    _row_any,
+    _row_mean,
     _run_cells,
     _side_info_plan,
     _sources,
@@ -99,6 +103,25 @@ def test_build_two_user_codec_q1_boundary():
     assert second_moment(near.fine2).value == pytest.approx(1e-6, rel=1e-6)
     mid = build_two_user_codec(M88, 0.1, q_hi / 2)
     assert mid.rates.rates[0] == pytest.approx(mid.rates.rates[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("d, q1", [(0.1, 0.06), (0.3, 1e-4), (1e-3, 5e-4)])
+def test_two_user_rates_keep_the_direct_ratio_bits(d, q1):
+    var = function_variance(M88)
+    rates = build_two_user_codec(M88, d, q1).rates.rates
+    assert rates == (0.5 * math.log2(var**2 / (q1 * (var - d))),
+                     0.5 * math.log2(var**2 / (d * var - q1 * (var - d))))
+
+
+@pytest.mark.parametrize("d, q1", [(0.1, 1e-320), (0.1, 5e-324), (1e-320, 5e-321)])
+def test_two_user_rates_stay_finite_at_subnormal_noise_shares(d, q1):
+    # A ratio overflows or its denominator underflows: the logs are taken apart.
+    var = function_variance(M88)
+    r1, r2 = build_two_user_codec(M88, d, q1).rates.rates
+    m2 = d * var / (var - d) - q1
+    log2_var_sq = 2.0 * math.log2(var)
+    assert r1 == pytest.approx(0.5 * (log2_var_sq - math.log2(q1) - math.log2(var - d)), rel=1e-15)
+    assert r2 == pytest.approx(0.5 * (log2_var_sq - math.log2(var - d) - math.log2(m2)), rel=1e-15)
 
 
 def test_build_two_user_codec_validation():
@@ -387,6 +410,40 @@ def test_source_columns_equal_the_stacked_product(n, cols):
             for i in range(cols):
                 assert got[i].shape == (m, n)
                 assert np.array_equal(got[i].view(np.int64), want[..., i].view(np.int64))
+
+
+def _reduction_inputs(m: int, k: int) -> np.ndarray:
+    """(m, k) values spanning 1e-20..1e20 in magnitude, with +0.0, -0.0,
+    rows of one repeated value and rows whose entries cancel exactly."""
+    rng = np.random.default_rng([m, k, 0x7264])
+    a = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-20, 21, size=(m, k))
+    a[rng.random((m, k)) < 0.1] = 0.0
+    a[rng.random((m, k)) < 0.1] = -0.0
+    rows = rng.random(m)
+    tie = rng.choice([-1.5, 0.5, 1e20, 3e-20], size=m)
+    a[rows < 0.1] = tie[rows < 0.1, None]
+    cancel = (rows >= 0.1) & (rows < 0.2)
+    a[cancel] = tie[cancel, None] * np.where(np.arange(k) % 2, -1.0, 1.0)
+    a[0] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("m", [1, 7, 32768])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_trial_axis_reductions_match_numpy_bit_for_bit(m, k):
+    # _row_mean sums columns left to right below k = 8, which is numpy's own
+    # order for short rows, and calls np.mean from k = 8. A reduction's order
+    # is a numpy implementation detail, so a failure names the version.
+    a = _reduction_inputs(m, k)
+    where = f"m = {m}, k = {k}, numpy {np.__version__}"
+    got, want = _row_mean(a), np.mean(a, axis=-1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"_row_mean differs at {where}"
+    for flags in (a, a != 0, (a > 0).astype(np.int64)):
+        assert np.array_equal(_row_any(flags), np.any(flags, axis=-1)), f"_row_any differs at {where}"
+    flags = a > 0
+    counts = _column_counts(flags)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.sum(flags, axis=0)), f"_column_counts differs at {where}"
 
 
 @pytest.mark.parametrize("margin", [math.inf, math.nan, 0.5])
