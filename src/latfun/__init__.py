@@ -24,6 +24,7 @@ from .errors import (
     SingularLattice,
     SingularObservationGram,
     TooManyCosets,
+    UnresolvableDistortion,
     UnsupportedDimension,
     VarianceOverflow,
 )

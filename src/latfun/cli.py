@@ -229,26 +229,26 @@ def _grid_rows(cells, rho, c, var_z, grids, collapse_d: bool) -> List[str]:
     return rows
 
 
-def sweep_rows_fig3(n_c: int = 40, n_d: int = 40, rho: float = 0.8):
-    """Direct-scheme sum-rate surface over (c, D) at fixed correlation."""
+def sweep_rows_fig3():
+    """Direct-scheme sum-rate surface over (c, D) at correlation 0.8."""
     rows = []
-    for c in np.linspace(0.05, 2.0, n_c):
-        model = two_user_model(rho, c)
+    for c in np.linspace(0.05, 2.0, 40):
+        model = two_user_model(0.8, c)
         model.require_two_user()
         sz2 = function_variance(model)
-        d_grid = np.geomspace(0.01, 0.99 * sz2, n_d)
+        d_grid = np.geomspace(0.01, 0.99 * sz2, 40)
         lattice_bits = regions._log2_twice_ratio(sz2, d_grid)
         for d, bits in zip(d_grid.tolist(), lattice_bits.tolist()):
             rows.append(
-                ",".join([_g6(rho), _g6(float(c)), _g6(d), _g6(bits), "nan", "nan", "lattice-only"])
+                ",".join([_g6(0.8), _g6(float(c)), _g6(d), _g6(bits), "nan", "nan", "lattice-only"])
             )
     return rows
 
 
-def sweep_rows_fig4(n_d: int = 256, rho: float = 0.8, c: float = 0.8):
-    """Both schemes against distortion at one (rho, c); shows the crossover."""
+def sweep_rows_fig4():
+    """Both schemes against distortion at rho = c = 0.8; shows the crossover."""
     return _sweep_rows(
-        [rho], [c], lambda sz2: np.geomspace(0.021, 0.355, n_d), collapse_d=False
+        [0.8], [0.8], lambda sz2: np.geomspace(0.021, 0.355, 256), collapse_d=False
     )
 
 

@@ -25,6 +25,10 @@ class MomentOverflow(LatfunError):
     """A second moment inflated by the margin is not a finite number."""
 
 
+class UnresolvableDistortion(LatfunError):
+    """Target distortion too small for the float64 rounding of the codec's sources."""
+
+
 class VarianceOverflow(LatfunError):
     """The variance of the target function is not a finite number."""
 

@@ -117,22 +117,6 @@ class SourceModel:
         if self._two_user_error is not None:
             raise ValueError(self._two_user_error)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "K": self.k,
-                "cov": [float(x) for x in self.cov.reshape(-1)],
-                "coeffs": [float(x) for x in self.coeffs],
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SourceModel":
-        payload = json.loads(text)
-        k = int(payload["K"])
-        cov = np.asarray(payload["cov"], dtype=np.float64).reshape(k, k)
-        return SourceModel(cov, np.asarray(payload["coeffs"], dtype=np.float64))
 
 
 def _two_user_arrays(rho: float, c: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -376,9 +360,9 @@ class SideInfoModel:
         return s
 
 
-def independent_side_model(rho: float, c: float, var_y: float = 1.0) -> SideInfoModel:
-    """Side variable independent of both sources (reduces to the plain pair)."""
-    cov = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, var_y]])
+def independent_side_model(rho: float, c: float) -> SideInfoModel:
+    """Unit-variance side variable independent of both sources (the plain pair)."""
+    cov = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
     return SideInfoModel(cov, np.array([1.0, -float(c)]))
 
 
@@ -399,9 +383,9 @@ def noisy_function_side_model(rho: float, c: float, noise_var: float) -> SideInf
     return SideInfoModel(cov, base.coeffs)
 
 
-def require_informative(si_model: SideInfoModel, tol: float = 1e-12) -> float:
+def require_informative(si_model: SideInfoModel) -> float:
     """Innovations variance, raising when side information is degenerate."""
     s = si_model.innovations_variance()
-    if s <= tol * max(si_model.function_variance(), 1.0):
+    if s <= 1e-12 * max(si_model.function_variance(), 1.0):
         raise DegenerateSideInfo("side information determines the function exactly")
     return s

@@ -307,12 +307,12 @@ def in_voronoi(lat: Lattice, x: Sequence[float]) -> bool:
     return bool(np.all(coords == 0))
 
 
-def contains(lat: Lattice, x: Sequence[float], tol: float = _INT_TOL) -> bool:
-    """Membership test: G^{-1} x is integral within ``tol``."""
+def contains(lat: Lattice, x: Sequence[float]) -> bool:
+    """Membership test: G^{-1} x is integral within 1e-9."""
     x = np.asarray(x, dtype=np.float64)
     _check_dim(lat, x)
     u = np.linalg.solve(lat.gen, x)
-    return bool(np.all(np.abs(u - np.rint(u)) <= tol))
+    return bool(np.all(np.abs(u - np.rint(u)) <= _INT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,8 @@ def scale_to_second_moment(lat: Lattice, target: float) -> Lattice:
     """Rescale so the per-dimension second moment equals ``target``.
 
     Exact for diagonal generators; otherwise requires a cached moment
-    estimate (attach one with ``second_moment`` + ``with_moment``).
+    estimate (attach one with ``second_moment`` + ``with_moment``), which
+    ``scaled`` rescales to ``target`` up to rounding.
     """
     if not target > 0:
         raise NonPositiveTarget(f"target second moment must be > 0, got {target}")
@@ -392,11 +393,7 @@ def scale_to_second_moment(lat: Lattice, target: float) -> Lattice:
         raise MissingMomentEstimate(
             "non-diagonal lattice needs a cached second-moment estimate before scaling"
         )
-    factor = math.sqrt(target / current)
-    out = lat.scaled(factor)
-    if lat.is_diagonal:
-        return out
-    return out.with_moment(MomentEstimate(target, lat.moment.std_error * factor**2, lat.moment.samples))
+    return lat.scaled(math.sqrt(target / current))
 
 
 # ---------------------------------------------------------------------------

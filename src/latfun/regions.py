@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DistortionOutOfRange,
     NonPositiveQ,
     OrthogonalScaling,
@@ -57,7 +58,6 @@ class RatePoint:
     rates: Tuple[float, ...]
     distortion: float
     scheme: str
-    plan: Optional[PartitionPlan] = None
 
     @property
     def sum_rate(self) -> float:
@@ -378,9 +378,7 @@ def lower_convex_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.interp(x, hull_x, hull_y)
 
 
-def bt_min_sum_curve(
-    model: SourceModel, d_grid: Optional[Sequence[float]] = None, n_points: int = 512
-):
+def bt_min_sum_curve(model: SourceModel):
     """Minimum-sum-rate curve over distortion with time sharing applied.
 
     Returns (d_grid, pointwise, envelope): the pointwise regime values and
@@ -388,10 +386,7 @@ def bt_min_sum_curve(
     stretch of the finite-noise branch via an implicit time-sharing segment.
     """
     sz2 = function_variance(model)
-    if d_grid is None:
-        d = np.geomspace(1e-3 * sz2, 1.05 * sz2, n_points)
-    else:
-        d = np.asarray(d_grid, dtype=np.float64)
+    d = np.geomspace(1e-3 * sz2, 1.05 * sz2, 512)
     pointwise = bt_min_sum_rates(model, d)
     envelope = lower_convex_envelope(d, pointwise)
     return d, pointwise, envelope
@@ -408,6 +403,8 @@ def k_user_rates(model: SourceModel, plan: PartitionPlan) -> RatePoint:
     (residual of its partial function plus the cell's total backward noise)
     over its own noise share.
     """
+    if plan.k != model.k:
+        raise DimensionMismatch("plan and model disagree on the number of users")
     st = sigma_theta(model, plan)
     rates = np.zeros(model.k)
     for cell in plan.partition:
@@ -415,7 +412,7 @@ def k_user_rates(model: SourceModel, plan: PartitionPlan) -> RatePoint:
         for i in cell:
             rates[i] = _half_log2_ratio(coarse_var, plan.q[i], (plan.q[i],))
     _, dist = final_estimator(model, plan)
-    return RatePoint(tuple(float(r) for r in rates), float(dist), SCHEME_HYBRID, plan)
+    return RatePoint(tuple(float(r) for r in rates), float(dist), SCHEME_HYBRID)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ of two encoders, side information is a predictor known before decoding, and
 the K-user codec runs its partition plan.
 
 Trials are partitioned into chunks; chunk k draws from a stream seeded by
-(seed, k). Chunk statistics are merged by an ordered floating-point sum in
-chunk order: not exact, but deterministic, so results are bit-identical for
-a fixed (seed, trials, chunk_size) regardless of worker count.
+(seed, k). Chunk statistics stream, in chunk order, into an ordered float
+sum: not exact, but deterministic, so results are bit-identical for a fixed
+(seed, trials, chunk_size) regardless of worker count.
 
 Within a chunk, work runs along the trial axis. Each source column is a
 contiguous (m, n) array (see ``_sources``), and every per-trial reduction
@@ -55,6 +55,7 @@ from .errors import (
     MomentOverflow,
     NonPositiveQ,
     QOutOfRange,
+    UnresolvableDistortion,
 )
 from .gaussian import (
     PartitionPlan,
@@ -115,11 +116,14 @@ def _dither_rng(seed: int) -> np.random.Generator:
 
 
 def _map_chunks(fn, n_chunks: int):
-    workers = _worker_count()
+    """``fn(k)`` for each chunk k, in order; one worker computes each in the
+    calling thread once the one before is consumed, more run ahead in a pool."""
+    workers = min(_worker_count(), n_chunks)
     if workers == 1:
-        return [fn(k) for k in range(n_chunks)]
+        yield from map(fn, range(n_chunks))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+        yield from pool.map(fn, range(n_chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +410,22 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
     return z, zhat, v, overload, clean_before
 
 
-def _run(plan: _Plan, sizes, seed: int) -> _Accumulator:
-    """Run the chunks of one experiment and merge their statistics."""
+def _require_resolvable(plan: _Plan, d: float):
+    """Reject a target distortion d that float64 cannot resolve: a member
+    rounds ``scale * x`` at about eps |scale x| (eps = 2^-52), and these noises
+    must sum to at most 1e-6 d (a share that overflows is far above it)."""
+    with np.errstate(all="ignore"):
+        sd = np.sqrt(np.sum(plan.factor**2, axis=1))  # of each source column
+        t = np.array([abs(m.scale) * sd[m.col] for cell in plan.cells for m in cell.members])
+        share = float(np.sum((2.0**-52 * t / math.sqrt(d)) ** 2))
+    if not share <= 1e-6:
+        raise UnresolvableDistortion(f"target distortion {d:.6g} is below what float64 sources "
+                                     f"resolve: their rounding noise is {share:.3g} of it")
+
+
+def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimReport:
+    """Run the chunks of one experiment of ``codec`` and report their merged statistics."""
+    _require_resolvable(plan, codec.rates.distortion)
 
     def work(k: int):
         z, zhat, v, overload, clean_before = _run_cells(plan, sizes[k], _chunk_rng(seed, k))
@@ -417,7 +435,7 @@ def _run(plan: _Plan, sizes, seed: int) -> _Accumulator:
     acc = _Accumulator(len(plan.cells), plan.order[-1])
     for chunk in _map_chunks(work, len(sizes)):
         acc.add(*chunk)
-    return acc
+    return acc.report(codec.rates, seed, codec.margin, codec.n, per_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +584,7 @@ def run_two_user_experiment(
     if fixed_dither:
         drng = _dither_rng(seed)
         dithers = (sample_dither(codec.fine1, drng, 1)[0], sample_dither(codec.fine2, drng, 1)[0])
-    return _run(_two_user_plan(codec, dithers), sizes, seed).report(
-        codec.rates, seed, codec.margin, codec.n)
+    return _run(_two_user_plan(codec, dithers), sizes, seed, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +658,7 @@ def run_side_info_experiment(
     the one cell (see ``_side_info_plan``).
     """
     sizes = _chunk_sizes(trials, chunk_size)
-    return _run(_side_info_plan(codec), sizes, seed).report(
-        codec.rates, seed, codec.margin, codec.n)
+    return _run(_side_info_plan(codec), sizes, seed, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +688,7 @@ def build_k_user_codec(
     """Scale per-user fine lattices to q_i and per-cell coarse lattices to the
     residual-plus-noise variance of the cell's partial function."""
     base = _base_lattice(n, margin, base_lattice)
-    if plan.k != model.k:
-        raise DimensionMismatch("plan and model disagree on the number of users")
+    rates = k_user_rates(model, plan)
     st = sigma_theta(model, plan)
     fines = tuple(scale_to_second_moment(base, q) for q in plan.q)
     coarses = {
@@ -681,8 +696,7 @@ def build_k_user_codec(
         for cell in plan.partition
     }
     return KUserCodec(
-        model=model, plan=plan, fines=fines, coarses=coarses, margin=margin,
-        n=n, rates=k_user_rates(model, plan),
+        model=model, plan=plan, fines=fines, coarses=coarses, margin=margin, n=n, rates=rates,
     )
 
 
@@ -714,7 +728,7 @@ def run_k_user_experiment(
     )
     plan_run = _Plan(_gaussian_factor(model.cov), model.coeffs, (), cells, plan.decode_order,
                      final_w)
-    return _run(plan_run, sizes, seed).report(codec.rates, seed, margin, n, per_cell=True)
+    return _run(plan_run, sizes, seed, codec, per_cell=True)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,43 @@ def test_simulate_two_user_json_and_csv(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_simulate_csv_to_an_unwritable_path_exits_one(capsys, tmp_path):
+    csv_path = tmp_path / "missing" / "runs.csv"
+    code, out, err = run_cli(capsys, "simulate", "--trials", "1000", "--csv", str(csv_path))
+    assert code == 1
+    assert json.loads(out)["trials"] == 1000
+    assert err.startswith(f"failed to append {csv_path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pair, scalar", [("1,-0.8", "0.8"), ("1,2", "-2")])
+def test_simulate_two_user_pair_form_of_c(capsys, pair, scalar):
+    """The pair '1,-c' is the scalar c: the same bytes."""
+    args = ("simulate", "--trials", "1000", "--seed", "3", "--margin", "2")
+    _, want, _ = run_cli(capsys, *args, "--c", scalar)
+    assert run_cli(capsys, *args, "--c", pair) == (0, want, "")
+
+
+@pytest.mark.parametrize("c", ["2,1", "1,-0.8,0.5"])
+def test_simulate_two_user_rejects_other_coefficient_lists(capsys, c):
+    code, out, err = run_cli(capsys, "simulate", "--trials", "1000", "--c", c)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: two-user schemes need a scalar c (or the pair '1,-c'); got {c}\n"
+
+
+@pytest.mark.parametrize("d, code", [("1e-20", 0), ("1e-34", 2), ("1e-40", 2)])
+def test_simulate_fails_closed_below_float64_resolution(capsys, d, code):
+    got, out, err = run_cli(capsys, "simulate", "--d", d, "--q1", str(0.6 * float(d)),
+                            "--trials", "2000")
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["empirical_distortion"] == pytest.approx(float(d), rel=0.15)
+    else:
+        assert out == ""
+        assert err.startswith(f"error: target distortion {d} is below what float64")
+        assert err.count("\n") == 1
+
+
 def test_simulate_deterministic(capsys):
     args = ["simulate", "--trials", "20000", "--seed", "9", "--margin", "2",
             "--q1", "0.06", "--rho", "0.8", "--c", "0.8", "--d", "0.1"]
@@ -550,6 +587,30 @@ def test_simulate_kuser_plan(capsys, tmp_path):
     assert payload["conditional_distortion"] == pytest.approx(0.1228487, rel=0.1)
 
 
+@pytest.mark.parametrize("command", [("simulate", "--trials", "1000", "--seed", "3"),
+                                     ("region", "--scheme", "kuser")], ids=["simulate", "region"])
+def test_kuser_covariance_file_matches_the_equicorrelation(capsys, tmp_path, command):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(singleton_plan(2, (0.1, 0.1)).to_json())
+    cov_file = tmp_path / "cov.json"
+    cov_file.write_text("[[1.0, 0.8], [0.8, 1.0]]")
+    args = (*command, "--plan", str(plan_file), "--c", "1,-0.8")
+    _, want, _ = run_cli(capsys, *args, "--rho", "0.8")
+    assert run_cli(capsys, *args, "--cov", str(cov_file)) == (0, want, "")
+
+
+@pytest.mark.parametrize("c", ["1", "1,-0.8,0.5"])
+@pytest.mark.parametrize("command", [("simulate", "--trials", "1000"),
+                                     ("region", "--scheme", "kuser")], ids=["simulate", "region"])
+def test_kuser_plan_of_another_user_count_exit_two(capsys, tmp_path, command, c):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(singleton_plan(2, (0.1, 0.1)).to_json())
+    code, out, err = run_cli(capsys, *command, "--plan", str(plan_file), "--c", c)
+    assert code == 2
+    assert out == ""
+    assert err == "error: plan and model disagree on the number of users\n"
+
+
 def test_simulate_side_info(capsys):
     payload = run_json(
         capsys, "simulate", "--side-info", "0.1", "--rho", "0.8",
@@ -590,6 +651,20 @@ def test_lattice_cosets(capsys):
     assert payload["count"] == 4
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--op", "moment", "--lattice", "SINGULAR"), "generator is singular within tolerance"),
+    (("--op", "construction-a", "--p", "1", "--dim", "2"), "p = 1 is not prime"),
+], ids=["singular-generator-file", "construction-a-p1"])
+def test_lattice_invalid_inputs_exit_two(capsys, tmp_path, args, message):
+    singular = tmp_path / "singular.json"
+    singular.write_text('{"dim": 2, "gen": [1.0, 2.0, 2.0, 4.0]}')
+    args = [str(singular) if a == "SINGULAR" else a for a in args]
+    code, out, err = run_cli(capsys, "lattice", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["region", "--scheme", "bogus"])
@@ -614,10 +689,11 @@ _INPUT_FLAGS = {
     ("plan", None), ("cov", None), ("lattice", None),
     ("plan", "{}"),
     ("plan", '{"partition": 5, "order": [0], "q": [0.1]}'),
+    ("plan", '{"partition": [[0], []], "order": [0, 1], "q": [0.1, 0.1]}'),
     ("cov", '{"cov": [1, 0, 0, 1]}'),
     ("lattice", '{"dim": 2}'),
     ("lattice", "[1, 2]"),
-], ids=["plan-dir", "cov-dir", "lattice-dir", "plan-empty", "plan-partition-int",
+], ids=["plan-dir", "cov-dir", "lattice-dir", "plan-empty", "plan-partition-int", "plan-empty-cell",
         "cov-object", "lattice-no-gen", "lattice-list"])
 def test_malformed_input_file_exit_two(capsys, tmp_path, kind, text):
     """A directory, or a file of the wrong JSON shape, is one line naming it."""

@@ -8,6 +8,7 @@ import pytest
 from latfun import (
     DegenerateSideInfo,
     PartitionPlan,
+    SideInfoModel,
     SingularObservationGram,
     SourceModel,
     VarianceOverflow,
@@ -213,13 +214,6 @@ def test_plan_json_roundtrip():
     assert back.q_cell((0, 2)) == pytest.approx(0.4)
 
 
-def test_model_json_roundtrip():
-    model = two_user_model(0.6, 1.1)
-    back = SourceModel.from_json(model.to_json())
-    assert back.cov == pytest.approx(model.cov)
-    assert back.coeffs == pytest.approx(model.coeffs)
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         SourceModel(np.array([[1.0, 0.5], [0.4, 1.0]]), np.array([1.0, -1.0]))
@@ -227,6 +221,10 @@ def test_model_validation():
         SourceModel(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         two_user_model(0.0, 0.8).require_two_user()
+    with pytest.raises(ValueError, match="covariance must be square"):
+        SourceModel(np.ones((2, 3)), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="coefficient length must match"):
+        SourceModel(np.eye(2), np.array([1.0, -1.0, 0.5]))
 
 
 
@@ -286,6 +284,22 @@ def test_independent_side_variable_changes_nothing():
     assert si.innovations_variance() == pytest.approx(0.36)
     beta, _ = si.side_regression()
     assert beta == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("cov, coeffs, message", [
+    (np.eye(2), [1.0, -0.8], "3 x 3 covariance"),
+    (np.eye(3), [1.0, -0.8, 0.5], "2 function coefficients"),
+], ids=["cov-2x2", "three-coeffs"])
+def test_side_info_model_shape_errors(cov, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        SideInfoModel(cov, np.array(coeffs))
+
+
+def test_side_regression_without_side_variance():
+    # Var Y = 0: Y carries nothing, so beta = 0 and the innovations are all of Z.
+    cov = np.array([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    si = SideInfoModel(cov, np.array([1.0, -0.8]))
+    assert si.side_regression() == (0.0, si.function_variance())
 
 
 def test_noisy_function_side_variable():

@@ -197,6 +197,8 @@ def test_singular_and_zero_column_messages():
         Lattice(np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(SingularLattice, match="zero column"):
         Lattice(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(SingularLattice, match="square n x n"):
+        Lattice(np.ones((2, 3)))
     # The Hadamard ratio is scale-free: the same near-singular shape is
     # rejected at any scale inside the range.
     for scale in (1e-100, 1.0, 1e100):
@@ -411,6 +413,8 @@ def test_scale_to_second_moment_diag_target():
 def test_second_moment_sample_floor(rng):
     with pytest.raises(ValueError):
         second_moment(A2, 500, rng)
+    with pytest.raises(ValueError, match="seeded numpy Generator"):
+        second_moment(A2, 1000)
 
 
 def test_scale_to_second_moment_errors(rng):
@@ -453,6 +457,8 @@ def test_nested_pair_rejects_a_wrong_nesting_matrix(j):
 def test_nested_pair_rejects_a_nesting_matrix_of_the_wrong_shape():
     with pytest.raises(DimensionMismatch):
         NestedPair(integer_lattice(2), integer_lattice(2, 2.0), 2 * np.eye(3))
+    with pytest.raises(DimensionMismatch, match="dimensions differ"):
+        NestedPair(integer_lattice(1), integer_lattice(2, 2.0), 2 * np.eye(2))
 
 
 def test_nested_pair_keeps_a_nesting_matrix_within_tolerance():
@@ -582,6 +588,11 @@ def test_hermite_basis_is_canonical(rng):
             for i in range(n):
                 assert all(h[i][col] == 0 for col in range(i))
                 assert all(0 <= h[r][i] < h[i][i] for r in range(i))
+
+
+def test_hermite_basis_rejects_rank_deficient_rows():
+    with pytest.raises(SingularLattice, match="rank deficient"):
+        _hermite_basis([[1, 2], [2, 4]])
 
 
 # ---------------------------------------------------------------------------

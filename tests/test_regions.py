@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from latfun import (
     DegenerateSideInfo,
+    DimensionMismatch,
     DistortionOutOfRange,
     NonPositiveQ,
     OrthogonalScaling,
@@ -395,7 +396,7 @@ def test_lower_convex_envelope_cuts_concave_bump():
 
 
 def test_bt_min_sum_curve_envelope_below_pointwise():
-    d, pointwise, envelope = bt_min_sum_curve(M88, n_points=512)
+    d, pointwise, envelope = bt_min_sum_curve(M88)
     assert np.all(envelope <= pointwise + 1e-12)
     # The small-distortion stretch is already convex: envelope == curve there.
     head = d < 0.15
@@ -415,6 +416,14 @@ def test_k_user_two_singletons_example():
     st2 = 0.64 - 0.4096 / 1.1
     assert point.rates[1] == pytest.approx(0.5 * math.log2((st2 + 0.1) / 0.1), abs=1e-12)
     assert point.distortion == pytest.approx(0.04968 / 0.4044, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_k_user_rates_reject_a_plan_of_another_user_count(k):
+    # A plan over fewer users would leave a source out; one over more would
+    # index past the coefficients.
+    with pytest.raises(DimensionMismatch, match="number of users"):
+        k_user_rates(M88, singleton_plan(k, (0.1,) * k))
 
 
 _PLAN_CELLS = (((0, 1), (2,)), (1, 0))
@@ -543,6 +552,9 @@ def test_scaling_rejects_bad_distortion_and_eta():
             optimal_scaling(M88, d)
     for eta in ([math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
+            scaling_region_rhs(M88, 0.1, eta)
+    for eta in ([1.0], [1.0, -0.8, 0.5]):
+        with pytest.raises(ValueError, match="length must match"):
             scaling_region_rhs(M88, 0.1, eta)
 
 

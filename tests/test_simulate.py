@@ -19,6 +19,7 @@ from latfun import (
     PartitionPlan,
     QOutOfRange,
     SourceModel,
+    UnresolvableDistortion,
     build_k_user_codec,
     build_side_info_codec,
     build_two_user_codec,
@@ -37,12 +38,14 @@ from latfun import (
     two_user_model,
 )
 from latfun.regions import RatePoint, SCHEME_LATTICE
+from latfun import simulate
 from latfun.simulate import (
     TwoUserCodec,
     _Accumulator,
     _chunk_rng,
     _column_counts,
     _gaussian_factor,
+    _map_chunks,
     _row_any,
     _row_mean,
     _run_cells,
@@ -129,6 +132,30 @@ def test_build_two_user_codec_validation():
         build_two_user_codec(M88, 0.1, 0.2)
     with pytest.raises(DistortionOutOfRange):
         build_two_user_codec(M88, 0.4, 0.01)
+
+
+@pytest.mark.parametrize("d", [1e-34, 1e-40])
+def test_runs_below_float64_resolution_fail_closed(d):
+    # The rounding of the unit-variance sources, about 2^-104 (1 + c^2) =
+    # 8.1e-32, would swamp these targets: D = 1e-40 gave 2.1e7 times D.
+    codec = build_two_user_codec(M88, d, 0.6 * d)
+    si_codec = build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.1), d, 0.6 * d)
+    runs = [
+        lambda: run_two_user_experiment(codec, 2000, seed=0),
+        lambda: run_side_info_experiment(si_codec, 2000, seed=0),
+        lambda: run_k_user_experiment(M88, singleton_plan(2, (d, d)), trials=2000),
+    ]
+    for run in runs:
+        with pytest.raises(UnresolvableDistortion, match="float64"):
+            run()
+
+
+def test_run_within_float64_resolution_meets_its_target():
+    d = 1e-20
+    codec = build_two_user_codec(M88, d, 0.6 * d, margin=2.0)
+    rep = run_two_user_experiment(codec, 2000, seed=0)
+    assert rep.overload_rate == 0.0
+    assert rep.empirical_distortion == pytest.approx(d, rel=0.15)
 
 
 def test_build_two_user_codec_commensurate_mode():
@@ -387,11 +414,39 @@ def _k_user_run():
 ])
 def test_experiment_thread_count_does_not_change_output(monkeypatch, make_run):
     run = make_run()
+    outputs = []
+    for threads in ("1", "2", "abc"):  # a value that is not a count means 1
+        monkeypatch.setenv("LATFUN_THREADS", threads)
+        outputs.append(run().to_json())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_one_worker_computes_each_chunk_after_the_last_is_consumed(monkeypatch):
     monkeypatch.setenv("LATFUN_THREADS", "1")
-    a = run()
+    events = []
+
+    def fn(k):
+        events.append(("computed", k))
+        return k
+
+    for k in _map_chunks(fn, 3):
+        events.append(("consumed", k))
+    assert events == [(kind, k) for k in range(3) for kind in ("computed", "consumed")]
+
+
+def test_one_chunk_runs_in_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk run started a thread pool")
+
+    run = _two_user_run(False)
+    monkeypatch.setenv("LATFUN_THREADS", "1")
+    codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
+    want = run_two_user_experiment(codec, 1024, seed=12).to_json()
     monkeypatch.setenv("LATFUN_THREADS", "2")
-    b = run()
-    assert a.to_json() == b.to_json()
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    assert run_two_user_experiment(codec, 1024, seed=12).to_json() == want
+    with pytest.raises(AssertionError, match="thread pool"):
+        run()  # ten chunks still use the pool
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3])
