@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,11 +67,14 @@ class Lattice:
     reuse it; diagonal generators never need the cache because their moments
     are exact. The diagonal test runs once, at construction: a generator whose
     off-diagonal entries are within 1e-12 of its largest entry is diagonal,
-    and ``_scales`` keeps its diagonal. Where the off-diagonal entries are
-    exactly zero (``_exact_diag``), quantization and dithers stay in float64
-    and skip the matrix product. The closest-point search context (QR factors
-    and relevant vectors) is computed on first use and carried through
-    scaling.
+    and ``_scales`` keeps its diagonal, as one float where every diagonal
+    entry is equal (c Z^n). numpy divides and multiplies an (m, n) array by a
+    scalar several times faster than by an (n,) row at small n, and IEEE
+    arithmetic gives the same bits either way. Where the off-diagonal entries
+    are exactly zero (``_exact_diag``), quantization and dithers stay in
+    float64 and skip the matrix product. The closest-point search context
+    (QR factors and relevant vectors) is computed on first use and carried
+    through scaling.
 
     Squared column lengths (the Gram diagonal, which bounds the rest of the
     Gram matrix) and the determinant must be finite and nonzero, so that
@@ -81,7 +84,8 @@ class Lattice:
     gen: np.ndarray
     moment: Optional[MomentEstimate] = None
     _sphere: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _scales: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _scales: Union[float, np.ndarray, None] = field(default=None, init=False, repr=False,
+                                                    compare=False)
     _exact_diag: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,7 +110,9 @@ class Lattice:
             raise SingularLattice(_RANGE_ERROR.format(np.max(np.abs(g))))
         off = g - np.diag(np.diag(g))
         if np.all(np.abs(off) <= 1e-12 * np.max(np.abs(g))):
-            object.__setattr__(self, "_scales", np.diag(g).copy())
+            diag = np.diag(g).copy()
+            scales = float(diag[0]) if np.all(diag == diag[0]) else diag
+            object.__setattr__(self, "_scales", scales)
             object.__setattr__(self, "_exact_diag", not np.any(off))
 
     @property
@@ -224,10 +230,10 @@ def _check_dim(lat: Lattice, x: np.ndarray):
         )
 
 
-def _round_half_down(x: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    # Nearest integer to x / scales, rounded in place in that fresh quotient;
-    # exact halves resolve downward, which is the lexicographically smaller
-    # choice per coordinate.
+def _round_half_down(x: np.ndarray, scales: Union[float, np.ndarray]) -> np.ndarray:
+    # Nearest integer to x / scales (a lattice's ``_scales``), rounded in
+    # place in that fresh quotient; exact halves resolve downward, which is
+    # the lexicographically smaller choice per coordinate.
     q = x / scales
     q -= 0.5
     return np.ceil(q, out=q)
@@ -348,8 +354,9 @@ def second_moment(
     if lat.is_diagonal:
         # Summed in the exact power-of-two frame described below, so the
         # sum of squared scales cannot overflow where the moment is finite.
-        _, e = math.frexp(float(np.max(np.abs(lat._scales))))
-        value = float(np.sum(np.ldexp(lat._scales, -e) ** 2) / 12.0 / lat.dim)
+        scales = np.diag(lat.gen)
+        _, e = math.frexp(float(np.max(np.abs(scales))))
+        value = float(np.sum(np.ldexp(scales, -e) ** 2) / 12.0 / lat.dim)
         return MomentEstimate(math.ldexp(value, 2 * e), 0.0, 0)
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a moment estimate")

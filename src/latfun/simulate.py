@@ -11,7 +11,8 @@ for overload; margin = 1 is the nominal parameter choice.
 The public surface is the ``build_*_codec`` builders, the
 ``run_*_experiment`` runners, their ``SimReport`` and
 ``epi_entropy_sandwich``. Encoding and decoding exist only in the
-cell-sequential engine ``_run_cells``, driven by a cell plan: cells of
+cell-sequential engine ``_run_block``, which ``_run_cells`` runs over the
+row blocks of a chunk, driven by a cell plan: cells of
 encoders, each sharing a coarse lattice, decoded in order against a
 prediction from the decoder's side values and the cells decoded before; the
 estimate of Z weighs side values and cells. The two-user codec is one cell
@@ -31,10 +32,25 @@ number of cells, is k whole-column passes over the m trials
 reduction. The passes keep numpy's order, so the bits are numpy's: an OR
 and an integer count are exact in any order, and a mean sums the columns
 left to right from +0.0 and divides by k, as numpy does for k < 8 (from
-k = 8 numpy sums pairwise, and its own call is kept). The engine's cell
-sums stay out of place: done in place, they raised the minor page faults of
-a 65,536-trial Z^1 chunk by a third under glibc's allocator, which cost
-more time than the copies they saved.
+k = 8 numpy sums pairwise, and its own call is kept).
+
+A chunk first makes all of its rng draws (``_draw``), each a whole-chunk
+array: the source normals, then each member's dither in decode order.
+Nothing else reads the stream, so drawing the dithers ahead of the
+arithmetic keeps it, where drawing them per block would interleave the
+members' draws and change it. The arithmetic (``_run_block``) then runs on
+row blocks of ``_BLOCK`` trials, and each block keeps only its per-trial
+results: the squared error, and per cell the mod-input second moment,
+overload and clean history. Each of them depends on its own row alone (the
+closest-point products reduce over the n coordinates of a row), so blocks
+give the bits of one pass, which the golden pins check on chunks of several
+blocks, and every sum across trials stays whole-chunk in ``_Accumulator``.
+A block's temporaries take 64 KB per coordinate, against 512 KB for a whole
+65,536-trial chunk, whose temporaries were faulted in afresh at nearly
+every step; blocking about halves the minor page faults of the Z^1 and Z^4
+codecs. ``_BLOCK`` is a constant because no result depends on it: it
+trades memory traffic against per-block overhead, and is not a parameter
+of the experiment.
 """
 
 from __future__ import annotations
@@ -79,6 +95,7 @@ from .lattices import (
 from .regions import RatePoint, SCHEME_LATTICE, _half_log2_ratio, k_user_rates
 
 DEFAULT_CHUNK = 65536
+_BLOCK = 8192  # trials per row block of a chunk's arithmetic (see the module docstring)
 
 
 def _worker_count() -> int:
@@ -211,10 +228,18 @@ def _json_number(x):
 class _Accumulator:
     """Sufficient statistics merged across chunks by an ordered float sum
     (deterministic, not exact). The mod-input moment is that of the last
-    decoded cell ``last``, over trials whose earlier cells did not overload."""
+    decoded cell ``last``, over trials whose earlier cells did not overload.
 
-    def __init__(self, n_cells: int, last: int):
+    The errors and their squares are summed in the frame ``err * 2^-e``, with
+    2^e the binary magnitude of the target distortion ``d``, and the report
+    scales back. A power of two scales exactly, so this changes no bit, and
+    the squares, of order 1 in that frame, neither overflow nor underflow at
+    any finite normal d.
+    """
+
+    def __init__(self, n_cells: int, last: int, d: float):
         self.last = last
+        _, self.exp = math.frexp(d)
         self.trials = 0
         self.err_sum = 0.0
         self.err_sq_sum = 0.0
@@ -230,6 +255,7 @@ class _Accumulator:
     def add(self, err, cell_overload, cell_v_sq, cell_v_mask):
         """Fold in one chunk: per-trial errors and (trials, cells) arrays."""
         self.trials += err.shape[0]
+        err = np.ldexp(err, -self.exp)
         self.err_sum += float(np.sum(err))
         self.err_sq_sum += float(np.sum(err**2))
         overload = _row_any(cell_overload)
@@ -250,8 +276,10 @@ class _Accumulator:
         t = self.trials
         mean = self.err_sum / t
         var = max(self.err_sq_sum / t - mean**2, 0.0)
-        std_err = math.sqrt(var / t)
+        std_err = math.ldexp(math.sqrt(var / t), self.exp)
+        mean = math.ldexp(mean, self.exp)
         cond = self.cond_err_sum / self.cond_trials if self.cond_trials else math.nan
+        cond = math.ldexp(cond, self.exp)
         moment = self.v_sq_sum / self.v_sq_count if self.v_sq_count else math.nan
         # NaN (JSON null) for a cell with no trial left to measure.
         moments = np.full(self.cell_v_sq.shape, np.nan)
@@ -369,16 +397,24 @@ def _sources(factor: np.ndarray, m: int, n: int, rng: np.random.Generator):
     return [x[..., i] for i in range(cols)]
 
 
-def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
-    """One chunk of m trials; returns Z, its estimate, the shift-free mod
-    input of each cell, and the per-cell overload and clean-history masks.
-
-    Draw order: the (m, n, cols) source normals (see ``_sources``), then one
-    dither per member of each cell in decode order (none where the dither is
-    fixed).
-    """
+def _draw(plan: _Plan, m: int, rng: np.random.Generator):
+    """Every rng draw of one chunk of m trials, in the stream's order: the
+    (m, n, cols) source normals, as source columns (see ``_sources``), then
+    one dither per member of each cell in decode order. Returns the columns
+    and the dithers, flat in that order, None where a dither is fixed."""
     n = plan.cells[0].coarse.dim
     x = _sources(plan.factor, m, n, rng)
+    dithers = [sample_dither(mem.fine, rng, m) if mem.dither is None else None
+               for idx in plan.order for mem in plan.cells[idx].members]
+    return x, dithers
+
+
+def _run_block(plan: _Plan, x, dithers):
+    """The codec on the trials of the source columns ``x`` with the drawn
+    ``dithers`` of ``_draw``; returns Z, its estimate, the shift-free mod
+    input of each cell, and the per-cell overload and clean-history masks."""
+    m, n = x[0].shape
+    drawn = iter(dithers)
     known = [w * x[col] for col, w in plan.side]
     decoded = [None] * len(plan.cells)
     v = [None] * len(plan.cells)
@@ -390,7 +426,9 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
         total = np.zeros((m, n))
         ideal = np.zeros((m, n))  # the cell sum free of coarse coset shifts
         for mem in cell.members:
-            u = sample_dither(mem.fine, rng, m) if mem.dither is None else mem.dither
+            u = next(drawn)
+            if u is None:
+                u = mem.dither
             y = nearest_point(mem.fine, mem.scale * x[mem.col] + u)
             total += mem.sign * (mod_lattice(cell.coarse, y) - u)
             ideal += mem.sign * (y - u)
@@ -408,6 +446,27 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
     z = sum(coeff * x[col] for col, coeff in enumerate(plan.coeffs))
     zhat = sum(w * value for w, value in zip(plan.final, known[: len(plan.side)] + decoded))
     return z, zhat, v, overload, clean_before
+
+
+def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
+    """One chunk of m trials, run in row blocks of ``_BLOCK`` after its
+    draws (see the module docstring); returns the per-trial squared error,
+    and (m, cells) arrays of overload, mod-input second moment and clean
+    history."""
+    x, dithers = _draw(plan, m, rng)
+    cells = len(plan.cells)
+    err = np.empty(m)
+    v_sq = np.empty((m, cells))
+    overload = np.empty((m, cells), dtype=bool)
+    clean_before = np.empty_like(overload)
+    for lo in range(0, m, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        z, zhat, v, overload[rows], clean_before[rows] = _run_block(
+            plan, [col[rows] for col in x], [None if u is None else u[rows] for u in dithers])
+        err[rows] = _row_mean((z - zhat) ** 2)
+        for idx, vi in enumerate(v):
+            v_sq[rows, idx] = _row_mean(vi**2)
+    return err, overload, v_sq, clean_before
 
 
 def _require_resolvable(plan: _Plan, d: float):
@@ -428,11 +487,9 @@ def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimRep
     _require_resolvable(plan, codec.rates.distortion)
 
     def work(k: int):
-        z, zhat, v, overload, clean_before = _run_cells(plan, sizes[k], _chunk_rng(seed, k))
-        v_sq = np.stack([_row_mean(vi**2) for vi in v], axis=1)
-        return _row_mean((z - zhat) ** 2), overload, v_sq, clean_before
+        return _run_cells(plan, sizes[k], _chunk_rng(seed, k))
 
-    acc = _Accumulator(len(plan.cells), plan.order[-1])
+    acc = _Accumulator(len(plan.cells), plan.order[-1], codec.rates.distortion)
     for chunk in _map_chunks(work, len(sizes)):
         acc.add(*chunk)
     return acc.report(codec.rates, seed, codec.margin, codec.n, per_cell)

@@ -13,8 +13,12 @@ Four groups of cases. The first three are pinned as sha256 digests in
   default chunk, 300-trial chunks and a fixed dither; and of the Z^4
   K-user and side-information codecs, built as that file's ``SequentialZ4``
   builds them, at two seeds with the default chunk and with 1,500-trial
-  chunks (three chunks). The test runs each case at ``LATFUN_THREADS`` 1
-  and 2; this script pins the 1-thread run.
+  chunks (three chunks). Four more cases have chunks that span several of
+  the engine's 8,192-trial row blocks: A2, K-user and side information in
+  one 20,000-trial chunk, and the Z^1 two-user codec of
+  ``perfbench/workloads.py`` at 16,385 trials in 8,193-trial chunks, whose
+  first chunk ends one row past a block. The test runs each case at
+  ``LATFUN_THREADS`` 1 and 2; this script pins the 1-thread run.
 
 The fourth, ``cli.json``, stores the full stdout of ``latfun region``,
 ``simulate`` and ``lattice`` cases run in-process through
@@ -107,13 +111,21 @@ CODEC_SETTINGS = {
 # ``sideinfo`` runs of Z4_TRIALS trials, in one chunk or in three
 Z4_TRIALS = 4000
 Z4_SETTINGS = {"default": {}, "chunk1500": {"chunk_size": 1500}}
+Z4_TAGS = ("kuser", "sideinfo")
+# settings with their own trial count, for chunks that span several blocks
+BLOCK_SETTINGS = {
+    "trials20000": {"trials": 20_000},
+    "trials16385-chunk8193": {"trials": 16_385, "chunk_size": 8193},
+}
 CODEC_CASES = [
     f"{tag}-seed{seed}-{setting}"
     for tag in CODEC_TRIALS for seed in (0, 7) for setting in CODEC_SETTINGS
 ] + [
     f"{tag}-seed{seed}-{setting}"
-    for tag in ("kuser", "sideinfo") for seed in (0, 7) for setting in Z4_SETTINGS
-]
+    for tag in Z4_TAGS for seed in (0, 7) for setting in Z4_SETTINGS
+] + [
+    f"{tag}-seed0-trials20000" for tag in ("a2", *Z4_TAGS)
+] + ["z1-seed0-trials16385-chunk8193"]
 
 # name -> ``latfun`` arguments; ``PLAN`` and ``LATTICE`` stand for the paths
 # of files holding CLI_FILES["PLAN"] and CLI_FILES["LATTICE"]
@@ -195,10 +207,10 @@ def closest_point_digest(name: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _codecs():
-    """The benchmark's A2 and D4 two-user codecs (moment set-up 0)."""
+    """The benchmark's Z^1, A2 and D4 two-user codecs (moment set-up 0)."""
     rng = np.random.default_rng([0, 0x5350])
     model = two_user_model(0.8, 0.8)
-    codecs = {}
+    codecs = {"z1": build_two_user_codec(model, 0.1, 0.06, n=1, margin=2.0)}
     bases = (("a2", hexagonal_lattice(), 20_000), ("d4", Lattice(D4_GEN), 10_000))
     for tag, base, samples in bases:
         est = second_moment(base, samples, rng)
@@ -220,16 +232,26 @@ def _z4_codecs():
     return model, plan, side_info
 
 
+def _codec_settings(tag: str, setting: str):
+    """The trial count and the runner's keyword arguments of one codec case."""
+    if setting in BLOCK_SETTINGS:
+        kwargs = dict(BLOCK_SETTINGS[setting])
+        return kwargs.pop("trials"), kwargs
+    if tag in Z4_TAGS:
+        return Z4_TRIALS, Z4_SETTINGS[setting]
+    return CODEC_TRIALS[tag], CODEC_SETTINGS[setting]
+
+
 def _codec_report(tag: str, seed: int, setting: str):
     """The ``SimReport`` of one codec case."""
+    trials, kwargs = _codec_settings(tag, setting)
     if tag == "kuser":
         model, plan, _ = _z4_codecs()
-        return run_k_user_experiment(model, plan, n=4, trials=Z4_TRIALS, seed=seed, margin=2.0,
-                                     **Z4_SETTINGS[setting])
+        return run_k_user_experiment(model, plan, n=4, trials=trials, seed=seed, margin=2.0,
+                                     **kwargs)
     if tag == "sideinfo":
-        return run_side_info_experiment(_z4_codecs()[2], Z4_TRIALS, seed, **Z4_SETTINGS[setting])
-    return run_two_user_experiment(_codecs()[tag], CODEC_TRIALS[tag], seed,
-                                   **CODEC_SETTINGS[setting])
+        return run_side_info_experiment(_z4_codecs()[2], trials, seed, **kwargs)
+    return run_two_user_experiment(_codecs()[tag], trials, seed, **kwargs)
 
 
 @contextlib.contextmanager

@@ -35,7 +35,7 @@ from latfun import (
     two_user_model,
     verify_nesting,
 )
-from latfun.simulate import _chunk_rng, _run_cells, _sources, _two_user_plan
+from latfun.simulate import _chunk_rng, _draw, _run_block, _sources, _two_user_plan
 
 RHO_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 C_GRID = [0.25, 0.5, 0.8, 1.0, 1.5, 2.0]
@@ -169,7 +169,7 @@ def test_criterion_07_pipeline_equivalence():
     model = two_user_model(0.8, 0.8)
     codec = build_two_user_codec(model, 0.1, 0.06, n=1, margin=2.0)
     plan = _two_user_plan(codec)
-    z, zhat, v, overload, _ = _run_cells(plan, 10_000, _chunk_rng(777, 0))
+    z, zhat, v, overload, _ = _run_block(plan, *_draw(plan, 10_000, _chunk_rng(777, 0)))
     # Reference: Z from the chunk's sources drawn again, and the equivalent
     # pipeline w = v - Q_coarse(v), which reduces the shift-free mod input v
     # instead of the transmitted sum; overload is where that reduction moves v.

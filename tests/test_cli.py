@@ -558,6 +558,44 @@ def _reject_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
 
 
+def _scaled_k_user_run(capsys, tmp_path, scale):
+    """``simulate --cov C --plan P --c 1,-0.8`` with C = scale [[1, 0.5],
+    [0.5, 1]] and q = scale / 100 per user, warnings turned into errors."""
+    cov = tmp_path / f"cov{scale:g}.json"
+    cov.write_text(json.dumps([scale, 0.5 * scale, 0.5 * scale, scale]))
+    plan = tmp_path / f"plan{scale:g}.json"
+    plan.write_text(json.dumps({"partition": [[0], [1]], "order": [0, 1], "q": [scale / 100] * 2}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, "simulate", "--cov", str(cov), "--plan", str(plan),
+                       "--c", "1,-0.8", "--trials", "20000", "--seed", "4")
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-300])
+def test_k_user_report_at_extreme_scales(capsys, tmp_path, scale):
+    # The squared errors of 1e160 sources overflowed in the accumulator
+    # (OverflowError, exit 1), and those of 1e-300 sources underflowed to a
+    # standard error of 0.0. Either scale must exit 2 with one line or give
+    # the unit-scale report scaled.
+    code, out, err = _scaled_k_user_run(capsys, tmp_path, 1.0)
+    assert code == 0, err
+    unit = json.loads(out)
+    code, out, err = _scaled_k_user_run(capsys, tmp_path, scale)
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        return
+    assert code == 0, err
+    got = json.loads(out, parse_constant=_reject_constant)
+    # abs=0: pytest's default absolute tolerance would pass any tiny value.
+    for key in ("empirical_distortion", "distortion_std_error", "conditional_distortion",
+                "dither_moment_check", "target_distortion"):
+        assert got[key] == pytest.approx(unit[key] * scale, rel=1e-12, abs=0.0), key
+    assert got["cell_moment_checks"] == pytest.approx(
+        [v * scale for v in unit["cell_moment_checks"]], rel=1e-12, abs=0.0)
+    for key in ("overload_rate", "cell_overload_rates", "rates_bits"):
+        assert got[key] == pytest.approx(unit[key], rel=1e-12, abs=0.0), key
+
+
 def test_simulate_undefined_statistic_is_null(capsys):
     # One trial that overloads leaves the conditional distortion undefined.
     code, out, err = run_cli(capsys, "simulate", "--trials", "1", "--seed", "3", "--margin", "1")

@@ -134,17 +134,36 @@ class _FixedDraws:
         return self.values.reshape(shape)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_diagonal_fast_path_matches_generic_formulas(rng, n):
-    # Unequal scales, one negative; rows of random points, exact half-integer
-    # ties of both signs, +-0 and points that round to 0 from below.
-    scales = rng.uniform(0.2, 3.0, size=n)
-    scales[n // 2] *= -1.0
-    lat = Lattice(np.diag(scales))
+# (n, step): unequal scales at step None; the lattice step Z^n otherwise,
+# whose ``_scales`` is the one float step. The tiny step is the smallest
+# power of two whose squared length and n-th power stay normal, which the
+# generator range check requires (2^-511 at n = 1, 2^-127 at n = 8).
+_DIAGONAL_CASES = [pytest.param(n, None, id=str(n)) for n in range(1, 9)] + [
+    pytest.param(n, step, id=f"{n}-equal-{label}")
+    for n in (1, 4, 8)
+    for label, step in (("pos", 1.7), ("neg", -0.6), ("tiny", 2.0 ** -min(511, 1022 // n)))
+]
+
+
+@pytest.mark.parametrize("n, step", _DIAGONAL_CASES)
+def test_diagonal_fast_path_matches_generic_formulas(rng, n, step):
+    # Unequal scales, one negative, or equal scales of either sign and at
+    # the tiny step; rows of random points, exact half-integer ties of both signs,
+    # +-0 and points that round to 0 from below.
+    if step is None:
+        scales = rng.uniform(0.2, 3.0, size=n)
+        scales[n // 2] *= -1.0
+        lat = Lattice(np.diag(scales))
+        cell = 1.0
+    else:
+        scales = np.full(n, step)
+        lat = integer_lattice(n, step)
+        assert type(lat._scales) is float and lat._scales == step
+        cell = abs(step)
     assert lat.is_diagonal and lat._exact_diag
     ties = (rng.integers(-4, 5, size=(40, n)) + rng.choice([-0.5, 0.5], size=(40, n))) * scales
     x = np.concatenate([
-        rng.normal(scale=4.0, size=(300, n)),
+        rng.normal(scale=4.0 * cell, size=(300, n)),
         ties,
         np.zeros((1, n)),
         np.full((1, n), -0.0),
@@ -152,6 +171,8 @@ def test_diagonal_fast_path_matches_generic_formulas(rng, n):
     ])
     generic = nearest_point_coords(lat, x) @ lat.gen.T
     _assert_same_bits(nearest_point(lat, x), generic)
+    # Rounding by the (n,) row of scales gives the same bits as by _scales.
+    _assert_same_bits(nearest_point(lat, x), np.ceil(x / scales - 0.5) * scales + 0.0)
     _assert_same_bits(mod_lattice(lat, x), x - generic)
     _assert_same_bits(nearest_point(lat, x[0]), generic[0])
 

@@ -44,11 +44,12 @@ from latfun.simulate import (
     _Accumulator,
     _chunk_rng,
     _column_counts,
+    _draw,
     _gaussian_factor,
     _map_chunks,
     _row_any,
     _row_mean,
-    _run_cells,
+    _run_block,
     _side_info_plan,
     _sources,
     _two_user_plan,
@@ -174,7 +175,8 @@ def test_build_two_user_codec_commensurate_mode():
 
 def _two_user_chunk(codec, trials, seed):
     """The first chunk of a two-user run: Z, Zhat, v, overload, clean_before."""
-    return _run_cells(_two_user_plan(codec), trials, _chunk_rng(seed, 0))
+    plan = _two_user_plan(codec)
+    return _run_block(plan, *_draw(plan, trials, _chunk_rng(seed, 0)))
 
 
 class _ChosenNormals:
@@ -194,11 +196,11 @@ class _ChosenNormals:
 
 
 def _chunk(plan, x, rng=None):
-    """``_run_cells`` on one chunk whose sources are exactly ``x`` (m, n, cols):
+    """``_run_block`` on one chunk whose sources are exactly ``x`` (m, n, cols):
     the plan's covariance factor becomes the identity."""
     x = np.asarray(x, dtype=np.float64)
     plan = plan._replace(factor=np.eye(x.shape[-1]))
-    return _run_cells(plan, x.shape[0], _ChosenNormals(x, rng))
+    return _run_block(plan, *_draw(plan, x.shape[0], _ChosenNormals(x, rng)))
 
 
 def _with_dithers(plan, dithers):
@@ -610,7 +612,7 @@ def test_k_user_on_a_singular_covariance(monkeypatch):
 
 
 def test_cell_moment_check_is_nan_for_a_cell_with_no_clean_trial():
-    acc = _Accumulator(2, last=1)
+    acc = _Accumulator(2, last=1, d=0.1)
     v_sq = np.array([[2.0, 5.0], [4.0, 7.0]])
     mask = np.array([[True, False], [True, False]])
     acc.add(np.array([0.1, 0.3]), np.zeros((2, 2), dtype=bool), v_sq, mask)
