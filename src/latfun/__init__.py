@@ -52,7 +52,6 @@ from .lattices import (
     hexagonal_lattice,
     in_voronoi,
     integer_lattice,
-    make_pair,
     mod_lattice,
     nearest_point,
     nearest_point_coords,
@@ -60,7 +59,6 @@ from .lattices import (
     sample_dither,
     scale_to_second_moment,
     second_moment,
-    verify_nesting,
 )
 from .regions import (
     BtOptimum,

@@ -83,8 +83,17 @@ def _load_model(args) -> SourceModel:
     return SourceModel(cov, coeffs)
 
 
+def _reject_unused(args, scheme: str, *dests: str) -> None:
+    """Reject a flag that ``scheme`` would ignore, rather than ignore it."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise LatfunError(f"--{dest.replace('_', '-')} does not apply to {scheme}")
+
+
 def cmd_region(args) -> int:
     if args.scheme != "kuser":
+        _reject_unused(args, f"--scheme {args.scheme}", "plan", "cov")
         args.c_scalar = _scalar_c(args.c)
     if args.scheme == "lattice":
         model = two_user_model(args.rho, args.c_scalar)
@@ -327,9 +336,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.plan is None:
-        args.c_scalar = _scalar_c(args.c)
     if args.plan is not None:
+        _reject_unused(args, "the K-user scheme (--plan)", "side_info", "fixed_dither")
         model = _load_model(args)
         plan = _load_plan(args.plan)
         report = simulate.run_k_user_experiment(
@@ -341,13 +349,15 @@ def cmd_simulate(args) -> int:
             margin=args.margin,
         )
     elif args.side_info is not None:
-        si_model = noisy_function_side_model(args.rho, args.c_scalar, args.side_info)
+        _reject_unused(args, "the side-information codec (--side-info)", "cov", "fixed_dither")
+        si_model = noisy_function_side_model(args.rho, _scalar_c(args.c), args.side_info)
         codec = simulate.build_side_info_codec(
             si_model, args.d, args.q1, n=args.n, margin=args.margin
         )
         report = simulate.run_side_info_experiment(codec, args.trials, args.seed)
     else:
-        model = two_user_model(args.rho, args.c_scalar)
+        _reject_unused(args, "the two-user codec", "cov")
+        model = two_user_model(args.rho, _scalar_c(args.c))
         codec = simulate.build_two_user_codec(
             model, args.d, args.q1, n=args.n, margin=args.margin
         )
@@ -395,7 +405,8 @@ def cmd_lattice(args) -> int:
                 "rank_deficient": result.rank_deficient,
                 "coset_count": result.coset_count,
                 "nesting_ratio": result.pair.nesting_ratio,
-                "nesting_verified": lattices.verify_nesting(result.pair),
+                # A NestedPair exists only once its nesting is checked.
+                "nesting_verified": True,
                 "fine_gen": [float(v) for v in result.pair.fine.gen.reshape(-1)],
             }
         )
@@ -422,7 +433,7 @@ def cmd_lattice(args) -> int:
         )
     else:  # cosets
         coarse = lattices.Lattice(lat.gen * args.nesting)
-        pair = lattices.make_pair(lat, coarse)
+        pair = lattices.NestedPair(lat, coarse)
         leaders = lattices.coset_leaders(pair)
         _print_json(
             {

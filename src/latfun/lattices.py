@@ -34,6 +34,7 @@ from .errors import (
     TooManyCosets,
     UnsupportedDimension,
 )
+from .gaussian import _frozen
 
 MAX_SPHERE_DIM = 8
 MAX_COSET_ENUM = 4096
@@ -55,13 +56,14 @@ class MomentEstimate:
     std_error: float
     samples: int
 
-    def to_dict(self):
-        return {"value": self.value, "std_error": self.std_error, "samples": self.samples}
-
 
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice given by a generator matrix (columns generate).
+
+    ``gen`` is a read-only float64 copy of the array passed in, so the
+    caches below always describe it: editing the caller's array leaves the
+    lattice as built, and writing into ``lat.gen`` raises ``ValueError``.
 
     ``moment`` caches a second-moment estimate so that scaling operations can
     reuse it; diagonal generators never need the cache because their moments
@@ -89,7 +91,7 @@ class Lattice:
     _exact_diag: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gen, dtype=np.float64)
+        g = _frozen(self.gen)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise SingularLattice("generator must be a square n x n matrix")
         if not np.isfinite(g).all():
@@ -150,45 +152,42 @@ class Lattice:
         return out
 
     def to_json(self) -> str:
-        payload = {
-            "dim": self.dim,
-            "gen": [float(x) for x in self.gen.reshape(-1)],
-            "moment_cache": self.moment.to_dict() if self.moment else None,
-        }
+        payload = {"dim": self.dim, "gen": [float(x) for x in self.gen.reshape(-1)]}
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Lattice":
         payload = json.loads(text)
         n = int(payload["dim"])
-        gen = np.asarray(payload["gen"], dtype=np.float64).reshape(n, n)
-        cache = payload.get("moment_cache")
-        est = MomentEstimate(cache["value"], cache["std_error"], cache["samples"]) if cache else None
-        return Lattice(gen, est)
+        return Lattice(np.asarray(payload["gen"], dtype=np.float64).reshape(n, n))
 
 
 @dataclass(frozen=True)
 class NestedPair:
-    """Fine/coarse lattice pair with verified coarse-in-fine containment and
-    a nesting matrix checked against both generators."""
+    """Fine/coarse lattice pair, built as ``NestedPair(fine, coarse)``.
+
+    The nesting matrix J, with G_coarse = G_fine J, is derived once from the
+    two generators, which cannot change: the coordinates G_fine^{-1}
+    G_coarse must be integral within 1e-9 and their rounding J must have
+    |det J| > 1 - 1e-9, or the coarse lattice is not a sublattice of the
+    fine one. A pair therefore exists only once its nesting is checked, and
+    ``nesting_matrix`` is J as a read-only int64 array.
+    """
 
     fine: Lattice
     coarse: Lattice
-    nesting_matrix: np.ndarray  # integer J with G_coarse = G_fine @ J
+    nesting_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.fine.dim != self.coarse.dim:
             raise DimensionMismatch("fine and coarse dimensions differ")
-        j = np.asarray(self.nesting_matrix, dtype=np.float64)
-        if j.shape != self.fine.gen.shape:
-            raise DimensionMismatch(f"nesting matrix shape {j.shape} != {self.fine.gen.shape}")
         coords = np.linalg.solve(self.fine.gen, self.coarse.gen)
-        if not _is_nesting(coords):
+        j = np.rint(coords)
+        if not (np.all(np.abs(coords - j) <= _INT_TOL) and abs(np.linalg.det(j)) > 1.0 - 1e-9):
             raise SingularLattice("coarse lattice is not a sublattice of the fine one")
-        # The tolerance of verify_nesting, on the coordinates J of G_coarse.
-        if not np.all(np.abs(coords - j) <= _INT_TOL):
-            raise SingularLattice("nesting matrix J does not satisfy G_fine J = G_coarse")
-        object.__setattr__(self, "nesting_matrix", np.rint(j).astype(np.int64))
+        j = j.astype(np.int64)
+        j.setflags(write=False)
+        object.__setattr__(self, "nesting_matrix", j)
 
     @property
     def index(self) -> int:
@@ -211,12 +210,6 @@ def hexagonal_lattice(scale: float = 1.0) -> Lattice:
     """The planar hexagonal lattice with basis [[1, 1/2], [0, sqrt(3)/2]]."""
     gen = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
     return Lattice(gen).scaled(scale)
-
-
-def make_pair(fine: Lattice, coarse: Lattice) -> NestedPair:
-    """Build a NestedPair, inferring the integer nesting matrix."""
-    j = np.linalg.solve(fine.gen, coarse.gen)
-    return NestedPair(fine, coarse, np.rint(j))
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +400,6 @@ def scale_to_second_moment(lat: Lattice, target: float) -> Lattice:
 # Nesting
 
 
-def _is_nesting(coords: np.ndarray) -> bool:
-    """True iff the coordinates G_fine^{-1} G_coarse are integral within
-    1e-9 and their rounding has |det| > 1 - 1e-9."""
-    if not np.all(np.abs(coords - np.rint(coords)) <= _INT_TOL):
-        return False
-    return bool(abs(np.linalg.det(np.rint(coords))) > 1.0 - 1e-9)
-
-
-def verify_nesting(pair: NestedPair) -> bool:
-    """True iff G_fine^{-1} G_coarse is integral within 1e-9 and |det| > 1 - 1e-9."""
-    return _is_nesting(np.linalg.solve(pair.fine.gen, pair.coarse.gen))
-
-
 def _hermite_basis(rows):
     """Hermite normal form of the integer lattice spanned by ``rows``.
 
@@ -461,7 +441,7 @@ def _coset_box(pair: NestedPair) -> list:
     """Pivots of the Hermite basis of J Z^n (rows: the columns of J). Their
     product is |det J|, and the box of integer vectors below them holds one
     representative of each coset of Z^n / J Z^n."""
-    h = _hermite_basis(np.asarray(pair.nesting_matrix).T.tolist())
+    h = _hermite_basis(pair.nesting_matrix.T.tolist())
     return [h[i][i] for i in range(len(h))]
 
 
@@ -531,4 +511,4 @@ def construction_a(
     rank = sum(basis[i][i] == 1 for i in range(n))
     b = np.asarray(basis, dtype=np.float64).T / p  # columns generate (1/p)(C + p Z^n)
     fine = Lattice(coarse.gen @ b)
-    return CodeConstruction(pair=make_pair(fine, coarse), code_matrix=mat, prime=p, rank=rank)
+    return CodeConstruction(pair=NestedPair(fine, coarse), code_matrix=mat, prime=p, rank=rank)

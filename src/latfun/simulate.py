@@ -400,11 +400,13 @@ def _sources(factor: np.ndarray, m: int, n: int, rng: np.random.Generator):
 def _draw(plan: _Plan, m: int, rng: np.random.Generator):
     """Every rng draw of one chunk of m trials, in the stream's order: the
     (m, n, cols) source normals, as source columns (see ``_sources``), then
-    one dither per member of each cell in decode order. Returns the columns
-    and the dithers, flat in that order, None where a dither is fixed."""
+    one (m, n) dither per member of each cell in decode order. Returns the
+    columns and the dithers, flat in that order. A fixed dither draws
+    nothing: its (n,) row is broadcast, read-only, over the m trials."""
     n = plan.cells[0].coarse.dim
     x = _sources(plan.factor, m, n, rng)
-    dithers = [sample_dither(mem.fine, rng, m) if mem.dither is None else None
+    dithers = [sample_dither(mem.fine, rng, m) if mem.dither is None
+               else np.broadcast_to(mem.dither, (m, n))
                for idx in plan.order for mem in plan.cells[idx].members]
     return x, dithers
 
@@ -427,8 +429,6 @@ def _run_block(plan: _Plan, x, dithers):
         ideal = np.zeros((m, n))  # the cell sum free of coarse coset shifts
         for mem in cell.members:
             u = next(drawn)
-            if u is None:
-                u = mem.dither
             y = nearest_point(mem.fine, mem.scale * x[mem.col] + u)
             total += mem.sign * (mod_lattice(cell.coarse, y) - u)
             ideal += mem.sign * (y - u)
@@ -462,7 +462,7 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
     for lo in range(0, m, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         z, zhat, v, overload[rows], clean_before[rows] = _run_block(
-            plan, [col[rows] for col in x], [None if u is None else u[rows] for u in dithers])
+            plan, [col[rows] for col in x], [u[rows] for u in dithers])
         err[rows] = _row_mean((z - zhat) ** 2)
         for idx, vi in enumerate(v):
             v_sq[rows, idx] = _row_mean(vi**2)

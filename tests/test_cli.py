@@ -22,6 +22,7 @@ from latfun import (
 )
 from latfun.cli import _g6, _sweep_rows, main
 from latfun.gaussian import PartitionPlan, singleton_plan
+from pin_golden import CLI_CASES, CLI_PINS
 
 
 def run_cli(capsys, *args):
@@ -433,13 +434,26 @@ def test_non_finite_inputs_exit_two(capsys, args):
 _SRC = str(Path(latfun.__file__).resolve().parent.parent)
 
 
-def _run_cli_process(*args, timeout):
-    """Run ``python -W error -m latfun ARGS`` in a child process; a hang
-    fails the test at ``timeout`` seconds instead of stalling the suite."""
+def _run_cli_process(*args, timeout, module="latfun"):
+    """Run ``python -W error -m MODULE ARGS`` (``latfun`` by default) in a
+    child process; a hang fails the test at ``timeout`` seconds instead of
+    stalling the suite."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-W", "error", "-m", "latfun", *args],
+    return subprocess.run([sys.executable, "-W", "error", "-m", module, *args],
                           capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("module", ["latfun", "latfun.cli"])
+def test_module_entry_points(module):
+    """``python -m`` prints the pinned stdout and exits with main's code."""
+    proc = _run_cli_process(*CLI_CASES["region-lattice"], timeout=60, module=module)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.loads(CLI_PINS.read_text())["stdout"]["region-lattice"]
+    proc = _run_cli_process("simulate", "--trials", "0", timeout=60, module=module)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("args, cause", [
@@ -707,6 +721,35 @@ def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["region", "--scheme", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("simulate", "--side-info", "0.1", "--d", "0.05", "--q1", "0.02", "--fixed-dither"),
+     "--fixed-dither"),
+    (("simulate", "--side-info", "0.1", "--cov", "COV"), "--cov"),
+    (("simulate", "--plan", "PLAN", "--c", "1,-0.8", "--fixed-dither"), "--fixed-dither"),
+    (("simulate", "--plan", "PLAN", "--c", "1,-0.8", "--side-info", "0.1"), "--side-info"),
+    (("simulate", "--cov", "/nonexistent.json"), "--cov"),
+    (("simulate", "--cov", "COV"), "--cov"),
+    (("region", "--scheme", "lattice", "--plan", "PLAN"), "--plan"),
+    (("region", "--scheme", "lattice", "--cov", "COV"), "--cov"),
+    (("region", "--scheme", "bt", "--plan", "PLAN"), "--plan"),
+    (("region", "--scheme", "bt", "--cov", "COV"), "--cov"),
+], ids=["side-info-fixed-dither", "side-info-cov", "plan-fixed-dither", "plan-side-info",
+        "two-user-missing-cov", "two-user-cov", "lattice-plan", "lattice-cov", "bt-plan",
+        "bt-cov"])
+def test_flags_the_scheme_ignores_exit_two(capsys, tmp_path, args, flag):
+    """A flag that the chosen scheme would ignore is one error line naming it,
+    even where the file it names is valid or does not exist."""
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(singleton_plan(2, (0.1, 0.1)).to_json())
+    cov_file = tmp_path / "cov.json"
+    cov_file.write_text("[1.0, 0.8, 0.8, 1.0]")
+    files = {"PLAN": str(plan_file), "COV": str(cov_file)}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in args])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + flag + " ") and err.count("\n") == 1
 
 
 def test_validation_error_exit_two(capsys):

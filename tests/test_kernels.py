@@ -166,7 +166,7 @@ def test_public_path_on_coset_leaders_of_a_nested_pair(gen):
     from latfun.lattices import Lattice, NestedPair, coset_leaders
 
     n = gen.shape[0]
-    pair = NestedPair(Lattice(gen), Lattice(2.0 * gen), 2 * np.eye(n))
+    pair = NestedPair(Lattice(gen), Lattice(2.0 * gen))
     leaders = coset_leaders(pair)
     assert leaders.shape[0] == 2**n
     # Fine points of a box: many lie on the boundary of a coarse Voronoi cell.

@@ -160,11 +160,11 @@ def test_run_within_float64_resolution_meets_its_target():
 
 
 def test_build_two_user_codec_commensurate_mode():
-    from latfun import make_pair, verify_nesting
+    from latfun.lattices import contains
 
     codec = build_two_user_codec(M88, 0.1, 0.06, margin=2.0, commensurate=True)
-    assert verify_nesting(make_pair(codec.fine1, codec.coarse))
-    assert verify_nesting(make_pair(codec.fine2, codec.coarse))
+    for fine in (codec.fine1, codec.fine2):
+        assert all(contains(fine, col) for col in codec.coarse.gen.T)
     # Rounding only adds coarse margin and removes second-channel noise.
     assert second_moment(codec.coarse).value >= 4.0 * 0.1296 / 0.26 - 1e-12
     assert second_moment(codec.fine2).value <= 0.036 / 0.26 - 0.06 + 1e-12
