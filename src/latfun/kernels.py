@@ -15,6 +15,15 @@ the slicer's point, so its tie tolerance follows the residual's norm rather
 than the target's and ties do not change under translation by lattice
 vectors.
 
+A call's fixed cost, not its arithmetic, dominates at the row counts of the
+codecs (a few hundred to a few thousand rows), so the slicer's set-up is
+built once per lattice: ``slicer_lift`` depends on R and the relevant
+vectors alone, and ``lattices`` keeps it in each lattice's search context
+and passes it in. Each row is searched on its own, so a caller may stack
+the rows of independent searches of one lattice into one call and get the
+rows of separate calls (``lattices.reduce_stacked`` does so for the codec
+engine).
+
 The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
 targets and residuals are ``(n, m)`` arrays, one column per target, and the
 gains of all ``k`` relevant vectors come from one ``(k, m)`` product. The
@@ -76,27 +85,42 @@ def relevant_vectors(r_mat: np.ndarray) -> np.ndarray:
     return np.concatenate([cand[keep], -cand[keep]])
 
 
+def slicer_lift(r_mat: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """The slicer's set-up for one lattice, shape (k, n + 1): row j is the
+    step ``v = R @ relevant[j]`` followed by ``-|v|^2 / 2``, so that
+    ``lift @ [e; 1]`` is half the gain ``<e, v> - |v|^2 / 2`` of moving a
+    residual e by each step. It depends on R alone, so a caller that searches
+    one lattice many times computes it once (``lattices`` keeps it in the
+    lattice's search context)."""
+    r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
+    steps = relevant @ r_mat.T
+    lift = np.empty((steps.shape[0], steps.shape[1] + 1))
+    lift[:, :-1] = steps
+    np.einsum("ij,ij->i", steps, steps, out=lift[:, -1])
+    lift[:, -1] *= -0.5
+    return lift
+
+
 def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
-                        relevant=None) -> np.ndarray:
+                        relevant=None, lift=None) -> np.ndarray:
     """Integer coordinates of the closest lattice points, row per target.
 
     ``r_mat`` is the R of ``qr_factor`` and ``targets`` the already rotated
     query points (``Q.T @ x`` rows). ``relevant`` holds the lattice's
-    ``relevant_vectors(r_mat)``; they are computed when it is omitted.
-    Ties on Voronoi boundaries resolve to the lexicographically smallest
-    integer coordinate vector.
+    ``relevant_vectors(r_mat)`` and ``lift`` its ``slicer_lift(r_mat,
+    relevant)``; each is computed when it is omitted. Every row is searched
+    on its own, so stacked targets give the rows of separate calls. Ties on
+    Voronoi boundaries resolve to the lexicographically smallest integer
+    coordinate vector.
     """
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
     out = np.empty(targets.shape, dtype=np.int64)
     if relevant is None:
         relevant = relevant_vectors(r_mat)
-    steps = relevant @ r_mat.T
-    # Half the gain of moving by step v is <e, v> - |v|^2 / 2 = lift @ [e; 1].
-    lift = np.empty((steps.shape[0], steps.shape[1] + 1))
-    lift[:, :-1] = steps
-    np.einsum("ij,ij->i", steps, steps, out=lift[:, -1])
-    lift[:, -1] *= -0.5
+    if lift is None:
+        lift = slicer_lift(r_mat, relevant)
+    steps = lift[:, :-1]
     ties = [np.zeros(0, dtype=np.intp)]
     for start in range(0, targets.shape[0], BLOCK_ROWS):
         block = targets[start:start + BLOCK_ROWS]

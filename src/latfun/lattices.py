@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class MomentEstimate:
     samples: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
     """Full-rank lattice given by a generator matrix (columns generate).
 
@@ -75,8 +75,13 @@ class Lattice:
     arithmetic gives the same bits either way. Where the off-diagonal entries
     are exactly zero (``_exact_diag``), quantization and dithers stay in
     float64 and skip the matrix product. The closest-point search context
-    (QR factors and relevant vectors) is computed on first use and carried
-    through scaling.
+    (QR factors, relevant vectors and the slicer's ``kernels.slicer_lift``)
+    is computed on first use. Scaling carries the factors and the relevant
+    vectors, and computes the lift afresh from the scaled R, which gives
+    the bits of a search that builds it on every call.
+
+    Equality is identity (``eq=False``), so a lattice is hashable; an
+    elementwise comparison of generators has no single truth value.
 
     Squared column lengths (the Gram diagonal, which bounds the rest of the
     Gram matrix) and the determinant must be finite and nonzero, so that
@@ -146,8 +151,8 @@ class Lattice:
         if self._sphere is not None:
             # G = QR gives fG = (sign(f) Q)(|f| R); integer coordinates of the
             # relevant vectors do not change.
-            qt, r, relevant = self._sphere
-            sphere = (qt * math.copysign(1.0, factor), r * abs(factor), relevant)
+            qt, r, relevant, _ = self._sphere
+            sphere = _search_context(qt * math.copysign(1.0, factor), r * abs(factor), relevant)
             object.__setattr__(out, "_sphere", sphere)
         return out
 
@@ -162,7 +167,7 @@ class Lattice:
         return Lattice(np.asarray(payload["gen"], dtype=np.float64).reshape(n, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedPair:
     """Fine/coarse lattice pair, built as ``NestedPair(fine, coarse)``.
 
@@ -171,7 +176,8 @@ class NestedPair:
     G_coarse must be integral within 1e-9 and their rounding J must have
     |det J| > 1 - 1e-9, or the coarse lattice is not a sublattice of the
     fine one. A pair therefore exists only once its nesting is checked, and
-    ``nesting_matrix`` is J as a read-only int64 array.
+    ``nesting_matrix`` is J as a read-only int64 array. Equality is
+    identity, as for ``Lattice``.
     """
 
     fine: Lattice
@@ -232,11 +238,16 @@ def _round_half_down(x: np.ndarray, scales: Union[float, np.ndarray]) -> np.ndar
     return np.ceil(q, out=q)
 
 
+def _search_context(qt: np.ndarray, r: np.ndarray, relevant: np.ndarray) -> tuple:
+    return qt, r, relevant, kernels.slicer_lift(r, relevant)
+
+
 def _sphere_context(lat: Lattice):
-    """``(Q^T, R, relevant vectors)`` of a non-diagonal lattice, cached on it."""
+    """``(Q^T, R, relevant vectors, slicer lift)`` of a non-diagonal lattice,
+    cached on it."""
     if lat._sphere is None:
         q, r = kernels.qr_factor(lat.gen)
-        sphere = (q.T.copy(), r, kernels.relevant_vectors(r))
+        sphere = _search_context(q.T.copy(), r, kernels.relevant_vectors(r))
         object.__setattr__(lat, "_sphere", sphere)
     return lat._sphere
 
@@ -265,8 +276,8 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
         raise UnsupportedDimension(
             f"exact sphere search limited to n <= {MAX_SPHERE_DIM}, got n = {lat.dim}"
         )
-    qt, r, relevant = _sphere_context(lat)
-    coords = kernels.nearest_point_batch(r, flat @ qt.T, relevant)
+    qt, r, relevant, lift = _sphere_context(lat)
+    coords = kernels.nearest_point_batch(r, flat @ qt.T, relevant, lift)
     return coords.reshape(x.shape)
 
 
@@ -297,6 +308,35 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     point = nearest_point(lat, x)
     return np.subtract(x, point, out=point)
+
+
+def reduce_stacked(lat: Lattice, coords_of: Sequence[np.ndarray],
+                   mods_of: Iterable[np.ndarray]):
+    """``[nearest_point_coords(lat, a) for a in coords_of]`` and, for each array
+    b that the iterable ``mods_of`` yields, the pair ``(b, mod_lattice(lat,
+    b))``; every array is (rows, n), and the results keep their bits.
+
+    Where the lattice reaches the kernel (a non-diagonal generator), the rows
+    of all the arrays go to it in one stacked call, which pays the search's
+    fixed cost per call once; the kernel searches each row on its own, and
+    each mod is ``b - coords @ G.T`` on that array's own coordinates, as in
+    ``mod_lattice``. A diagonal generator keeps its per-array float path and
+    draws each b from ``mods_of`` only as the caller takes its pair: stacking
+    would only add copies, and holding every array at once costs a codec
+    block page faults.
+    """
+    if lat.is_diagonal:
+        return ([nearest_point_coords(lat, a) for a in coords_of],
+                ((b, mod_lattice(lat, b)) for b in mods_of))
+    mods_of = list(mods_of)
+    arrays = [*coords_of, *mods_of]
+    coords = nearest_point_coords(lat, np.concatenate(arrays))
+    parts, lo = [], 0  # slicing by hand: np.split costs about ten times more
+    for a in arrays:
+        parts.append(coords[lo:lo + len(a)])
+        lo += len(a)
+    k = len(coords_of)
+    return parts[:k], [(b, b - c @ lat.gen.T) for b, c in zip(mods_of, parts[k:])]
 
 
 def in_voronoi(lat: Lattice, x: Sequence[float]) -> bool:

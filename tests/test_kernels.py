@@ -194,7 +194,7 @@ def test_public_path_on_codec_shaped_ties(gen, rows, samples, monkeypatch):
         gaussian.two_user_model(0.8, 0.8), 0.1, 0.06, n=n, margin=2.0,
         base_lattice=base.with_moment(est))
     fine = lattices.nearest_point(codec.fine1, rng.normal(size=(rows, n)))
-    qt, r, _ = lattices._sphere_context(codec.coarse)
+    qt, r = lattices._sphere_context(codec.coarse)[:2]
     sent = []
     scalar = kernels.closest_coords
 

@@ -33,8 +33,9 @@ from latfun import (
     scale_to_second_moment,
     second_moment,
 )
+from latfun import kernels
 from latfun.errors import DimensionMismatch
-from latfun.lattices import _hermite_basis, contains
+from latfun.lattices import _hermite_basis, contains, reduce_stacked
 
 A2 = hexagonal_lattice()
 
@@ -291,7 +292,7 @@ def test_search_context_is_cached_and_carried_through_scaling(rng):
     lat = Lattice(rng.normal(size=(3, 3)) + 3 * np.eye(3))
     assert lat._sphere is None
     nearest_point(lat, rng.normal(size=(5, 3)))
-    qt, r, relevant = lat._sphere
+    qt, r, relevant, _ = lat._sphere
     x = rng.normal(scale=4.0, size=(400, 3))
     for factor in (2.5, -0.3):
         scaled = lat.scaled(factor)
@@ -302,6 +303,99 @@ def test_search_context_is_cached_and_carried_through_scaling(rng):
         assert np.array_equal(nearest_point(scaled, x), nearest_point(fresh, x))
     est = second_moment(lat, 2000, rng)
     assert scale_to_second_moment(lat.with_moment(est), 0.1)._sphere[2] is relevant
+
+
+def _recomputed(lat, x):
+    """``nearest_point_coords`` through a kernel call that builds the slicer's
+    lift afresh from the lattice's own search context."""
+    qt, r, relevant, _ = lat._sphere
+    return kernels.nearest_point_batch(r, x @ qt.T, relevant)
+
+
+def test_cached_slicer_setup_matches_a_recomputed_one(rng):
+    base = Lattice(rng.normal(size=(3, 3)) + 3 * np.eye(3))
+    x = rng.normal(scale=4.0, size=(400, 3))
+    ties = 0.5 * rng.integers(-6, 7, size=(200, 3)).astype(float)
+    nearest_point(base, x)
+    est = second_moment(base, 2000, rng)
+    made = [base.scaled(2.5), base.scaled(-0.3), base.with_moment(est),
+            scale_to_second_moment(base.with_moment(est), 0.1)]
+    for lat in made:
+        lift = lat._sphere[3]
+        assert np.array_equal(lift, kernels.slicer_lift(lat._sphere[1], lat._sphere[2]))
+        for pts in (x, ties @ lat.gen.T):
+            assert np.array_equal(nearest_point_coords(lat, pts), _recomputed(lat, pts))
+    # with_moment keeps the same lattice, so it shares the whole context.
+    assert made[2]._sphere is base._sphere
+
+
+def _closest_point_cases():
+    """One conditioned random basis per n = 2..8, with Gaussian targets over a
+    few cells and targets at half-integer coordinates (Voronoi ties)."""
+    for n in range(2, 9):
+        rng = np.random.default_rng([n, 19])
+        while True:
+            gen = rng.normal(size=(n, n))
+            if np.linalg.cond(gen) < 6.0:
+                break
+        gaussian = rng.normal(scale=2.0, size=(300, n)) @ gen.T
+        halves = 0.5 * rng.integers(-4, 5, size=(300, n)) @ gen.T
+        yield pytest.param(Lattice(gen), gaussian, id=f"n{n}-gaussian")
+        yield pytest.param(Lattice(gen), halves, id=f"n{n}-halves")
+
+
+@pytest.mark.parametrize("lat, targets", _closest_point_cases())
+def test_stacked_rows_equal_separate_calls_byte_for_byte(lat, targets):
+    parts = [targets[:100], targets[100:101], targets[101:103], targets[103:]]
+    separate = np.concatenate([nearest_point_coords(lat, p) for p in parts])
+    assert nearest_point_coords(lat, targets).tobytes() == separate.tobytes()
+    # A one-row mod_lattice multiplies its coordinates by G as a matrix-vector
+    # product, whose last bits can differ from a matrix product's, so the
+    # whole-array mod is compared on parts of two rows or more.
+    separate = np.concatenate([mod_lattice(lat, p) for p in (targets[:101], *parts[2:])])
+    assert mod_lattice(lat, targets).tobytes() == separate.tobytes()
+    # reduce_stacked multiplies each part on its own, so it matches even there.
+    coords, pairs = reduce_stacked(lat, parts[:1], parts[1:])
+    assert coords[0].tobytes() == nearest_point_coords(lat, parts[0]).tobytes()
+    for p, (b, got) in zip(parts[1:], pairs):
+        assert b is p and got.tobytes() == mod_lattice(lat, p).tobytes()
+
+
+@pytest.mark.parametrize("lat", [integer_lattice(2, 0.5), Lattice(np.diag([1.0, 3.0])),
+                                 hexagonal_lattice(0.7)], ids=["cz2", "diag", "a2"])
+def test_reduce_stacked_calls_the_kernel_once_and_only_off_the_diagonal(lat, rng, monkeypatch):
+    calls, taken = [], []
+    search = kernels.nearest_point_batch
+    monkeypatch.setattr(kernels, "nearest_point_batch",
+                        lambda *args: calls.append(len(args[1])) or search(*args))
+    a, b, c = (rng.normal(size=(m, 2)) for m in (5, 7, 3))
+
+    def arrays():
+        for q in (b, c):
+            taken.append(len(q))
+            yield q
+
+    coords, pairs = reduce_stacked(lat, [a], arrays())
+    pairs = iter(pairs)
+    first = next(pairs)
+    # A diagonal lattice takes each array only as its pair is asked for.
+    assert taken == ([7] if lat.is_diagonal else [7, 3])
+    pairs = [first, *pairs]
+    assert calls == ([] if lat.is_diagonal else [15])
+    assert np.array_equal(coords[0], nearest_point_coords(lat, a))
+    assert [p[0] is q for p, q in zip(pairs, (b, c))] == [True, True]
+    assert [p[1].tobytes() for p in pairs] == [mod_lattice(lat, b).tobytes(),
+                                               mod_lattice(lat, c).tobytes()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lattices_and_pairs_compare_and_hash_without_raising(n):
+    lat = integer_lattice(n)
+    pair = NestedPair(lat, lat.scaled(2.0))
+    assert lat == lat and pair == pair
+    # Equality is identity: equal generators do not make equal values.
+    assert lat != integer_lattice(n) and pair != NestedPair(lat, lat.scaled(2.0))
+    assert len({lat, pair, integer_lattice(n), lat, pair}) == 3
 
 
 @pytest.mark.parametrize("gen", [np.eye(2), A2.gen], ids=["z2", "a2"])

@@ -368,6 +368,43 @@ def test_pipeline_equivalence_trial_by_trial():
     assert np.array_equal(overload[:, 0], np.any(w != v[0], axis=-1))
 
 
+def _kernel_calls(monkeypatch, run):
+    """Rows of each closest-point kernel call that ``run()`` makes."""
+    from latfun import kernels
+
+    rows = []
+    search = kernels.nearest_point_batch
+    monkeypatch.setattr(kernels, "nearest_point_batch",
+                        lambda *args: rows.append(len(args[1])) or search(*args))
+    run()
+    return rows
+
+
+@pytest.mark.parametrize("trials, calls", [(1000, 6), (simulate._BLOCK + 1, 10)])
+def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, calls):
+    # Per chunk: one dither reduction per member; per block: one fine
+    # quantization per member, one stacked coarse reduction of both members,
+    # and one stacked reduction for overload and decoding.
+    from latfun import hexagonal_lattice
+
+    base = hexagonal_lattice()
+    base = base.with_moment(second_moment(base, 2000, np.random.default_rng(3)))
+    codec = build_two_user_codec(M88, 0.1, 0.06, n=2, margin=2.0, base_lattice=base)
+    rows = _kernel_calls(monkeypatch, lambda: run_two_user_experiment(codec, trials, seed=1))
+    assert len(rows) == calls
+    # Each trial sends 8 rows: 2 dithers, 2 fine points, the members' 2
+    # coarse reductions, the mod input and the decoding input.
+    assert sum(rows) == 8 * trials
+
+
+def test_diagonal_codecs_never_reach_the_kernel(monkeypatch):
+    z1 = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
+    plan = single_cell_plan(2, (0.05, 0.05))
+    assert _kernel_calls(monkeypatch, lambda: (
+        run_two_user_experiment(z1, 1000, seed=1),
+        run_k_user_experiment(M88, plan, n=4, trials=1000, seed=1, margin=2.0))) == []
+
+
 def test_experiment_deterministic_for_fixed_seed():
     codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
     a = run_two_user_experiment(codec, 30_000, seed=11)
