@@ -229,11 +229,13 @@ def _check_dim(lat: Lattice, x: np.ndarray):
         )
 
 
-def _round_half_down(x: np.ndarray, scales: Union[float, np.ndarray]) -> np.ndarray:
+def _round_half_down(x: np.ndarray, scales: Union[float, np.ndarray],
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     # Nearest integer to x / scales (a lattice's ``_scales``), rounded in
-    # place in that fresh quotient; exact halves resolve downward, which is
-    # the lexicographically smaller choice per coordinate.
-    q = x / scales
+    # place in that quotient, written to ``out`` or a fresh array; exact
+    # halves resolve downward, which is the lexicographically smaller choice
+    # per coordinate.
+    q = np.divide(x, scales, out=out)
     q -= 0.5
     return np.ceil(q, out=q)
 
@@ -296,7 +298,13 @@ def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
         return nearest_point_coords(lat, x) @ lat.gen.T
     _check_dim(lat, x)
     _check_finite(x)
-    point = _round_half_down(x, lat._scales)
+    return _diagonal_point(lat, x)
+
+
+def _diagonal_point(lat: Lattice, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``nearest_point`` of an exactly diagonal lattice, unchecked, written
+    to ``out`` or a fresh array."""
+    point = _round_half_down(x, lat._scales, out)
     point *= lat._scales
     point += 0.0
     return point
@@ -368,12 +376,22 @@ def sample_dither(lat: Lattice, rng: np.random.Generator, size: int = 1) -> np.n
     which equals ``w @ G.T`` bit for bit.
     """
     w = rng.random((size, lat.dim))
+    return _uniform_to_voronoi(lat, w, np.empty_like(w))
+
+
+def _uniform_to_voronoi(lat: Lattice, w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The map of ``sample_dither``, in place: uniform draws ``w`` over
+    [0, 1)^n, shape (rows, n), become ``mod_lattice(lat, w @ G.T)`` with its
+    bits. ``scratch``, a float64 array of w's shape, is overwritten; an
+    exactly diagonal lattice allocates nothing, which lets the codec engine
+    map its dithers in its own buffers. The points are finite by
+    construction, so the finiteness check is skipped. Returns ``w``."""
     if lat._exact_diag:
-        u = w * lat._scales
-        u += 0.0
-    else:
-        u = w @ lat.gen.T
-    return mod_lattice(lat, u)
+        w *= lat._scales
+        w += 0.0
+        return np.subtract(w, _diagonal_point(lat, w, scratch), out=w)
+    u = np.matmul(w, lat.gen.T, out=scratch)
+    return np.subtract(u, nearest_point(lat, u), out=w)
 
 
 def second_moment(

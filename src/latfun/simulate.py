@@ -39,18 +39,36 @@ array: the source normals, then each member's dither in decode order.
 Nothing else reads the stream, so drawing the dithers ahead of the
 arithmetic keeps it, where drawing them per block would interleave the
 members' draws and change it. The arithmetic (``_run_block``) then runs on
-row blocks of ``_BLOCK`` trials, and each block keeps only its per-trial
+row blocks of ``_BLOCK // n`` trials, so that a block's (rows, n)
+temporaries take 64 KiB each, below glibc's 128 KiB mmap threshold: the
+heap hands the same pages back block after block, where larger arrays are
+mapped afresh and faulted in again. Each block keeps only its per-trial
 results: the squared error, and per cell the mod-input second moment,
 overload and clean history. Each of them depends on its own row alone (the
 closest-point products reduce over the n coordinates of a row), so blocks
 give the bits of one pass, which the golden pins check on chunks of several
-blocks, and every sum across trials stays whole-chunk in ``_Accumulator``.
-A block's temporaries take 64 KB per coordinate, against 512 KB for a whole
-65,536-trial chunk, whose temporaries were faulted in afresh at nearly
-every step; blocking about halves the minor page faults of the Z^1 and Z^4
-codecs. ``_BLOCK`` is a constant because no result depends on it: it
-trades memory traffic against per-block overhead, and is not a parameter
-of the experiment.
+blocks. A block of one row is the exception: numpy multiplies a lone row
+by a non-diagonal generator through its matrix-vector product, whose last
+bits differ from the same row's inside a larger array, so a one-row tail
+joins the block before it, and only a one-trial chunk is one row.
+``_BLOCK`` is a constant because no result depends on it: it trades memory
+traffic against per-block overhead, and is not a parameter of the
+experiment.
+
+The whole-chunk arrays live in the thread's workspace (``_Workspace``),
+carved from one float and one flag buffer: the normals, with the dithers
+drawn over them once the source columns are formed, the columns, the
+dither mapping's quotient, the per-trial results and the fold's scratch.
+The buffers grow to the thread's largest chunk and are reused after that,
+so a chunk no larger than one its thread has run allocates no whole-chunk
+array and takes no fresh pages, outside the closest-point kernel that a
+non-diagonal lattice's dither reduction reaches. The calling thread keeps
+its workspace, at the size of its largest chunk, for later runs; a pool's
+threads drop theirs when the pool closes at the end of the run. The arrays
+of ``_draw`` and ``_run_cells`` are valid only until that thread's next
+chunk. The thread that ran a chunk also folds it into its sums
+(``_Accumulator.chunk_sums``), so no workspace array leaves its thread,
+and the sums are merged in chunk order, which keeps their bits.
 
 Within a block, the reductions by one cell's coarse lattice that do not
 depend on each other go through ``lattices.reduce_stacked``: the members'
@@ -71,6 +89,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
@@ -98,6 +117,7 @@ from .gaussian import (
 )
 from .lattices import (
     Lattice,
+    _uniform_to_voronoi,
     integer_lattice,
     nearest_point,
     reduce_stacked,
@@ -107,7 +127,8 @@ from .lattices import (
 from .regions import RatePoint, SCHEME_LATTICE, _half_log2_ratio, k_user_rates
 
 DEFAULT_CHUNK = 65536
-_BLOCK = 8192  # trials per row block of a chunk's arithmetic (see the module docstring)
+_BLOCK = 8192  # floats per (rows, n) array of a row block: 64 KiB (see the module docstring)
+_LAYOUTS = 8  # chunk shapes whose arrays a workspace keeps
 
 
 def _worker_count() -> int:
@@ -237,10 +258,35 @@ def _json_number(x):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
+class _ChunkSums(NamedTuple):
+    """One chunk's share of every sum that ``_Accumulator`` keeps."""
+
+    trials: int
+    err_sum: float
+    err_sq_sum: float
+    cond_err_sum: float
+    overloads: int
+    v_sq_sum: float
+    v_sq_count: int
+    cell_overloads: np.ndarray
+    cell_v_sq: np.ndarray
+    cell_v_counts: np.ndarray
+
+
 class _Accumulator:
     """Sufficient statistics merged across chunks by an ordered float sum
     (deterministic, not exact). The mod-input moment is that of the last
     decoded cell ``last``, over trials whose earlier cells did not overload.
+
+    The thread that ran a chunk folds it into its sums (``chunk_sums``),
+    from the per-trial results in its workspace, and ``add`` merges the
+    sums in chunk order, so the float additions, and their bits, do not
+    depend on the worker count, and no workspace array leaves its thread.
+    A chunk's float sums are numpy's sums of contiguous arrays: the scaled
+    errors, their squares, the errors of the trials without overload and
+    the last cell's mod-input moments of its clean trials; and per cell,
+    numpy's sum over the trial axis of the (trials, cells) moments with
+    the trials that are not clean set to zero.
 
     The errors and their squares are summed in the frame ``err * 2^-e``, with
     2^e the binary magnitude of the target distortion ``d``, and the report
@@ -264,24 +310,56 @@ class _Accumulator:
         self.cell_v_sq = np.zeros(n_cells)
         self.cell_v_counts = np.zeros(n_cells, dtype=np.int64)
 
-    def add(self, err, cell_overload, cell_v_sq, cell_v_mask):
-        """Fold in one chunk: per-trial errors and (trials, cells) arrays."""
-        self.trials += err.shape[0]
-        err = np.ldexp(err, -self.exp)
-        self.err_sum += float(np.sum(err))
-        self.err_sq_sum += float(np.sum(err**2))
-        overload = _row_any(cell_overload)
+    def chunk_sums(self, err, cell_overload, cell_v_sq, cell_v_mask,
+                   arrays: _ChunkArrays) -> _ChunkSums:
+        """The sums of one chunk: per-trial errors and (trials, cells) arrays,
+        with the scratch of the chunk's ``arrays``. Reads only ``last`` and
+        ``exp``, so worker threads may call it at once."""
+        m = err.shape[0]
+        scaled = np.ldexp(err, -self.exp, out=arrays.scaled)
+        spare = arrays.spare
+        flat = spare.reshape(-1)[:m]
+        err_sum = float(np.sum(scaled))
+        err_sq_sum = float(np.sum(np.square(scaled, out=flat)))
+        overload = _row_any(cell_overload, arrays.keep)
         overloads = int(np.count_nonzero(overload))
-        self.cond_err_sum += float(np.sum(err[~overload]))
-        self.cond_trials += err.shape[0] - overloads
-        self.overloads += overloads
+        keep = np.logical_not(overload, out=overload)
+        # Without an overload the kept errors are the whole array.
+        cond_err_sum = float(np.sum(scaled[keep])) if overloads else err_sum
         mask = cell_v_mask[:, self.last]
-        self.v_sq_sum += float(np.sum(cell_v_sq[:, self.last][mask]))
-        self.v_sq_count += int(np.count_nonzero(mask))
-        self.cell_overloads += _column_counts(cell_overload)
-        # numpy sums one cell pairwise and two or more sequentially: keep its call.
-        self.cell_v_sq += np.sum(np.where(cell_v_mask, cell_v_sq, 0.0), axis=0)
-        self.cell_v_counts += _column_counts(cell_v_mask)
+        count = int(np.count_nonzero(mask))
+        # Summed as the contiguous array that indexing by the mask gives.
+        np.copyto(flat, cell_v_sq[:, self.last])
+        v_sq_sum = float(np.sum(flat if count == m else flat[mask]))
+        spare.fill(0.0)
+        np.copyto(spare, cell_v_sq, where=cell_v_mask)
+        return _ChunkSums(
+            trials=m,
+            err_sum=err_sum,
+            err_sq_sum=err_sq_sum,
+            cond_err_sum=cond_err_sum,
+            overloads=overloads,
+            v_sq_sum=v_sq_sum,
+            v_sq_count=count,
+            cell_overloads=_column_counts(cell_overload),
+            # numpy sums one cell pairwise and two or more sequentially: keep its call.
+            cell_v_sq=np.sum(spare, axis=0),
+            cell_v_counts=_column_counts(cell_v_mask),
+        )
+
+    def add(self, sums: _ChunkSums):
+        """Merge the next chunk's sums."""
+        self.trials += sums.trials
+        self.err_sum += sums.err_sum
+        self.err_sq_sum += sums.err_sq_sum
+        self.cond_err_sum += sums.cond_err_sum
+        self.cond_trials += sums.trials - sums.overloads
+        self.overloads += sums.overloads
+        self.v_sq_sum += sums.v_sq_sum
+        self.v_sq_count += sums.v_sq_count
+        self.cell_overloads += sums.cell_overloads
+        self.cell_v_sq += sums.cell_v_sq
+        self.cell_v_counts += sums.cell_v_counts
 
     def report(self, rates: RatePoint, seed: int, margin: float, n: int,
                per_cell: bool = False) -> SimReport:
@@ -316,17 +394,18 @@ class _Accumulator:
 # Reductions along the trial axis (see the module docstring)
 
 
-def _row_any(a: np.ndarray) -> np.ndarray:
+def _row_any(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.any(a, axis=-1)`` of an (m, k) array: an OR of its k columns,
-    which is exact in any order."""
-    out = a[:, 0] != 0
+    which is exact in any order; written to ``out`` (m bools) if given."""
+    out = np.not_equal(a[:, 0], 0, out=out)
     for j in range(1, a.shape[1]):
-        out |= a[:, j] != 0
+        np.logical_or(out, a[:, j], out=out)
     return out
 
 
-def _row_mean(a: np.ndarray) -> np.ndarray:
-    """``np.mean(a, axis=-1)`` of an (m, k) array, bit for bit.
+def _row_mean(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.mean(a, axis=-1)`` of an (m, k) array, bit for bit, written to
+    ``out`` (m floats) if given.
 
     For k < 8 numpy sums each row left to right from +0.0 and divides by k;
     summing the columns in that order gives the same bits. From k = 8 numpy
@@ -334,8 +413,8 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     """
     k = a.shape[1]
     if k >= 8:
-        return np.mean(a, axis=-1)
-    total = a[:, 0] + 0.0
+        return np.mean(a, axis=-1, out=out)
+    total = np.add(a[:, 0], 0.0, out=out)
     for j in range(1, k):
         total += a[:, j]
     total /= k
@@ -351,16 +430,25 @@ def _column_counts(a: np.ndarray) -> np.ndarray:
 # Cell-sequential engine
 
 
-class _Member(NamedTuple):
-    """One encoder: quantizes ``scale * x[..., col]`` with ``fine`` and
-    enters its cell's sum with ``sign``. ``dither`` is a fixed dither, or
-    None to draw a fresh one per trial."""
-
+class _MemberFields(NamedTuple):
     col: int
     scale: float
     sign: float
     fine: Lattice
     dither: Optional[np.ndarray] = None
+
+
+class _Member(_MemberFields):
+    """One encoder: quantizes ``scale * x[..., col]`` with ``fine`` and
+    enters its cell's sum with ``sign``, +1 or -1 (added or subtracted).
+    ``dither`` is a fixed dither, or None to draw a fresh one per trial."""
+
+    __slots__ = ()
+
+    def __new__(cls, col, scale, sign, fine, dither=None):
+        if sign not in (1.0, -1.0):
+            raise ValueError(f"a member's sign must be +1 or -1, got {sign}")
+        return super().__new__(cls, col, scale, sign, fine, dither)
 
 
 class _Cell(NamedTuple):
@@ -383,9 +471,95 @@ class _Plan(NamedTuple):
     final: Sequence[float]                # over side values, then cells
 
 
-def _sources(factor: np.ndarray, m: int, n: int, rng: np.random.Generator):
+class _ChunkArrays(NamedTuple):
+    """The arrays of one chunk of m trials in its thread's workspace (see the
+    module docstring). The dither draws overlay the source normals, and the
+    fold's float scratch overlays both."""
+
+    normals: np.ndarray       # (m, n, cols) source normals
+    uniforms: np.ndarray      # (draws, m, n) dither draws, mapped in place
+    scaled: np.ndarray        # (m,) fold: the errors in the target's frame
+    spare: np.ndarray         # (m, cells) fold scratch
+    sources: np.ndarray       # (cols, m n) source columns
+    quotient: np.ndarray      # (m, n) dither mapping scratch
+    err: np.ndarray           # (m,) per-trial squared error
+    v_sq: np.ndarray          # (m, cells) per-trial mod-input second moment
+    overload: np.ndarray      # (m, cells) bool
+    clean_before: np.ndarray  # (m, cells) bool: no overload in earlier cells
+    keep: np.ndarray          # (m,) bool fold scratch
+
+
+class _Workspace:
+    """One thread's chunk arrays: a float and a flag buffer, each grown to
+    the largest chunk so far, carved into the arrays of a chunk shape, which
+    are kept for the next chunk of that shape (up to ``_LAYOUTS`` shapes)."""
+
+    __slots__ = ("floats", "flags", "layouts")
+
+    def __init__(self):
+        self.floats = np.empty(0)
+        self.flags = np.empty(0, dtype=bool)
+        self.layouts = {}
+
+    def arrays(self, m: int, n: int, cols: int, draws: int, cells: int) -> _ChunkArrays:
+        """The arrays of a chunk of m trials of n coordinates, with ``cols``
+        source columns, ``draws`` drawn dithers and ``cells`` cells."""
+        key = (m, n, cols, draws, cells)
+        arrays = self.layouts.get(key)
+        if arrays is None:
+            if len(self.layouts) >= _LAYOUTS:
+                self.layouts.clear()
+            arrays = self.layouts[key] = self._carve(*key)
+        return arrays
+
+    def _carve(self, m, n, cols, draws, cells) -> _ChunkArrays:
+        mn, mc = m * n, m * cells
+        shared = max(cols * mn, draws * mn, m + mc)  # draws, then fold scratch
+        floats, flags = shared + cols * mn + mn + m + mc, 2 * mc + m
+        if self.floats.size < floats:
+            self.floats, self.layouts = np.empty(floats), {}
+        if self.flags.size < flags:
+            self.flags, self.layouts = np.empty(flags, dtype=bool), {}
+        f, b = self.floats, self.flags
+        lo = shared + cols * mn
+        return _ChunkArrays(
+            normals=f[:mn * cols].reshape(m, n, cols),
+            uniforms=f[:draws * mn].reshape(draws, m, n),
+            scaled=f[:m],
+            spare=f[m:m + mc].reshape(m, cells),
+            sources=f[shared:lo].reshape(cols, mn),
+            quotient=f[lo:lo + mn].reshape(m, n),
+            err=f[lo + mn:lo + mn + m],
+            v_sq=f[lo + mn + m:lo + mn + m + mc].reshape(m, cells),
+            overload=b[:mc].reshape(m, cells),
+            clean_before=b[mc:2 * mc].reshape(m, cells),
+            keep=b[2 * mc:2 * mc + m],
+        )
+
+
+_thread_state = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """The calling thread's workspace, made on its first chunk; it goes with
+    the thread."""
+    ws = getattr(_thread_state, "workspace", None)
+    if ws is None:
+        ws = _thread_state.workspace = _Workspace()
+    return ws
+
+
+def _chunk_shape(plan: _Plan) -> Tuple[int, int, int, int]:
+    """``(n, cols, draws, cells)`` of the plan's chunks (see ``_Workspace.arrays``)."""
+    draws = sum(mem.dither is None for cell in plan.cells for mem in cell.members)
+    return plan.cells[0].coarse.dim, plan.factor.shape[0], draws, len(plan.cells)
+
+
+def _sources(factor: np.ndarray, rng: np.random.Generator, g: np.ndarray, columns: np.ndarray):
     """The source columns, each a contiguous (m, n) array, of
-    ``g @ factor.T`` for one draw ``g = rng.standard_normal((m, n, cols))``.
+    ``g @ factor.T`` for one draw ``g = rng.standard_normal((m, n, cols))``,
+    drawn into ``g`` of that shape; the columns are written into
+    ``columns``, a (cols, m n) array.
 
     numpy runs that stacked product as one tiny BLAS call per trial. Two
     cheaper forms give the same bits (a test pins this for n up to 8 and up
@@ -398,27 +572,36 @@ def _sources(factor: np.ndarray, m: int, n: int, rng: np.random.Generator):
     is itself one 2-D product, which the per-column form does not match, so
     it is kept there.
     """
-    cols = factor.shape[0]
-    g = rng.standard_normal((m, n, cols))
-    if n == 1 and m > 1:
+    m, n, cols = g.shape
+    rng.standard_normal(out=g)
+    if n == 1 and m == 1:
+        x = g @ factor.T
+        return [x[..., i] for i in range(cols)]
+    if n == 1:
         g2d = g.reshape(m, cols)
-        return [(g2d @ factor[i]).reshape(m, 1) for i in range(cols)]
-    if n > 1:
-        return [row.reshape(m, n) for row in factor @ g.reshape(-1, cols).T]
-    x = g @ factor.T
-    return [x[..., i] for i in range(cols)]
+        for i in range(cols):
+            np.matmul(g2d, factor[i], out=columns[i])
+    else:
+        np.matmul(factor, g.reshape(-1, cols).T, out=columns)
+    return [col.reshape(m, n) for col in columns]
 
 
-def _draw(plan: _Plan, m: int, rng: np.random.Generator):
+def _draw(plan: _Plan, m: int, rng: np.random.Generator,
+          arrays: Optional[_ChunkArrays] = None):
     """Every rng draw of one chunk of m trials, in the stream's order: the
     (m, n, cols) source normals, as source columns (see ``_sources``), then
-    one (m, n) dither per member of each cell in decode order. Returns the
-    columns and the dithers, flat in that order. A fixed dither draws
-    nothing: its (n,) row is broadcast, read-only, over the m trials."""
-    n = plan.cells[0].coarse.dim
-    x = _sources(plan.factor, m, n, rng)
-    dithers = [sample_dither(mem.fine, rng, m) if mem.dither is None
-               else np.broadcast_to(mem.dither, (m, n))
+    one (m, n) dither per member of each cell in decode order, each that of
+    ``sample_dither``. Returns the columns and the dithers, flat in that
+    order, in the chunk's ``arrays`` (by default from the calling thread's
+    workspace), where they stay valid until that thread's next chunk. A
+    fixed dither draws nothing: its (n,) row is broadcast, read-only, over
+    the m trials."""
+    arrays = arrays or _workspace().arrays(m, *_chunk_shape(plan))
+    x = _sources(plan.factor, rng, arrays.normals, arrays.sources)
+    # The draws overlay the normals, which the columns no longer need.
+    drawn = iter(arrays.uniforms)
+    dithers = [_uniform_to_voronoi(mem.fine, rng.random(out=next(drawn)), arrays.quotient)
+               if mem.dither is None else np.broadcast_to(mem.dither, arrays.quotient.shape)
                for idx in plan.order for mem in plan.cells[idx].members]
     return x, dithers
 
@@ -446,49 +629,66 @@ def _run_block(plan: _Plan, x, dithers):
         # the decoding reduction, are each one stacked reduction (see the
         # module docstring).
         for mem, u, (y, mod) in zip(cell.members, dith, reduce_stacked(cell.coarse, (), ys)[1]):
-            total += mem.sign * (mod - u)
-            ideal += mem.sign * (y - u)
-            # Free each block-sized array once used, as the unstacked calls
-            # did: holding them raised the minor page faults per
-            # mc_seq_codecs_z4 op from 4,032 to 4,958.
+            # A sign is +1 or -1, and a + (-d) is a - d in IEEE arithmetic.
+            mod -= u
+            y -= u
+            if mem.sign > 0:
+                total += mod
+                ideal += y
+            else:
+                total -= mod
+                ideal -= y
+            # Free each block-sized array once used, so that a cell holds
+            # one member's at a time.
             del y, mod
         pred = sum(w * value for w, value in zip(cell.pred, known))
         # Overload is wraparound of the shift-free mod input; the transmitted
         # sum additionally carries coarse points, which the reduction removes.
         v[idx] = ideal - pred
-        (coords,), [(_, wrapped)] = reduce_stacked(cell.coarse, [v[idx]], [total - pred])
+        total -= pred
+        (coords,), [(total, decoded[idx])] = reduce_stacked(cell.coarse, [v[idx]], [total])
         overload[:, idx] = _row_any(coords)
-        del coords  # as above
+        del coords, total, ideal  # as above, before the next cell's are made
         # The mod-input moment is meaningful where earlier cells decoded
         # correctly; wrapped predictors would contaminate it.
         clean_before[:, idx] = clean
         clean = clean & ~overload[:, idx]
-        decoded[idx] = wrapped + pred
+        decoded[idx] += pred
         known.append(decoded[idx])
     z = sum(coeff * x[col] for col, coeff in enumerate(plan.coeffs))
     zhat = sum(w * value for w, value in zip(plan.final, known[: len(plan.side)] + decoded))
     return z, zhat, v, overload, clean_before
 
 
-def _run_cells(plan: _Plan, m: int, rng: np.random.Generator):
-    """One chunk of m trials, run in row blocks of ``_BLOCK`` after its
-    draws (see the module docstring); returns the per-trial squared error,
-    and (m, cells) arrays of overload, mod-input second moment and clean
-    history."""
-    x, dithers = _draw(plan, m, rng)
-    cells = len(plan.cells)
-    err = np.empty(m)
-    v_sq = np.empty((m, cells))
-    overload = np.empty((m, cells), dtype=bool)
-    clean_before = np.empty_like(overload)
-    for lo in range(0, m, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        z, zhat, v, overload[rows], clean_before[rows] = _run_block(
+def _row_blocks(m: int, rows: int):
+    """Row slices of a chunk of m trials, ``rows`` each but the last; a
+    one-row tail joins the block before it (see the module docstring)."""
+    lo = 0
+    while lo < m:
+        hi = lo + rows
+        if hi + 1 >= m:
+            hi = m
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _run_cells(plan: _Plan, m: int, rng: np.random.Generator,
+               arrays: Optional[_ChunkArrays] = None):
+    """One chunk of m trials, run in row blocks after its draws (see the
+    module docstring); returns the per-trial squared error, and (m, cells)
+    arrays of overload, mod-input second moment and clean history, all in
+    the chunk's ``arrays`` (by default from the calling thread's workspace)."""
+    arrays = arrays or _workspace().arrays(m, *_chunk_shape(plan))
+    x, dithers = _draw(plan, m, rng, arrays)
+    err, v_sq = arrays.err, arrays.v_sq
+    for rows in _row_blocks(m, max(1, _BLOCK // x[0].shape[1])):
+        z, zhat, v, arrays.overload[rows], arrays.clean_before[rows] = _run_block(
             plan, [col[rows] for col in x], [u[rows] for u in dithers])
-        err[rows] = _row_mean((z - zhat) ** 2)
+        z -= zhat
+        _row_mean(np.square(z, out=z), err[rows])
         for idx, vi in enumerate(v):
-            v_sq[rows, idx] = _row_mean(vi**2)
-    return err, overload, v_sq, clean_before
+            _row_mean(np.square(vi, out=vi), v_sq[rows, idx])
+    return err, arrays.overload, v_sq, arrays.clean_before
 
 
 def _require_resolvable(plan: _Plan, d: float):
@@ -508,12 +708,15 @@ def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimRep
     """Run the chunks of one experiment of ``codec`` and report their merged statistics."""
     _require_resolvable(plan, codec.rates.distortion)
 
-    def work(k: int):
-        return _run_cells(plan, sizes[k], _chunk_rng(seed, k))
-
     acc = _Accumulator(len(plan.cells), plan.order[-1], codec.rates.distortion)
-    for chunk in _map_chunks(work, len(sizes)):
-        acc.add(*chunk)
+    shape = _chunk_shape(plan)
+
+    def work(k: int):
+        arrays = _workspace().arrays(sizes[k], *shape)
+        return acc.chunk_sums(*_run_cells(plan, sizes[k], _chunk_rng(seed, k), arrays), arrays)
+
+    for sums in _map_chunks(work, len(sizes)):
+        acc.add(sums)
     return acc.report(codec.rates, seed, codec.margin, codec.n, per_cell)
 
 
@@ -798,6 +1001,13 @@ def run_k_user_experiment(
     """
     sizes = _chunk_sizes(trials, chunk_size)
     codec = build_k_user_codec(model, plan, n, margin, base_lattice)
+    return _run(_k_user_plan(codec), sizes, seed, codec, per_cell=True)
+
+
+def _k_user_plan(codec: KUserCodec) -> _Plan:
+    """The partition's cells, user i entering with sign +1, each predicted
+    from the cells decoded before it; Zhat weighs the decoded cells."""
+    model, plan = codec.model, codec.plan
     coeff_map = decoder_coeff_map(model, plan)
     final_w, _ = final_estimator(model, plan)
     cells = tuple(
@@ -805,9 +1015,7 @@ def run_k_user_experiment(
               codec.coarses[cell], coeff_map[cell])
         for cell in plan.partition
     )
-    plan_run = _Plan(_gaussian_factor(model.cov), model.coeffs, (), cells, plan.decode_order,
-                     final_w)
-    return _run(plan_run, sizes, seed, codec, per_cell=True)
+    return _Plan(_gaussian_factor(model.cov), model.coeffs, (), cells, plan.decode_order, final_w)
 
 
 # ---------------------------------------------------------------------------

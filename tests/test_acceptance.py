@@ -173,7 +173,7 @@ def test_criterion_07_pipeline_equivalence():
     # Reference: Z from the chunk's sources drawn again, and the equivalent
     # pipeline w = v - Q_coarse(v), which reduces the shift-free mod input v
     # instead of the transmitted sum; overload is where that reduction moves v.
-    x = _sources(plan.factor, 10_000, 1, _chunk_rng(777, 0))
+    x = _sources(plan.factor, _chunk_rng(777, 0), np.empty((10_000, 1, 2)), np.empty((2, 10_000)))
     assert np.array_equal(z, x[0] - codec.model.c * x[1])
     w = v[0] - latfun.nearest_point_coords(codec.coarse, v[0]) @ codec.coarse.gen.T
     max_diff = float(np.max(np.abs(zhat - codec.beta * w)))

@@ -125,13 +125,15 @@ def _assert_same_bits(got, want):
 
 
 class _FixedDraws:
-    """Stands in for a Generator whose ``random`` returns given values."""
+    """Stands in for a Generator whose ``random`` returns given values, in a
+    fresh array as a Generator's draws are (``sample_dither`` maps its draws
+    in place)."""
 
     def __init__(self, values):
         self.values = values
 
     def random(self, shape):
-        return self.values.reshape(shape)
+        return self.values.reshape(shape).copy()
 
 
 # (n, step): unequal scales at step None; the lattice step Z^n otherwise,

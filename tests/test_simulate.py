@@ -2,18 +2,24 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import epi_entropy_quadrature
+from pin_golden import _codecs
 
 from latfun import (
     DegenerateSideInfo,
     DimensionMismatch,
     DistortionOutOfRange,
     InvalidCount,
+    Lattice,
     MomentOverflow,
     NonPositiveQ,
     PartitionPlan,
@@ -25,6 +31,7 @@ from latfun import (
     build_two_user_codec,
     epi_entropy_sandwich,
     function_variance,
+    hexagonal_lattice,
     independent_side_model,
     integer_lattice,
     nearest_point_coords,
@@ -32,6 +39,7 @@ from latfun import (
     run_k_user_experiment,
     run_side_info_experiment,
     run_two_user_experiment,
+    sample_dither,
     second_moment,
     single_cell_plan,
     singleton_plan,
@@ -42,14 +50,19 @@ from latfun import simulate
 from latfun.simulate import (
     TwoUserCodec,
     _Accumulator,
+    _Cell,
+    _Member,
+    _Workspace,
     _chunk_rng,
     _column_counts,
     _draw,
     _gaussian_factor,
+    _k_user_plan,
     _map_chunks,
     _row_any,
     _row_mean,
     _run_block,
+    _run_cells,
     _side_info_plan,
     _sources,
     _two_user_plan,
@@ -187,9 +200,10 @@ class _ChosenNormals:
         self.normals = normals
         self.rng = rng
 
-    def standard_normal(self, shape):
-        assert shape == self.normals.shape
-        return self.normals.copy()
+    def standard_normal(self, *, out):
+        assert out.shape == self.normals.shape
+        out[...] = self.normals
+        return out
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -380,11 +394,16 @@ def _kernel_calls(monkeypatch, run):
     return rows
 
 
-@pytest.mark.parametrize("trials, calls", [(1000, 6), (simulate._BLOCK + 1, 10)])
+_A2_ROWS = simulate._BLOCK // 2  # rows per block of an A2 chunk
+
+
+@pytest.mark.parametrize("trials, calls", [(1000, 6), (_A2_ROWS + 1, 6), (_A2_ROWS + 2, 10),
+                                           (2 * _A2_ROWS + 1, 10)])
 def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, calls):
     # Per chunk: one dither reduction per member; per block: one fine
     # quantization per member, one stacked coarse reduction of both members,
-    # and one stacked reduction for overload and decoding.
+    # and one stacked reduction for overload and decoding. A one-row tail
+    # joins the block before it, so rows + 1 trials are one block.
     from latfun import hexagonal_lattice
 
     base = hexagonal_lattice()
@@ -395,6 +414,116 @@ def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, calls):
     # Each trial sends 8 rows: 2 dithers, 2 fine points, the members' 2
     # coarse reductions, the mod input and the decoding input.
     assert sum(rows) == 8 * trials
+
+
+@pytest.mark.parametrize("tag", ["a2", "d4"])
+def test_one_row_tail_gives_the_bits_of_one_pass(monkeypatch, tag):
+    # numpy multiplies a lone row by a non-diagonal generator through its
+    # matrix-vector product, whose last bits can differ from the same row's
+    # in a larger array; the tail row of a chunk joins the block before it.
+    plan = _two_user_plan(_codecs()[tag])
+    n = plan.cells[0].coarse.dim
+    for m in (8193, simulate._BLOCK // n + 1):
+        for seed in range(30):
+            blocked = [a.copy() for a in _run_cells(plan, m, _chunk_rng(seed, 0))]
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_BLOCK", m * n)
+                one_pass = _run_cells(plan, m, _chunk_rng(seed, 0))
+            for got, want in zip(blocked, one_pass):
+                assert got.tobytes() == want.tobytes(), f"{tag}, {m} trials, seed {seed}"
+
+
+def test_member_sign_is_plus_or_minus_one():
+    fine = integer_lattice(1)
+    for sign in (1.0, -1.0):
+        assert _Member(0, 1.0, sign, fine).sign == sign
+    for sign in (0.0, 2.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="sign"):
+            _Member(0, 1.0, sign, fine)
+
+
+def _z4_k_user_plan():
+    model = SourceModel(np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.8], [0.8, 0.8, 1.0]]),
+                        np.array([1.0, -0.8, 0.5]))
+    plan = PartitionPlan(((0, 1), (2,)), (0, 1), (0.05, 0.05, 0.05))
+    return _k_user_plan(build_k_user_codec(model, plan, n=4, margin=2.0))
+
+
+def test_a_chunk_size_run_before_allocates_no_whole_chunk_array():
+    # Once the thread has run a 65,536-trial Z^4 K-user chunk, the draws,
+    # source columns, dithers and per-trial results of the next (18 MB when
+    # each was allocated afresh) all live in its workspace, and what is left
+    # is row blocks of 64 KiB temporaries.
+    plan = _z4_k_user_plan()
+    _run_cells(plan, 65536, _chunk_rng(0, 0))
+    tracemalloc.start()
+    try:
+        _run_cells(plan, 65536, _chunk_rng(0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _one_cell_plan(fine):
+    """Two members on ``fine`` and on it halved, with the identity factor."""
+    cell = _Cell((_Member(0, 1.0, 1.0, fine), _Member(1, 1.0, -1.0, fine.scaled(0.5))),
+                 fine.scaled(4.0), ())
+    return simulate._Plan(np.eye(2), np.array([1.0, -1.0]), (), (cell,), (0,), (1.0,))
+
+
+@pytest.mark.parametrize("fine", [
+    pytest.param(Lattice(np.diag([0.7, -1.3, 2.0])), id="diagonal"),
+    pytest.param(integer_lattice(3, 0.37), id="cZn"),
+    pytest.param(hexagonal_lattice(0.8), id="a2"),
+])
+@pytest.mark.parametrize("m", [1, 2, 1000])
+def test_engine_dithers_equal_sample_dither(fine, m):
+    plan = _one_cell_plan(fine)
+    _, dithers = _draw(plan, m, _chunk_rng(5, 0))
+    rng = _chunk_rng(5, 0)
+    rng.standard_normal((m, fine.dim, 2))
+    for mem, got in zip(plan.cells[0].members, dithers):
+        want = sample_dither(mem.fine, rng, m)
+        assert got.tobytes() == want.tobytes()
+
+
+# Runs of a sequence on one thread, each against a fresh process; the third
+# has the largest chunk, so the workspace grows before the first runs again.
+_SEQUENCE_SETUP = """
+import numpy as np
+from latfun import *
+cov = np.full((3, 3), 0.8)
+np.fill_diagonal(cov, 1.0)
+MODEL = SourceModel(cov, np.array([1.0, -0.8, 0.5]))
+PLAN = PartitionPlan(((0, 1), (2,)), (0, 1), (0.05, 0.05, 0.05))
+SIDE = build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02, n=2,
+                             margin=2.0)
+PAIR = build_two_user_codec(two_user_model(0.8, 0.8), 0.1, 0.06, n=3, margin=2.0)
+"""
+_SEQUENCE_RUNS = {
+    "k_user": "run_k_user_experiment(MODEL, PLAN, n=4, trials=5000, seed=3, margin=2.0)",
+    "side_info": "run_side_info_experiment(SIDE, 3000, seed=4)",
+    "larger_chunk": "run_two_user_experiment(PAIR, 30000, seed=5)",
+}
+
+
+def test_workspace_reuse_matches_fresh_processes(monkeypatch):
+    monkeypatch.setenv("LATFUN_THREADS", "1")
+    namespace = {}
+    exec(_SEQUENCE_SETUP, namespace)
+    order = ["k_user", "side_info", "larger_chunk", "k_user"]
+    got = [eval(_SEQUENCE_RUNS[name], namespace).to_json() for name in order]
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    env = dict(os.environ, LATFUN_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    fresh = {}
+    for name, run in _SEQUENCE_RUNS.items():
+        proc = subprocess.run([sys.executable, "-c", f"{_SEQUENCE_SETUP}print({run}.to_json())"],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        fresh[name] = proc.stdout.strip()
+    assert got == [fresh[name] for name in order]
 
 
 def test_diagonal_codecs_never_reach_the_kernel(monkeypatch):
@@ -498,7 +627,8 @@ def test_source_columns_equal_the_stacked_product(n, cols):
     factors = [np.linalg.cholesky(a @ a.T + 0.1 * np.eye(cols)), a]
     for factor in factors:
         for m in (1, 7, 2048, 65536):
-            got = _sources(factor, m, n, np.random.default_rng([m, n]))
+            got = _sources(factor, np.random.default_rng([m, n]), np.empty((m, n, cols)),
+                           np.empty((cols, m * n)))
             want = np.random.default_rng([m, n]).standard_normal((m, n, cols)) @ factor.T
             assert len(got) == cols
             for i in range(cols):
@@ -652,7 +782,8 @@ def test_cell_moment_check_is_nan_for_a_cell_with_no_clean_trial():
     acc = _Accumulator(2, last=1, d=0.1)
     v_sq = np.array([[2.0, 5.0], [4.0, 7.0]])
     mask = np.array([[True, False], [True, False]])
-    acc.add(np.array([0.1, 0.3]), np.zeros((2, 2), dtype=bool), v_sq, mask)
+    arrays = _Workspace().arrays(m=2, n=1, cols=2, draws=2, cells=2)
+    acc.add(acc.chunk_sums(np.array([0.1, 0.3]), np.zeros((2, 2), dtype=bool), v_sq, mask, arrays))
     rep = acc.report(RatePoint((1.0, 1.0), 0.1, SCHEME_LATTICE), 0, 1.0, 1, per_cell=True)
     assert rep.cell_moment_checks[0] == 3.0
     assert math.isnan(rep.cell_moment_checks[1])
