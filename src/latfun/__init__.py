@@ -50,7 +50,6 @@ from .lattices import (
     construction_a,
     coset_leaders,
     hexagonal_lattice,
-    in_voronoi,
     integer_lattice,
     mod_lattice,
     nearest_point,
@@ -73,13 +72,11 @@ from .regions import (
     bt_rate_point,
     bt_regime,
     k_user_rates,
-    lattice_feasible,
     lattice_min_sum_rate,
     lower_convex_envelope,
     optimal_scaling,
     scaling_region_rhs,
     side_info_region,
-    sum_rate_gap,
 )
 from .simulate import (
     SimReport,

@@ -27,6 +27,7 @@ from . import kernels
 from .errors import (
     DimensionMismatch,
     InvalidPrime,
+    LatfunError,
     MissingMomentEstimate,
     NonFiniteTarget,
     NonPositiveTarget,
@@ -175,7 +176,8 @@ class NestedPair:
     two generators, which cannot change: the coordinates G_fine^{-1}
     G_coarse must be integral within 1e-9 and their rounding J must have
     |det J| > 1 - 1e-9, or the coarse lattice is not a sublattice of the
-    fine one. A pair therefore exists only once its nesting is checked, and
+    fine one, and J's entries must lie within the int64 range. A pair
+    therefore exists only once its nesting is checked, and
     ``nesting_matrix`` is J as a read-only int64 array. Equality is
     identity, as for ``Lattice``.
     """
@@ -191,6 +193,9 @@ class NestedPair:
         j = np.rint(coords)
         if not (np.all(np.abs(coords - j) <= _INT_TOL) and abs(np.linalg.det(j)) > 1.0 - 1e-9):
             raise SingularLattice("coarse lattice is not a sublattice of the fine one")
+        if not np.all(np.abs(j) < 2.0**63):
+            raise LatfunError(
+                f"nesting matrix entry {np.max(np.abs(j)):.6g} is outside the int64 range")
         j = j.astype(np.int64)
         j.setflags(write=False)
         object.__setattr__(self, "nesting_matrix", j)
@@ -345,21 +350,6 @@ def reduce_stacked(lat: Lattice, coords_of: Sequence[np.ndarray],
         lo += len(a)
     k = len(coords_of)
     return parts[:k], [(b, b - c @ lat.gen.T) for b, c in zip(mods_of, parts[k:])]
-
-
-def in_voronoi(lat: Lattice, x: Sequence[float]) -> bool:
-    """True if ``x`` reduces to itself, i.e. its nearest lattice point is 0."""
-    x = np.asarray(x, dtype=np.float64)
-    coords = nearest_point_coords(lat, x)
-    return bool(np.all(coords == 0))
-
-
-def contains(lat: Lattice, x: Sequence[float]) -> bool:
-    """Membership test: G^{-1} x is integral within 1e-9."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_dim(lat, x)
-    u = np.linalg.solve(lat.gen, x)
-    return bool(np.all(np.abs(u - np.rint(u)) <= _INT_TOL))
 
 
 # ---------------------------------------------------------------------------

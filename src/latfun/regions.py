@@ -1,4 +1,4 @@
-"""Closed-form achievable rate-distortion regions and their comparison.
+"""Closed-form achievable rate-distortion regions.
 
 Two-user direct lattice binning, the quantize-and-bin (Berger-Tung) inner
 bound with its optimal noise allocation and regime structure, the K-user
@@ -29,7 +29,6 @@ from .gaussian import (
     function_variance,
     require_informative,
     sigma_theta,
-    two_user_model,
 )
 
 REGIME_INTERIOR = "interior"
@@ -158,14 +157,6 @@ def _check_distortion(d: float, upper: float, inclusive: bool = False):
     if not ok:
         rel = "<=" if inclusive else "<"
         raise DistortionOutOfRange(f"need 0 < D {rel} {upper:.6g}, got D = {d:.6g}")
-
-
-def lattice_feasible(model: SourceModel, r1: float, r2: float, d: float) -> bool:
-    """Membership test for the direct binning region 2^-2R1 + 2^-2R2 <= D/Var(Z)."""
-    model.require_two_user()
-    sz2 = function_variance(model)
-    _check_distortion(d, sz2, inclusive=True)
-    return 2.0 ** (-2.0 * r1) + 2.0 ** (-2.0 * r2) <= d / sz2 + 1e-12
 
 
 def lattice_min_sum_rate(model: SourceModel, d: float) -> float:
@@ -478,22 +469,3 @@ def optimal_scaling(model: SourceModel, d: float) -> ScalingOptimum:
     _check_distortion(d, sz2)
     c = _power_of_two_normalized(model.coeffs)
     return ScalingOptimum(direction=c / np.linalg.norm(c), rhs=d / sz2)
-
-
-# ---------------------------------------------------------------------------
-# Scheme comparison
-
-
-def sum_rate_gap(rho: float, c: float, d: float) -> float:
-    """Quantize-and-bin minus direct-binning minimum sum rate (bits).
-
-    Positive values mean the direct lattice scheme needs fewer total bits at
-    distortion d. Defined for correlation in (0, 1), 0 < d < Var(Z) and
-    any sign of c.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"correlation must lie in (0, 1), got {rho}")
-    model = two_user_model(rho, c)
-    sz2 = function_variance(model)
-    _check_distortion(d, sz2)
-    return bt_min_sum_rate(model, d) - lattice_min_sum_rate(model, d)

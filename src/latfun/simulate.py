@@ -1,12 +1,14 @@
 """Monte Carlo execution of the nested-lattice codecs.
 
 Two-user, side-information, and K-user sequential codecs run at small
-lattice dimension with exactly uniform dithers. Overload (wraparound of the
-coarse-lattice reduction) is counted explicitly, and distortion is reported
-both unconditionally and with overload trials excluded, since the
-vanishing-overload regime is an asymptotic statement not reachable at desk
-scale. The ``margin`` knob inflates only the coarse lattice, trading rate
-for overload; margin = 1 is the nominal parameter choice.
+lattice dimension with exactly uniform dithers, each lattice a base lattice
+scaled to the second moment that the distortion identity needs. Overload
+(wraparound of the coarse-lattice reduction) is counted explicitly, and
+distortion is reported both unconditionally and with overload trials
+excluded, since the vanishing-overload regime is an asymptotic statement
+not reachable at desk scale. The ``margin`` knob inflates only the coarse
+lattice, trading rate for overload; margin = 1 is the nominal parameter
+choice.
 
 The public surface is the ``build_*_codec`` builders, the
 ``run_*_experiment`` runners, their ``SimReport`` and
@@ -20,9 +22,10 @@ of two encoders, side information is a predictor known before decoding, and
 the K-user codec runs its partition plan.
 
 Trials are partitioned into chunks; chunk k draws from a stream seeded by
-(seed, k). Chunk statistics stream, in chunk order, into an ordered float
-sum: not exact, but deterministic, so results are bit-identical for a fixed
-(seed, trials, chunk_size) regardless of worker count.
+(seed, k). Each chunk's sums (``_ChunkSums``) are added, in chunk order, to
+one running total: an ordered float sum, not exact, but deterministic, so
+results are bit-identical for a fixed (seed, trials, chunk_size) regardless
+of worker count.
 
 Within a chunk, work runs along the trial axis. Each source column is a
 contiguous (m, n) array (see ``_sources``), and every per-trial reduction
@@ -38,37 +41,38 @@ A chunk first makes all of its rng draws (``_draw``), each a whole-chunk
 array: the source normals, then each member's dither in decode order.
 Nothing else reads the stream, so drawing the dithers ahead of the
 arithmetic keeps it, where drawing them per block would interleave the
-members' draws and change it. The arithmetic (``_run_block``) then runs on
-row blocks of ``_BLOCK // n`` trials, so that a block's (rows, n)
+members' draws and change it. The arithmetic (``_run_block``) then runs
+on row blocks of ``_BLOCK // n`` trials, so that a block's (rows, n)
 temporaries take 64 KiB each, below glibc's 128 KiB mmap threshold: the
-heap hands the same pages back block after block, where larger arrays are
-mapped afresh and faulted in again. Each block keeps only its per-trial
-results: the squared error, and per cell the mod-input second moment,
-overload and clean history. Each of them depends on its own row alone (the
-closest-point products reduce over the n coordinates of a row), so blocks
-give the bits of one pass, which the golden pins check on chunks of several
+heap hands the same pages back block after block (unless glibc trims its
+top between chunks), where larger arrays are mapped afresh and faulted
+in again. Each block keeps only its per-trial results: the squared
+error, and per cell the mod-input second moment, overload and clean
+history. Each of them depends on its own row alone (the closest-point
+products reduce over the n coordinates of a row), so blocks give the
+bits of one pass, which the golden pins check on chunks of several
 blocks. A block of one row is the exception: numpy multiplies a lone row
-by a non-diagonal generator through its matrix-vector product, whose last
-bits differ from the same row's inside a larger array, so a one-row tail
-joins the block before it, and only a one-trial chunk is one row.
-``_BLOCK`` is a constant because no result depends on it: it trades memory
-traffic against per-block overhead, and is not a parameter of the
+by a non-diagonal generator through its matrix-vector product, whose
+last bits differ from the same row's inside a larger array, so a one-row
+tail joins the block before it, and only a one-trial chunk is one row.
+``_BLOCK`` is a constant because no result depends on it: it trades
+memory traffic against per-block overhead, and is not a parameter of the
 experiment.
 
-The whole-chunk arrays live in the thread's workspace (``_Workspace``),
-carved from one float and one flag buffer: the normals, with the dithers
-drawn over them once the source columns are formed, the columns, the
-dither mapping's quotient, the per-trial results and the fold's scratch.
-The buffers grow to the thread's largest chunk and are reused after that,
-so a chunk no larger than one its thread has run allocates no whole-chunk
-array and takes no fresh pages, outside the closest-point kernel that a
-non-diagonal lattice's dither reduction reaches. The calling thread keeps
-its workspace, at the size of its largest chunk, for later runs; a pool's
-threads drop theirs when the pool closes at the end of the run. The arrays
-of ``_draw`` and ``_run_cells`` are valid only until that thread's next
-chunk. The thread that ran a chunk also folds it into its sums
-(``_Accumulator.chunk_sums``), so no workspace array leaves its thread,
-and the sums are merged in chunk order, which keeps their bits.
+The whole-chunk arrays live in the thread's workspace (``_Workspace``):
+a float and a flag buffer, which grow to the thread's largest chunk and
+are reused after that. Every chunk carves its views from them afresh:
+the normals, with the dithers drawn over them once the source columns
+are formed, the columns, the dither mapping's quotient, the per-trial
+results and the fold's scratch. So a chunk no larger than one its thread
+has run allocates no whole-chunk array, outside the closest-point kernel
+that a non-diagonal lattice's dither reduction reaches. The calling
+thread keeps its workspace, at the size of its largest chunk, for later
+runs; a pool's threads drop theirs when the pool closes at the end of
+the run. The arrays of ``_draw`` and ``_run_cells`` are valid only until
+that thread's next chunk. The thread that ran a chunk also folds it into
+its sums (``_Accumulator.chunk_sums``), so no workspace array leaves its
+thread.
 
 Within a block, the reductions by one cell's coarse lattice that do not
 depend on each other go through ``lattices.reduce_stacked``: the members'
@@ -128,7 +132,6 @@ from .regions import RatePoint, SCHEME_LATTICE, _half_log2_ratio, k_user_rates
 
 DEFAULT_CHUNK = 65536
 _BLOCK = 8192  # floats per (rows, n) array of a row block: 64 KiB (see the module docstring)
-_LAYOUTS = 8  # chunk shapes whose arrays a workspace keeps
 
 
 def _worker_count() -> int:
@@ -259,7 +262,8 @@ def _json_number(x):
 
 
 class _ChunkSums(NamedTuple):
-    """One chunk's share of every sum that ``_Accumulator`` keeps."""
+    """One chunk's share of every sum of a run, or their total over the
+    chunks so far (``_Accumulator.total``)."""
 
     trials: int
     err_sum: float
@@ -274,19 +278,20 @@ class _ChunkSums(NamedTuple):
 
 
 class _Accumulator:
-    """Sufficient statistics merged across chunks by an ordered float sum
-    (deterministic, not exact). The mod-input moment is that of the last
-    decoded cell ``last``, over trials whose earlier cells did not overload.
+    """One running ``_ChunkSums`` total of sufficient statistics, merged
+    across chunks by an ordered float sum (deterministic, not exact). The
+    mod-input moment is that of the last decoded cell ``last``, over trials
+    whose earlier cells did not overload.
 
     The thread that ran a chunk folds it into its sums (``chunk_sums``),
-    from the per-trial results in its workspace, and ``add`` merges the
-    sums in chunk order, so the float additions, and their bits, do not
-    depend on the worker count, and no workspace array leaves its thread.
-    A chunk's float sums are numpy's sums of contiguous arrays: the scaled
-    errors, their squares, the errors of the trials without overload and
-    the last cell's mod-input moments of its clean trials; and per cell,
-    numpy's sum over the trial axis of the (trials, cells) moments with
-    the trials that are not clean set to zero.
+    from the per-trial results in its workspace, and ``add`` adds them to
+    the total field by field, in chunk order, so the float additions, and
+    their bits, do not depend on the worker count, and no workspace array
+    leaves its thread. A chunk's float sums are numpy's sums of contiguous
+    arrays: the scaled errors, their squares, the errors of the trials
+    without overload and the last cell's mod-input moments of its clean
+    trials; and per cell, numpy's sum over the trial axis of the (trials,
+    cells) moments with the trials that are not clean set to zero.
 
     The errors and their squares are summed in the frame ``err * 2^-e``, with
     2^e the binary magnitude of the target distortion ``d``, and the report
@@ -298,17 +303,8 @@ class _Accumulator:
     def __init__(self, n_cells: int, last: int, d: float):
         self.last = last
         _, self.exp = math.frexp(d)
-        self.trials = 0
-        self.err_sum = 0.0
-        self.err_sq_sum = 0.0
-        self.cond_err_sum = 0.0
-        self.cond_trials = 0
-        self.overloads = 0
-        self.v_sq_sum = 0.0
-        self.v_sq_count = 0
-        self.cell_overloads = np.zeros(n_cells, dtype=np.int64)
-        self.cell_v_sq = np.zeros(n_cells)
-        self.cell_v_counts = np.zeros(n_cells, dtype=np.int64)
+        counts = np.zeros(n_cells, dtype=np.int64)
+        self.total = _ChunkSums(0, 0.0, 0.0, 0.0, 0, 0.0, 0, counts, np.zeros(n_cells), counts)
 
     def chunk_sums(self, err, cell_overload, cell_v_sq, cell_v_mask,
                    arrays: _ChunkArrays) -> _ChunkSums:
@@ -348,44 +344,37 @@ class _Accumulator:
         )
 
     def add(self, sums: _ChunkSums):
-        """Merge the next chunk's sums."""
-        self.trials += sums.trials
-        self.err_sum += sums.err_sum
-        self.err_sq_sum += sums.err_sq_sum
-        self.cond_err_sum += sums.cond_err_sum
-        self.cond_trials += sums.trials - sums.overloads
-        self.overloads += sums.overloads
-        self.v_sq_sum += sums.v_sq_sum
-        self.v_sq_count += sums.v_sq_count
-        self.cell_overloads += sums.cell_overloads
-        self.cell_v_sq += sums.cell_v_sq
-        self.cell_v_counts += sums.cell_v_counts
+        """Add the next chunk's sums to the total."""
+        self.total = _ChunkSums(*(a + b for a, b in zip(self.total, sums)))
 
     def report(self, rates: RatePoint, seed: int, margin: float, n: int,
                per_cell: bool = False) -> SimReport:
-        t = self.trials
-        mean = self.err_sum / t
-        var = max(self.err_sq_sum / t - mean**2, 0.0)
-        std_err = math.ldexp(math.sqrt(var / t), self.exp)
+        """The run's statistics; the standard error of one trial, and the
+        conditional distortion or a mod-input moment with no trial to
+        measure, are NaN (JSON null)."""
+        tot = self.total
+        t = tot.trials
+        mean = tot.err_sum / t
+        var = max(tot.err_sq_sum / t - mean**2, 0.0)
+        std_err = math.ldexp(math.sqrt(var / t), self.exp) if t > 1 else math.nan
         mean = math.ldexp(mean, self.exp)
-        cond = self.cond_err_sum / self.cond_trials if self.cond_trials else math.nan
-        cond = math.ldexp(cond, self.exp)
-        moment = self.v_sq_sum / self.v_sq_count if self.v_sq_count else math.nan
-        # NaN (JSON null) for a cell with no trial left to measure.
-        moments = np.full(self.cell_v_sq.shape, np.nan)
-        np.divide(self.cell_v_sq, self.cell_v_counts, out=moments, where=self.cell_v_counts > 0)
+        cond_trials = t - tot.overloads
+        cond = math.ldexp(tot.cond_err_sum / cond_trials, self.exp) if cond_trials else math.nan
+        moment = tot.v_sq_sum / tot.v_sq_count if tot.v_sq_count else math.nan
+        moments = np.full(tot.cell_v_sq.shape, np.nan)
+        np.divide(tot.cell_v_sq, tot.cell_v_counts, out=moments, where=tot.cell_v_counts > 0)
         return SimReport(
             trials=t,
             empirical_distortion=mean,
             distortion_std_error=std_err,
-            overload_rate=self.overloads / t,
+            overload_rate=tot.overloads / t,
             conditional_distortion=cond,
             dither_moment_check=moment,
             rates=rates,
             seed=seed,
             margin=margin,
             n=n,
-            cell_overload_rates=tuple(self.cell_overloads / t) if per_cell else (),
+            cell_overload_rates=tuple(tot.cell_overloads / t) if per_cell else (),
             cell_moment_checks=tuple(moments) if per_cell else (),
         )
 
@@ -430,25 +419,16 @@ def _column_counts(a: np.ndarray) -> np.ndarray:
 # Cell-sequential engine
 
 
-class _MemberFields(NamedTuple):
+class _Member(NamedTuple):
+    """One encoder: quantizes ``scale * x[..., col]`` with ``fine`` and
+    enters its cell's sum added, or subtracted if ``minus``. ``dither`` is
+    a fixed dither, or None to draw a fresh one per trial."""
+
     col: int
     scale: float
-    sign: float
+    minus: bool
     fine: Lattice
     dither: Optional[np.ndarray] = None
-
-
-class _Member(_MemberFields):
-    """One encoder: quantizes ``scale * x[..., col]`` with ``fine`` and
-    enters its cell's sum with ``sign``, +1 or -1 (added or subtracted).
-    ``dither`` is a fixed dither, or None to draw a fresh one per trial."""
-
-    __slots__ = ()
-
-    def __new__(cls, col, scale, sign, fine, dither=None):
-        if sign not in (1.0, -1.0):
-            raise ValueError(f"a member's sign must be +1 or -1, got {sign}")
-        return super().__new__(cls, col, scale, sign, fine, dither)
 
 
 class _Cell(NamedTuple):
@@ -491,35 +471,24 @@ class _ChunkArrays(NamedTuple):
 
 class _Workspace:
     """One thread's chunk arrays: a float and a flag buffer, each grown to
-    the largest chunk so far, carved into the arrays of a chunk shape, which
-    are kept for the next chunk of that shape (up to ``_LAYOUTS`` shapes)."""
+    the largest chunk so far, from which every chunk carves its views."""
 
-    __slots__ = ("floats", "flags", "layouts")
+    __slots__ = ("floats", "flags")
 
     def __init__(self):
         self.floats = np.empty(0)
         self.flags = np.empty(0, dtype=bool)
-        self.layouts = {}
 
     def arrays(self, m: int, n: int, cols: int, draws: int, cells: int) -> _ChunkArrays:
         """The arrays of a chunk of m trials of n coordinates, with ``cols``
         source columns, ``draws`` drawn dithers and ``cells`` cells."""
-        key = (m, n, cols, draws, cells)
-        arrays = self.layouts.get(key)
-        if arrays is None:
-            if len(self.layouts) >= _LAYOUTS:
-                self.layouts.clear()
-            arrays = self.layouts[key] = self._carve(*key)
-        return arrays
-
-    def _carve(self, m, n, cols, draws, cells) -> _ChunkArrays:
         mn, mc = m * n, m * cells
         shared = max(cols * mn, draws * mn, m + mc)  # draws, then fold scratch
         floats, flags = shared + cols * mn + mn + m + mc, 2 * mc + m
         if self.floats.size < floats:
-            self.floats, self.layouts = np.empty(floats), {}
+            self.floats = np.empty(floats)
         if self.flags.size < flags:
-            self.flags, self.layouts = np.empty(flags, dtype=bool), {}
+            self.flags = np.empty(flags, dtype=bool)
         f, b = self.floats, self.flags
         lo = shared + cols * mn
         return _ChunkArrays(
@@ -629,15 +598,14 @@ def _run_block(plan: _Plan, x, dithers):
         # the decoding reduction, are each one stacked reduction (see the
         # module docstring).
         for mem, u, (y, mod) in zip(cell.members, dith, reduce_stacked(cell.coarse, (), ys)[1]):
-            # A sign is +1 or -1, and a + (-d) is a - d in IEEE arithmetic.
             mod -= u
             y -= u
-            if mem.sign > 0:
-                total += mod
-                ideal += y
-            else:
+            if mem.minus:
                 total -= mod
                 ideal -= y
+            else:
+                total += mod
+                ideal += y
             # Free each block-sized array once used, so that a cell holds
             # one member's at a time.
             del y, mod
@@ -779,7 +747,7 @@ def _inflated_moment(moment: float, margin: float) -> float:
 
 
 def _pair_lattices(var: float, d: float, q1: float, n: int, margin: float,
-                   base_lattice: Optional[Lattice], commensurate: bool = False):
+                   base_lattice: Optional[Lattice]):
     """Fine, fine and coarse lattices and the rates of a two-encoder cell
     reconstructing a quantity of variance ``var`` (see build_two_user_codec)."""
     if not 0.0 < d < var:
@@ -797,11 +765,6 @@ def _pair_lattices(var: float, d: float, q1: float, n: int, margin: float,
     fine1 = scale_to_second_moment(base, q1)
     fine2 = scale_to_second_moment(base, m2)
     coarse = scale_to_second_moment(base, mc)
-    if commensurate:
-        k1 = max(2, math.ceil(math.sqrt(mc / q1)))
-        coarse = fine1.scaled(float(k1))
-        k2 = max(2, math.ceil(math.sqrt(mc / m2)))
-        fine2 = coarse.scaled(1.0 / k2)
     # d var - q1 (var - d) is (var - d) m2, the factors the split logs use.
     r1 = _half_log2_ratio(var**2, q1 * (var - d), (q1, var - d))
     r2 = _half_log2_ratio(var**2, d * var - q1 * (var - d), (var - d, m2))
@@ -815,7 +778,6 @@ def build_two_user_codec(
     n: int = 1,
     margin: float = 1.0,
     base_lattice: Optional[Lattice] = None,
-    commensurate: bool = False,
 ) -> TwoUserCodec:
     """Scale the three lattices to the moments that realize distortion d.
 
@@ -823,17 +785,15 @@ def build_two_user_codec(
     complement) and the coarse lattice carries the full variance of the
     noisy function; margin >= 1 inflates only the coarse cell.
 
-    Exact moment matching generally makes the three scales incommensurate;
-    the mod reductions are well defined regardless and the distortion
-    identity needs only the moments. ``commensurate=True`` instead rounds
-    the coarse scale up to an integer multiple of the first fine lattice
-    and shrinks the second fine lattice to an integer divisor of it, giving
-    strict sublattice nesting at slightly perturbed moments (more coarse
-    margin, less second-channel noise).
+    Each lattice is ``base_lattice`` (Z^n by default) scaled to its exact
+    moment. The three scales are generally incommensurate, so the coarse
+    lattice need not be a sublattice of either fine one: the mod reductions
+    are well defined regardless, and the distortion identity needs only the
+    moments.
     """
     model.require_two_user()
     fine1, fine2, coarse, rates = _pair_lattices(
-        function_variance(model), d, q1, n, margin, base_lattice, commensurate
+        function_variance(model), d, q1, n, margin, base_lattice
     )
     return TwoUserCodec(
         model=model, d_target=d, q1=q1, fine1=fine1, fine2=fine2,
@@ -842,9 +802,9 @@ def build_two_user_codec(
 
 
 def _two_user_plan(codec: TwoUserCodec, dithers=(None, None)) -> _Plan:
-    """One cell: X1 enters with sign +1, c X2 with sign -1; Zhat = beta * cell."""
-    cell = _Cell((_Member(0, 1.0, 1.0, codec.fine1, dithers[0]),
-                  _Member(1, codec.model.c, -1.0, codec.fine2, dithers[1])), codec.coarse, ())
+    """One cell: X1 enters added, c X2 subtracted; Zhat = beta * cell."""
+    cell = _Cell((_Member(0, 1.0, False, codec.fine1, dithers[0]),
+                  _Member(1, codec.model.c, True, codec.fine2, dithers[1])), codec.coarse, ())
     return _Plan(_gaussian_factor(codec.model.cov), codec.model.coeffs, (), (cell,), (0,),
                  (codec.beta,))
 
@@ -920,12 +880,12 @@ def build_side_info_codec(
 
 
 def _side_info_plan(codec: SideInfoCodec) -> _Plan:
-    """One cell: c1 X1 and c2 X2 enter with sign +1, predicted by the side
+    """One cell: c1 X1 and c2 X2 enter added, predicted by the side
     value beta_Y Y; Zhat = (D / s) beta_Y Y + (1 - D / s) * cell for the
     innovations variance s."""
     c1, c2 = codec.si_model.coeffs
     shrink = codec.d_target / codec.innovations_variance
-    cell = _Cell((_Member(0, c1, 1.0, codec.fine1), _Member(1, c2, 1.0, codec.fine2)),
+    cell = _Cell((_Member(0, c1, False, codec.fine1), _Member(1, c2, False, codec.fine2)),
                  codec.coarse, (1.0,))
     return _Plan(_gaussian_factor(codec.si_model.cov), codec.si_model.coeffs,
                  ((2, codec.side_coefficient),), (cell,), (0,), (shrink, 1.0 - shrink))
@@ -1005,13 +965,13 @@ def run_k_user_experiment(
 
 
 def _k_user_plan(codec: KUserCodec) -> _Plan:
-    """The partition's cells, user i entering with sign +1, each predicted
+    """The partition's cells, user i entering added, each predicted
     from the cells decoded before it; Zhat weighs the decoded cells."""
     model, plan = codec.model, codec.plan
     coeff_map = decoder_coeff_map(model, plan)
     final_w, _ = final_estimator(model, plan)
     cells = tuple(
-        _Cell(tuple(_Member(i, model.coeffs[i], 1.0, codec.fines[i]) for i in cell),
+        _Cell(tuple(_Member(i, model.coeffs[i], False, codec.fines[i]) for i in cell),
               codec.coarses[cell], coeff_map[cell])
         for cell in plan.partition
     )

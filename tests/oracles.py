@@ -2,13 +2,23 @@
 
 These deliberately avoid importing any latfun internals: expected values are
 recomputed from first principles (grid search, enumeration, quadrature) so
-that library closed forms are checked against a second route.
+that library closed forms are checked against a second route. The membership
+and comparison helpers at the end are built on latfun's public API only.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import simpson
+
+from latfun import (
+    DistortionOutOfRange,
+    bt_min_sum_rate,
+    function_variance,
+    lattice_min_sum_rate,
+    nearest_point_coords,
+    two_user_model,
+)
 
 
 def bt_sum_rate_grid(rho, c, d, grid=400):
@@ -155,3 +165,48 @@ def sphere_directions(k, n):
         r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     raise ValueError("direction grids exist for k = 2 and k = 3")
+
+
+# ---------------------------------------------------------------------------
+# Membership and scheme comparison, on latfun's public API
+
+
+def in_voronoi(lat, x):
+    """True if ``x`` reduces to itself, i.e. its nearest lattice point is 0."""
+    return bool(np.all(nearest_point_coords(lat, np.asarray(x, dtype=np.float64)) == 0))
+
+
+def contains(lat, x):
+    """Membership test: G^{-1} x is integral within 1e-9."""
+    u = np.linalg.solve(lat.gen, np.asarray(x, dtype=np.float64))
+    return bool(np.all(np.abs(u - np.rint(u)) <= 1e-9))
+
+
+def _check_distortion(d, upper, inclusive):
+    """``0 < d < upper``, or ``<= upper`` if inclusive, with 1e-12 relative slack."""
+    slack = 1e-12 * upper
+    if not (0.0 < d <= upper + slack if inclusive else 0.0 < d < upper - slack):
+        rel = "<=" if inclusive else "<"
+        raise DistortionOutOfRange(f"need 0 < D {rel} {upper:.6g}, got D = {d:.6g}")
+
+
+def lattice_feasible(model, r1, r2, d):
+    """Membership test for the direct binning region 2^-2R1 + 2^-2R2 <= D/Var(Z)."""
+    model.require_two_user()
+    sz2 = function_variance(model)
+    _check_distortion(d, sz2, inclusive=True)
+    return 2.0 ** (-2.0 * r1) + 2.0 ** (-2.0 * r2) <= d / sz2 + 1e-12
+
+
+def sum_rate_gap(rho, c, d):
+    """Quantize-and-bin minus direct-binning minimum sum rate (bits).
+
+    Positive values mean the direct lattice scheme needs fewer total bits at
+    distortion d. Defined for correlation in (0, 1), 0 < d < Var(Z) and
+    any sign of c.
+    """
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"correlation must lie in (0, 1), got {rho}")
+    model = two_user_model(rho, c)
+    _check_distortion(d, function_variance(model), inclusive=False)
+    return bt_min_sum_rate(model, d) - lattice_min_sum_rate(model, d)

@@ -11,7 +11,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import bt_sum_rate_oracle, epi_entropy_quadrature, sphere_directions
+from oracles import (
+    bt_sum_rate_oracle,
+    contains,
+    epi_entropy_quadrature,
+    sphere_directions,
+    sum_rate_gap,
+)
 
 import latfun
 from latfun import (
@@ -31,10 +37,8 @@ from latfun import (
     scaling_region_rhs,
     single_cell_plan,
     singleton_plan,
-    sum_rate_gap,
     two_user_model,
 )
-from latfun.lattices import contains
 from latfun.simulate import _chunk_rng, _draw, _run_block, _sources, _two_user_plan
 
 RHO_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]

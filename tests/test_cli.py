@@ -611,12 +611,14 @@ def test_k_user_report_at_extreme_scales(capsys, tmp_path, scale):
 
 
 def test_simulate_undefined_statistic_is_null(capsys):
-    # One trial that overloads leaves the conditional distortion undefined.
+    # One trial that overloads leaves the conditional distortion undefined,
+    # and one trial has no standard error.
     code, out, err = run_cli(capsys, "simulate", "--trials", "1", "--seed", "3", "--margin", "1")
     assert code == 0, err
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["overload_rate"] == 1.0
     assert payload["conditional_distortion"] is None
+    assert payload["distortion_std_error"] is None
     assert math.isfinite(payload["empirical_distortion"])
 
 
@@ -706,7 +708,8 @@ def test_lattice_cosets(capsys):
 @pytest.mark.parametrize("args, message", [
     (("--op", "moment", "--lattice", "SINGULAR"), "generator is singular within tolerance"),
     (("--op", "construction-a", "--p", "1", "--dim", "2"), "p = 1 is not prime"),
-], ids=["singular-generator-file", "construction-a-p1"])
+    (("--op", "cosets", "--nesting", "1e20"), "nesting matrix entry 1e+20 is outside the int64 range"),
+], ids=["singular-generator-file", "construction-a-p1", "cosets-nesting-beyond-int64"])
 def test_lattice_invalid_inputs_exit_two(capsys, tmp_path, args, message):
     singular = tmp_path / "singular.json"
     singular.write_text('{"dim": 2, "gen": [1.0, 2.0, 2.0, 4.0]}')

@@ -13,6 +13,7 @@ from scipy import stats
 from latfun import (
     InvalidPrime,
     Lattice,
+    LatfunError,
     MissingMomentEstimate,
     NestedPair,
     NonFiniteTarget,
@@ -23,7 +24,6 @@ from latfun import (
     construction_a,
     coset_leaders,
     hexagonal_lattice,
-    in_voronoi,
     integer_lattice,
     mod_lattice,
     nearest_point,
@@ -35,7 +35,9 @@ from latfun import (
 )
 from latfun import kernels
 from latfun.errors import DimensionMismatch
-from latfun.lattices import _hermite_basis, contains, reduce_stacked
+from latfun.lattices import _hermite_basis, reduce_stacked
+
+from oracles import contains, in_voronoi
 
 A2 = hexagonal_lattice()
 
@@ -587,6 +589,14 @@ def test_nested_pair_keeps_a_nesting_matrix_within_tolerance():
     assert pair.nesting_matrix.dtype == np.int64
     assert pair.nesting_matrix.tolist() == [[3, 0], [0, 3]]
     assert pair.index == coset_leaders(pair).shape[0] == 9
+
+
+def test_nested_pair_rejects_a_nesting_matrix_beyond_int64():
+    # 2^62 fits in int64; 2^63 and +-1e20 do not, so they are rejected.
+    assert NestedPair(integer_lattice(1), integer_lattice(1, 2.0**62)).nesting_matrix[0, 0] == 2**62
+    for scale in (2.0**63, 1e20, -1e20):
+        with pytest.raises(LatfunError, match="outside the int64 range"):
+            NestedPair(integer_lattice(2), integer_lattice(2, scale))
 
 
 def test_nesting_matrix_is_read_only():

@@ -23,7 +23,6 @@ from latfun import (
     bt_regime,
     independent_side_model,
     k_user_rates,
-    lattice_feasible,
     lattice_min_sum_rate,
     lower_convex_envelope,
     noisy_function_side_model,
@@ -32,7 +31,6 @@ from latfun import (
     side_info_region,
     single_cell_plan,
     singleton_plan,
-    sum_rate_gap,
     two_user_model,
 )
 from latfun.gaussian import PartitionPlan, sigma_theta
@@ -45,7 +43,7 @@ from latfun.regions import (
     bt_regime_boundary,
 )
 
-from oracles import bt_sum_rate_grid, bt_sum_rate_oracle
+from oracles import bt_sum_rate_grid, bt_sum_rate_oracle, lattice_feasible, sum_rate_gap
 
 M88 = two_user_model(0.8, 0.8)
 

@@ -172,20 +172,6 @@ def test_run_within_float64_resolution_meets_its_target():
     assert rep.empirical_distortion == pytest.approx(d, rel=0.15)
 
 
-def test_build_two_user_codec_commensurate_mode():
-    from latfun.lattices import contains
-
-    codec = build_two_user_codec(M88, 0.1, 0.06, margin=2.0, commensurate=True)
-    for fine in (codec.fine1, codec.fine2):
-        assert all(contains(fine, col) for col in codec.coarse.gen.T)
-    # Rounding only adds coarse margin and removes second-channel noise.
-    assert second_moment(codec.coarse).value >= 4.0 * 0.1296 / 0.26 - 1e-12
-    assert second_moment(codec.fine2).value <= 0.036 / 0.26 - 0.06 + 1e-12
-    rep = run_two_user_experiment(codec, 100_000, seed=21)
-    assert rep.overload_rate < 1e-3
-    assert rep.conditional_distortion < 0.1 * 1.05
-
-
 def _two_user_chunk(codec, trials, seed):
     """The first chunk of a two-user run: Z, Zhat, v, overload, clean_before."""
     plan = _two_user_plan(codec)
@@ -433,15 +419,6 @@ def test_one_row_tail_gives_the_bits_of_one_pass(monkeypatch, tag):
                 assert got.tobytes() == want.tobytes(), f"{tag}, {m} trials, seed {seed}"
 
 
-def test_member_sign_is_plus_or_minus_one():
-    fine = integer_lattice(1)
-    for sign in (1.0, -1.0):
-        assert _Member(0, 1.0, sign, fine).sign == sign
-    for sign in (0.0, 2.0, -0.5, math.nan):
-        with pytest.raises(ValueError, match="sign"):
-            _Member(0, 1.0, sign, fine)
-
-
 def _z4_k_user_plan():
     model = SourceModel(np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.8], [0.8, 0.8, 1.0]]),
                         np.array([1.0, -0.8, 0.5]))
@@ -467,7 +444,7 @@ def test_a_chunk_size_run_before_allocates_no_whole_chunk_array():
 
 def _one_cell_plan(fine):
     """Two members on ``fine`` and on it halved, with the identity factor."""
-    cell = _Cell((_Member(0, 1.0, 1.0, fine), _Member(1, 1.0, -1.0, fine.scaled(0.5))),
+    cell = _Cell((_Member(0, 1.0, False, fine), _Member(1, 1.0, True, fine.scaled(0.5))),
                  fine.scaled(4.0), ())
     return simulate._Plan(np.eye(2), np.array([1.0, -1.0]), (), (cell,), (0,), (1.0,))
 
