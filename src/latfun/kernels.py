@@ -2,27 +2,40 @@
 
 Every search here works in the frame of ``qr_factor``: the generator is
 ``G = Q R`` with R upper-triangular with a positive diagonal, the lattice is
-``{R @ u : u integer}``, and targets are rotated by ``Q.T``.
+``{R @ u : u integer}``, and targets are rotated by ``Q.T``. A scaled
+lattice f L is searched in the frame of its base lattice L: the closest
+point of f L to x is f times that of L to x / f, with the same integer
+coordinates, so ``lattices`` rotates the targets by the base's ``Q.T / f``.
+The tolerances below then act at the base's scale, whatever the factor.
 
 ``nearest_point_batch`` runs a numpy *iterative slicer* (Sommer, Feder and
 Shalvi, "Finding the closest lattice point by iterative slicing", SIAM J.
 Discrete Math. 2009): each row starts at Babai's nearest-plane point and
 repeatedly adds the Voronoi-relevant vector that brings it closest to its
-target, until no relevant vector helps. Rows that end on a Voronoi boundary
-(a tie within tolerance) go to ``closest_coords``, the scalar
-Schnorr-Euchner search, which is the reference for ties. It searches around
-the slicer's point, so its tie tolerance follows the residual's norm rather
-than the target's and ties do not change under translation by lattice
-vectors.
+target, until no relevant vector helps. A row that ends on a Voronoi
+boundary (a tie within the slicer's tolerance) is settled in the slicer
+when exactly one relevant vector r_j has its gain in the tie band: each
+facet of the Voronoi cell belongs to one relevant vector, and every lower
+face lies in two facets (Agrell, Eriksson, Vardy and Zeger, "Closest point
+search in lattices", IEEE Trans. IT 2002), so the only closest points are
+the slicer's point c and c + r_j. The slicer then picks between them as
+the scalar search would: the lexicographically smaller point where the
+squared-distance gap is at most half the scalar tie tolerance, the strictly
+closer one where it is at least twice that tolerance. Rows with two or more
+gains in the band, and rows in the guard band between those two limits, go
+to ``closest_coords``, the scalar Schnorr-Euchner search, which is the
+reference for ties. It searches around the slicer's point, so its tie
+tolerance follows the residual's norm rather than the target's and ties do
+not change under translation by lattice vectors.
 
 A call's fixed cost, not its arithmetic, dominates at the row counts of the
 codecs (a few hundred to a few thousand rows), so the slicer's set-up is
 built once per lattice: ``slicer_lift`` depends on R and the relevant
-vectors alone, and ``lattices`` keeps it in each lattice's search context
-and passes it in. Each row is searched on its own, so a caller may stack
-the rows of independent searches of one lattice into one call and get the
-rows of separate calls (``lattices.reduce_stacked`` does so for the codec
-engine).
+vectors alone, and ``lattices`` keeps it in each base lattice's search
+context and passes it in. Each row is searched on its own, so a caller may
+stack the rows of independent searches of one base lattice, at any
+scalings, into one call and get the rows of separate calls
+(``lattices.reduce_stacked`` does so for the codec engine).
 
 The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
 targets and residuals are ``(n, m)`` arrays, one column per target, and the
@@ -34,7 +47,9 @@ target's best gain is then a maximum over ``axis=0``, which numpy runs as
 reduction per target. Only the targets that still move get the argmax, the
 gathers and the coordinate updates; their argmax runs on a row-major
 product of the movers alone, which is cheaper than gathering columns of the
-``(k, m)`` gains when ``k`` reaches the hundreds (n = 8).
+``(k, m)`` gains when ``k`` reaches the hundreds (n = 8). A caller that
+holds its rotated targets column-major passes their transpose, and a block
+of a one-block call is then searched without a copy.
 """
 
 import math
@@ -106,14 +121,14 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
     """Integer coordinates of the closest lattice points, row per target.
 
     ``r_mat`` is the R of ``qr_factor`` and ``targets`` the already rotated
-    query points (``Q.T @ x`` rows). ``relevant`` holds the lattice's
-    ``relevant_vectors(r_mat)`` and ``lift`` its ``slicer_lift(r_mat,
-    relevant)``; each is computed when it is omitted. Every row is searched
+    query points (``Q.T @ x`` rows, in any memory layout). ``relevant``
+    holds the lattice's ``relevant_vectors(r_mat)`` and ``lift`` its
+    ``slicer_lift(r_mat, relevant)``; each is computed when it is omitted. Every row is searched
     on its own, so stacked targets give the rows of separate calls. Ties on
     Voronoi boundaries resolve to the lexicographically smallest integer
-    coordinate vector.
+    coordinate vector, as ``closest_coords`` resolves them.
     """
-    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
     out = np.empty(targets.shape, dtype=np.int64)
     if relevant is None:
@@ -124,8 +139,8 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
     ties = [np.zeros(0, dtype=np.intp)]
     for start in range(0, targets.shape[0], BLOCK_ROWS):
         block = targets[start:start + BLOCK_ROWS]
-        coords, tied = _slice(r_mat, np.ascontiguousarray(block.T), relevant, steps, lift)
-        out[start:start + BLOCK_ROWS] = coords
+        tied = _slice(r_mat, np.ascontiguousarray(block.T), relevant, steps, lift,
+                      out[start:start + BLOCK_ROWS])
         ties.append(start + tied)
     ties = np.concatenate(ties)
     if ties.size:
@@ -138,37 +153,71 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
     return out
 
 
-def _slice(r_mat, y, relevant, steps, lift):
+def _slice(r_mat, y, relevant, steps, lift, coords):
     """Slicer on one block of targets held column-major, ``y`` of shape
-    (n, m): (coords (m, n), indices of the targets left on a tie)."""
+    (n, m); writes their coordinates into ``coords``, an (m, n) int64 array,
+    and returns the indices of the targets left for the scalar search."""
     n, m = y.shape
-    # Babai's nearest-plane point, rounded as the scalar search rounds.
+    # Babai's nearest-plane point, rounded as the scalar search rounds, each
+    # coordinate row computed in place.
     u = np.empty((n, m))
     for i in range(n - 1, -1, -1):
-        c = y[i] - r_mat[i, i + 1:] @ u[i + 1:]
-        c /= r_mat[i, i]
+        c = u[i]
+        if i == n - 1:
+            np.divide(y[i], r_mat[i, i], out=c)
+        else:
+            np.matmul(r_mat[i, i + 1:], u[i + 1:], out=c)
+            np.subtract(y[i], c, out=c)
+            c /= r_mat[i, i]
         c += 0.5
-        np.floor(c, out=u[i])
-    coords = u.T.astype(np.int64, order="C")
+        np.floor(c, out=c)
+        coords[:, i] = c
     resid = np.empty((n + 1, m))
     resid[n] = 1.0
     np.subtract(y, r_mat @ u, out=resid[:n])
-    # Half the tie tolerance, as the gains are halved.
-    tol = (y * y).sum(axis=0)
+    # Half the tie tolerance, as the gains are halved; |y|^2 summed over the
+    # coordinates in order, as numpy sums the rows of (y * y).
+    tol = y[0] * y[0]
+    for i in range(1, n):
+        tol += y[i] * y[i]
     np.maximum(tol, 1.0, out=tol)
     tol *= 0.5 * _TIE_TOL
     cols = np.arange(m)
     tied = []
     while True:
-        top = (lift @ resid).max(axis=0)
-        tied.append(cols[np.abs(top) <= tol])
+        gains = lift @ resid
+        top = gains.max(axis=0)
+        at = (np.abs(top) <= tol).nonzero()[0]
+        if at.size:
+            tied.append(_one_facet(gains[:, at], top[at], tol[at], resid[:n, at], coords,
+                                   cols[at], relevant))
         move = (top > tol).nonzero()[0]
         if not move.size:
-            return coords, np.concatenate(tied)
+            return np.concatenate(tied or [cols[:0]])
         cols, resid, tol = cols[move], resid[:, move], tol[move]
         best = (resid.T @ lift.T).argmax(axis=1)
         coords[cols] += relevant[best]
         resid[:n] -= steps[best].T
+
+
+def _one_facet(gains, top, tol, resid, coords, rows, relevant):
+    """Settle the tied targets ``rows`` (columns of the half ``gains`` and
+    the residuals ``resid``, best half gain ``top``, half band ``tol``) whose
+    band holds one relevant gain, as ``closest_coords`` would settle them
+    around the slicer's point (see the module docstring), and step their
+    ``coords``; returns the rows left for the scalar search."""
+    one = (gains >= -tol).sum(axis=0) == 1
+    scalar = np.einsum("ij,ij->j", resid, resid)
+    np.maximum(scalar, 1.0, out=scalar)
+    scalar *= _SCALAR_TIE_TOL
+    gap = 2.0 * np.abs(top)  # the squared-distance gap between c and c + r_j
+    lex = one & (gap <= 0.5 * scalar)
+    closer = one & (gap >= 2.0 * scalar)
+    r = relevant[gains.argmax(axis=0)]
+    negative = r[np.arange(len(r)), (r != 0).argmax(axis=1)] < 0
+    step = (lex & negative) | (closer & (top > 0))
+    coords[rows[step]] += r[step]
+    return rows[~(lex | closer)]
 
 
 def closest_coords(r_mat: np.ndarray, y: np.ndarray) -> list:

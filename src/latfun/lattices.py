@@ -16,6 +16,7 @@ an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -75,11 +76,16 @@ class Lattice:
     scalar several times faster than by an (n,) row at small n, and IEEE
     arithmetic gives the same bits either way. Where the off-diagonal entries
     are exactly zero (``_exact_diag``), quantization and dithers stay in
-    float64 and skip the matrix product. The closest-point search context
-    (QR factors, relevant vectors and the slicer's ``kernels.slicer_lift``)
-    is computed on first use. Scaling carries the factors and the relevant
-    vectors, and computes the lift afresh from the scaled R, which gives
-    the bits of a search that builds it on every call.
+    float64 and skip the matrix product.
+
+    A non-diagonal lattice is searched in the frame of its base lattice
+    (``_frame``, see ``kernels``): ``scaled(f)`` records the lattice it was
+    scaled from, or that lattice's own base, and the product of the factors,
+    which may be negative, and ``with_moment`` keeps the record. Only a
+    base holds a closest-point search context (QR factors, relevant vectors
+    and the slicer's ``kernels.slicer_lift``), computed on first use, so
+    every scaling of a base shares it, and the search's tolerances act at
+    the base's scale.
 
     Equality is identity (``eq=False``), so a lattice is hashable; an
     elementwise comparison of generators has no single truth value.
@@ -95,6 +101,7 @@ class Lattice:
     _scales: Union[float, np.ndarray, None] = field(default=None, init=False, repr=False,
                                                     compare=False)
     _exact_diag: bool = field(default=False, init=False, repr=False, compare=False)
+    _frame: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _frozen(self.gen)
@@ -138,23 +145,22 @@ class Lattice:
 
     def with_moment(self, est: MomentEstimate) -> "Lattice":
         out = replace(self, moment=est)
+        object.__setattr__(out, "_frame", self._frame)
         object.__setattr__(out, "_sphere", self._sphere)
         return out
 
     def scaled(self, factor: float) -> "Lattice":
-        """Lattice with generator multiplied by ``factor`` (caches rescaled)."""
+        """Lattice with generator multiplied by ``factor`` (moment rescaled;
+        a non-diagonal one is searched in its base lattice's frame)."""
         if not math.isfinite(factor):
             raise SingularLattice(f"scale factor must be finite, got {factor}")
         est = self.moment
         if est is not None:
             est = MomentEstimate(est.value * factor**2, est.std_error * factor**2, est.samples)
         out = Lattice(self.gen * factor, est)
-        if self._sphere is not None:
-            # G = QR gives fG = (sign(f) Q)(|f| R); integer coordinates of the
-            # relevant vectors do not change.
-            qt, r, relevant, _ = self._sphere
-            sphere = _search_context(qt * math.copysign(1.0, factor), r * abs(factor), relevant)
-            object.__setattr__(out, "_sphere", sphere)
+        if not self.is_diagonal:
+            base, f = self._frame or (self, 1.0)
+            object.__setattr__(out, "_frame", (base, f * factor))
         return out
 
     def to_json(self) -> str:
@@ -245,17 +251,14 @@ def _round_half_down(x: np.ndarray, scales: Union[float, np.ndarray],
     return np.ceil(q, out=q)
 
 
-def _search_context(qt: np.ndarray, r: np.ndarray, relevant: np.ndarray) -> tuple:
-    return qt, r, relevant, kernels.slicer_lift(r, relevant)
-
-
 def _sphere_context(lat: Lattice):
-    """``(Q^T, R, relevant vectors, slicer lift)`` of a non-diagonal lattice,
-    cached on it."""
+    """``(Q^T, R, relevant vectors, slicer lift)`` of a non-diagonal base
+    lattice, cached on it."""
     if lat._sphere is None:
         q, r = kernels.qr_factor(lat.gen)
-        sphere = _search_context(q.T.copy(), r, kernels.relevant_vectors(r))
-        object.__setattr__(lat, "_sphere", sphere)
+        relevant = kernels.relevant_vectors(r)
+        object.__setattr__(lat, "_sphere", (q.T.copy(), r, relevant,
+                                            kernels.slicer_lift(r, relevant)))
     return lat._sphere
 
 
@@ -279,13 +282,34 @@ def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     if lat.is_diagonal:
         coords = _round_half_down(flat, lat._scales)
         return coords.astype(np.int64).reshape(x.shape)
-    if lat.dim > MAX_SPHERE_DIM:
+    return _search([lat], [flat]).reshape(x.shape)
+
+
+def _base(lat: Lattice) -> Lattice:
+    """The lattice whose frame ``lat`` is searched in (see ``Lattice``)."""
+    return lat._frame[0] if lat._frame else lat
+
+
+def _search(lats: Sequence[Lattice], arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Integer coordinates of the rows of the checked (rows, n) ``arrays``,
+    each in its lattice of ``lats``: non-diagonal scalings of one base
+    lattice, searched in its frame by one kernel call (see ``kernels``).
+    Each array is rotated by the base's Q^T over its own factor straight
+    into the column layout of the slicer's blocks, so the kernel takes the
+    transpose without a copy."""
+    base = _base(lats[0])
+    if base.dim > MAX_SPHERE_DIM:
         raise UnsupportedDimension(
-            f"exact sphere search limited to n <= {MAX_SPHERE_DIM}, got n = {lat.dim}"
+            f"exact sphere search limited to n <= {MAX_SPHERE_DIM}, got n = {base.dim}"
         )
-    qt, r, relevant, lift = _sphere_context(lat)
-    coords = kernels.nearest_point_batch(r, flat @ qt.T, relevant, lift)
-    return coords.reshape(x.shape)
+    qt, r, relevant, lift = _sphere_context(base)
+    y = np.empty((base.dim, sum(len(a) for a in arrays)))
+    lo = 0
+    for lat, a in zip(lats, arrays):
+        factor = lat._frame[1] if lat._frame else 1.0
+        np.matmul(qt if factor == 1.0 else qt / factor, a.T, out=y[:, lo:lo + len(a)])
+        lo += len(a)
+    return kernels.nearest_point_batch(r, y.T, relevant, lift)
 
 
 def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
@@ -323,33 +347,51 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     return np.subtract(x, point, out=point)
 
 
-def reduce_stacked(lat: Lattice, coords_of: Sequence[np.ndarray],
-                   mods_of: Iterable[np.ndarray]):
+def reduce_stacked(lat: Union[Lattice, Sequence[Lattice]], coords_of: Sequence[np.ndarray],
+                   mods_of: Iterable[np.ndarray], points: bool = False):
     """``[nearest_point_coords(lat, a) for a in coords_of]`` and, for each array
     b that the iterable ``mods_of`` yields, the pair ``(b, mod_lattice(lat,
-    b))``; every array is (rows, n), and the results keep their bits.
+    b))``, or with ``points`` the point ``nearest_point(lat, b)`` alone;
+    every array is (rows, n), and the results keep their bits. ``lat`` is
+    one lattice for every array, or a sequence of one lattice per array,
+    those of ``coords_of`` first.
 
-    Where the lattice reaches the kernel (a non-diagonal generator), the rows
-    of all the arrays go to it in one stacked call, which pays the search's
-    fixed cost per call once; the kernel searches each row on its own, and
-    each mod is ``b - coords @ G.T`` on that array's own coordinates, as in
-    ``mod_lattice``. A diagonal generator keeps its per-array float path and
-    draws each b from ``mods_of`` only as the caller takes its pair: stacking
-    would only add copies, and holding every array at once costs a codec
-    block page faults.
+    Where the lattices reach the kernel (non-diagonal scalings of one base
+    lattice), the rows of all the arrays go to it in one stacked call, which
+    pays the search's fixed cost per call once; the kernel searches each row
+    on its own, in the base's frame, and each mod or point is computed from
+    that array's own coordinates and its own lattice's G, as in
+    ``mod_lattice`` and ``nearest_point``. Diagonal generators keep their
+    per-array float path and draw each b from ``mods_of`` only as the caller
+    takes its pair: stacking would only add copies, and holding every array
+    at once costs a codec block page faults. Lattices of different bases
+    take that per-array path too.
     """
-    if lat.is_diagonal:
-        return ([nearest_point_coords(lat, a) for a in coords_of],
-                ((b, mod_lattice(lat, b)) for b in mods_of))
+    single = isinstance(lat, Lattice)
+    base = _base(lat if single else lat[0])
+    each = itertools.repeat(lat) if single else iter(lat)
+    lats = [next(each) for _ in coords_of]
+    if base.is_diagonal or not (single or all(_base(other) is base for other in lat)):
+        coords = [nearest_point_coords(a_lat, a) for a_lat, a in zip(lats, coords_of)]
+        if points:  # map, unlike a generator, drops each b once its point is made
+            return coords, map(nearest_point, each, mods_of)
+        return coords, ((b, mod_lattice(b_lat, b)) for b_lat, b in zip(each, mods_of))
     mods_of = list(mods_of)
+    lats += [next(each) for _ in mods_of]
     arrays = [*coords_of, *mods_of]
-    coords = nearest_point_coords(lat, np.concatenate(arrays))
+    for a in arrays:
+        _check_dim(base, a)
+        _check_finite(a)
+    coords = _search(lats, arrays)
     parts, lo = [], 0  # slicing by hand: np.split costs about ten times more
     for a in arrays:
         parts.append(coords[lo:lo + len(a)])
         lo += len(a)
     k = len(coords_of)
-    return parts[:k], [(b, b - c @ lat.gen.T) for b, c in zip(mods_of, parts[k:])]
+    found = [c @ b_lat.gen.T for c, b_lat in zip(parts[k:], lats[k:])]
+    if points:
+        return parts[:k], found
+    return parts[:k], [(b, b - point) for b, point in zip(mods_of, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +408,36 @@ def sample_dither(lat: Lattice, rng: np.random.Generator, size: int = 1) -> np.n
     which equals ``w @ G.T`` bit for bit.
     """
     w = rng.random((size, lat.dim))
-    return _uniform_to_voronoi(lat, w, np.empty_like(w))
+    _uniform_to_voronoi([lat], [w], np.empty_like(w))
+    return w
 
 
-def _uniform_to_voronoi(lat: Lattice, w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The map of ``sample_dither``, in place: uniform draws ``w`` over
-    [0, 1)^n, shape (rows, n), become ``mod_lattice(lat, w @ G.T)`` with its
-    bits. ``scratch``, a float64 array of w's shape, is overwritten; an
+def _uniform_to_voronoi(lats: Sequence[Lattice], ws: Iterable[np.ndarray], scratch: np.ndarray):
+    """The map of ``sample_dither``, in place, for each array of uniform
+    draws ``w`` over [0, 1)^n that the iterable ``ws`` yields, shape
+    (rows, n), with its lattice in ``lats``: w becomes ``mod_lattice(lat,
+    w @ G.T)`` with its bits. Non-diagonal scalings of one base lattice take
+    every array first and reduce them together by ``reduce_stacked``.
+    Diagonal lattices take and map one array at a time, through
+    ``scratch``, a float64 array of w's shape, which is overwritten; an
     exactly diagonal lattice allocates nothing, which lets the codec engine
-    map its dithers in its own buffers. The points are finite by
-    construction, so the finiteness check is skipped. Returns ``w``."""
-    if lat._exact_diag:
-        w *= lat._scales
-        w += 0.0
-        return np.subtract(w, _diagonal_point(lat, w, scratch), out=w)
-    u = np.matmul(w, lat.gen.T, out=scratch)
-    return np.subtract(u, nearest_point(lat, u), out=w)
+    map its dithers in its own buffers while each is fresh in cache. The
+    points are finite by construction, so the finiteness check is skipped on
+    that path."""
+    if not all(lat.is_diagonal for lat in lats):
+        ws = list(ws)
+        us = [w @ lat.gen.T for lat, w in zip(lats, ws)]
+        for w, u, point in zip(ws, us, reduce_stacked(lats, (), us, points=True)[1]):
+            np.subtract(u, point, out=w)
+        return
+    for lat, w in zip(lats, ws):
+        if lat._exact_diag:
+            w *= lat._scales
+            w += 0.0
+            np.subtract(w, _diagonal_point(lat, w, scratch), out=w)
+        else:
+            u = np.matmul(w, lat.gen.T, out=scratch)
+            np.subtract(u, nearest_point(lat, u), out=w)
 
 
 def second_moment(

@@ -74,18 +74,23 @@ that thread's next chunk. The thread that ran a chunk also folds it into
 its sums (``_Accumulator.chunk_sums``), so no workspace array leaves its
 thread.
 
-Within a block, the reductions by one cell's coarse lattice that do not
-depend on each other go through ``lattices.reduce_stacked``: the members'
-coarse reductions are one call, and the overload test of the mod input
-with the decoding reduction is another. Where the coarse lattice reaches
-the closest-point kernel (a non-diagonal generator) each is one kernel call
-on the stacked rows, so a non-diagonal two-user chunk makes 2 + 4 per block
-kernel calls rather than 2 + 6 (the 2 are the dither reductions). The
-kernel searches each row on its own, and each mod multiplies its own
-coordinates by G, so the bits are those of separate calls. Diagonal
-lattices keep their per-array float rounding, one member at a time, which
-stacking would only slow with copies and with the page faults of holding
-every member's arrays at once.
+Every lattice of a codec is its base lattice scaled, and a non-diagonal
+lattice is searched in its base's frame (see ``lattices.Lattice``), so
+reductions by different lattices of one codec can share a kernel call.
+Reductions that do not depend on each other go through
+``lattices.reduce_stacked``: a chunk's dither reductions are one call (on a
+non-diagonal base every dither is drawn, in the stream's order, before any
+is mapped), and within a block the members' fine quantizations are one, their coarse
+reductions another, and the overload test of the mod input with the
+decoding reduction a third. Where the lattices reach the closest-point
+kernel (a non-diagonal base) each is one kernel call on the stacked rows,
+so a non-diagonal two-user chunk makes 1 + 3 per block kernel calls rather
+than 2 + 6 with one call per lattice and array (the 1 is the dither
+reduction). The kernel searches each row on its own, and each mod or point
+multiplies its own coordinates by its own lattice's G, so the bits are
+those of separate calls. Diagonal lattices keep their per-array float
+rounding, one member at a time, which stacking would only slow with copies
+and with the page faults of holding every member's arrays at once.
 """
 
 from __future__ import annotations
@@ -123,7 +128,6 @@ from .lattices import (
     Lattice,
     _uniform_to_voronoi,
     integer_lattice,
-    nearest_point,
     reduce_stacked,
     sample_dither,
     scale_to_second_moment,
@@ -567,11 +571,16 @@ def _draw(plan: _Plan, m: int, rng: np.random.Generator,
     the m trials."""
     arrays = arrays or _workspace().arrays(m, *_chunk_shape(plan))
     x = _sources(plan.factor, rng, arrays.normals, arrays.sources)
-    # The draws overlay the normals, which the columns no longer need.
+    # The draws overlay the normals, which the columns no longer need. They
+    # are drawn in the stream's order as the mapping takes them: all before
+    # any is reduced where the members' lattices reduce them together, each
+    # just before its own mapping on diagonal lattices.
+    members = [mem for idx in plan.order for mem in plan.cells[idx].members]
+    _uniform_to_voronoi([mem.fine for mem in members if mem.dither is None],
+                        (rng.random(out=w) for w in arrays.uniforms), arrays.quotient)
     drawn = iter(arrays.uniforms)
-    dithers = [_uniform_to_voronoi(mem.fine, rng.random(out=next(drawn)), arrays.quotient)
-               if mem.dither is None else np.broadcast_to(mem.dither, arrays.quotient.shape)
-               for idx in plan.order for mem in plan.cells[idx].members]
+    dithers = [next(drawn) if mem.dither is None
+               else np.broadcast_to(mem.dither, arrays.quotient.shape) for mem in members]
     return x, dithers
 
 
@@ -592,11 +601,12 @@ def _run_block(plan: _Plan, x, dithers):
         total = np.zeros((m, n))
         ideal = np.zeros((m, n))  # the cell sum free of coarse coset shifts
         dith = [next(drawn) for _ in cell.members]
-        ys = (nearest_point(mem.fine, mem.scale * x[mem.col] + u)
-              for mem, u in zip(cell.members, dith))
-        # The members' coarse reductions, and below the overload test with
-        # the decoding reduction, are each one stacked reduction (see the
-        # module docstring).
+        # The members' fine quantizations, their coarse reductions, and
+        # below the overload test with the decoding reduction, are each one
+        # stacked reduction (see the module docstring).
+        targets = (mem.scale * x[mem.col] + u for mem, u in zip(cell.members, dith))
+        fines = [mem.fine for mem in cell.members]
+        ys = reduce_stacked(fines, (), targets, points=True)[1]
         for mem, u, (y, mod) in zip(cell.members, dith, reduce_stacked(cell.coarse, (), ys)[1]):
             mod -= u
             y -= u

@@ -483,6 +483,24 @@ def test_lattice_nsm_at_extreme_scale(scale):
     assert abs(payload["normalized_second_moment"] - target) < 5 * payload["std_error"]
 
 
+def test_lattice_nsm_of_a_small_scaled_lattice():
+    # Searched at its own scale, an A2 lattice scaled by 1e-6 took every row
+    # for a tie under the absolute tolerances and printed an NSM of 0.3754.
+    proc = _run_cli_process("lattice", "--lattice", "a2", "--op", "nsm", "--scale", "1e-6",
+                            timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    target = 5.0 / (36.0 * math.sqrt(3.0))
+    assert abs(payload["normalized_second_moment"] - target) < 4 * payload["std_error"]
+
+
+def test_lattice_nsm_of_a_tiny_scaled_lattice_ends():
+    # At 1e-7 the tie search could not prune and did not end.
+    proc = _run_cli_process("lattice", "--lattice", "a2", "--op", "nsm", "--scale", "1e-7",
+                            timeout=20)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lattice_diagonal_moment_at_the_edge_of_the_range():
     # Each squared scale (1.44e308) is finite but their sum is not.
     proc = _run_cli_process("lattice", "--op", "moment", "--dim", "2", "--scale", "1.2e154",

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latfun
 from latfun import kernels
@@ -175,39 +177,176 @@ def test_public_path_on_coset_leaders_of_a_nested_pair(gen):
     assert _check_against_oracle(2.0 * gen, points) > 0
 
 
+def _benchmark_codec(gen, samples, rng):
+    """A two-user codec built the way the benchmark builds its A2 and D4
+    codecs (moment from ``second_moment``, fixed rng)."""
+    from latfun import gaussian, lattices, simulate
+
+    base = lattices.Lattice(gen)
+    est = lattices.second_moment(base, samples, rng)
+    return simulate.build_two_user_codec(
+        gaussian.two_user_model(0.8, 0.8), 0.1, 0.06, n=gen.shape[0], margin=2.0,
+        base_lattice=base.with_moment(est))
+
+
+def _half_gains(r, y, coords, lift):
+    """Half gains of every relevant step from the points ``coords``, the
+    slicer's band of each row, and each row's squared residual."""
+    e = y - coords @ r.T
+    gains = np.hstack([e, np.ones((len(e), 1))]) @ lift.T
+    band = 0.5 * kernels._TIE_TOL * np.maximum(1.0, np.sum(y * y, axis=1))
+    return gains, band, np.sum(e * e, axis=1)
+
+
 @pytest.mark.parametrize("gen, rows, samples", [(A2, 1024, 20_000), (D4, 256, 10_000)],
                          ids=["a2", "d4"])
 def test_public_path_on_codec_shaped_ties(gen, rows, samples, monkeypatch):
-    """One coarse-lattice call of a two-user codec, built the way the benchmark
-    builds its A2 and D4 codecs (moment from ``second_moment``, fixed rng):
-    fine points of Gaussian targets, reduced modulo the incommensurate coarse
-    lattice. Fine points on the coarse cell's symmetry axes are ties: a
-    256-row D4 call holds about one on average, and this seed gives both
-    calls some."""
-    from latfun import gaussian, lattices, simulate
+    """One coarse-lattice call of a two-user codec: fine points of Gaussian
+    targets, reduced modulo the incommensurate coarse lattice. Fine points
+    on the coarse cell's symmetry axes are ties, each inside one facet, so
+    the slicer settles them and none reaches the scalar search; only rows
+    with two gains in the tie band, or in the guard band, would. This seed
+    gives both calls one-facet ties."""
+    from latfun import lattices
 
-    n = gen.shape[0]
-    base = lattices.Lattice(gen)
     rng = np.random.default_rng(1)
-    est = lattices.second_moment(base, samples, rng)
-    codec = simulate.build_two_user_codec(
-        gaussian.two_user_model(0.8, 0.8), 0.1, 0.06, n=n, margin=2.0,
-        base_lattice=base.with_moment(est))
-    fine = lattices.nearest_point(codec.fine1, rng.normal(size=(rows, n)))
-    qt, r = lattices._sphere_context(codec.coarse)[:2]
-    sent = []
-    scalar = kernels.closest_coords
-
-    def counted(r_mat, y):
-        sent.append(y)
-        return scalar(r_mat, y)
-
-    monkeypatch.setattr(kernels, "closest_coords", counted)
+    codec = _benchmark_codec(gen, samples, rng)
+    fine = lattices.nearest_point(codec.fine1, rng.normal(size=(rows, gen.shape[0])))
+    seen, sent = [], []
+    search, scalar = kernels.nearest_point_batch, kernels.closest_coords
+    monkeypatch.setattr(kernels, "nearest_point_batch",
+                        lambda *args: seen.append(args) or search(*args))
+    monkeypatch.setattr(kernels, "closest_coords",
+                        lambda r_mat, y: sent.append(y) or scalar(r_mat, y))
     got = lattices.nearest_point_coords(codec.coarse, fine)
     monkeypatch.undo()
-    want = np.array([scalar(r, y) for y in fine @ qt.T], dtype=np.int64)
+    q, r = kernels.qr_factor(codec.coarse.gen)
+    want = np.array([scalar(r, y) for y in fine @ q], dtype=np.int64)
     assert np.array_equal(got, want)
-    assert len(sent) >= 1
+    # The kernel's frame is the base's: classify each row's tie there.
+    (r_base, y, _, lift), = seen
+    gains, band, resid_sq = _half_gains(r_base, np.asarray(y), got, lift)
+    top = gains.max(axis=1)
+    tied = top >= -band
+    scalar_tol = kernels._SCALAR_TIE_TOL * np.maximum(1.0, resid_sq)
+    gap = 2.0 * np.abs(top)
+    one_facet = tied & (np.sum(gains >= -band[:, None], axis=1) == 1) & (
+        (gap <= 0.5 * scalar_tol) | (gap >= 2.0 * scalar_tol))
+    assert one_facet.sum() >= 1
+    assert len(sent) == np.count_nonzero(tied & ~one_facet)
+
+
+def _both_paths(r, y, relevant=None, lift=None):
+    """The kernel's coordinates, those of a reference that sends every tie
+    to the scalar search (the kernel before the one-facet rule), and the
+    rows each sent to the scalar search."""
+    if relevant is None:  # found by scalar searches of their own
+        relevant = kernels.relevant_vectors(r)
+    scalar = kernels.closest_coords
+    runs = []
+    for settle in (kernels._one_facet, lambda gains, top, tol, resid, coords, rows, rel: rows):
+        sent = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_one_facet", settle)
+            patch.setattr(kernels, "closest_coords",
+                          lambda r_mat, row: sent.append(row) or scalar(r_mat, row))
+            runs.append((kernels.nearest_point_batch(r, y, relevant, lift), len(sent)))
+    (got, fast), (want, slow) = runs
+    return got, want, fast, slow
+
+
+@pytest.mark.parametrize("gen, trials, samples", [(A2, 2048, 20_000), (D4, 512, 10_000)],
+                         ids=["a2", "d4"])
+def test_one_facet_rule_on_recorded_codec_rows(gen, trials, samples, monkeypatch):
+    """Every kernel call of benchmark-shaped codec runs, replayed with ties
+    settled in the slicer and with every tie sent to the scalar search: the
+    same coordinates, and fewer scalar searches."""
+    from latfun import simulate
+
+    codec = _benchmark_codec(gen, samples, np.random.default_rng([0, 0x5350]))
+    calls = []
+    search = kernels.nearest_point_batch
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "nearest_point_batch",
+                      lambda *args: calls.append([np.array(a) for a in args]) or search(*args))
+        for seed in range(4):
+            simulate.run_two_user_experiment(codec, trials, seed)
+    fast = slow = 0
+    for r, y, relevant, lift in calls:
+        got, want, sent_fast, sent_slow = _both_paths(r, y, relevant, lift)
+        assert np.array_equal(got, want)
+        fast, slow = fast + sent_fast, slow + sent_slow
+    assert slow >= 4 and fast < slow / 2
+
+
+def _facet_rows(gen, mults, shifts):
+    """Rotated targets on the facet of each relevant vector v of ``gen``, at
+    lattice points shifted by ``shifts``, each moved along v so that the
+    squared-distance gap between the two nearest points is ``mult`` times
+    the scalar search's tie tolerance (0 is the facet's midpoint)."""
+    q, r = kernels.qr_factor(gen)
+    relevant = kernels.relevant_vectors(r)
+    rows = []
+    for shift in shifts:
+        centre = r @ np.asarray(shift, dtype=np.float64)
+        for v in relevant @ r.T:
+            vv = float(v @ v)
+            tol = kernels._SCALAR_TIE_TOL * max(1.0, vv / 4.0)
+            rows += [centre + v / 2.0 + (mult * tol / (2.0 * vv)) * v for mult in mults]
+    return r, np.array(rows)
+
+
+@pytest.mark.parametrize("gen", [A2, D4, _unimodular(3), _unimodular(5)],
+                         ids=["a2", "d4", "z3-skewed", "z5-skewed"])
+@settings(max_examples=40, deadline=None)
+@given(mult=st.floats(-8.0, 8.0), shift=st.integers(-4, 4))
+@example(mult=0.0, shift=0)
+def test_one_facet_rule_at_facet_midpoints_and_guard_band(gen, mult, shift):
+    """Targets inside one facet, moved off its midpoint along its relevant
+    vector by a squared-distance gap of ``mult`` times the scalar search's
+    tie tolerance: gaps up to half that tolerance, or from twice it, settle
+    in the slicer; gaps in between (the guard band) go to the scalar search.
+    All agree with it."""
+    shifts = [(shift,) * gen.shape[0], (1,) + (shift,) * (gen.shape[0] - 1)]
+    r, y = _facet_rows(gen, [mult], shifts)
+    got, want, sent, _ = _both_paths(r, y)
+    assert np.array_equal(got, want)
+    # Margins of 10% around the band's edges absorb the gains' rounding.
+    if abs(mult) <= 0.45 or abs(mult) >= 2.2:
+        assert sent == 0
+    elif 0.55 <= abs(mult) <= 1.8:
+        assert sent == len(y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_one_facet_rule_on_skewed_zn_half_integers(n, rng):
+    """Half-integer targets in a skewed basis of Z^n: one half coordinate is
+    one facet (settled in the slicer), two or more are a lower face (sent to
+    the scalar search); both agree with it."""
+    gen = _unimodular(n)
+    q, r = kernels.qr_factor(gen)
+    points = rng.integers(-3, 4, size=(200, n)).astype(float)
+    halves = rng.integers(0, 3, size=200)  # how many coordinates sit on a half
+    for row, count in zip(points, halves):
+        row[rng.choice(n, size=count, replace=False)] += 0.5
+    got, want, sent, _ = _both_paths(r, points @ q)
+    assert np.array_equal(got, want)
+    assert sent == np.count_nonzero(halves >= 2)
+
+
+def test_one_facet_rule_sends_two_tied_gains_to_the_scalar_search():
+    """The Voronoi vertices of A2 (three nearest points, two tied gains) and
+    D4's deep holes go to the scalar search."""
+    q, r = kernels.qr_factor(A2)
+    angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(6)
+    vertices = np.stack([np.cos(angles), np.sin(angles)], axis=1) / np.sqrt(3.0)
+    points = _with_shifts(A2, vertices, [(0, 0), (2, -1)])
+    got, want, sent, _ = _both_paths(r, points @ q)
+    assert np.array_equal(got, want) and sent == len(points)
+    q, r = kernels.qr_factor(D4)
+    holes = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5]])
+    got, want, sent, _ = _both_paths(r, holes @ q)
+    assert np.array_equal(got, want) and sent == len(holes)
 
 
 def test_public_path_blocks_keep_row_order(monkeypatch, rng):

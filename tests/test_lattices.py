@@ -292,28 +292,33 @@ def test_far_target_reduces_into_the_voronoi_cell():
 def test_search_context_is_cached_and_carried_through_scaling(rng):
     diag = integer_lattice(3, 0.7)
     nearest_point(diag, rng.normal(size=(5, 3)))
-    assert diag._sphere is None  # diagonal lattices never reach the kernel
+    assert diag._sphere is None and diag._frame is None  # never reaches the kernel
     lat = Lattice(rng.normal(size=(3, 3)) + 3 * np.eye(3))
     assert lat._sphere is None
     nearest_point(lat, rng.normal(size=(5, 3)))
-    qt, r, relevant, _ = lat._sphere
+    context = lat._sphere
     x = rng.normal(scale=4.0, size=(400, 3))
     for factor in (2.5, -0.3):
         scaled = lat.scaled(factor)
-        assert scaled._sphere[2] is relevant
-        assert scaled._sphere[0] == pytest.approx(np.sign(factor) * qt, abs=1e-15)
-        assert scaled._sphere[1] == pytest.approx(abs(factor) * r, rel=1e-14)
+        # Searched in the base's frame: no context of its own, the base's
+        # untouched, and the factors of repeated scalings multiplied.
+        assert scaled._frame == (lat, factor) and scaled._sphere is None
+        assert scaled.scaled(-2.0)._frame == (lat, -2.0 * factor)
         fresh = Lattice(lat.gen * factor)
         assert np.array_equal(nearest_point(scaled, x), nearest_point(fresh, x))
+        assert scaled._sphere is None and lat._sphere is context
     est = second_moment(lat, 2000, rng)
-    assert scale_to_second_moment(lat.with_moment(est), 0.1)._sphere[2] is relevant
+    made = scale_to_second_moment(lat.with_moment(est), 0.1)
+    assert made._frame[0]._sphere is context
+    assert made.with_moment(est)._frame == made._frame
 
 
 def _recomputed(lat, x):
     """``nearest_point_coords`` through a kernel call that builds the slicer's
-    lift afresh from the lattice's own search context."""
-    qt, r, relevant, _ = lat._sphere
-    return kernels.nearest_point_batch(r, x @ qt.T, relevant)
+    lift afresh from the search context of the lattice's base."""
+    base, factor = lat._frame or (lat, 1.0)
+    qt, r, relevant, _ = base._sphere
+    return kernels.nearest_point_batch(r, (x @ qt.T) / factor, relevant)
 
 
 def test_cached_slicer_setup_matches_a_recomputed_one(rng):
@@ -324,13 +329,44 @@ def test_cached_slicer_setup_matches_a_recomputed_one(rng):
     est = second_moment(base, 2000, rng)
     made = [base.scaled(2.5), base.scaled(-0.3), base.with_moment(est),
             scale_to_second_moment(base.with_moment(est), 0.1)]
+    lift = base._sphere[3]
+    assert np.array_equal(lift, kernels.slicer_lift(base._sphere[1], base._sphere[2]))
     for lat in made:
-        lift = lat._sphere[3]
-        assert np.array_equal(lift, kernels.slicer_lift(lat._sphere[1], lat._sphere[2]))
         for pts in (x, ties @ lat.gen.T):
             assert np.array_equal(nearest_point_coords(lat, pts), _recomputed(lat, pts))
     # with_moment keeps the same lattice, so it shares the whole context.
     assert made[2]._sphere is base._sphere
+
+
+def _pow2_frame(factor):
+    """A power of two that brings ``factor`` to about 1: scaling by it is
+    exact, so it changes no coordinate of a closest-point search."""
+    return 2.0 ** -math.frexp(factor)[1]
+
+
+@pytest.mark.parametrize("factor", [2.0**-30, 1e-6, 1.0, 1e6, -1.0],
+                         ids=["2^-30", "1e-6", "1", "1e6", "-1"])
+@pytest.mark.parametrize("gen", [A2.gen, np.array([[2.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0],
+                                                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])],
+                         ids=["a2", "d4"])
+def test_scaled_lattice_searches_like_its_own_generator(gen, factor, rng):
+    """A scaled lattice has the coordinates of ``Lattice(scaled.gen)`` searched
+    directly, at Gaussian targets and at ties (half-integer coordinates).
+    The direct search runs in the exact power-of-two frame where that
+    generator's entries are of order 1, because its tolerances are absolute
+    and fail on a lattice much smaller than 1 (ROADMAP open item 4)."""
+    n = gen.shape[0]
+    scaled = Lattice(gen).scaled(factor)
+    cells = rng.normal(scale=3.0, size=(500, n))
+    halves = 0.5 * rng.integers(-8, 9, size=(500, n))
+    frame = _pow2_frame(factor)
+    direct = Lattice(scaled.gen * frame)
+    for coords in (cells, halves):
+        x = coords @ scaled.gen.T
+        got = nearest_point_coords(scaled, x)
+        assert np.array_equal(got, nearest_point_coords(direct, x * frame))
+        # And the points are the scaled lattice's own.
+        assert nearest_point(scaled, x).tobytes() == (got @ scaled.gen.T).tobytes()
 
 
 def _closest_point_cases():
@@ -366,30 +402,38 @@ def test_stacked_rows_equal_separate_calls_byte_for_byte(lat, targets):
 
 
 @pytest.mark.parametrize("lat", [integer_lattice(2, 0.5), Lattice(np.diag([1.0, 3.0])),
-                                 hexagonal_lattice(0.7)], ids=["cz2", "diag", "a2"])
+                                 hexagonal_lattice(0.7), (A2.scaled(0.3), A2.scaled(-2.0))],
+                         ids=["cz2", "diag", "a2", "a2-two-scalings"])
 def test_reduce_stacked_calls_the_kernel_once_and_only_off_the_diagonal(lat, rng, monkeypatch):
     calls, taken = [], []
     search = kernels.nearest_point_batch
     monkeypatch.setattr(kernels, "nearest_point_batch",
                         lambda *args: calls.append(len(args[1])) or search(*args))
     a, b, c = (rng.normal(size=(m, 2)) for m in (5, 7, 3))
+    # Two scalings of one base: the coordinates' array and the first mod's
+    # in one, the second mod's in the other.
+    lat_a, lat_b, lat_c = (lat[0], lat[0], lat[1]) if isinstance(lat, tuple) else (lat,) * 3
 
     def arrays():
         for q in (b, c):
             taken.append(len(q))
             yield q
 
-    coords, pairs = reduce_stacked(lat, [a], arrays())
+    stacked_lats = [lat_a, lat_b, lat_c] if isinstance(lat, tuple) else lat
+    coords, pairs = reduce_stacked(stacked_lats, [a], arrays())
     pairs = iter(pairs)
     first = next(pairs)
     # A diagonal lattice takes each array only as its pair is asked for.
-    assert taken == ([7] if lat.is_diagonal else [7, 3])
+    assert taken == ([7] if lat_a.is_diagonal else [7, 3])
     pairs = [first, *pairs]
-    assert calls == ([] if lat.is_diagonal else [15])
-    assert np.array_equal(coords[0], nearest_point_coords(lat, a))
+    assert calls == ([] if lat_a.is_diagonal else [15])
+    assert np.array_equal(coords[0], nearest_point_coords(lat_a, a))
     assert [p[0] is q for p, q in zip(pairs, (b, c))] == [True, True]
-    assert [p[1].tobytes() for p in pairs] == [mod_lattice(lat, b).tobytes(),
-                                               mod_lattice(lat, c).tobytes()]
+    assert [p[1].tobytes() for p in pairs] == [mod_lattice(lat_b, b).tobytes(),
+                                               mod_lattice(lat_c, c).tobytes()]
+    points = reduce_stacked(stacked_lats, [a], [b, c], points=True)[1]
+    assert [p.tobytes() for p in points] == [nearest_point(lat_b, b).tobytes(),
+                                             nearest_point(lat_c, c).tobytes()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
