@@ -397,25 +397,46 @@ def _kernel_calls(monkeypatch, run):
 _A2_ROWS = simulate._BLOCK // 2  # rows per block of an A2 chunk
 
 
-@pytest.mark.parametrize("trials, calls", [(1000, 4), (_A2_ROWS + 1, 4), (_A2_ROWS + 2, 7),
-                                           (2 * _A2_ROWS + 1, 7)])
-def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, calls):
+def _stacked_searches(monkeypatch, run):
+    """For each stacked closest-point search that ``run()`` makes (one
+    kernel call each), the number of distinct lattices it searches and its
+    rows."""
+    from latfun import lattices
+
+    calls = []
+    search = lattices._search
+    with monkeypatch.context() as patch:
+        patch.setattr(lattices, "_search", lambda lats, arrays: calls.append(
+            (len({id(lat) for lat in lats}), sum(len(a) for a in arrays))) or search(lats, arrays))
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("trials, searches", [(1000, 6), (_A2_ROWS + 1, 6), (_A2_ROWS + 2, 10),
+                                              (2 * _A2_ROWS + 1, 10)])
+def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, searches):
     # The three lattices are scalings of one base, searched in its frame.
-    # Per chunk: one stacked dither reduction of both members; per block:
-    # one stacked fine quantization of both members, one stacked coarse
-    # reduction of both members, and one stacked reduction for overload and
-    # decoding. A one-row tail joins the block before it, so rows + 1 trials
-    # are one block.
+    # Per chunk: one stacked dither reduction of both members (two fine
+    # lattices); per block: one stacked fine quantization of both members
+    # (two fine lattices), one stacked coarse reduction of both members and
+    # one stacked reduction for overload and decoding (the coarse lattice
+    # each). ``searches`` counts each lattice of a call once: 2 + 4 per
+    # block, in 1 + 3 per block kernel calls. A one-row tail joins the block
+    # before it, so rows + 1 trials are one block.
     from latfun import hexagonal_lattice
 
     base = hexagonal_lattice()
     base = base.with_moment(second_moment(base, 2000, np.random.default_rng(3)))
     codec = build_two_user_codec(M88, 0.1, 0.06, n=2, margin=2.0, base_lattice=base)
-    rows = _kernel_calls(monkeypatch, lambda: run_two_user_experiment(codec, trials, seed=1))
-    assert len(rows) == calls
+    calls = _stacked_searches(monkeypatch, lambda: run_two_user_experiment(codec, trials, seed=1))
+    assert sum(lats for lats, _ in calls) == searches
+    blocks = (searches - 2) // 4
+    assert len(calls) == 1 + 3 * blocks
     # Each trial sends 8 rows: 2 dithers, 2 fine points, the members' 2
     # coarse reductions, the mod input and the decoding input.
-    assert sum(rows) == 8 * trials
+    assert sum(rows for _, rows in calls) == 8 * trials
+    assert _kernel_calls(monkeypatch, lambda: run_two_user_experiment(codec, trials, seed=1)) \
+        == [rows for _, rows in calls]
 
 
 @pytest.mark.parametrize("tag", ["a2", "d4"])
