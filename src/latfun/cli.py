@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -24,8 +25,7 @@ from .errors import InvalidCount, LatfunError
 from .gaussian import (
     PartitionPlan,
     SourceModel,
-    _checked_variance,
-    _two_user_arrays,
+    _two_user_variances,
     function_variance,
     noisy_function_side_model,
     two_user_model,
@@ -148,10 +148,8 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """CSV rows; one per (rho, c, D), or per (rho, c) when collapsing to the
     distortion with the largest gap.
 
-    ``d_of_model`` maps Var(Z) to a distortion grid. Every rate, gap and
-    regime comes from one array pass over the (cells, D) grid
-    (``_grid_rows``), with all grids from one ``d_of_model`` call
-    (``_whole_grid``).
+    ``d_of_model`` maps Var(Z) to a distortion grid. ``_whole_grid`` gives
+    every Var(Z) and grid, and ``_grid_rows`` every row, in one array pass.
 
     When that pass cannot run (rho outside (0, 1), a non-finite c, an
     overflowing Var(Z), a failing ``d_of_model`` call or a grid that is not
@@ -165,11 +163,10 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     cells = [(rho, c) for rho in rho_values for c in c_values]
     if not cells:
         return []
-    rho = np.array([cell[0] for cell in cells], dtype=np.float64)
-    c = np.array([cell[1] for cell in cells], dtype=np.float64)
+    rho, c = np.array(cells, dtype=np.float64).T
     whole = _whole_grid(rho, c, d_of_model)
     if whole is not None:
-        return _grid_rows(cells, rho, c, *whole, collapse_d)
+        return _grid_rows(rho, c, *whole, collapse_d)
     rows = []
     for k, cell in enumerate(cells):
         model = two_user_model(*cell)
@@ -178,8 +175,7 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
         if not ((grid > 0) & (grid < var_z)).any():
             continue
         model.require_two_user()
-        one = slice(k, k + 1)
-        rows += _grid_rows(cells[one], rho[one], c[one], np.array([var_z]), grid[None], collapse_d)
+        rows += _grid_rows(rho[k:k + 1], c[k:k + 1], np.array([var_z]), grid[None], collapse_d)
     return rows
 
 
@@ -188,20 +184,21 @@ def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
     the cells must be taken in turn.
 
     Finite c and rho in (0, 1) imply every check that ``two_user_model``
-    and ``require_two_user`` make, so no model is built; Var(Z) is the
-    expression the model computes, on the same arrays. The grids come from
-    one call on the array of Var(Z), along the last axis. np.linspace (with
-    which np.geomspace spaces its logs) switches every row to another
-    formula when one row's step is zero, and such a row is not strictly
-    monotone past two points; so strictly monotone grids are the per-cell
-    ones bit for bit.
+    and ``require_two_user`` make, so no model is built. Var(Z) is one
+    stacked product (``_two_user_variances``), where a non-finite entry
+    means some model raises VarianceOverflow. The grids come from one call
+    on the array of Var(Z), along the last axis. np.linspace (with which
+    np.geomspace spaces its logs) switches every row to another formula
+    when one row's step is zero, and such a row is not strictly monotone
+    past two points; so strictly monotone grids are the per-cell ones bit
+    for bit.
     """
     if not (((rho > 0) & (rho < 1)).all() and np.isfinite(c).all()):
         return None
+    var_z = _two_user_variances(rho, c)
+    if not np.isfinite(var_z).all():
+        return None
     try:
-        var_z = np.array([
-            _checked_variance(*_two_user_arrays(r, v)) for r, v in zip(rho.tolist(), c.tolist())
-        ])
         grids = d_of_model(var_z)
     except ValueError:
         return None
@@ -212,53 +209,46 @@ def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
     return var_z, grids
 
 
-def _grid_rows(cells, rho, c, var_z, grids, collapse_d: bool) -> List[str]:
+def _grid_rows(rho, c, var_z, grids, collapse_d: bool) -> List[str]:
     """Rows of two-user cells, with their Var(Z) and (cells, n_d) grids, in
     one array pass. Each rate is its scalar function's value bit for bit;
     the distortions outside (0, Var Z) are replaced by Var(Z), which every
-    formula takes, and then left out."""
+    formula takes, and then left out: the rows are all kept entries in
+    row-major order, or with ``collapse_d`` each cell's largest gap (the
+    others at -inf). Only these entries get a regime label."""
     keep = (grids > 0) & (grids < var_z[:, None])
     d = np.where(keep, grids, var_z[:, None])
-    rho, c = rho[:, None], c[:, None]
     lattice_bits = regions._log2_twice_ratio(var_z[:, None], d)
-    bt_bits = regions._bt_min_sum(rho, c, d)
+    bt_bits = regions._bt_min_sum(rho[:, None], c[:, None], d)
     gaps = np.where(keep, bt_bits - lattice_bits, -np.inf)
-    regimes = regions._bt_regimes(rho, c, d)
-    rows = []
-    for k, (rho_k, c_k) in enumerate(cells):
-        if collapse_d:
-            sel = [int(np.argmax(gaps[k]))] if keep[k].any() else []
-        else:
-            sel = np.flatnonzero(keep[k])
-        for i in sel:
-            values = (d[k, i], lattice_bits[k, i], bt_bits[k, i], gaps[k, i])
-            rows.append(
-                ",".join([_g6(rho_k), _g6(c_k), *(_g6(float(v)) for v in values), regimes[k, i]])
-            )
-    return rows
+    if collapse_d:
+        k = np.flatnonzero(keep.any(axis=1))
+        i = gaps[k].argmax(axis=1)
+    else:
+        k, i = np.nonzero(keep)
+    rho, c, d = rho[k], c[k], d[k, i]
+    columns = [v.tolist() for v in (rho, c, d, lattice_bits[k, i], bt_bits[k, i], gaps[k, i])]
+    regimes = regions._bt_regimes(rho, c, d).tolist()
+    return [",".join([*map(_g6, values), regime]) for *values, regime in zip(*columns, regimes)]
 
 
 def sweep_rows_fig3():
-    """Direct-scheme sum-rate surface over (c, D) at correlation 0.8."""
-    rows = []
-    for c in np.linspace(0.05, 2.0, 40):
-        model = two_user_model(0.8, c)
-        model.require_two_user()
-        sz2 = function_variance(model)
-        d_grid = np.geomspace(0.01, 0.99 * sz2, 40)
-        lattice_bits = regions._log2_twice_ratio(sz2, d_grid)
-        for d, bits in zip(d_grid.tolist(), lattice_bits.tolist()):
-            rows.append(
-                ",".join([_g6(0.8), _g6(float(c)), _g6(d), _g6(bits), "nan", "nan", "lattice-only"])
-            )
-    return rows
+    """Direct-scheme sum-rate surface over (c, D) at correlation 0.8, from
+    one stacked Var(Z), one np.geomspace call and one rate pass."""
+    c = np.linspace(0.05, 2.0, 40)
+    var_z = _two_user_variances(np.full(40, 0.8), c)
+    d = np.geomspace(0.01, 0.99 * var_z, 40, axis=-1)
+    lattice_bits = regions._log2_twice_ratio(var_z[:, None], d)
+    columns = (np.repeat(c, 40).tolist(), d.ravel().tolist(), lattice_bits.ravel().tolist())
+    return [
+        ",".join([_g6(0.8), _g6(c_k), _g6(d_k), _g6(bits), "nan", "nan", "lattice-only"])
+        for c_k, d_k, bits in zip(*columns)
+    ]
 
 
 def sweep_rows_fig4():
     """Both schemes against distortion at rho = c = 0.8; shows the crossover."""
-    return _sweep_rows(
-        [0.8], [0.8], lambda sz2: np.geomspace(0.021, 0.355, 256), collapse_d=False
-    )
+    return _sweep_rows([0.8], [0.8], lambda sz2: np.geomspace(0.021, 0.355, 256), collapse_d=False)
 
 
 def sweep_rows_fig5(n_c: int = 128, n_rho: int = 9, n_d: int = 32):
@@ -530,6 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coarse = nesting * lattice for the cosets op")
     p_lat.set_defaults(func=cmd_lattice)
 
+    # Any token that starts with '-' and a digit, or '-.' and a digit, is a
+    # value: Python 3.11's argparse takes neither '-1e-3' nor '-1,0.5' for one.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

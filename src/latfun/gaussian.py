@@ -118,10 +118,21 @@ class SourceModel:
             raise ValueError(self._two_user_error)
 
 
-
 def _two_user_arrays(rho: float, c: float) -> Tuple[np.ndarray, np.ndarray]:
     """Covariance and coefficients of ``two_user_model(rho, c)``."""
     return np.array([[1.0, rho], [rho, 1.0]]), np.array([1.0, -float(c)])
+
+
+def _two_user_variances(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Var(Z) of ``two_user_model(rho[k], c[k])`` for every k, bit for bit:
+    numpy hands each item of a stacked product of C-contiguous arrays to the
+    routine of the one-model product (strided ones may round otherwise). An
+    entry is not finite where that model raises VarianceOverflow."""
+    one = np.ones_like(rho)
+    cov = np.array([one, rho, rho, one]).T.copy().reshape(-1, 2, 2)
+    co = np.array([one, -c]).T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (co[:, None, :] @ cov @ co[:, :, None])[:, 0, 0]
 
 
 def two_user_model(rho: float, c: float) -> SourceModel:

@@ -44,11 +44,6 @@ SCHEME_HYBRID = "hybrid"
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 
-# ``_bt_regimes`` labels, in the order of its rules
-_REGIMES = np.array([
-    REGIME_ZERO_RATE, REGIME_NUMERIC, REGIME_INTERIOR, REGIME_Q2_INFINITE, REGIME_Q1_INFINITE,
-])
-
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -275,16 +270,16 @@ def bt_regime(model: SourceModel, d: float) -> str:
 
 
 def _bt_regimes(rho, c, d) -> np.ndarray:
-    """``bt_regime`` elementwise over the broadcast rho, c and distortions:
-    zero rate from D = Var(Z) up, no regime split for c <= 0, the interior
-    below ``bt_regime_boundary``, and past it the user whose source matters
-    less falls silent (X2 for c <= 1)."""
+    """``bt_regime`` elementwise over the broadcast rho, c and distortions,
+    by the first rule that holds: zero rate from D = Var(Z) up, no regime
+    split for c <= 0, the interior below ``bt_regime_boundary``, and past
+    it the user whose source matters less falls silent (X2 for c <= 1)."""
     rho, c = np.asarray(rho, dtype=np.float64), np.asarray(c, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sz2 = 1.0 + c * c - 2.0 * rho * c
         boundary = _bt_boundary(rho, c)
-    rule = np.select([d >= sz2, c <= 0, d < boundary, c <= 1.0], [0, 1, 2, 3], 4)
-    return _REGIMES[rule]
+    return np.where(d >= sz2, REGIME_ZERO_RATE, np.where(c <= 0, REGIME_NUMERIC, np.where(
+        d < boundary, REGIME_INTERIOR, np.where(c <= 1.0, REGIME_Q2_INFINITE, REGIME_Q1_INFINITE))))
 
 
 def _bt_min_sum(rho, c, d: np.ndarray) -> np.ndarray:

@@ -198,6 +198,20 @@ def lattice_feasible(model, r1, r2, d):
     return 2.0 ** (-2.0 * r1) + 2.0 ** (-2.0 * r2) <= d / sz2 + 1e-12
 
 
+def sweep_rows_fig3(fmt):
+    """The rows of ``sweep --preset fig3``, one value of c at a time, with
+    each number formatted by ``fmt``."""
+    rows = []
+    for c in np.linspace(0.05, 2.0, 40):
+        model = two_user_model(0.8, c)
+        model.require_two_user()
+        sz2 = function_variance(model)
+        for d in np.geomspace(0.01, 0.99 * sz2, 40).tolist():
+            values = (0.8, float(c), d, lattice_min_sum_rate(model, d))
+            rows.append(",".join([fmt(v) for v in values] + ["nan", "nan", "lattice-only"]))
+    return rows
+
+
 def sum_rate_gap(rho, c, d):
     """Quantize-and-bin minus direct-binning minimum sum rate (bits).
 

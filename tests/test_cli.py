@@ -20,8 +20,9 @@ from latfun import (
     lattice_min_sum_rate,
     two_user_model,
 )
-from latfun.cli import _g6, _sweep_rows, main
+from latfun.cli import _g6, _sweep_rows, main, sweep_rows_fig3
 from latfun.gaussian import PartitionPlan, singleton_plan
+from oracles import sweep_rows_fig3 as per_c_fig3_rows
 from pin_golden import CLI_CASES, CLI_PINS
 
 
@@ -123,6 +124,48 @@ def test_region_kuser_singletons_match_bt_optimum(capsys, tmp_path):
     assert payload["distortion"] == pytest.approx(0.1, abs=1e-9)
 
 
+# Each case lists argument lists that spell one negative value in different
+# ways; the first is a spelling argparse has always read as a value.
+_NEGATIVE_SPELLINGS = {
+    "region-bt": [
+        ("region", "--scheme", "bt", "--rho", "0.5", "--d", "0.1", "--c", c)
+        for c in ("-0.25", "-2.5e-1", "-25E-2", "-.25e0", "-.25")
+    ],
+    "region-kuser": [
+        ("region", "--scheme", "kuser", "--rho", "0.5", "--plan", "PLAN", *c)
+        for c in (("--c=-1,0.5",), ("--c", "-1,0.5"), ("--c", "-1.0,0.5"), ("--c", "-1e0,5e-1"))
+    ],
+    "simulate": [("simulate", "--trials", "1000", "--c", c) for c in ("-0.1", "-1e-1", "-1E-1")],
+    "sweep": [
+        ("sweep", "--c-min", c, "--c-max", "0.5", "--c-count", "3", "--d-count", "4", "--out", "OUT")
+        for c in ("-0.001", "-1e-3", "-1.0e-03")
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATIVE_SPELLINGS))
+def test_negative_values_in_any_spelling_are_values(capsys, tmp_path, name):
+    plan = tmp_path / "plan.json"
+    plan.write_text(PartitionPlan(((0,), (1,)), (0, 1), (0.1, 0.1)).to_json())
+    outputs = []
+    for k, args in enumerate(_NEGATIVE_SPELLINGS[name]):
+        out = tmp_path / f"sweep{k}.csv"
+        args = [{"PLAN": str(plan), "OUT": str(out)}.get(a, a) for a in args]
+        code, stdout, err = run_cli(capsys, *args)
+        assert code == 0, (args, err)
+        outputs.append(out.read_text() if name == "sweep" else stdout)
+    assert outputs[0]
+    assert outputs == [outputs[0]] * len(outputs)
+
+
+def test_sweep_minus_exponent_overflow_is_not_finite(capsys, tmp_path):
+    out = tmp_path / "bad.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--out", str(out), "--c-min", "-1e400",
+                                "--c-count", "3")
+    assert (code, stdout, err) == (2, "", "error: --c-min must be finite, got -inf\n")
+    assert not out.exists()
+
+
 def test_region_kuser_requires_plan(capsys):
     code, _, err = run_cli(capsys, "region", "--scheme", "kuser", "--c", "1,-0.8")
     assert code == 2
@@ -159,6 +202,13 @@ def test_sweep_fig3_surface_is_direct_min_sum(capsys, tmp_path):
         rho, c, d, lattice_bits = (float(parts[i]) for i in range(4))
         sz2 = 1 + c * c - 2 * rho * c
         assert lattice_bits == pytest.approx(math.log2(2 * sz2 / d), rel=1e-4)
+
+
+def test_sweep_fig3_rows_match_the_per_c_loop(monkeypatch):
+    assert sweep_rows_fig3() == per_c_fig3_rows(_g6)
+    # every D and every rate, bit for bit
+    monkeypatch.setattr(latfun.cli, "_g6", _hex)
+    assert sweep_rows_fig3() == per_c_fig3_rows(_hex)
 
 
 def test_sweep_custom_grid(capsys, tmp_path):

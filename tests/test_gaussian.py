@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latfun import (
     DegenerateSideInfo,
@@ -22,7 +24,12 @@ from latfun import (
     singleton_plan,
     two_user_model,
 )
-from latfun.gaussian import require_informative
+from latfun.gaussian import (
+    _checked_variance,
+    _two_user_arrays,
+    _two_user_variances,
+    require_informative,
+)
 
 
 def _sample_model(model, rng, n):
@@ -273,6 +280,32 @@ def test_overflowing_function_variance_rejected():
     with pytest.raises(VarianceOverflow):
         noisy_function_side_model(0.8, 1e150, 0.1).innovations_variance()
     assert function_variance(two_user_model(0.8, 1e150)) == pytest.approx(1e300)
+
+
+_RHO = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0 - 1e-15, 1.0, exclude_max=True),
+)
+_C_MAGNITUDE = st.one_of(
+    st.floats(5e-324, 1e160),
+    st.floats(-323.3, 160.0).map(lambda e: 10.0 ** e),
+)
+_C = st.builds(lambda m, sign: sign * m, _C_MAGNITUDE, st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_RHO, _C), min_size=1, max_size=24))
+def test_stacked_two_user_variances_are_the_one_model_ones(cells):
+    # the sweeps pass the columns of one (cells, 2) array, so strided views
+    rho, c = np.array(cells).T
+    stacked = _two_user_variances(rho, c)
+    for k, (r, v) in enumerate(cells):
+        try:
+            want = np.float64(_checked_variance(*_two_user_arrays(r, v)))
+        except VarianceOverflow:
+            assert not np.isfinite(stacked[k])
+            continue
+        assert stacked[k].view(np.int64) == want.view(np.int64), (r, v)
 
 
 # ---------------------------------------------------------------------------
