@@ -521,9 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.set_defaults(func=cmd_lattice)
 
     # Any token that starts with '-' and a digit, or '-.' and a digit, is a
-    # value: Python 3.11's argparse takes neither '-1e-3' nor '-1,0.5' for one.
+    # value, and so are '-inf', '-infinity' and '-nan' in any case: Python
+    # 3.11's argparse takes none of '-1e-3', '-1,0.5' or '-inf' for one.
     for p in (parser, *sub.choices.values()):
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf(inity)?|nan)$", re.IGNORECASE)
     return parser
 
 

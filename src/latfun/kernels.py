@@ -34,8 +34,9 @@ built once per lattice: ``slicer_lift`` depends on R and the relevant
 vectors alone, and ``lattices`` keeps it in each base lattice's search
 context and passes it in. Each row is searched on its own, so a caller may
 stack the rows of independent searches of one base lattice, at any
-scalings, into one call and get the rows of separate calls
-(``lattices.reduce_stacked`` does so for the codec engine).
+scalings, into one call and get the rows of separate calls:
+``lattices.reduce_stacked`` does so for every reduction of the codec
+engine, and turns each array's coordinates into its nearest points.
 
 The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
 targets and residuals are ``(n, m)`` arrays, one column per target, and the

@@ -11,12 +11,13 @@ A lattice is the set ``{G @ u : u integer vector}`` for a nonsingular
 generator matrix ``G`` (columns generate). Quantization ties on Voronoi
 boundaries resolve to the lexicographically smallest integer coordinate
 vector, so every operation here is deterministic. Randomized operations take
-an explicit ``numpy.random.Generator``.
+an explicit ``numpy.random.Generator``. Every lattice step of the codec
+engine is a nearest point, or the error left after one, made by
+``reduce_stacked``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -347,51 +348,38 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     return np.subtract(x, point, out=point)
 
 
-def reduce_stacked(lat: Union[Lattice, Sequence[Lattice]], coords_of: Sequence[np.ndarray],
-                   mods_of: Iterable[np.ndarray], points: bool = False):
-    """``[nearest_point_coords(lat, a) for a in coords_of]`` and, for each array
-    b that the iterable ``mods_of`` yields, the pair ``(b, mod_lattice(lat,
-    b))``, or with ``points`` the point ``nearest_point(lat, b)`` alone;
-    every array is (rows, n), and the results keep their bits. ``lat`` is
-    one lattice for every array, or a sequence of one lattice per array,
-    those of ``coords_of`` first.
+def _with_point(lat: Lattice, b: np.ndarray):
+    return b, nearest_point(lat, b)
 
-    Where the lattices reach the kernel (non-diagonal scalings of one base
-    lattice), the rows of all the arrays go to it in one stacked call, which
-    pays the search's fixed cost per call once; the kernel searches each row
-    on its own, in the base's frame, and each mod or point is computed from
-    that array's own coordinates and its own lattice's G, as in
-    ``mod_lattice`` and ``nearest_point``. Diagonal generators keep their
-    per-array float path and draw each b from ``mods_of`` only as the caller
-    takes its pair: stacking would only add copies, and holding every array
-    at once costs a codec block page faults. Lattices of different bases
-    take that per-array path too.
+
+def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
+    """The pair ``(b, nearest_point(lat, b))``, with its bits, for each
+    (rows, n) array b that the iterable ``arrays`` yields, with its lattice
+    ``lat`` in ``lats``, one per array: scalings of one base lattice.
+
+    On a non-diagonal base, the rows of all the arrays go to the kernel in
+    one stacked call, which pays the search's fixed cost per call once; the
+    kernel searches each row on its own, in the base's frame, and each point
+    is that array's own coordinates times its own lattice's G. A diagonal
+    base takes each b from ``arrays`` only as the caller takes its pair:
+    stacking would only add copies, and holding every array at once costs a
+    codec block page faults.
     """
-    single = isinstance(lat, Lattice)
-    base = _base(lat if single else lat[0])
-    each = itertools.repeat(lat) if single else iter(lat)
-    lats = [next(each) for _ in coords_of]
-    if base.is_diagonal or not (single or all(_base(other) is base for other in lat)):
-        coords = [nearest_point_coords(a_lat, a) for a_lat, a in zip(lats, coords_of)]
-        if points:  # map, unlike a generator, drops each b once its point is made
-            return coords, map(nearest_point, each, mods_of)
-        return coords, ((b, mod_lattice(b_lat, b)) for b_lat, b in zip(each, mods_of))
-    mods_of = list(mods_of)
-    lats += [next(each) for _ in mods_of]
-    arrays = [*coords_of, *mods_of]
+    base = _base(lats[0])
+    if base.is_diagonal:  # map, unlike a generator, drops each b once its pair is taken
+        return map(_with_point, lats, arrays)
+    if not all(_base(lat) is base for lat in lats):
+        raise ValueError("reduce_stacked needs scalings of one base lattice")
+    arrays = list(arrays)
     for a in arrays:
         _check_dim(base, a)
         _check_finite(a)
     coords = _search(lats, arrays)
-    parts, lo = [], 0  # slicing by hand: np.split costs about ten times more
-    for a in arrays:
-        parts.append(coords[lo:lo + len(a)])
-        lo += len(a)
-    k = len(coords_of)
-    found = [c @ b_lat.gen.T for c, b_lat in zip(parts[k:], lats[k:])]
-    if points:
-        return parts[:k], found
-    return parts[:k], [(b, b - point) for b, point in zip(mods_of, found)]
+    pairs, lo = [], 0  # slicing by hand: np.split costs about ten times more
+    for lat, b in zip(lats, arrays):
+        pairs.append((b, coords[lo:lo + len(b)] @ lat.gen.T))
+        lo += len(b)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -415,29 +403,24 @@ def sample_dither(lat: Lattice, rng: np.random.Generator, size: int = 1) -> np.n
 def _uniform_to_voronoi(lats: Sequence[Lattice], ws: Iterable[np.ndarray], scratch: np.ndarray):
     """The map of ``sample_dither``, in place, for each array of uniform
     draws ``w`` over [0, 1)^n that the iterable ``ws`` yields, shape
-    (rows, n), with its lattice in ``lats``: w becomes ``mod_lattice(lat,
-    w @ G.T)`` with its bits. Non-diagonal scalings of one base lattice take
-    every array first and reduce them together by ``reduce_stacked``.
-    Diagonal lattices take and map one array at a time, through
-    ``scratch``, a float64 array of w's shape, which is overwritten; an
-    exactly diagonal lattice allocates nothing, which lets the codec engine
-    map its dithers in its own buffers while each is fresh in cache. The
-    points are finite by construction, so the finiteness check is skipped on
-    that path."""
-    if not all(lat.is_diagonal for lat in lats):
-        ws = list(ws)
-        us = [w @ lat.gen.T for lat, w in zip(lats, ws)]
-        for w, u, point in zip(ws, us, reduce_stacked(lats, (), us, points=True)[1]):
-            np.subtract(u, point, out=w)
-        return
-    for lat, w in zip(lats, ws):
-        if lat._exact_diag:
+    (rows, n), with its lattice in ``lats``: w becomes ``u - nearest_point(lat,
+    u)`` for ``u = w @ G.T``, with its bits. Exactly diagonal lattices take
+    and map one array at a time, through ``scratch``, a float64 array of w's
+    shape, which is overwritten, and allocate nothing, which lets the codec
+    engine map its dithers in its own buffers while each is fresh in cache;
+    the points are finite by construction, so the finiteness check is
+    skipped there. Any other lattices take every array first and reduce
+    them by ``reduce_stacked``."""
+    if all(lat._exact_diag for lat in lats):
+        for lat, w in zip(lats, ws):
             w *= lat._scales
             w += 0.0
             np.subtract(w, _diagonal_point(lat, w, scratch), out=w)
-        else:
-            u = np.matmul(w, lat.gen.T, out=scratch)
-            np.subtract(u, nearest_point(lat, u), out=w)
+        return
+    ws = list(ws)
+    us = [w @ lat.gen.T for lat, w in zip(lats, ws)]
+    for w, (u, point) in zip(ws, reduce_stacked(lats, us)):
+        np.subtract(u, point, out=w)
 
 
 def second_moment(

@@ -75,22 +75,19 @@ its sums (``_Accumulator.chunk_sums``), so no workspace array leaves its
 thread.
 
 Every lattice of a codec is its base lattice scaled, and a non-diagonal
-lattice is searched in its base's frame (see ``lattices.Lattice``), so
-reductions by different lattices of one codec can share a kernel call.
-Reductions that do not depend on each other go through
-``lattices.reduce_stacked``: a chunk's dither reductions are one call (on a
-non-diagonal base every dither is drawn, in the stream's order, before any
-is mapped), and within a block the members' fine quantizations are one, their coarse
-reductions another, and the overload test of the mod input with the
-decoding reduction a third. Where the lattices reach the closest-point
-kernel (a non-diagonal base) each is one kernel call on the stacked rows,
-so a non-diagonal two-user chunk makes 1 + 3 per block kernel calls rather
-than 2 + 6 with one call per lattice and array (the 1 is the dither
-reduction). The kernel searches each row on its own, and each mod or point
-multiplies its own coordinates by its own lattice's G, so the bits are
-those of separate calls. Diagonal lattices keep their per-array float
-rounding, one member at a time, which stacking would only slow with copies
-and with the page faults of holding every member's arrays at once.
+lattice is searched in its base's frame (see ``lattices.Lattice``). Each
+reduction step is one ``lattices.reduce_stacked(lats, arrays)`` call, which
+yields each array b with its nearest point: a mod is ``np.subtract(b,
+point, out=point)``, and overload is a nonzero coarse point of the mod
+input. The steps are a chunk's dither maps (exactly diagonal lattices map
+theirs in place; on a non-diagonal base every dither is drawn, in stream
+order, before any is mapped), and per block the members' fine
+quantizations, their coarse reductions, and the mod input's overload test
+with the decoding reduction. On a non-diagonal base each step is one kernel
+call on the stacked rows, so a two-user chunk makes 1 + 3 per block calls
+rather than 2 + 6; each row is searched on its own, so the bits are those
+of separate calls. A diagonal base rounds one array at a time, as the
+caller takes its pair: stacking would only add copies and page faults.
 """
 
 from __future__ import annotations
@@ -101,6 +98,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -275,7 +273,6 @@ class _ChunkSums(NamedTuple):
     cond_err_sum: float
     overloads: int
     v_sq_sum: float
-    v_sq_count: int
     cell_overloads: np.ndarray
     cell_v_sq: np.ndarray
     cell_v_counts: np.ndarray
@@ -285,7 +282,8 @@ class _Accumulator:
     """One running ``_ChunkSums`` total of sufficient statistics, merged
     across chunks by an ordered float sum (deterministic, not exact). The
     mod-input moment is that of the last decoded cell ``last``, over trials
-    whose earlier cells did not overload.
+    whose earlier cells did not overload; their count is that cell's entry
+    of ``cell_v_counts``.
 
     The thread that ran a chunk folds it into its sums (``chunk_sums``),
     from the per-trial results in its workspace, and ``add`` adds them to
@@ -308,31 +306,31 @@ class _Accumulator:
         self.last = last
         _, self.exp = math.frexp(d)
         counts = np.zeros(n_cells, dtype=np.int64)
-        self.total = _ChunkSums(0, 0.0, 0.0, 0.0, 0, 0.0, 0, counts, np.zeros(n_cells), counts)
+        self.total = _ChunkSums(0, 0.0, 0.0, 0.0, 0, 0.0, counts, np.zeros(n_cells), counts)
 
-    def chunk_sums(self, err, cell_overload, cell_v_sq, cell_v_mask,
-                   arrays: _ChunkArrays) -> _ChunkSums:
-        """The sums of one chunk: per-trial errors and (trials, cells) arrays,
-        with the scratch of the chunk's ``arrays``. Reads only ``last`` and
-        ``exp``, so worker threads may call it at once."""
-        m = err.shape[0]
-        scaled = np.ldexp(err, -self.exp, out=arrays.scaled)
+    def chunk_sums(self, arrays: _ChunkArrays) -> _ChunkSums:
+        """The sums of one chunk from the per-trial results that ``_run_cells``
+        wrote into its ``arrays`` (errors, and (trials, cells) overload,
+        mod-input moments and clean history), with their scratch. Reads only
+        ``last`` and ``exp``, so worker threads may call it at once."""
+        m = arrays.err.shape[0]
+        scaled = np.ldexp(arrays.err, -self.exp, out=arrays.scaled)
         spare = arrays.spare
         flat = spare.reshape(-1)[:m]
         err_sum = float(np.sum(scaled))
         err_sq_sum = float(np.sum(np.square(scaled, out=flat)))
-        overload = _row_any(cell_overload, arrays.keep)
+        overload = _row_any(arrays.overload, arrays.keep)
         overloads = int(np.count_nonzero(overload))
         keep = np.logical_not(overload, out=overload)
         # Without an overload the kept errors are the whole array.
         cond_err_sum = float(np.sum(scaled[keep])) if overloads else err_sum
-        mask = cell_v_mask[:, self.last]
+        mask = arrays.clean_before[:, self.last]
         count = int(np.count_nonzero(mask))
         # Summed as the contiguous array that indexing by the mask gives.
-        np.copyto(flat, cell_v_sq[:, self.last])
+        np.copyto(flat, arrays.v_sq[:, self.last])
         v_sq_sum = float(np.sum(flat if count == m else flat[mask]))
         spare.fill(0.0)
-        np.copyto(spare, cell_v_sq, where=cell_v_mask)
+        np.copyto(spare, arrays.v_sq, where=arrays.clean_before)
         return _ChunkSums(
             trials=m,
             err_sum=err_sum,
@@ -340,11 +338,10 @@ class _Accumulator:
             cond_err_sum=cond_err_sum,
             overloads=overloads,
             v_sq_sum=v_sq_sum,
-            v_sq_count=count,
-            cell_overloads=_column_counts(cell_overload),
+            cell_overloads=_column_counts(arrays.overload),
             # numpy sums one cell pairwise and two or more sequentially: keep its call.
             cell_v_sq=np.sum(spare, axis=0),
-            cell_v_counts=_column_counts(cell_v_mask),
+            cell_v_counts=_column_counts(arrays.clean_before),
         )
 
     def add(self, sums: _ChunkSums):
@@ -364,7 +361,8 @@ class _Accumulator:
         mean = math.ldexp(mean, self.exp)
         cond_trials = t - tot.overloads
         cond = math.ldexp(tot.cond_err_sum / cond_trials, self.exp) if cond_trials else math.nan
-        moment = tot.v_sq_sum / tot.v_sq_count if tot.v_sq_count else math.nan
+        count = int(tot.cell_v_counts[self.last])
+        moment = tot.v_sq_sum / count if count else math.nan
         moments = np.full(tot.cell_v_sq.shape, np.nan)
         np.divide(tot.cell_v_sq, tot.cell_v_counts, out=moments, where=tot.cell_v_counts > 0)
         return SimReport(
@@ -601,13 +599,15 @@ def _run_block(plan: _Plan, x, dithers):
         total = np.zeros((m, n))
         ideal = np.zeros((m, n))  # the cell sum free of coarse coset shifts
         dith = [next(drawn) for _ in cell.members]
+        coarse = [cell.coarse] * len(cell.members)
         # The members' fine quantizations, their coarse reductions, and
         # below the overload test with the decoding reduction, are each one
-        # stacked reduction (see the module docstring).
+        # stacked reduction (see the module docstring); the fine targets
+        # are dropped as their points are made.
         targets = (mem.scale * x[mem.col] + u for mem, u in zip(cell.members, dith))
-        fines = [mem.fine for mem in cell.members]
-        ys = reduce_stacked(fines, (), targets, points=True)[1]
-        for mem, u, (y, mod) in zip(cell.members, dith, reduce_stacked(cell.coarse, (), ys)[1]):
+        ys = map(itemgetter(1), reduce_stacked([mem.fine for mem in cell.members], targets))
+        for mem, u, (y, point) in zip(cell.members, dith, reduce_stacked(coarse, ys)):
+            mod = np.subtract(y, point, out=point)
             mod -= u
             y -= u
             if mem.minus:
@@ -618,15 +618,17 @@ def _run_block(plan: _Plan, x, dithers):
                 ideal += y
             # Free each block-sized array once used, so that a cell holds
             # one member's at a time.
-            del y, mod
+            del y, point, mod
         pred = sum(w * value for w, value in zip(cell.pred, known))
-        # Overload is wraparound of the shift-free mod input; the transmitted
-        # sum additionally carries coarse points, which the reduction removes.
+        # Overload is wraparound of the shift-free mod input, a nonzero coarse
+        # point; the transmitted sum additionally carries coarse points,
+        # which the reduction removes.
         v[idx] = ideal - pred
         total -= pred
-        (coords,), [(total, decoded[idx])] = reduce_stacked(cell.coarse, [v[idx]], [total])
-        overload[:, idx] = _row_any(coords)
-        del coords, total, ideal  # as above, before the next cell's are made
+        (_, v_point), (total, point) = reduce_stacked([cell.coarse] * 2, [v[idx], total])
+        overload[:, idx] = _row_any(v_point)
+        decoded[idx] = np.subtract(total, point, out=point)
+        del v_point, total, point, ideal  # as above, before the next cell's are made
         # The mod-input moment is meaningful where earlier cells decoded
         # correctly; wrapped predictors would contaminate it.
         clean_before[:, idx] = clean
@@ -651,11 +653,12 @@ def _row_blocks(m: int, rows: int):
 
 
 def _run_cells(plan: _Plan, m: int, rng: np.random.Generator,
-               arrays: Optional[_ChunkArrays] = None):
+               arrays: Optional[_ChunkArrays] = None) -> _ChunkArrays:
     """One chunk of m trials, run in row blocks after its draws (see the
-    module docstring); returns the per-trial squared error, and (m, cells)
-    arrays of overload, mod-input second moment and clean history, all in
-    the chunk's ``arrays`` (by default from the calling thread's workspace)."""
+    module docstring); writes the per-trial squared error, and (m, cells)
+    arrays of overload, mod-input second moment and clean history, into the
+    chunk's ``arrays`` (by default from the calling thread's workspace),
+    which it returns."""
     arrays = arrays or _workspace().arrays(m, *_chunk_shape(plan))
     x, dithers = _draw(plan, m, rng, arrays)
     err, v_sq = arrays.err, arrays.v_sq
@@ -666,7 +669,7 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator,
         _row_mean(np.square(z, out=z), err[rows])
         for idx, vi in enumerate(v):
             _row_mean(np.square(vi, out=vi), v_sq[rows, idx])
-    return err, arrays.overload, v_sq, arrays.clean_before
+    return arrays
 
 
 def _require_resolvable(plan: _Plan, d: float):
@@ -690,8 +693,8 @@ def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimRep
     shape = _chunk_shape(plan)
 
     def work(k: int):
-        arrays = _workspace().arrays(sizes[k], *shape)
-        return acc.chunk_sums(*_run_cells(plan, sizes[k], _chunk_rng(seed, k), arrays), arrays)
+        return acc.chunk_sums(_run_cells(plan, sizes[k], _chunk_rng(seed, k),
+                                         _workspace().arrays(sizes[k], *shape)))
 
     for sums in _map_chunks(work, len(sizes)):
         acc.add(sums)

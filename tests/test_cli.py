@@ -158,6 +158,22 @@ def test_negative_values_in_any_spelling_are_values(capsys, tmp_path, name):
     assert outputs == [outputs[0]] * len(outputs)
 
 
+@pytest.mark.parametrize("args, names", [
+    (("sweep", "--c-count", "3", "--out", "OUT", "--c-min"), "--c-min"),
+    (("region", "--scheme", "bt", "--rho", "0.5", "--d", "0.1", "--c"), "error:"),
+    (("simulate", "--trials", "1000", "--d"), "error:"),
+], ids=["sweep-c-min", "region-c", "simulate-d"])
+def test_minus_inf_and_nan_are_values_that_exit_two(capsys, tmp_path, args, names):
+    # A value '-inf', '-infinity' or '-nan', in any case, reaches the
+    # command's one-line check rather than argparse's usage message.
+    out = tmp_path / "out.csv"
+    for value in ("-inf", "-nan", "-Infinity", "-INF", "-NaN"):
+        code, stdout, err = run_cli(capsys, *[str(out) if a == "OUT" else a for a in args], value)
+        assert (code, stdout) == (2, ""), (value, err)
+        assert err.startswith("error:") and err.count("\n") == 1 and names in err, (value, err)
+    assert not out.exists()
+
+
 def test_sweep_minus_exponent_overflow_is_not_finite(capsys, tmp_path):
     out = tmp_path / "bad.csv"
     code, stdout, err = run_cli(capsys, "sweep", "--out", str(out), "--c-min", "-1e400",

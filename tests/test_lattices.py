@@ -36,8 +36,10 @@ from latfun import (
 from latfun import kernels
 from latfun.errors import DimensionMismatch
 from latfun.lattices import _hermite_basis, reduce_stacked
+from latfun.simulate import _row_any
 
 from oracles import contains, in_voronoi
+from pin_golden import D4_GEN
 
 A2 = hexagonal_lattice()
 
@@ -187,11 +189,14 @@ def test_diagonal_fast_path_matches_generic_formulas(rng, n, step):
     _assert_same_bits(dither, u - nearest_point_coords(lat, u) @ lat.gen.T)
 
 
+_NEAR_DIAGONAL_GEN = np.diag([1.5, 0.5, 2.0])
+_NEAR_DIAGONAL_GEN[0, 2] = 1e-13 * 2.0
+
+
 def test_near_diagonal_generator_keeps_its_branch(rng):
     # Off-diagonal entries within 1e-12 of the largest entry: still diagonal,
     # rounded componentwise, and mapped through the full generator.
-    gen = np.diag([1.5, 0.5, 2.0])
-    gen[0, 2] = 1e-13 * 2.0
+    gen = _NEAR_DIAGONAL_GEN.copy()
     lat = Lattice(gen)
     assert lat.is_diagonal and not lat._exact_diag
     x = rng.normal(scale=3.0, size=(200, 3))
@@ -201,6 +206,39 @@ def test_near_diagonal_generator_keeps_its_branch(rng):
     assert lat._sphere is None
     gen[0, 2] = 1e-11 * 2.0
     assert not Lattice(gen).is_diagonal
+
+
+def test_near_diagonal_dither_is_the_generic_map(rng):
+    # The dither of a diagonal generator that is not exactly diagonal takes
+    # the path of non-diagonal ones: u - nearest_point(u), u = w G^T.
+    lat = Lattice(_NEAR_DIAGONAL_GEN)
+    w = np.concatenate([rng.random((500, 3)), np.zeros((1, 3))])
+    u = w @ lat.gen.T
+    _assert_same_bits(sample_dither(lat, _FixedDraws(w), len(w)), u - nearest_point(lat, u))
+
+
+@pytest.mark.parametrize("lat", [
+    integer_lattice(3, -0.7),
+    Lattice(np.diag([0.7, 1.3, 2.0])),
+    Lattice(_NEAR_DIAGONAL_GEN),
+    hexagonal_lattice(0.9),
+    Lattice(D4_GEN).scaled(1.3),
+], ids=["cz3-negative-step", "diag-unequal", "near-diagonal", "a2", "d4"])
+def test_overload_by_point_is_overload_by_coordinates(lat, rng):
+    # The engine flags overload where the coarse point of the mod input is
+    # nonzero; that is where its integer coordinates are nonzero, on
+    # Gaussian rows, +-0 rows and rows on the coarse cell's half-ties.
+    n = lat.dim
+    rows = np.concatenate([
+        rng.normal(scale=abs(np.linalg.det(lat.gen)) ** (1.0 / n), size=(300, n)),
+        np.zeros((1, n)),
+        np.full((1, n), -0.0),
+        rng.choice([0.0, -0.0], size=(20, n)),
+        0.5 * rng.integers(-3, 4, size=(200, n)) @ lat.gen.T,
+    ])
+    by_point = _row_any(nearest_point(lat, rows))
+    assert np.array_equal(by_point, _row_any(nearest_point_coords(lat, rows)))
+    assert by_point.any() and not by_point.all()
 
 
 @pytest.mark.parametrize("make", [
@@ -394,11 +432,12 @@ def test_stacked_rows_equal_separate_calls_byte_for_byte(lat, targets):
     # whole-array mod is compared on parts of two rows or more.
     separate = np.concatenate([mod_lattice(lat, p) for p in (targets[:101], *parts[2:])])
     assert mod_lattice(lat, targets).tobytes() == separate.tobytes()
-    # reduce_stacked multiplies each part on its own, so it matches even there.
-    coords, pairs = reduce_stacked(lat, parts[:1], parts[1:])
-    assert coords[0].tobytes() == nearest_point_coords(lat, parts[0]).tobytes()
-    for p, (b, got) in zip(parts[1:], pairs):
-        assert b is p and got.tobytes() == mod_lattice(lat, p).tobytes()
+    # reduce_stacked multiplies each part on its own, so its points match
+    # nearest_point's on every part, the one-row part included.
+    pairs = reduce_stacked([lat] * len(parts), parts)
+    assert len(pairs) == len(parts)
+    for p, (b, got) in zip(parts, pairs):
+        assert b is p and got.tobytes() == nearest_point(lat, p).tobytes()
 
 
 @pytest.mark.parametrize("lat", [integer_lattice(2, 0.5), Lattice(np.diag([1.0, 3.0])),
@@ -410,30 +449,32 @@ def test_reduce_stacked_calls_the_kernel_once_and_only_off_the_diagonal(lat, rng
     monkeypatch.setattr(kernels, "nearest_point_batch",
                         lambda *args: calls.append(len(args[1])) or search(*args))
     a, b, c = (rng.normal(size=(m, 2)) for m in (5, 7, 3))
-    # Two scalings of one base: the coordinates' array and the first mod's
-    # in one, the second mod's in the other.
-    lat_a, lat_b, lat_c = (lat[0], lat[0], lat[1]) if isinstance(lat, tuple) else (lat,) * 3
+    # Two scalings of one base: the first two arrays in one, the third in
+    # the other.
+    lats = [lat[0], lat[0], lat[1]] if isinstance(lat, tuple) else [lat] * 3
 
     def arrays():
-        for q in (b, c):
+        for q in (a, b, c):
             taken.append(len(q))
             yield q
 
-    stacked_lats = [lat_a, lat_b, lat_c] if isinstance(lat, tuple) else lat
-    coords, pairs = reduce_stacked(stacked_lats, [a], arrays())
-    pairs = iter(pairs)
+    pairs = iter(reduce_stacked(lats, arrays()))
     first = next(pairs)
-    # A diagonal lattice takes each array only as its pair is asked for.
-    assert taken == ([7] if lat_a.is_diagonal else [7, 3])
-    pairs = [first, *pairs]
-    assert calls == ([] if lat_a.is_diagonal else [15])
-    assert np.array_equal(coords[0], nearest_point_coords(lat_a, a))
-    assert [p[0] is q for p, q in zip(pairs, (b, c))] == [True, True]
-    assert [p[1].tobytes() for p in pairs] == [mod_lattice(lat_b, b).tobytes(),
-                                               mod_lattice(lat_c, c).tobytes()]
-    points = reduce_stacked(stacked_lats, [a], [b, c], points=True)[1]
-    assert [p.tobytes() for p in points] == [nearest_point(lat_b, b).tobytes(),
-                                             nearest_point(lat_c, c).tobytes()]
+    # A diagonal base takes each array only as its pair is asked for.
+    assert taken == ([5] if lats[0].is_diagonal else [5, 7, 3])
+    second = next(pairs)
+    assert taken == ([5, 7] if lats[0].is_diagonal else [5, 7, 3])
+    pairs = [first, second, *pairs]
+    assert calls == ([] if lats[0].is_diagonal else [15])
+    assert [p[0] is q for p, q in zip(pairs, (a, b, c))] == [True, True, True]
+    assert [p[1].tobytes() for p in pairs] == [nearest_point(lat_q, q).tobytes()
+                                               for lat_q, q in zip(lats, (a, b, c))]
+
+
+def test_reduce_stacked_rejects_lattices_of_two_bases(rng):
+    a = rng.normal(size=(4, 2))
+    with pytest.raises(ValueError, match="one base"):
+        reduce_stacked([A2.scaled(0.5), hexagonal_lattice(0.5)], [a, a])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -439,6 +439,11 @@ def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, searches):
         == [rows for _, rows in calls]
 
 
+def _results(arrays):
+    """The per-trial results that ``_run_cells`` writes into a chunk's arrays."""
+    return arrays.err, arrays.overload, arrays.v_sq, arrays.clean_before
+
+
 @pytest.mark.parametrize("tag", ["a2", "d4"])
 def test_one_row_tail_gives_the_bits_of_one_pass(monkeypatch, tag):
     # numpy multiplies a lone row by a non-diagonal generator through its
@@ -448,10 +453,10 @@ def test_one_row_tail_gives_the_bits_of_one_pass(monkeypatch, tag):
     n = plan.cells[0].coarse.dim
     for m in (8193, simulate._BLOCK // n + 1):
         for seed in range(30):
-            blocked = [a.copy() for a in _run_cells(plan, m, _chunk_rng(seed, 0))]
+            blocked = [a.copy() for a in _results(_run_cells(plan, m, _chunk_rng(seed, 0)))]
             with monkeypatch.context() as patch:
                 patch.setattr(simulate, "_BLOCK", m * n)
-                one_pass = _run_cells(plan, m, _chunk_rng(seed, 0))
+                one_pass = _results(_run_cells(plan, m, _chunk_rng(seed, 0)))
             for got, want in zip(blocked, one_pass):
                 assert got.tobytes() == want.tobytes(), f"{tag}, {m} trials, seed {seed}"
 
@@ -794,10 +799,12 @@ def test_k_user_on_a_singular_covariance(monkeypatch):
 
 def test_cell_moment_check_is_nan_for_a_cell_with_no_clean_trial():
     acc = _Accumulator(2, last=1, d=0.1)
-    v_sq = np.array([[2.0, 5.0], [4.0, 7.0]])
-    mask = np.array([[True, False], [True, False]])
     arrays = _Workspace().arrays(m=2, n=1, cols=2, draws=2, cells=2)
-    acc.add(acc.chunk_sums(np.array([0.1, 0.3]), np.zeros((2, 2), dtype=bool), v_sq, mask, arrays))
+    arrays.err[:] = [0.1, 0.3]
+    arrays.overload[:] = False
+    arrays.v_sq[:] = [[2.0, 5.0], [4.0, 7.0]]
+    arrays.clean_before[:] = [[True, False], [True, False]]
+    acc.add(acc.chunk_sums(arrays))
     rep = acc.report(RatePoint((1.0, 1.0), 0.1, SCHEME_LATTICE), 0, 1.0, 1, per_cell=True)
     assert rep.cell_moment_checks[0] == 3.0
     assert math.isnan(rep.cell_moment_checks[1])
