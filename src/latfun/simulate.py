@@ -48,13 +48,20 @@ heap hands the same pages back block after block (unless glibc trims its
 top between chunks), where larger arrays are mapped afresh and faulted
 in again. Each block keeps only its per-trial results: the squared
 error, and per cell the mod-input second moment, overload and clean
-history. Each of them depends on its own row alone (the closest-point
-products reduce over the n coordinates of a row), so blocks give the
-bits of one pass, which the golden pins check on chunks of several
-blocks. A block of one row is the exception: numpy multiplies a lone row
-by a non-diagonal generator through its matrix-vector product, whose
-last bits differ from the same row's inside a larger array, so a one-row
-tail joins the block before it, and only a one-trial chunk is one row.
+history. No pass of a block adds, subtracts or multiplies a term that
+changes nothing but the sign of a zero: a cell's sums start from its
+first member's arrays, a cell with no predictor term skips it, a scale or
+weight of exactly 1.0 multiplies nothing, a weighted sum starts from its
+first term, and at n = 1 a square is its own mean. No result reads that
+sign: each is a square or a nonzero test of a coarse point, and a
+reduction maps +0.0 and -0.0 to points of equal magnitude. Each result
+depends on its own row alone (the closest-point products reduce over the
+n coordinates of a row), so blocks give the bits of one pass, which the
+golden pins check on chunks of several blocks. A block of one row is the
+exception: numpy multiplies a lone row by a non-diagonal generator through
+its matrix-vector product, whose last bits differ from the same row's
+inside a larger array, so a one-row tail joins the block before it, and
+only a one-trial chunk is one row.
 ``_BLOCK`` is a constant because no result depends on it: it trades
 memory traffic against per-block overhead, and is not a parameter of the
 experiment.
@@ -582,12 +589,43 @@ def _draw(plan: _Plan, m: int, rng: np.random.Generator,
     return x, dithers
 
 
+def _weighted_sum(weights, arrays):
+    """``sum(w * a for w, a in zip(weights, arrays))``, or None for no term.
+
+    The sum starts from its first term, not from the int 0, and a weight of
+    exactly 1.0 multiplies nothing; each changes at most the sign of a zero.
+    The result is a fresh array, except that a lone term of weight 1.0 is
+    that array itself."""
+    total = None
+    for w, a in zip(weights, arrays):
+        term = a if w == 1.0 else w * a
+        if total is None:
+            total = term
+        elif fresh:
+            total += term
+        else:  # the first term is one of ``arrays``: add into a fresh array
+            total = np.add(total, term, out=None if term is a else term)
+        fresh = total is not a
+    return total
+
+
 def _run_block(plan: _Plan, x, dithers):
     """The codec on the trials of the source columns ``x`` with the drawn
     ``dithers`` of ``_draw``; returns Z, its estimate, the shift-free mod
-    input of each cell, and the per-cell overload and clean-history masks."""
+    input of each cell, and the per-cell overload and clean-history masks.
+    The estimate and the mod inputs are the block's own arrays; Z may be a
+    source column.
+
+    No pass here changes anything but the sign of a zero (see the module
+    docstring): a cell's sums start as the first member's arrays, negated
+    in place if it is subtracted; a cell with no predictor term skips it;
+    and Z, its estimate and each predictor are ``_weighted_sum``s. No
+    per-trial result reads that sign: each is a square or a nonzero test
+    of a coarse point, and a reduction maps +0.0 and -0.0 to points of
+    equal magnitude."""
     m, n = x[0].shape
     drawn = iter(dithers)
+    # Side values are always multiplied, so each is the block's own array.
     known = [w * x[col] for col, w in plan.side]
     decoded = [None] * len(plan.cells)
     v = [None] * len(plan.cells)
@@ -596,36 +634,43 @@ def _run_block(plan: _Plan, x, dithers):
     clean = np.ones(m, dtype=bool)  # no overload in earlier cells yet
     for idx in plan.order:
         cell = plan.cells[idx]
-        total = np.zeros((m, n))
-        ideal = np.zeros((m, n))  # the cell sum free of coarse coset shifts
+        total = ideal = None  # the cell sum, and that sum free of coarse coset shifts
         dith = [next(drawn) for _ in cell.members]
         coarse = [cell.coarse] * len(cell.members)
         # The members' fine quantizations, their coarse reductions, and
         # below the overload test with the decoding reduction, are each one
         # stacked reduction (see the module docstring); the fine targets
         # are dropped as their points are made.
-        targets = (mem.scale * x[mem.col] + u for mem, u in zip(cell.members, dith))
+        targets = ((x[mem.col] if mem.scale == 1.0 else mem.scale * x[mem.col]) + u
+                   for mem, u in zip(cell.members, dith))
         ys = map(itemgetter(1), reduce_stacked([mem.fine for mem in cell.members], targets))
         for mem, u, (y, point) in zip(cell.members, dith, reduce_stacked(coarse, ys)):
             mod = np.subtract(y, point, out=point)
             mod -= u
             y -= u
-            if mem.minus:
+            if total is None:  # the sums start as the first member's own arrays
+                total, ideal = mod, y
+                if mem.minus:
+                    np.negative(total, out=total)
+                    np.negative(ideal, out=ideal)
+            elif mem.minus:
                 total -= mod
                 ideal -= y
             else:
                 total += mod
                 ideal += y
             # Free each block-sized array once used, so that a cell holds
-            # one member's at a time.
+            # one member's at a time beside its sums.
             del y, point, mod
-        pred = sum(w * value for w, value in zip(cell.pred, known))
+        pred = _weighted_sum(cell.pred, known)
         # Overload is wraparound of the shift-free mod input, a nonzero coarse
         # point; the transmitted sum additionally carries coarse points,
         # which the reduction removes.
-        v[idx] = ideal - pred
-        total -= pred
-        (_, v_point), (total, point) = reduce_stacked([cell.coarse] * 2, [v[idx], total])
+        if pred is not None:
+            ideal -= pred
+            total -= pred
+        v[idx] = ideal
+        (_, v_point), (total, point) = reduce_stacked([cell.coarse] * 2, [ideal, total])
         overload[:, idx] = _row_any(v_point)
         decoded[idx] = np.subtract(total, point, out=point)
         del v_point, total, point, ideal  # as above, before the next cell's are made
@@ -633,10 +678,11 @@ def _run_block(plan: _Plan, x, dithers):
         # correctly; wrapped predictors would contaminate it.
         clean_before[:, idx] = clean
         clean = clean & ~overload[:, idx]
-        decoded[idx] += pred
+        if pred is not None:
+            decoded[idx] += pred
         known.append(decoded[idx])
-    z = sum(coeff * x[col] for col, coeff in enumerate(plan.coeffs))
-    zhat = sum(w * value for w, value in zip(plan.final, known[: len(plan.side)] + decoded))
+    z = _weighted_sum(plan.coeffs, x)
+    zhat = _weighted_sum(plan.final, known[: len(plan.side)] + decoded)
     return z, zhat, v, overload, clean_before
 
 
@@ -665,11 +711,20 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator,
     for rows in _row_blocks(m, max(1, _BLOCK // x[0].shape[1])):
         z, zhat, v, arrays.overload[rows], arrays.clean_before[rows] = _run_block(
             plan, [col[rows] for col in x], [u[rows] for u in dithers])
-        z -= zhat
-        _row_mean(np.square(z, out=z), err[rows])
+        # Into the estimate, which the block owns: Z may be a source column.
+        _mean_square(np.subtract(z, zhat, out=zhat), err[rows])
         for idx, vi in enumerate(v):
-            _row_mean(np.square(vi, out=vi), v_sq[rows, idx])
+            _mean_square(vi, v_sq[rows, idx])
     return arrays
+
+
+def _mean_square(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_row_mean(a**2)`` of an (m, n) array, written to ``out``; a is
+    squared in place. At n = 1 the square goes straight to ``out``: adding
+    +0.0 and dividing by 1 leave a square's bits as they are."""
+    if a.shape[1] == 1:
+        return np.square(a[:, 0], out=out)
+    return _row_mean(np.square(a, out=a), out)
 
 
 def _require_resolvable(plan: _Plan, d: float):

@@ -3,10 +3,14 @@
 These deliberately avoid importing any latfun internals: expected values are
 recomputed from first principles (grid search, enumeration, quadrature) so
 that library closed forms are checked against a second route. The membership
-and comparison helpers at the end are built on latfun's public API only.
+and comparison helpers after them are built on latfun's public API only. The
+exception is the codec engine's reference at the end, which keeps an earlier,
+plainer formulation of one row block on the engine's own draws and
+reductions, so that the engine's arithmetic is checked bit for bit.
 """
 
 import math
+from operator import itemgetter
 
 import numpy as np
 from scipy.integrate import simpson
@@ -224,3 +228,75 @@ def sum_rate_gap(rho, c, d):
     model = two_user_model(rho, c)
     _check_distortion(d, function_variance(model), inclusive=False)
     return bt_min_sum_rate(model, d) - lattice_min_sum_rate(model, d)
+
+
+# ---------------------------------------------------------------------------
+# Codec engine reference, on the engine's draws and reductions
+
+
+def run_block_reference(plan, x, dithers):
+    """``simulate._run_block`` as first written: every cell sum starts from
+    zeros, a cell with no predictor term subtracts and adds the int 0, every
+    member scale and weight multiplies, and Z, its estimate and each
+    predictor are Python ``sum()``s from the int 0."""
+    from latfun.lattices import reduce_stacked
+    from latfun.simulate import _row_any
+
+    m, n = x[0].shape
+    drawn = iter(dithers)
+    known = [w * x[col] for col, w in plan.side]
+    decoded = [None] * len(plan.cells)
+    v = [None] * len(plan.cells)
+    overload = np.zeros((m, len(plan.cells)), dtype=bool)
+    clean_before = np.zeros_like(overload)
+    clean = np.ones(m, dtype=bool)
+    for idx in plan.order:
+        cell = plan.cells[idx]
+        total = np.zeros((m, n))
+        ideal = np.zeros((m, n))
+        dith = [next(drawn) for _ in cell.members]
+        coarse = [cell.coarse] * len(cell.members)
+        targets = (mem.scale * x[mem.col] + u for mem, u in zip(cell.members, dith))
+        ys = map(itemgetter(1), reduce_stacked([mem.fine for mem in cell.members], targets))
+        for mem, u, (y, point) in zip(cell.members, dith, reduce_stacked(coarse, ys)):
+            mod = np.subtract(y, point, out=point)
+            mod -= u
+            y -= u
+            if mem.minus:
+                total -= mod
+                ideal -= y
+            else:
+                total += mod
+                ideal += y
+        pred = sum(w * value for w, value in zip(cell.pred, known))
+        v[idx] = ideal - pred
+        total -= pred
+        (_, v_point), (total, point) = reduce_stacked([cell.coarse] * 2, [v[idx], total])
+        overload[:, idx] = _row_any(v_point)
+        decoded[idx] = np.subtract(total, point, out=point)
+        clean_before[:, idx] = clean
+        clean = clean & ~overload[:, idx]
+        decoded[idx] += pred
+        known.append(decoded[idx])
+    z = sum(coeff * x[col] for col, coeff in enumerate(plan.coeffs))
+    zhat = sum(w * value for w, value in zip(plan.final, known[: len(plan.side)] + decoded))
+    return z, zhat, v, overload, clean_before
+
+
+def run_cells_reference(plan, m, rng):
+    """``simulate._run_cells`` as first written, on a workspace of its own:
+    the chunk's draws from ``simulate._draw``, then each row block through
+    ``run_block_reference``, its squared error and mod-input moments each a
+    row mean of squares, also at n = 1. Returns the chunk's arrays."""
+    from latfun import simulate
+
+    arrays = simulate._Workspace().arrays(m, *simulate._chunk_shape(plan))
+    x, dithers = simulate._draw(plan, m, rng, arrays)
+    for rows in simulate._row_blocks(m, max(1, simulate._BLOCK // x[0].shape[1])):
+        z, zhat, v, arrays.overload[rows], arrays.clean_before[rows] = run_block_reference(
+            plan, [col[rows] for col in x], [u[rows] for u in dithers])
+        z -= zhat
+        simulate._row_mean(np.square(z, out=z), arrays.err[rows])
+        for idx, vi in enumerate(v):
+            simulate._row_mean(np.square(vi, out=vi), arrays.v_sq[rows, idx])
+    return arrays

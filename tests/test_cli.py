@@ -1,5 +1,7 @@
 """Command-line interface: JSON payloads, CSV schema, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latfun
 from latfun import (
@@ -756,6 +760,40 @@ def test_simulate_side_info(capsys):
         "--seed", "5", "--margin", "2",
     )
     assert payload["conditional_distortion"] == pytest.approx(0.05, rel=0.1)
+
+
+# Edge values for the float flags of ``simulate``: signed zeros, +-1e+-300,
+# the smallest subnormal, the non-finite values and ordinary ones.
+_FUZZ_VALUES = ["0", "-0", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "inf", "-inf",
+                "nan", "1", "-1", "0.02", "0.06", "0.1", "0.5", "-0.5", "0.8", "2", "3"]
+_FUZZ_FLAGS = ("--margin", "--q1", "--rho", "--c", "--d", "--side-info")
+
+
+@settings(max_examples=250, deadline=None)
+@given(n=st.integers(1, 4), trials=st.integers(1, 64), fixed_dither=st.booleans(),
+       values=st.fixed_dictionaries({flag: st.none() | st.sampled_from(_FUZZ_VALUES)
+                                     for flag in _FUZZ_FLAGS}))
+def test_simulate_fuzzed_arguments_report_or_exit_two(n, trials, fixed_dither, values):
+    # In-process, so the suite's warnings-as-errors reaches the engine.
+    args = ["simulate", "--n", str(n), "--trials", str(trials)]
+    args += ["--fixed-dither"] if fixed_dither else []
+    for flag, value in values.items():
+        args += [flag, value] if value is not None else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert math.isfinite(payload["empirical_distortion"]), args
+        assert err == "", args
+    else:
+        assert code == 2, (args, err)
+        assert out == "", args
+        assert err.endswith("\n") and err.count("\n") == 1, (args, err)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import epi_entropy_quadrature
+from oracles import epi_entropy_quadrature, run_block_reference, run_cells_reference
 from pin_golden import _codecs
 
 from latfun import (
@@ -459,6 +459,111 @@ def test_one_row_tail_gives_the_bits_of_one_pass(monkeypatch, tag):
                 one_pass = _results(_run_cells(plan, m, _chunk_rng(seed, 0)))
             for got, want in zip(blocked, one_pass):
                 assert got.tobytes() == want.tobytes(), f"{tag}, {m} trials, seed {seed}"
+
+
+def _hand_plan(fine):
+    """Two cells on scalings of ``fine``, each led by a subtracted member of
+    scale 1.0, over three correlated sources. Cell 0 has no predictor; cell 1
+    is predicted by cell 0 at weight 1.0, and the estimate adds both cells."""
+    cells = (_Cell((_Member(0, 1.0, True, fine), _Member(1, 0.8, False, fine.scaled(0.5))),
+                   fine.scaled(4.0), ()),
+             _Cell((_Member(2, 1.0, True, fine.scaled(0.7)),), fine.scaled(4.0), (1.0,)))
+    cov = np.full((3, 3), 0.8)
+    np.fill_diagonal(cov, 1.0)
+    return simulate._Plan(_gaussian_factor(cov), np.array([-1.0, 0.8, -1.0]), (), cells, (0, 1),
+                          (1.0, 1.0))
+
+
+def _fixed_dither_plan():
+    codec = _codecs()["z1"]
+    drng = np.random.default_rng(7)
+    return _two_user_plan(codec, (sample_dither(codec.fine1, drng, 1)[0],
+                                  sample_dither(codec.fine2, drng, 1)[0]))
+
+
+_ENGINE_PLANS = {
+    "z1": lambda: _two_user_plan(_codecs()["z1"]),
+    "z1-fixed-dither": _fixed_dither_plan,
+    "z3": lambda: _two_user_plan(build_two_user_codec(M88, 0.1, 0.06, n=3, margin=2.0)),
+    "a2": lambda: _two_user_plan(_codecs()["a2"]),
+    "z2-side-info": lambda: _side_info_plan(build_side_info_codec(
+        noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02, n=2, margin=2.0)),
+    "z4-k-user": lambda: _z4_k_user_plan(),
+    "z2-minus-first": lambda: _hand_plan(integer_lattice(2, 0.3)),
+}
+
+
+def _read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("m", [1, 8193, 20000])
+@pytest.mark.parametrize("tag", list(_ENGINE_PLANS))
+def test_engine_chunks_equal_the_reference_engine_bit_for_bit(monkeypatch, tag, m):
+    # The engine cuts the passes that change at most the sign of a zero; the
+    # reference keeps every one of them. The sources and dithers reach the
+    # engine read-only, as a fixed dither always does, so a write into one
+    # raises.
+    plan = _ENGINE_PLANS[tag]()
+    draw = simulate._draw
+    monkeypatch.setattr(simulate, "_draw", lambda *args: tuple(
+        [_read_only(a) for a in arrays] for arrays in draw(*args)))
+    got = [a.copy() for a in _results(_run_cells(plan, m, _chunk_rng(3, 0)))]
+    want = _results(run_cells_reference(plan, m, _chunk_rng(3, 0)))
+    for name, g, w in zip(("err", "overload", "v_sq", "clean_before"), got, want):
+        assert g.tobytes() == w.tobytes(), f"{tag}, {m} trials: {name} differs"
+    if m > 1:
+        assert got[1].any() and not got[1].all(), f"{tag}: some trials, not all, overload"
+
+
+@pytest.mark.parametrize("make_run", [
+    pytest.param(lambda: _two_user_run(True), id="fixed_dither"),
+    pytest.param(lambda: _side_info_run(), id="side_info"),
+    pytest.param(lambda: _k_user_run(), id="k_user"),
+])
+def test_reports_equal_the_reference_engine(monkeypatch, make_run):
+    run = make_run()
+    got = run().to_json()
+    monkeypatch.setattr(simulate, "_run_cells", lambda plan, m, rng, arrays=None:
+                        run_cells_reference(plan, m, rng))
+    assert got == run().to_json()
+
+
+# Hand-made edge values: signed zeros, coarse half-ties (2 and 6 on 4Z, whose
+# fine points lie on a tie of the coarse cell), fine half-ties and subnormals.
+_EDGE_SOURCES = [0.0, -0.0, 2.0, -2.0, 6.0, -6.0, 0.5, -0.5, 1.0, 5e-324, -5e-324, 1e-310, -1e-310]
+_EDGE_DITHERS = [0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("fine", [
+    pytest.param(integer_lattice(1), id="z1"),
+    pytest.param(integer_lattice(2), id="z2"),
+    pytest.param(hexagonal_lattice(), id="a2"),
+])
+@pytest.mark.parametrize("make_plan", [
+    pytest.param(lambda fine: _one_cell_plan(fine), id="plus-first"),
+    pytest.param(_hand_plan, id="minus-first"),
+])
+def test_engine_block_on_signed_zeros_ties_and_subnormals(fine, make_plan):
+    # Every value the engine forms equals the reference's, but for the sign
+    # of a zero, and every square and coarse-point test keeps its bits.
+    plan = make_plan(fine)
+    gen = np.random.default_rng(11)
+    m, n = 3000, fine.dim
+    x = [_read_only(gen.choice(_EDGE_SOURCES, size=(m, n))) for _ in range(plan.factor.shape[0])]
+    members = sum(len(cell.members) for cell in plan.cells)
+    dithers = [_read_only(gen.choice(_EDGE_DITHERS, size=(m, n))) for _ in range(members)]
+    got = _run_block(plan, x, dithers)
+    want = run_block_reference(plan, x, dithers)
+    for g, w in zip(got[3:], want[3:]):
+        assert np.array_equal(g, w)
+    assert got[3].any() and not got[3].all()
+    for g, w in [(got[0], want[0]), (got[1], want[1])] + list(zip(got[2], want[2])):
+        assert np.array_equal(g, w)
+        assert np.square(g).tobytes() == np.square(w).tobytes()
+    assert np.square(got[0] - got[1]).tobytes() == np.square(want[0] - want[1]).tobytes()
 
 
 def _z4_k_user_plan():
