@@ -422,6 +422,8 @@ def cmd_lattice(args) -> int:
             }
         )
     else:  # cosets
+        if not math.isfinite(args.nesting):
+            raise LatfunError(f"--nesting must be finite, got {args.nesting}")
         coarse = lattices.Lattice(lat.gen * args.nesting)
         pair = lattices.NestedPair(lat, coarse)
         leaders = lattices.coset_leaders(pair)
@@ -440,8 +442,17 @@ def cmd_lattice(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors end as every other error of the
+    CLI does: one line, ``error: <message>``, and exit code 2. Its
+    subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latfun",
         description="Rate regions and codec simulation for distributed "
         "reconstruction of a linear function of Gaussian sources.",

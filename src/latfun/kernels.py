@@ -29,13 +29,19 @@ tolerance follows the residual's norm rather than the target's and ties do
 not change under translation by lattice vectors.
 
 A call's fixed cost, not its arithmetic, dominates at the row counts of the
-codecs (a few hundred to a few thousand rows), so the slicer's set-up is
-built once per lattice: ``slicer_lift`` depends on R and the relevant
-vectors alone, and ``lattices`` keeps it in each base lattice's search
-context and passes it in. Each row is searched on its own, so a caller may
-stack the rows of independent searches of one base lattice, at any
-scalings, into one call and get the rows of separate calls:
-``lattices.reduce_stacked`` does so for every reduction of the codec
+codecs (a few hundred to a few thousand rows), so what depends on the
+lattice alone is built once per lattice and what depends on the targets
+once per call. Per base lattice, ``lattices`` keeps the search context:
+Q^T and R of ``qr_factor``, the ``relevant_vectors`` and the slicer's
+``slicer_lift``, which depends on R and the relevant vectors alone; per
+scaled lattice it keeps the rotation Q^T / f. A call builds only what its
+targets need: per block of ``BLOCK_ROWS`` rows, Babai's point (cast to the
+coordinates at once), the residuals and the tie tolerance, then the
+slicer's passes. A one-block call, which every codec block makes, returns
+its block's tied rows without joining a list. Each row is searched on its
+own, so a caller may stack the rows of independent searches of one base
+lattice, at any scalings, into one call and get the rows of separate
+calls: ``lattices.reduce_stacked`` does so for every reduction of the codec
 engine, and turns each array's coordinates into its nearest points.
 
 The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
@@ -137,13 +143,10 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
     if lift is None:
         lift = slicer_lift(r_mat, relevant)
     steps = lift[:, :-1]
-    ties = [np.zeros(0, dtype=np.intp)]
-    for start in range(0, targets.shape[0], BLOCK_ROWS):
-        block = targets[start:start + BLOCK_ROWS]
-        tied = _slice(r_mat, np.ascontiguousarray(block.T), relevant, steps, lift,
-                      out[start:start + BLOCK_ROWS])
-        ties.append(start + tied)
-    ties = np.concatenate(ties)
+    ties = [start + _slice(r_mat, np.ascontiguousarray(targets[start:start + BLOCK_ROWS].T),
+                           relevant, steps, lift, out[start:start + BLOCK_ROWS])
+            for start in range(0, targets.shape[0], BLOCK_ROWS)]
+    ties = ties[0] if len(ties) == 1 else np.concatenate([np.zeros(0, dtype=np.intp), *ties])
     if ties.size:
         # Search around the slicer's point, so the scalar search's tie
         # tolerance scales with the residual, not with the target: a point
@@ -160,7 +163,7 @@ def _slice(r_mat, y, relevant, steps, lift, coords):
     and returns the indices of the targets left for the scalar search."""
     n, m = y.shape
     # Babai's nearest-plane point, rounded as the scalar search rounds, each
-    # coordinate row computed in place.
+    # coordinate row computed in place, then cast to the coordinates at once.
     u = np.empty((n, m))
     for i in range(n - 1, -1, -1):
         c = u[i]
@@ -172,15 +175,14 @@ def _slice(r_mat, y, relevant, steps, lift, coords):
             c /= r_mat[i, i]
         c += 0.5
         np.floor(c, out=c)
-        coords[:, i] = c
+    coords[...] = u.T
     resid = np.empty((n + 1, m))
     resid[n] = 1.0
     np.subtract(y, r_mat @ u, out=resid[:n])
-    # Half the tie tolerance, as the gains are halved; |y|^2 summed over the
-    # coordinates in order, as numpy sums the rows of (y * y).
-    tol = y[0] * y[0]
-    for i in range(1, n):
-        tol += y[i] * y[i]
+    # Half the tie tolerance, as the gains are halved. |y|^2 is one sum over
+    # axis 0, which numpy takes row by row in order, as (y * y) summed per
+    # target would be, so every bit is that of the sequential sum.
+    tol = np.square(y).sum(axis=0)
     np.maximum(tol, 1.0, out=tol)
     tol *= 0.5 * _TIE_TOL
     cols = np.arange(m)
@@ -194,7 +196,7 @@ def _slice(r_mat, y, relevant, steps, lift, coords):
                                    cols[at], relevant))
         move = (top > tol).nonzero()[0]
         if not move.size:
-            return np.concatenate(tied or [cols[:0]])
+            return tied[0] if len(tied) == 1 else np.concatenate(tied or [cols[:0]])
         cols, resid, tol = cols[move], resid[:, move], tol[move]
         best = (resid.T @ lift.T).argmax(axis=1)
         coords[cols] += relevant[best]

@@ -86,7 +86,11 @@ class Lattice:
     base holds a closest-point search context (QR factors, relevant vectors
     and the slicer's ``kernels.slicer_lift``), computed on first use, so
     every scaling of a base shares it, and the search's tolerances act at
-    the base's scale.
+    the base's scale. Each searched lattice also keeps its own rotation
+    into that frame (``_rotation``), the base's ``Q^T / f`` for its factor
+    f, or the base's ``Q^T`` itself at f = 1, computed on its first search:
+    a codec searches each of its lattices once per row block, and the
+    division is then not redone.
 
     Equality is identity (``eq=False``), so a lattice is hashable; an
     elementwise comparison of generators has no single truth value.
@@ -103,6 +107,8 @@ class Lattice:
                                                     compare=False)
     _exact_diag: bool = field(default=False, init=False, repr=False, compare=False)
     _frame: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _rotation: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         g = _frozen(self.gen)
@@ -148,6 +154,7 @@ class Lattice:
         out = replace(self, moment=est)
         object.__setattr__(out, "_frame", self._frame)
         object.__setattr__(out, "_sphere", self._sphere)
+        object.__setattr__(out, "_rotation", self._rotation)
         return out
 
     def scaled(self, factor: float) -> "Lattice":
@@ -263,6 +270,16 @@ def _sphere_context(lat: Lattice):
     return lat._sphere
 
 
+def _rotation(lat: Lattice) -> np.ndarray:
+    """The rotation of ``lat``'s targets into its base's frame, ``Q^T / f``
+    (see ``Lattice``), cached on ``lat``."""
+    if lat._rotation is None:
+        base, factor = lat._frame or (lat, 1.0)
+        qt = _sphere_context(base)[0]
+        object.__setattr__(lat, "_rotation", qt if factor == 1.0 else qt / factor)
+    return lat._rotation
+
+
 def _check_finite(x: np.ndarray):
     if not np.isfinite(x).all():
         raise NonFiniteTarget("query point has a NaN or infinite coordinate")
@@ -295,20 +312,19 @@ def _search(lats: Sequence[Lattice], arrays: Sequence[np.ndarray]) -> np.ndarray
     """Integer coordinates of the rows of the checked (rows, n) ``arrays``,
     each in its lattice of ``lats``: non-diagonal scalings of one base
     lattice, searched in its frame by one kernel call (see ``kernels``).
-    Each array is rotated by the base's Q^T over its own factor straight
-    into the column layout of the slicer's blocks, so the kernel takes the
-    transpose without a copy."""
+    Each array is rotated by its lattice's ``_rotation`` straight into the
+    column layout of the slicer's blocks, so the kernel takes the transpose
+    without a copy."""
     base = _base(lats[0])
     if base.dim > MAX_SPHERE_DIM:
         raise UnsupportedDimension(
             f"exact sphere search limited to n <= {MAX_SPHERE_DIM}, got n = {base.dim}"
         )
-    qt, r, relevant, lift = _sphere_context(base)
+    _, r, relevant, lift = _sphere_context(base)
     y = np.empty((base.dim, sum(len(a) for a in arrays)))
     lo = 0
     for lat, a in zip(lats, arrays):
-        factor = lat._frame[1] if lat._frame else 1.0
-        np.matmul(qt if factor == 1.0 else qt / factor, a.T, out=y[:, lo:lo + len(a)])
+        np.matmul(_rotation(lat), a.T, out=y[:, lo:lo + len(a)])
         lo += len(a)
     return kernels.nearest_point_batch(r, y.T, relevant, lift)
 
@@ -368,10 +384,10 @@ def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
     base = _base(lats[0])
     if base.is_diagonal:  # map, unlike a generator, drops each b once its pair is taken
         return map(_with_point, lats, arrays)
-    if not all(_base(lat) is base for lat in lats):
-        raise ValueError("reduce_stacked needs scalings of one base lattice")
     arrays = list(arrays)
-    for a in arrays:
+    for lat, a in zip(lats, arrays):
+        if _base(lat) is not base:
+            raise ValueError("reduce_stacked needs scalings of one base lattice")
         _check_dim(base, a)
         _check_finite(a)
     coords = _search(lats, arrays)

@@ -95,6 +95,16 @@ call on the stacked rows, so a two-user chunk makes 1 + 3 per block calls
 rather than 2 + 6; each row is searched on its own, so the bits are those
 of separate calls. A diagonal base rounds one array at a time, as the
 caller takes its pair: stacking would only add copies and page faults.
+
+What a run needs beyond its chunks is built once where it can be. A
+two-user or side-information codec is read-only, so its random-dither plan
+(``_Plan``, with the Cholesky factor of the source covariance) is built and
+checked against float64's resolution (``_require_resolvable``) on its
+first run and kept on the codec (``_codec_plan``); later runs of that codec
+object reuse both. A fixed-dither run builds a plan of its own, since its
+dithers depend on the seed, and the K-user runner builds its codec, and so
+its plan, on every call. A chunk makes the per-cell sums (``_Accumulator``)
+only where the report gives per-cell values, which is the K-user report.
 """
 
 from __future__ import annotations
@@ -104,7 +114,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -272,7 +282,9 @@ def _json_number(x):
 
 class _ChunkSums(NamedTuple):
     """One chunk's share of every sum of a run, or their total over the
-    chunks so far (``_Accumulator.total``)."""
+    chunks so far (``_Accumulator.total``). The per-cell fields are arrays
+    over the cells where the report gives per-cell values, and 0 where it
+    does not."""
 
     trials: int
     err_sum: float
@@ -280,6 +292,7 @@ class _ChunkSums(NamedTuple):
     cond_err_sum: float
     overloads: int
     v_sq_sum: float
+    v_count: int
     cell_overloads: np.ndarray
     cell_v_sq: np.ndarray
     cell_v_counts: np.ndarray
@@ -289,8 +302,12 @@ class _Accumulator:
     """One running ``_ChunkSums`` total of sufficient statistics, merged
     across chunks by an ordered float sum (deterministic, not exact). The
     mod-input moment is that of the last decoded cell ``last``, over trials
-    whose earlier cells did not overload; their count is that cell's entry
-    of ``cell_v_counts``.
+    whose earlier cells did not overload; ``v_count`` counts them.
+
+    The per-cell sums (overloads, mod-input moments and clean counts of
+    every cell) are made only when ``per_cell`` is set, which the K-user
+    codec's report needs; the two-user and side-information reports drop
+    them, so their chunks skip those passes.
 
     The thread that ran a chunk folds it into its sums (``chunk_sums``),
     from the per-trial results in its workspace, and ``add`` adds them to
@@ -309,17 +326,20 @@ class _Accumulator:
     any finite normal d.
     """
 
-    def __init__(self, n_cells: int, last: int, d: float):
+    def __init__(self, n_cells: int, last: int, d: float, per_cell: bool = True):
         self.last = last
+        self.per_cell = per_cell
         _, self.exp = math.frexp(d)
         counts = np.zeros(n_cells, dtype=np.int64)
-        self.total = _ChunkSums(0, 0.0, 0.0, 0.0, 0, 0.0, counts, np.zeros(n_cells), counts)
+        cells = (counts, np.zeros(n_cells), counts) if per_cell else (0, 0, 0)
+        self.total = _ChunkSums(0, 0.0, 0.0, 0.0, 0, 0.0, 0, *cells)
 
     def chunk_sums(self, arrays: _ChunkArrays) -> _ChunkSums:
         """The sums of one chunk from the per-trial results that ``_run_cells``
         wrote into its ``arrays`` (errors, and (trials, cells) overload,
         mod-input moments and clean history), with their scratch. Reads only
-        ``last`` and ``exp``, so worker threads may call it at once."""
+        ``last``, ``per_cell`` and ``exp``, so worker threads may call it at
+        once."""
         m = arrays.err.shape[0]
         scaled = np.ldexp(arrays.err, -self.exp, out=arrays.scaled)
         spare = arrays.spare
@@ -336,20 +356,15 @@ class _Accumulator:
         # Summed as the contiguous array that indexing by the mask gives.
         np.copyto(flat, arrays.v_sq[:, self.last])
         v_sq_sum = float(np.sum(flat if count == m else flat[mask]))
-        spare.fill(0.0)
-        np.copyto(spare, arrays.v_sq, where=arrays.clean_before)
-        return _ChunkSums(
-            trials=m,
-            err_sum=err_sum,
-            err_sq_sum=err_sq_sum,
-            cond_err_sum=cond_err_sum,
-            overloads=overloads,
-            v_sq_sum=v_sq_sum,
-            cell_overloads=_column_counts(arrays.overload),
+        cells = (0, 0, 0)
+        if self.per_cell:
+            spare.fill(0.0)
+            np.copyto(spare, arrays.v_sq, where=arrays.clean_before)
             # numpy sums one cell pairwise and two or more sequentially: keep its call.
-            cell_v_sq=np.sum(spare, axis=0),
-            cell_v_counts=_column_counts(arrays.clean_before),
-        )
+            cells = (_column_counts(arrays.overload), np.sum(spare, axis=0),
+                     _column_counts(arrays.clean_before))
+        return _ChunkSums(m, err_sum, err_sq_sum, cond_err_sum, overloads, v_sq_sum, count,
+                          *cells)
 
     def add(self, sums: _ChunkSums):
         """Add the next chunk's sums to the total."""
@@ -359,7 +374,8 @@ class _Accumulator:
                per_cell: bool = False) -> SimReport:
         """The run's statistics; the standard error of one trial, and the
         conditional distortion or a mod-input moment with no trial to
-        measure, are NaN (JSON null)."""
+        measure, are NaN (JSON null). ``per_cell`` reports the per-cell
+        values, which an accumulator made with ``per_cell`` has summed."""
         tot = self.total
         t = tot.trials
         mean = tot.err_sum / t
@@ -368,10 +384,10 @@ class _Accumulator:
         mean = math.ldexp(mean, self.exp)
         cond_trials = t - tot.overloads
         cond = math.ldexp(tot.cond_err_sum / cond_trials, self.exp) if cond_trials else math.nan
-        count = int(tot.cell_v_counts[self.last])
-        moment = tot.v_sq_sum / count if count else math.nan
-        moments = np.full(tot.cell_v_sq.shape, np.nan)
-        np.divide(tot.cell_v_sq, tot.cell_v_counts, out=moments, where=tot.cell_v_counts > 0)
+        moment = tot.v_sq_sum / tot.v_count if tot.v_count else math.nan
+        if per_cell:
+            moments = np.full(tot.cell_v_sq.shape, np.nan)
+            np.divide(tot.cell_v_sq, tot.cell_v_counts, out=moments, where=tot.cell_v_counts > 0)
         return SimReport(
             trials=t,
             empirical_distortion=mean,
@@ -727,10 +743,11 @@ def _mean_square(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _row_mean(np.square(a, out=a), out)
 
 
-def _require_resolvable(plan: _Plan, d: float):
+def _require_resolvable(plan: _Plan, d: float) -> _Plan:
     """Reject a target distortion d that float64 cannot resolve: a member
     rounds ``scale * x`` at about eps |scale x| (eps = 2^-52), and these noises
-    must sum to at most 1e-6 d (a share that overflows is far above it)."""
+    must sum to at most 1e-6 d (a share that overflows is far above it).
+    Returns the plan."""
     with np.errstate(all="ignore"):
         sd = np.sqrt(np.sum(plan.factor**2, axis=1))  # of each source column
         t = np.array([abs(m.scale) * sd[m.col] for cell in plan.cells for m in cell.members])
@@ -738,13 +755,23 @@ def _require_resolvable(plan: _Plan, d: float):
     if not share <= 1e-6:
         raise UnresolvableDistortion(f"target distortion {d:.6g} is below what float64 sources "
                                      f"resolve: their rounding noise is {share:.3g} of it")
+    return plan
+
+
+def _codec_plan(codec, make_plan) -> _Plan:
+    """The random-dither plan ``make_plan(codec)`` of a two-user or
+    side-information codec, checked by ``_require_resolvable`` on its first
+    run and kept on the codec for later runs (see the module docstring)."""
+    if codec._plan is None:
+        object.__setattr__(codec, "_plan",
+                           _require_resolvable(make_plan(codec), codec.rates.distortion))
+    return codec._plan
 
 
 def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimReport:
-    """Run the chunks of one experiment of ``codec`` and report their merged statistics."""
-    _require_resolvable(plan, codec.rates.distortion)
-
-    acc = _Accumulator(len(plan.cells), plan.order[-1], codec.rates.distortion)
+    """Run the chunks of one experiment of ``codec`` with its checked
+    ``plan`` and report their merged statistics."""
+    acc = _Accumulator(len(plan.cells), plan.order[-1], codec.rates.distortion, per_cell)
     shape = _chunk_shape(plan)
 
     def work(k: int):
@@ -762,7 +789,10 @@ def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimRep
 
 @dataclass(frozen=True)
 class TwoUserCodec:
-    """Nested-lattice pair codec reconstructing Z = X1 - c X2 directly."""
+    """Nested-lattice pair codec reconstructing Z = X1 - c X2 directly.
+
+    Every field is read-only, so ``_plan``, the engine's random-dither plan,
+    is built and checked on the first run and reused by later ones."""
 
     model: SourceModel
     d_target: float
@@ -773,6 +803,7 @@ class TwoUserCodec:
     margin: float
     n: int
     rates: RatePoint
+    _plan: Optional[_Plan] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def beta(self) -> float:
@@ -890,11 +921,13 @@ def run_two_user_experiment(
     derandomized mode); dithers are otherwise redrawn each trial.
     """
     sizes = _chunk_sizes(trials, chunk_size)
-    dithers = (None, None)
-    if fixed_dither:
+    if fixed_dither:  # a plan of its own: the dithers depend on the seed
         drng = _dither_rng(seed)
         dithers = (sample_dither(codec.fine1, drng, 1)[0], sample_dither(codec.fine2, drng, 1)[0])
-    return _run(_two_user_plan(codec, dithers), sizes, seed, codec)
+        plan = _require_resolvable(_two_user_plan(codec, dithers), codec.rates.distortion)
+    else:
+        plan = _codec_plan(codec, _two_user_plan)
+    return _run(plan, sizes, seed, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +936,8 @@ def run_two_user_experiment(
 
 @dataclass(frozen=True)
 class SideInfoCodec:
-    """Two encoders plus a decoder-side variable; reconstructs Z = c1 X1 + c2 X2."""
+    """Two encoders plus a decoder-side variable; reconstructs Z = c1 X1 + c2 X2.
+    Its ``_plan`` is kept as ``TwoUserCodec``'s is."""
 
     si_model: SideInfoModel
     d_target: float
@@ -914,6 +948,7 @@ class SideInfoCodec:
     margin: float
     n: int
     rates: RatePoint
+    _plan: Optional[_Plan] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def innovations_variance(self) -> float:
@@ -968,7 +1003,7 @@ def run_side_info_experiment(
     the one cell (see ``_side_info_plan``).
     """
     sizes = _chunk_sizes(trials, chunk_size)
-    return _run(_side_info_plan(codec), sizes, seed, codec)
+    return _run(_codec_plan(codec, _side_info_plan), sizes, seed, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1064,8 @@ def run_k_user_experiment(
     """
     sizes = _chunk_sizes(trials, chunk_size)
     codec = build_k_user_codec(model, plan, n, margin, base_lattice)
-    return _run(_k_user_plan(codec), sizes, seed, codec, per_cell=True)
+    return _run(_require_resolvable(_k_user_plan(codec), codec.rates.distortion), sizes, seed,
+                codec, per_cell=True)
 
 
 def _k_user_plan(codec: KUserCodec) -> _Plan:

@@ -831,7 +831,11 @@ def test_lattice_cosets(capsys):
     (("--op", "moment", "--lattice", "SINGULAR"), "generator is singular within tolerance"),
     (("--op", "construction-a", "--p", "1", "--dim", "2"), "p = 1 is not prime"),
     (("--op", "cosets", "--nesting", "1e20"), "nesting matrix entry 1e+20 is outside the int64 range"),
-], ids=["singular-generator-file", "construction-a-p1", "cosets-nesting-beyond-int64"])
+    # inf times a generator's zero entries is NaN: checked before the product.
+    (("--op", "cosets", "--nesting", "inf", "--dim", "2"), "--nesting must be finite, got inf"),
+    (("--lattice", "a2", "--op", "cosets", "--nesting", "-inf"), "--nesting must be finite, got -inf"),
+], ids=["singular-generator-file", "construction-a-p1", "cosets-nesting-beyond-int64",
+        "cosets-nesting-inf-zn", "cosets-nesting-minus-inf-a2"])
 def test_lattice_invalid_inputs_exit_two(capsys, tmp_path, args, message):
     singular = tmp_path / "singular.json"
     singular.write_text('{"dim": 2, "gen": [1.0, 2.0, 2.0, 4.0]}')
@@ -846,6 +850,32 @@ def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["region", "--scheme", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (("region", "--scheme", "nope"),
+     "argument --scheme: invalid choice: 'nope' (choose from 'lattice', 'bt', 'kuser')"),
+    (("simulate", "--trials", "abc"), "argument --trials: invalid int value: 'abc'"),
+    (("simulate", "--rho", "abc"), "argument --rho: invalid float value: 'abc'"),
+    (("region",), "the following arguments are required: --scheme"),
+], ids=["invalid-choice", "non-numeric-int", "non-numeric-float", "missing-scheme"])
+def test_argparse_errors_are_one_line(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [("--help",), ("simulate", "--help")], ids=["top", "simulate"])
+def test_help_keeps_its_usage(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: latfun") and "--help" in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -371,3 +371,27 @@ def test_relevant_vector_counts(gen, count):
     assert len({tuple(v) for v in rel}) == count
     # Scale-free: the same integer coordinates at any scale.
     assert np.array_equal(kernels.relevant_vectors(3.7 * r), rel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 12))
+@example(data=None, n=8, m=3)
+def test_axis_zero_sum_of_squares_is_the_sequential_row_sum(data, n, m):
+    """The slicer's tie tolerance takes |y|^2 of its column-major block y,
+    shape (n, m) and C-contiguous, as ``np.square(y).sum(axis=0)``: numpy
+    adds the rows in order, so every bit is that of the sequential sum,
+    whatever the magnitudes (5e-324 to 1e300, where squares underflow to 0
+    or overflow to inf)."""
+    if data is None:  # the extreme magnitudes side by side
+        values = [5e-324, 1e300, 1e-160, 1.5e154, 3.0, 2.2250738585072014e-308] * 4
+    else:
+        values = data.draw(st.lists(st.floats(5e-324, 1e300), min_size=n * m, max_size=n * m))
+        signs = data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+        values = [-v if neg else v for v, neg in zip(values, signs)]
+    y = np.array(values[:n * m]).reshape(n, m)
+    with np.errstate(over="ignore"):
+        got = np.square(y).sum(axis=0)
+        want = y[0] * y[0]
+        for i in range(1, n):
+            want += y[i] * y[i]
+    assert got.tobytes() == want.tobytes()

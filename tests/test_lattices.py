@@ -351,6 +351,27 @@ def test_search_context_is_cached_and_carried_through_scaling(rng):
     assert made.with_moment(est)._frame == made._frame
 
 
+def test_a_scaled_lattice_computes_its_rotation_once(rng):
+    lat = Lattice(rng.normal(size=(3, 3)) + 3 * np.eye(3))
+    x = rng.normal(scale=4.0, size=(40, 3))
+    factors = (2.5, -0.3, 1.0)
+    scaled = [lat.scaled(f) for f in factors]
+    # Made on a lattice's first search, not when it is built.
+    assert all(s._rotation is None for s in scaled)
+    first = reduce_stacked(scaled, [x] * 3)
+    rotations = [s._rotation for s in scaled]
+    qt = lat._sphere[0]
+    for rot, f in zip(rotations, factors):
+        assert rot.tobytes() == (qt / f).tobytes()
+    assert rotations[2] is qt  # at factor 1, the base's own Q^T
+    for _ in range(2):
+        again = reduce_stacked(scaled, [x] * 3)
+        assert all(np.array_equal(a[1], b[1]) for a, b in zip(first, again))
+        nearest_point(scaled[0], x)
+    assert all(s._rotation is rot for s, rot in zip(scaled, rotations))
+    assert scaled[0].with_moment(second_moment(scaled[0], 1000, rng))._rotation is rotations[0]
+
+
 def _recomputed(lat, x):
     """``nearest_point_coords`` through a kernel call that builds the slicer's
     lift afresh from the search context of the lattice's base."""

@@ -713,6 +713,75 @@ def test_experiment_thread_count_does_not_change_output(monkeypatch, make_run):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def _a2_two_user_codec():
+    base = hexagonal_lattice()
+    est = second_moment(base, 2000, np.random.default_rng(0))
+    return build_two_user_codec(M88, 0.1, 0.06, n=2, margin=2.0, base_lattice=base.with_moment(est))
+
+
+def _z2_side_info_codec():
+    return build_side_info_codec(noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02,
+                                 n=2, margin=2.0)
+
+
+_CACHING_CODECS = {
+    "two_user_z1": (lambda: build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0),
+                    run_two_user_experiment),
+    "two_user_a2": (_a2_two_user_codec, run_two_user_experiment),
+    "side_info_z2": (_z2_side_info_codec, run_side_info_experiment),
+}
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from here on."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("tag", sorted(_CACHING_CODECS))
+def test_a_codec_builds_and_checks_its_plan_once(monkeypatch, tag):
+    make, run = _CACHING_CODECS[tag]
+    codec = make()
+    factors = _count_calls(monkeypatch, np.linalg, "cholesky")
+    checks = _count_calls(monkeypatch, simulate, "_require_resolvable")
+    for seed in range(3):
+        run(codec, 300, seed, chunk_size=128)
+        assert (len(factors), len(checks)) == (1, 1), f"run {seed}"
+    if tag.startswith("two_user"):
+        # A fixed dither depends on the seed, so each such run builds its own plan.
+        for seed in range(2):
+            run(codec, 300, seed, chunk_size=128, fixed_dither=True)
+        assert (len(factors), len(checks)) == (3, 3)
+
+
+def test_k_user_runs_and_failed_checks_keep_no_plan(monkeypatch):
+    # The K-user runner builds its codec on every call, so it has no plan to
+    # keep; a codec whose target float64 cannot resolve fails on every run.
+    factors = _count_calls(monkeypatch, np.linalg, "cholesky")
+    run = _k_user_run()
+    run()
+    run()
+    assert len(factors) == 2
+    codec = build_two_user_codec(M88, 1e-40, 0.6e-40)
+    for _ in range(2):
+        with pytest.raises(UnresolvableDistortion):
+            run_two_user_experiment(codec, 100, seed=0)
+    assert codec._plan is None
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("tag", sorted(_CACHING_CODECS))
+def test_repeated_runs_of_a_codec_equal_runs_of_a_fresh_one(monkeypatch, tag, threads):
+    monkeypatch.setenv("LATFUN_THREADS", threads)
+    make, run = _CACHING_CODECS[tag]
+    codec = make()
+    for seed, trials in ((3, 700), (4, 257), (3, 700)):
+        assert run(codec, trials, seed, chunk_size=256).to_json() == \
+            run(make(), trials, seed, chunk_size=256).to_json(), f"seed {seed}, {trials} trials"
+
+
 def test_one_worker_computes_each_chunk_after_the_last_is_consumed(monkeypatch):
     monkeypatch.setenv("LATFUN_THREADS", "1")
     events = []
