@@ -8,6 +8,7 @@ and of the quantize-and-bin baseline they are compared against.
 
 from . import kernels
 from .errors import (
+    CoordinateOutOfRange,
     DegenerateSideInfo,
     DimensionMismatch,
     DistortionOutOfRange,

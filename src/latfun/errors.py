@@ -13,6 +13,10 @@ class NonFiniteTarget(LatfunError):
     """A query point has a NaN or infinite coordinate."""
 
 
+class CoordinateOutOfRange(LatfunError):
+    """A closest-point coordinate is beyond the integers its array type holds exactly."""
+
+
 class UnsupportedDimension(LatfunError):
     """Operation not available at this dimension (exact search is n <= 8)."""
 

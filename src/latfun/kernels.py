@@ -35,14 +35,27 @@ once per call. Per base lattice, ``lattices`` keeps the search context:
 Q^T and R of ``qr_factor``, the ``relevant_vectors`` and the slicer's
 ``slicer_lift``, which depends on R and the relevant vectors alone; per
 scaled lattice it keeps the rotation Q^T / f. A call builds only what its
-targets need: per block of ``BLOCK_ROWS`` rows, Babai's point (cast to the
-coordinates at once), the residuals and the tie tolerance, then the
-slicer's passes. A one-block call, which every codec block makes, returns
-its block's tied rows without joining a list. Each row is searched on its
-own, so a caller may stack the rows of independent searches of one base
-lattice, at any scalings, into one call and get the rows of separate
-calls: ``lattices.reduce_stacked`` does so for every reduction of the codec
-engine, and turns each array's coordinates into its nearest points.
+targets need: per block of ``BLOCK_ROWS`` rows, Babai's point, the
+residuals and the tie tolerance, then the slicer's passes. A one-block
+call, which every codec block makes, returns its block's tied rows without
+joining a list. Each row is searched on its own, so a caller may stack the
+rows of independent searches of one base lattice, at any scalings, into one
+call and get the rows of separate calls: ``lattices.reduce_stacked`` does
+so for every reduction of the codec engine, and turns each array's
+coordinates into its nearest points.
+
+The coordinates stay in float64 from Babai's point to the answer. A call
+holds them in one ``(n, rows)`` array, one column per target: each block's
+Babai point is computed in its columns, and the slicer, the one-facet rule
+and the scalar tie search step them there. The call returns that array's
+``(rows, n)`` transpose, a view. Every integer below 2^53 is exact in
+float64, and numpy multiplies the view by G in the same order as it would
+an int64 copy, so the points keep their bits without a round trip through
+int64; ``lattices.nearest_point_coords`` is the one place that makes int64.
+A target far beyond the lattice's scale leaves Babai coordinates that are
+not finite or reach 2^53, where float64 cannot step a coordinate by one and
+the slicer would never end; the call raises ``CoordinateOutOfRange``
+instead.
 
 The slicer works on blocks of ``BLOCK_ROWS`` targets held column-major:
 targets and residuals are ``(n, m)`` arrays, one column per target, and the
@@ -63,6 +76,8 @@ import math
 
 import numpy as np
 
+from .errors import CoordinateOutOfRange
+
 BACKEND = "python"
 
 # Rows per slicer block: bounds the (rows x relevant vectors) gain matrix.
@@ -72,6 +87,8 @@ BLOCK_ROWS = 2048
 _TIE_TOL = 1e-9
 # Relative tolerance for ties in the scalar search.
 _SCALAR_TIE_TOL = 1e-12
+# Coordinates are held in float64, which holds every integer below 2^53.
+_EXACT = 2.0**53
 
 
 def qr_factor(gen: np.ndarray):
@@ -125,7 +142,8 @@ def slicer_lift(r_mat: np.ndarray, relevant: np.ndarray) -> np.ndarray:
 
 def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
                         relevant=None, lift=None) -> np.ndarray:
-    """Integer coordinates of the closest lattice points, row per target.
+    """Integer coordinates of the closest lattice points, row per target,
+    held as float64.
 
     ``r_mat`` is the R of ``qr_factor`` and ``targets`` the already rotated
     query points (``Q.T @ x`` rows, in any memory layout). ``relevant``
@@ -134,51 +152,68 @@ def nearest_point_batch(r_mat: np.ndarray, targets: np.ndarray,
     on its own, so stacked targets give the rows of separate calls. Ties on
     Voronoi boundaries resolve to the lexicographically smallest integer
     coordinate vector, as ``closest_coords`` resolves them.
+
+    The result has shape (rows, n) and is the transpose of the float64
+    (n, rows) array the search runs in, not a copy: integers, exact in
+    float64, which a caller multiplies by G as they stand. Babai's
+    coordinates must be finite and below 2^53 in magnitude, where float64
+    holds every integer, or ``CoordinateOutOfRange`` is raised. Such
+    targets may overflow on the way, so a caller that can meet them ignores
+    float errors around the call, as ``lattices`` does.
     """
     targets = np.asarray(targets, dtype=np.float64)
     r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
-    out = np.empty(targets.shape, dtype=np.int64)
+    out = np.empty(targets.shape[::-1])
     if relevant is None:
         relevant = relevant_vectors(r_mat)
     if lift is None:
         lift = slicer_lift(r_mat, relevant)
     steps = lift[:, :-1]
+    relevant = np.asarray(relevant, dtype=np.float64)  # the coordinates' steps, in their type
     ties = [start + _slice(r_mat, np.ascontiguousarray(targets[start:start + BLOCK_ROWS].T),
-                           relevant, steps, lift, out[start:start + BLOCK_ROWS])
+                           relevant, steps, lift, out[:, start:start + BLOCK_ROWS])
             for start in range(0, targets.shape[0], BLOCK_ROWS)]
     ties = ties[0] if len(ties) == 1 else np.concatenate([np.zeros(0, dtype=np.intp), *ties])
+    out = out.T
     if ties.size:
         # Search around the slicer's point, so the scalar search's tie
         # tolerance scales with the residual, not with the target: a point
         # and its translates by lattice vectors then see the same ties.
         base = out[ties]
         resid = targets[ties] - base @ r_mat.T
-        out[ties] = base + np.array([closest_coords(r_mat, row) for row in resid], dtype=np.int64)
+        out[ties] = base + np.array([closest_coords(r_mat, row) for row in resid])
     return out
 
 
 def _slice(r_mat, y, relevant, steps, lift, coords):
     """Slicer on one block of targets held column-major, ``y`` of shape
-    (n, m); writes their coordinates into ``coords``, an (m, n) int64 array,
-    and returns the indices of the targets left for the scalar search."""
+    (n, m); writes their coordinates into ``coords``, an (n, m) float64
+    array, and returns the indices of the targets left for the scalar
+    search."""
     n, m = y.shape
     # Babai's nearest-plane point, rounded as the scalar search rounds, each
-    # coordinate row computed in place, then cast to the coordinates at once.
-    u = np.empty((n, m))
+    # coordinate row computed in place.
     for i in range(n - 1, -1, -1):
-        c = u[i]
+        c = coords[i]
         if i == n - 1:
             np.divide(y[i], r_mat[i, i], out=c)
         else:
-            np.matmul(r_mat[i, i + 1:], u[i + 1:], out=c)
+            np.matmul(r_mat[i, i + 1:], coords[i + 1:], out=c)
             np.subtract(y[i], c, out=c)
             c /= r_mat[i, i]
         c += 0.5
         np.floor(c, out=c)
-    coords[...] = u.T
+    # A target far beyond the lattice's scale leaves coordinates that float64
+    # cannot step by one, and the slicer would loop on them. Their sum of
+    # squares is at least each square, so below 2^106 no coordinate reaches
+    # 2^53; only a larger (or NaN) sum pays for the exact test.
+    if not np.vdot(coords, coords) < _EXACT * _EXACT and not np.abs(coords).max() < _EXACT:
+        raise CoordinateOutOfRange(
+            "target too far from the origin: a closest-point coordinate is not finite "
+            "or reaches 2^53, beyond float64's exact integers")
     resid = np.empty((n + 1, m))
     resid[n] = 1.0
-    np.subtract(y, r_mat @ u, out=resid[:n])
+    np.subtract(y, r_mat @ coords, out=resid[:n])
     # Half the tie tolerance, as the gains are halved. |y|^2 is one sum over
     # axis 0, which numpy takes row by row in order, as (y * y) summed per
     # target would be, so every bit is that of the sequential sum.
@@ -199,7 +234,7 @@ def _slice(r_mat, y, relevant, steps, lift, coords):
             return tied[0] if len(tied) == 1 else np.concatenate(tied or [cols[:0]])
         cols, resid, tol = cols[move], resid[:, move], tol[move]
         best = (resid.T @ lift.T).argmax(axis=1)
-        coords[cols] += relevant[best]
+        coords.T[cols] += relevant[best]
         resid[:n] -= steps[best].T
 
 
@@ -219,7 +254,7 @@ def _one_facet(gains, top, tol, resid, coords, rows, relevant):
     r = relevant[gains.argmax(axis=0)]
     negative = r[np.arange(len(r)), (r != 0).argmax(axis=1)] < 0
     step = (lex & negative) | (closer & (top > 0))
-    coords[rows[step]] += r[step]
+    coords.T[rows[step]] += r[step]
     return rows[~(lex | closer)]
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (
+    CoordinateOutOfRange,
     DimensionMismatch,
     InvalidPrime,
     LatfunError,
@@ -286,21 +287,28 @@ def _check_finite(x: np.ndarray):
 
 
 def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
-    """Integer coordinates of the nearest lattice points (batched).
+    """Integer coordinates of the nearest lattice points (batched), as int64.
 
     ``x`` has shape (..., n). Diagonal generators use componentwise rounding
     at any dimension; general generators use the exact closest-point search
     of ``kernels``, limited to n <= 8. A NaN or infinite coordinate raises
-    ``NonFiniteTarget``: it has no nearest lattice point.
+    ``NonFiniteTarget``: it has no nearest lattice point. A coordinate
+    outside the int64 range, or, on a general generator, one that float64
+    cannot hold exactly (2^53 and beyond), raises ``CoordinateOutOfRange``.
+    This is the only place where the coordinates become integers; the
+    search keeps them in float64.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_dim(lat, x)
     flat = x.reshape(-1, lat.dim)
+    if not lat.is_diagonal:
+        return _search([lat], [flat]).reshape(x.shape).astype(np.int64, order="C")
     _check_finite(flat)
-    if lat.is_diagonal:
-        coords = _round_half_down(flat, lat._scales)
-        return coords.astype(np.int64).reshape(x.shape)
-    return _search([lat], [flat]).reshape(x.shape)
+    coords = _round_half_down(flat, lat._scales)
+    if not np.all(np.abs(coords) < 2.0**63):
+        raise CoordinateOutOfRange(
+            f"nearest-point coordinate {np.max(np.abs(coords)):.6g} is outside the int64 range")
+    return coords.astype(np.int64).reshape(x.shape)
 
 
 def _base(lat: Lattice) -> Lattice:
@@ -309,12 +317,20 @@ def _base(lat: Lattice) -> Lattice:
 
 
 def _search(lats: Sequence[Lattice], arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Integer coordinates of the rows of the checked (rows, n) ``arrays``,
-    each in its lattice of ``lats``: non-diagonal scalings of one base
-    lattice, searched in its frame by one kernel call (see ``kernels``).
-    Each array is rotated by its lattice's ``_rotation`` straight into the
-    column layout of the slicer's blocks, so the kernel takes the transpose
-    without a copy."""
+    """Integer coordinates, in float64, of the rows of the (rows, n)
+    ``arrays``, each in its lattice of ``lats``: non-diagonal scalings of
+    one base lattice, searched in its frame by one kernel call (see
+    ``kernels``). Each array is rotated by its lattice's ``_rotation``
+    straight into the column layout of the slicer's blocks, so the kernel
+    takes the transpose without a copy, and the result is the kernel's
+    (rows, n) view of the column array its coordinates were made in.
+
+    Float errors are ignored from the rotation to the kernel's answer: a
+    target that overflows, or is NaN or infinite, leaves Babai coordinates
+    that the kernel rejects with ``CoordinateOutOfRange`` before its slicer
+    runs, and past that check every value is bounded. So the arrays are
+    checked for finiteness only then, to raise ``NonFiniteTarget`` for a
+    NaN or infinite one."""
     base = _base(lats[0])
     if base.dim > MAX_SPHERE_DIM:
         raise UnsupportedDimension(
@@ -323,26 +339,39 @@ def _search(lats: Sequence[Lattice], arrays: Sequence[np.ndarray]) -> np.ndarray
     _, r, relevant, lift = _sphere_context(base)
     y = np.empty((base.dim, sum(len(a) for a in arrays)))
     lo = 0
-    for lat, a in zip(lats, arrays):
-        np.matmul(_rotation(lat), a.T, out=y[:, lo:lo + len(a)])
-        lo += len(a)
-    return kernels.nearest_point_batch(r, y.T, relevant, lift)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lat, a in zip(lats, arrays):
+                np.matmul(_rotation(lat), a.T, out=y[:, lo:lo + len(a)])
+                lo += len(a)
+            return kernels.nearest_point_batch(r, y.T, relevant, lift)
+    except CoordinateOutOfRange:
+        for a in arrays:
+            _check_finite(a)
+        raise
 
 
 def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     """The lattice point closest to ``x`` (ties: lexicographically smallest
     integer coordinates). A NaN or infinite coordinate raises
-    ``NonFiniteTarget``.
+    ``NonFiniteTarget``, and a target whose coordinates
+    ``nearest_point_coords`` rejects raises ``CoordinateOutOfRange``.
 
-    An exactly diagonal generator stays in float64: the rounded coordinates
-    are multiplied by the scales, and adding 0.0 turns -0.0 into +0.0, so
-    the result equals ``nearest_point_coords(lat, x) @ lat.gen.T`` bit for
-    bit without the integer round trip or the matrix product.
+    A non-diagonal generator multiplies the search's float64 coordinates by
+    G as they come, which gives the bits of ``nearest_point_coords(lat, x)
+    @ lat.gen.T`` (the integers are exact in float64, and numpy's product
+    reads either layout in the same order). An exactly diagonal generator
+    stays in float64 too: the rounded coordinates are multiplied by the
+    scales, and adding 0.0 turns -0.0 into +0.0, so the result equals
+    ``nearest_point_coords(lat, x) @ lat.gen.T`` bit for bit without the
+    matrix product.
     """
     x = np.asarray(x, dtype=np.float64)
+    _check_dim(lat, x)
+    if not lat.is_diagonal:
+        return _search([lat], [x.reshape(-1, lat.dim)]).reshape(x.shape) @ lat.gen.T
     if not lat._exact_diag:
         return nearest_point_coords(lat, x) @ lat.gen.T
-    _check_dim(lat, x)
     _check_finite(x)
     return _diagonal_point(lat, x)
 
@@ -376,10 +405,12 @@ def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
     On a non-diagonal base, the rows of all the arrays go to the kernel in
     one stacked call, which pays the search's fixed cost per call once; the
     kernel searches each row on its own, in the base's frame, and each point
-    is that array's own coordinates times its own lattice's G. A diagonal
-    base takes each b from ``arrays`` only as the caller takes its pair:
-    stacking would only add copies, and holding every array at once costs a
-    codec block page faults.
+    is that array's rows of the kernel's float64 coordinates times its own
+    lattice's G, multiplied as they stand: the bits of the product of their
+    int64 copy (see ``nearest_point``). A diagonal base takes each b from
+    ``arrays`` only as the caller takes its pair: stacking would only add
+    copies, and holding every array at once costs a codec block page faults.
+    Targets raise as in ``nearest_point``.
     """
     base = _base(lats[0])
     if base.is_diagonal:  # map, unlike a generator, drops each b once its pair is taken
@@ -389,7 +420,6 @@ def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
         if _base(lat) is not base:
             raise ValueError("reduce_stacked needs scalings of one base lattice")
         _check_dim(base, a)
-        _check_finite(a)
     coords = _search(lats, arrays)
     pairs, lo = [], 0  # slicing by hand: np.split costs about ten times more
     for lat, b in zip(lats, arrays):

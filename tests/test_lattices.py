@@ -2,7 +2,10 @@
 
 import json
 import math
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from latfun import (
+    CoordinateOutOfRange,
     InvalidPrime,
     Lattice,
     LatfunError,
@@ -35,7 +39,7 @@ from latfun import (
 )
 from latfun import kernels
 from latfun.errors import DimensionMismatch
-from latfun.lattices import _hermite_basis, reduce_stacked
+from latfun.lattices import _hermite_basis, _search, reduce_stacked
 from latfun.simulate import _row_any
 
 from oracles import contains, in_voronoi
@@ -325,6 +329,130 @@ def test_far_target_reduces_into_the_voronoi_cell():
     # returned (28.5, -9.23), far outside the cell (covering radius 1/sqrt(3)).
     err = mod_lattice(A2, [[3e7, 0.3]])[0]
     assert np.linalg.norm(err) <= 1.0 / math.sqrt(3.0) + 1e-9
+
+
+_SRC = str(Path(kernels.__file__).resolve().parent.parent)
+
+# Targets whose Babai coordinates float64 cannot step by one, where a search
+# would loop, or which overflow the rotation into the base's frame.
+_HUGE_TARGETS = [
+    "hexagonal_lattice(), [1e19, 0.3]",
+    "hexagonal_lattice(), [1e25, 0.3]",
+    "hexagonal_lattice(), [[1.7e308, -1.7e308], [0.2, 0.3]]",
+    "hexagonal_lattice().scaled(1e-150), [1e160, 0.3]",
+    "Lattice(np.array(D4_GEN)), [3e16, 0.1, 0.2, 0.3]",
+]
+
+_HUGE_TARGET_RUN = """\
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+from latfun import *
+from pin_golden import D4_GEN
+for lat, x in [{cases}]:
+    for call in (nearest_point_coords, nearest_point, mod_lattice):
+        try:
+            call(lat, x)
+        except CoordinateOutOfRange as err:
+            assert len(str(err).splitlines()) == 1 and "2^53" in str(err), err
+        else:
+            raise AssertionError((call.__name__, x))
+print("ok")
+"""
+
+
+def test_huge_targets_raise_in_time():
+    """Each far target ends at once in a one-line ``CoordinateOutOfRange``,
+    with no RuntimeWarning. The calls run in a child process under ``-W
+    error``, so a hang fails the test at the timeout instead of stalling the
+    suite."""
+    code = _HUGE_TARGET_RUN.format(cases=", ".join(f"({case})" for case in _HUGE_TARGETS))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, _SRC,
+                           str(Path(__file__).parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_coordinates_answer_below_two_to_the_53():
+    big = 2.0**52
+    assert nearest_point_coords(A2, [big, 0.3]).tolist() == [2**52, 0]
+    assert nearest_point(A2, [[big, 0.3]]).tolist() == [[big, 0.0]]
+    with pytest.raises(CoordinateOutOfRange, match="2\\^53"):
+        nearest_point_coords(A2, [2.0**53, 0.3])
+    # A non-finite target is named as such, wherever it sits in the call.
+    with pytest.raises(NonFiniteTarget, match="NaN or infinite"):
+        reduce_stacked([A2, A2.scaled(2.0)], [np.zeros((3, 2)), np.array([[1e30, math.nan]])])
+
+
+@pytest.mark.parametrize("lat", [integer_lattice(1), Lattice(np.diag([1.0, 3.0])),
+                                 Lattice(np.array([[1.0, 1e-14], [0.0, 1.0]]))],
+                         ids=["z1", "diag", "near-diag"])
+@pytest.mark.filterwarnings("error")
+def test_diagonal_coordinates_outside_int64_raise(lat):
+    x = np.full(lat.dim, 1e19)
+    with pytest.raises(CoordinateOutOfRange, match="outside the int64 range") as err:
+        nearest_point_coords(lat, x)
+    assert "\n" not in str(err.value)
+    inside = np.full(lat.dim, 2.0**62)
+    assert nearest_point_coords(lat, inside).tolist() == [
+        int(v) for v in np.rint(inside / np.diag(lat.gen))]
+    if lat._exact_diag:  # the float path needs no integers
+        assert nearest_point(lat, x).tolist() == (np.rint(x / np.diag(lat.gen))
+                                                  * np.diag(lat.gen)).tolist()
+    else:
+        with pytest.raises(CoordinateOutOfRange):
+            nearest_point(lat, x)
+
+
+_PROPERTY_BASES = {}
+
+
+def _property_base(n):
+    """One conditioned random basis per n, built once, so the examples share
+    its search context."""
+    if n not in _PROPERTY_BASES:
+        rng = np.random.default_rng([n, 53])
+        while True:
+            gen = rng.normal(size=(n, n))
+            if np.linalg.cond(gen) < 6.0:
+                break
+        _PROPERTY_BASES[n] = Lattice(gen)
+    return _PROPERTY_BASES[n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8),
+       rows=st.one_of(st.sampled_from([1, 2, 2047, 2048, 2049]), st.integers(1, 3000)),
+       factor=st.sampled_from([1.0, 0.37, -2.5]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, rows=1, factor=1.0, seed=0)
+@example(n=8, rows=2049, factor=-2.5, seed=1)
+def test_float_coordinates_give_the_points_of_their_int64_copy(n, rows, factor, seed):
+    """The search keeps its coordinates in float64 and the points multiply
+    them by G as they stand: byte for byte the product of their int64 copy,
+    whole or cut into parts of one row and more (one-row products go through
+    numpy's matrix-vector path), across slicer blocks (2,048 rows)."""
+    base = _property_base(n)
+    lat = base if factor == 1.0 else base.scaled(factor)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=3.0, size=(rows, n)) @ lat.gen.T
+    coords = _search([lat], [x])
+    ints = coords.astype(np.int64)
+    assert coords.dtype == np.float64 and np.array_equal(ints, coords)
+    g = lat.gen.T
+    assert (coords @ g).tobytes() == (ints @ g).tobytes()
+    cuts = sorted({0, 1, min(2, rows), int(rng.integers(0, rows + 1)), rows})
+    parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    pairs = reduce_stacked([lat] * len(parts), [x[p] for p in parts])
+    for p, (_, point) in zip(parts, pairs):
+        assert (coords[p] @ g).tobytes() == (ints[p] @ g).tobytes() == point.tobytes()
+    got = nearest_point_coords(lat, x)
+    assert got.dtype == np.int64 and got.tobytes() == ints.tobytes()
+    assert nearest_point(lat, x).tobytes() == (got @ g).tobytes()
+    one = nearest_point_coords(lat, x[-1])
+    assert one.dtype == np.int64 and nearest_point(lat, x[-1]).tobytes() == (one @ g).tobytes()
 
 
 def test_search_context_is_cached_and_carried_through_scaling(rng):
