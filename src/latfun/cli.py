@@ -83,6 +83,14 @@ def _load_model(args) -> SourceModel:
     return SourceModel(cov, coeffs)
 
 
+def _check_counts(args, **least: int) -> None:
+    """Reject an integer flag below its least value, naming the flag."""
+    for dest, low in least.items():
+        value = getattr(args, dest)
+        if value < low:
+            raise InvalidCount(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def _reject_unused(args, scheme: str, *dests: str) -> None:
     """Reject a flag that ``scheme`` would ignore, rather than ignore it."""
     for dest in dests:
@@ -265,10 +273,7 @@ def sweep_rows_fig5(n_c: int = 128, n_rho: int = 9, n_d: int = 32):
 
 def _check_custom_grid(args) -> None:
     """Reject custom sweep bounds and counts that give no valid grid."""
-    for name in ("rho", "c", "d"):
-        count = getattr(args, f"{name}_count")
-        if count < 1:
-            raise InvalidCount(f"--{name}-count must be at least 1, got {count}")
+    _check_counts(args, rho_count=1, c_count=1, d_count=1)
     for name in ("rho_min", "rho_max", "c_min", "c_max", "d_min", "d_max"):
         value = getattr(args, name)
         if not math.isfinite(value):
@@ -326,6 +331,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_counts(args, n=1, trials=1, seed=0)
     if args.plan is not None:
         _reject_unused(args, "the K-user scheme (--plan)", "side_info", "fixed_dither")
         model = _load_model(args)
@@ -382,6 +388,7 @@ def _resolve_lattice(args) -> lattices.Lattice:
 
 
 def cmd_lattice(args) -> int:
+    _check_counts(args, dim=1, seed=0)
     rng = np.random.default_rng(args.seed)
     lat = _resolve_lattice(args)
     if args.op == "construction-a":

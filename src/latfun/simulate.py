@@ -21,11 +21,11 @@ estimate of Z weighs side values and cells. The two-user codec is one cell
 of two encoders, side information is a predictor known before decoding, and
 the K-user codec runs its partition plan.
 
-Trials are partitioned into chunks; chunk k draws from a stream seeded by
-(seed, k). Each chunk's sums (``_ChunkSums``) are added, in chunk order, to
-one running total: an ordered float sum, not exact, but deterministic, so
-results are bit-identical for a fixed (seed, trials, chunk_size) regardless
-of worker count.
+Trials are partitioned into chunks, which run one after another in the
+calling thread; chunk k draws from a stream seeded by (seed, k). Each
+chunk's sums are added, in chunk order, to one running total
+(``_ChunkSums``): an ordered float sum, not exact, but deterministic, so
+results are bit-identical for a fixed (seed, trials, chunk_size).
 
 Within a chunk, work runs along the trial axis. Each source column is a
 contiguous (m, n) array (see ``_sources``), and every per-trial reduction
@@ -66,20 +66,20 @@ only a one-trial chunk is one row.
 memory traffic against per-block overhead, and is not a parameter of the
 experiment.
 
-The whole-chunk arrays live in the thread's workspace (``_Workspace``):
-a float and a flag buffer, which grow to the thread's largest chunk and
-are reused after that. Every chunk carves its views from them afresh:
-the normals, with the dithers drawn over them once the source columns
-are formed, the columns, the dither mapping's quotient, the per-trial
-results and the fold's scratch. So a chunk no larger than one its thread
-has run allocates no whole-chunk array, outside the closest-point kernel
-that a non-diagonal lattice's dither reduction reaches. The calling
-thread keeps its workspace, at the size of its largest chunk, for later
-runs; a pool's threads drop theirs when the pool closes at the end of
-the run. The arrays of ``_draw`` and ``_run_cells`` are valid only until
-that thread's next chunk. The thread that ran a chunk also folds it into
-its sums (``_Accumulator.chunk_sums``), so no workspace array leaves its
-thread.
+The whole-chunk arrays live in the calling thread's workspace
+(``_Workspace``): a float and a flag buffer, which grow to the thread's
+largest chunk and are reused after that. Every chunk carves its views
+from them afresh: the normals, with the dithers drawn over them once the
+source columns are formed, the columns, the dither mapping's quotient,
+the per-trial results and the fold's scratch. So a chunk no larger than
+one its thread has run allocates no whole-chunk array, outside the
+closest-point kernel that a non-diagonal lattice's dither reduction
+reaches. The thread keeps its workspace, at the size of its largest
+chunk, for later runs. Each thread has its own, so experiments run from
+several threads at once never share arrays. The arrays of ``_draw`` and
+``_run_cells`` are valid only until that thread's next chunk, so each
+chunk is folded into its sums (``_Accumulator.add``) before the next
+runs.
 
 Every lattice of a codec is its base lattice scaled, and a non-diagonal
 lattice is searched in its base's frame (see ``lattices.Lattice``). Each
@@ -101,19 +101,18 @@ two-user or side-information codec is read-only, so its random-dither plan
 (``_Plan``, with the Cholesky factor of the source covariance) is built and
 checked against float64's resolution (``_require_resolvable``) on its
 first run and kept on the codec (``_codec_plan``); later runs of that codec
-object reuse both. A fixed-dither run builds a plan of its own, since its
-dithers depend on the seed, and the K-user runner builds its codec, and so
-its plan, on every call. A chunk makes the per-cell sums (``_Accumulator``)
-only where the report gives per-cell values, which is the K-user report.
+object reuse both. A fixed-dither run swaps its seed's dithers into that
+plan's members, which the check does not read. The K-user runner builds
+its codec, and so its plan, on every call. A chunk makes the per-cell sums
+(``_Accumulator``) only where the report gives per-cell values, which is
+the K-user report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
@@ -153,14 +152,6 @@ DEFAULT_CHUNK = 65536
 _BLOCK = 8192  # floats per (rows, n) array of a row block: 64 KiB (see the module docstring)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LATFUN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     """Factor L with L L^T = cov, tolerating semidefinite covariances."""
     try:
@@ -185,17 +176,6 @@ def _chunk_rng(seed: int, k: int) -> np.random.Generator:
 
 def _dither_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, 1_000_000_007]))
-
-
-def _map_chunks(fn, n_chunks: int):
-    """``fn(k)`` for each chunk k, in order; one worker computes each in the
-    calling thread once the one before is consumed, more run ahead in a pool."""
-    workers = min(_worker_count(), n_chunks)
-    if workers == 1:
-        yield from map(fn, range(n_chunks))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, range(n_chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +261,9 @@ def _json_number(x):
 
 
 class _ChunkSums(NamedTuple):
-    """One chunk's share of every sum of a run, or their total over the
-    chunks so far (``_Accumulator.total``). The per-cell fields are arrays
-    over the cells where the report gives per-cell values, and 0 where it
-    does not."""
+    """Every sum of a run, totalled over the chunks so far
+    (``_Accumulator.total``). The per-cell fields are arrays over the cells
+    where the report gives per-cell values, and 0 where it does not."""
 
     trials: int
     err_sum: float
@@ -309,11 +288,10 @@ class _Accumulator:
     codec's report needs; the two-user and side-information reports drop
     them, so their chunks skip those passes.
 
-    The thread that ran a chunk folds it into its sums (``chunk_sums``),
-    from the per-trial results in its workspace, and ``add`` adds them to
-    the total field by field, in chunk order, so the float additions, and
-    their bits, do not depend on the worker count, and no workspace array
-    leaves its thread. A chunk's float sums are numpy's sums of contiguous
+    ``add`` folds each chunk into its sums, from the per-trial results in
+    the workspace, and adds them to the total field by field, in chunk
+    order, so the float additions, and their bits, are fixed by (seed,
+    trials, chunk_size). A chunk's float sums are numpy's sums of contiguous
     arrays: the scaled errors, their squares, the errors of the trials
     without overload and the last cell's mod-input moments of its clean
     trials; and per cell, numpy's sum over the trial axis of the (trials,
@@ -334,12 +312,11 @@ class _Accumulator:
         cells = (counts, np.zeros(n_cells), counts) if per_cell else (0, 0, 0)
         self.total = _ChunkSums(0, 0.0, 0.0, 0.0, 0, 0.0, 0, *cells)
 
-    def chunk_sums(self, arrays: _ChunkArrays) -> _ChunkSums:
-        """The sums of one chunk from the per-trial results that ``_run_cells``
+    def add(self, arrays: _ChunkArrays):
+        """Fold the next chunk from the per-trial results that ``_run_cells``
         wrote into its ``arrays`` (errors, and (trials, cells) overload,
-        mod-input moments and clean history), with their scratch. Reads only
-        ``last``, ``per_cell`` and ``exp``, so worker threads may call it at
-        once."""
+        mod-input moments and clean history), with their scratch, and add
+        its sums to the total."""
         m = arrays.err.shape[0]
         scaled = np.ldexp(arrays.err, -self.exp, out=arrays.scaled)
         spare = arrays.spare
@@ -363,11 +340,7 @@ class _Accumulator:
             # numpy sums one cell pairwise and two or more sequentially: keep its call.
             cells = (_column_counts(arrays.overload), np.sum(spare, axis=0),
                      _column_counts(arrays.clean_before))
-        return _ChunkSums(m, err_sum, err_sq_sum, cond_err_sum, overloads, v_sq_sum, count,
-                          *cells)
-
-    def add(self, sums: _ChunkSums):
-        """Add the next chunk's sums to the total."""
+        sums = (m, err_sum, err_sq_sum, cond_err_sum, overloads, v_sq_sum, count, *cells)
         self.total = _ChunkSums(*(a + b for a, b in zip(self.total, sums)))
 
     def report(self, rates: RatePoint, seed: int, margin: float, n: int,
@@ -536,7 +509,8 @@ _thread_state = threading.local()
 
 def _workspace() -> _Workspace:
     """The calling thread's workspace, made on its first chunk; it goes with
-    the thread."""
+    the thread. It is thread-local so that experiments run from several
+    threads at once each write their own arrays."""
     ws = getattr(_thread_state, "workspace", None)
     if ws is None:
         ws = _thread_state.workspace = _Workspace()
@@ -758,6 +732,13 @@ def _require_resolvable(plan: _Plan, d: float) -> _Plan:
     return plan
 
 
+def _with_dithers(plan: _Plan, dithers) -> _Plan:
+    """A one-cell plan whose members keep the given dithers fixed."""
+    (cell,) = plan.cells
+    members = tuple(mem._replace(dither=u) for mem, u in zip(cell.members, dithers))
+    return plan._replace(cells=(cell._replace(members=members),))
+
+
 def _codec_plan(codec, make_plan) -> _Plan:
     """The random-dither plan ``make_plan(codec)`` of a two-user or
     side-information codec, checked by ``_require_resolvable`` on its first
@@ -773,13 +754,9 @@ def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimRep
     ``plan`` and report their merged statistics."""
     acc = _Accumulator(len(plan.cells), plan.order[-1], codec.rates.distortion, per_cell)
     shape = _chunk_shape(plan)
-
-    def work(k: int):
-        return acc.chunk_sums(_run_cells(plan, sizes[k], _chunk_rng(seed, k),
-                                         _workspace().arrays(sizes[k], *shape)))
-
-    for sums in _map_chunks(work, len(sizes)):
-        acc.add(sums)
+    ws = _workspace()
+    for k, m in enumerate(sizes):
+        acc.add(_run_cells(plan, m, _chunk_rng(seed, k), ws.arrays(m, *shape)))
     return acc.report(codec.rates, seed, codec.margin, codec.n, per_cell)
 
 
@@ -900,10 +877,10 @@ def build_two_user_codec(
     )
 
 
-def _two_user_plan(codec: TwoUserCodec, dithers=(None, None)) -> _Plan:
+def _two_user_plan(codec: TwoUserCodec) -> _Plan:
     """One cell: X1 enters added, c X2 subtracted; Zhat = beta * cell."""
-    cell = _Cell((_Member(0, 1.0, False, codec.fine1, dithers[0]),
-                  _Member(1, codec.model.c, True, codec.fine2, dithers[1])), codec.coarse, ())
+    cell = _Cell((_Member(0, 1.0, False, codec.fine1),
+                  _Member(1, codec.model.c, True, codec.fine2)), codec.coarse, ())
     return _Plan(_gaussian_factor(codec.model.cov), codec.model.coeffs, (), (cell,), (0,),
                  (codec.beta,))
 
@@ -921,12 +898,11 @@ def run_two_user_experiment(
     derandomized mode); dithers are otherwise redrawn each trial.
     """
     sizes = _chunk_sizes(trials, chunk_size)
-    if fixed_dither:  # a plan of its own: the dithers depend on the seed
+    plan = _codec_plan(codec, _two_user_plan)
+    if fixed_dither:
         drng = _dither_rng(seed)
-        dithers = (sample_dither(codec.fine1, drng, 1)[0], sample_dither(codec.fine2, drng, 1)[0])
-        plan = _require_resolvable(_two_user_plan(codec, dithers), codec.rates.distortion)
-    else:
-        plan = _codec_plan(codec, _two_user_plan)
+        plan = _with_dithers(plan, [sample_dither(mem.fine, drng, 1)[0]
+                                    for mem in plan.cells[0].members])
     return _run(plan, sizes, seed, codec)
 
 

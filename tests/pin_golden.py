@@ -17,13 +17,11 @@ Four groups of cases. The first three are pinned as sha256 digests in
   the engine's 8,192-trial row blocks: A2, K-user and side information in
   one 20,000-trial chunk, and the Z^1 two-user codec of
   ``perfbench/workloads.py`` at 16,385 trials in 8,193-trial chunks, whose
-  first chunk ends one row past a block. The test runs each case at
-  ``LATFUN_THREADS`` 1 and 2; this script pins the 1-thread run.
+  first chunk ends one row past a block.
 
 The fourth, ``cli.json``, stores the full stdout of ``latfun region``,
 ``simulate`` and ``lattice`` cases run in-process through
-``latfun.cli.main``. The test runs each ``simulate`` case at
-``LATFUN_THREADS`` 1 and 2; this script pins the 1-thread run.
+``latfun.cli.main``.
 
 Run from the repository root:
 
@@ -40,7 +38,6 @@ import functools
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -254,34 +251,17 @@ def _codec_report(tag: str, seed: int, setting: str):
     return run_two_user_experiment(_codecs()[tag], trials, seed, **kwargs)
 
 
-@contextlib.contextmanager
-def _threads(count: int):
-    """``LATFUN_THREADS=count`` inside the block, restored after it."""
-    saved = os.environ.get("LATFUN_THREADS")
-    os.environ["LATFUN_THREADS"] = str(count)
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["LATFUN_THREADS"]
-        else:
-            os.environ["LATFUN_THREADS"] = saved
-
-
-def codec_digest(name: str, threads: int) -> str:
-    """sha256 of ``SimReport.to_json()`` of one codec case at
-    ``LATFUN_THREADS=threads``."""
+def codec_digest(name: str) -> str:
+    """sha256 of ``SimReport.to_json()`` of one codec case."""
     tag, seed, setting = name.split("-", 2)
-    with _threads(threads):
-        rep = _codec_report(tag, int(seed[4:]), setting)
+    rep = _codec_report(tag, int(seed[4:]), setting)
     return hashlib.sha256(rep.to_json().encode()).hexdigest()
 
 
-def cli_stdout(name: str, threads: int = 1) -> str:
-    """Stdout of one CLI case at ``LATFUN_THREADS=threads``; a nonzero exit
-    code raises."""
+def cli_stdout(name: str) -> str:
+    """Stdout of one CLI case; a nonzero exit code raises."""
     out = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, _threads(threads):
+    with tempfile.TemporaryDirectory() as tmp:
         args = []
         for arg in CLI_CASES[name]:
             if arg in CLI_FILES:
@@ -306,7 +286,7 @@ def main_pin() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         _write(PINS, {name: sweep_digest(args, tmp) for name, args in CASES.items()})
     _write(CLOSEST_POINT_PINS, {name: closest_point_digest(name) for name in CLOSEST_POINT_CASES})
-    _write(CODEC_PINS, {name: codec_digest(name, 1) for name in CODEC_CASES})
+    _write(CODEC_PINS, {name: codec_digest(name) for name in CODEC_CASES})
     _write(CLI_PINS, {name: cli_stdout(name) for name in CLI_CASES}, kind="stdout")
     return 0
 

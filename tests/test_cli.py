@@ -471,12 +471,23 @@ def test_simulate_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--seed=-1",), "--seed must be at least 0, got -1"),
+    (("--n", "0"), "--n must be at least 1, got 0"),
+    (("--n=-1",), "--n must be at least 1, got -1"),
+    (("--side-info", "0.1", "--n", "0"), "--n must be at least 1, got 0"),
+    (("--plan", "MISSING", "--seed=-2"), "--seed must be at least 0, got -2"),
+], ids=["seed-negative", "n-zero", "n-negative", "side-info-n-zero", "plan-seed-negative"])
+def test_simulate_invalid_counts_exit_two(capsys, args, message):
+    # Checked before any file is read or codec is built.
+    code, out, err = run_cli(capsys, "simulate", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_nonpositive_trials_exit_two(capsys, trials):
     code, out, err = run_cli(capsys, "simulate", f"--trials={trials}")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert (code, out, err) == (2, "", f"error: --trials must be at least 1, got {trials}\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -762,23 +773,27 @@ def test_simulate_side_info(capsys):
     assert payload["conditional_distortion"] == pytest.approx(0.05, rel=0.1)
 
 
-# Edge values for the float flags of ``simulate``: signed zeros, +-1e+-300,
-# the smallest subnormal, the non-finite values and ordinary ones.
+# Edge values for the float flags of the fuzzed commands: signed zeros,
+# +-1e+-300, the smallest subnormal, the non-finite values and ordinary ones.
 _FUZZ_VALUES = ["0", "-0", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "inf", "-inf",
                 "nan", "1", "-1", "0.02", "0.06", "0.1", "0.5", "-0.5", "0.8", "2", "3"]
 _FUZZ_FLAGS = ("--margin", "--q1", "--rho", "--c", "--d", "--side-info")
 
 
-@settings(max_examples=250, deadline=None)
-@given(n=st.integers(1, 4), trials=st.integers(1, 64), fixed_dither=st.booleans(),
-       values=st.fixed_dictionaries({flag: st.none() | st.sampled_from(_FUZZ_VALUES)
-                                     for flag in _FUZZ_FLAGS}))
-def test_simulate_fuzzed_arguments_report_or_exit_two(n, trials, fixed_dither, values):
-    # In-process, so the suite's warnings-as-errors reaches the engine.
-    args = ["simulate", "--n", str(n), "--trials", str(trials)]
-    args += ["--fixed-dither"] if fixed_dither else []
-    for flag, value in values.items():
-        args += [flag, value] if value is not None else []
+def _fuzz_values(flags):
+    """Each flag left out or given one of the edge values."""
+    return st.fixed_dictionaries({flag: st.none() | st.sampled_from(_FUZZ_VALUES)
+                                  for flag in flags})
+
+
+def _fuzz_args(values):
+    return [arg for flag, value in values.items() if value is not None for arg in (flag, value)]
+
+
+def _run_fuzzed(args):
+    """``main(args)`` in-process, so the suite's warnings-as-errors reaches the
+    library: (exit code, stdout, stderr). An exit other than 0 must be 2 with
+    one stderr line and no stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -786,14 +801,81 @@ def test_simulate_fuzzed_arguments_report_or_exit_two(n, trials, fixed_dither, v
         except SystemExit as exc:  # argparse's own errors
             code = exc.code
     out, err = out.getvalue(), err.getvalue()
+    if code != 0:
+        assert code == 2, (args, err)
+        assert out == "", args
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+    return code, out, err
+
+
+@settings(max_examples=250, deadline=None)
+@given(n=st.integers(-1, 4), trials=st.integers(-1, 64), seed=st.integers(-2, 2**63),
+       fixed_dither=st.booleans(), values=_fuzz_values(_FUZZ_FLAGS))
+def test_simulate_fuzzed_arguments_report_or_exit_two(n, trials, seed, fixed_dither, values):
+    args = ["simulate", "--n", str(n), "--trials", str(trials), f"--seed={seed}"]
+    args += ["--fixed-dither"] if fixed_dither else []
+    args += _fuzz_args(values)
+    code, out, err = _run_fuzzed(args)
     if code == 0:
         payload = json.loads(out, parse_constant=_reject_constant)
         assert math.isfinite(payload["empirical_distortion"]), args
         assert err == "", args
-    else:
-        assert code == 2, (args, err)
-        assert out == "", args
-        assert err.endswith("\n") and err.count("\n") == 1, (args, err)
+    bad = [flag for flag, value, low in (("--n", n, 1), ("--trials", trials, 1),
+                                         ("--seed", seed, 0)) if value < low]
+    if bad:  # checked first, so the error names one of them
+        assert code == 2 and any(f"error: {flag} " in err for flag in bad), (args, err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A plan file for ``region --scheme kuser`` and room for sweep CSVs."""
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "plan.json").write_text(PartitionPlan(((0,), (1,)), (0, 1), (0.1, 0.1)).to_json())
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(["lattice", "bt", "kuser", "nope"]),
+       c=st.none() | st.sampled_from(_FUZZ_VALUES)
+       | st.sampled_from(_FUZZ_VALUES).map("1,{}".format),
+       with_plan=st.booleans(), values=_fuzz_values(("--rho", "--d")))
+def test_region_fuzzed_arguments_report_or_exit_two(fuzz_dir, scheme, c, with_plan, values):
+    args = ["region", "--scheme", scheme, *_fuzz_args(values)]
+    args += ["--c", c] if c is not None else []
+    args += ["--plan", str(fuzz_dir / "plan.json")] if with_plan else []
+    code, out, err = _run_fuzzed(args)
+    if code == 0:
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["scheme"] == scheme and err == "", args
+
+
+_SWEEP_BOUNDS = ("--rho-min", "--rho-max", "--c-min", "--c-max", "--d-min", "--d-max")
+
+
+@settings(max_examples=200, deadline=None)
+@given(preset=st.sampled_from(["custom", "custom", "custom", "fig9"]),
+       scale=st.none() | st.sampled_from(["log", "linear", "cubic"]),
+       counts=st.fixed_dictionaries({f"--{name}-count": st.none() | st.integers(-1, 3).map(str)
+                                     for name in ("rho", "c", "d")}),
+       values=_fuzz_values(_SWEEP_BOUNDS))
+def test_sweep_fuzzed_arguments_write_csv_or_exit_two(fuzz_dir, preset, scale, counts, values):
+    out = fuzz_dir / "sweep.csv"
+    out.unlink(missing_ok=True)
+    args = ["sweep", "--out", str(out), "--preset", preset, *_fuzz_args(values)]
+    args += ["--d-scale", scale] if scale is not None else []
+    args += _fuzz_args(counts)
+    code, stdout, err = _run_fuzzed(args)
+    if code != 0:
+        assert not out.exists(), args
+        return
+    assert (stdout, err) == ("", ""), args
+    schema, header, *rows = out.read_text().splitlines()
+    assert schema == "# schema=1"
+    assert header == "rho,c,D,lattice_sum_bits,bt_sum_bits,gap_bits,regime"
+    for row in rows:
+        *numbers, regime = row.split(",")
+        assert len(numbers) == 6 and regime, (args, row)
+        assert all(math.isfinite(float(x)) for x in numbers), (args, row)
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +916,12 @@ def test_lattice_cosets(capsys):
     # inf times a generator's zero entries is NaN: checked before the product.
     (("--op", "cosets", "--nesting", "inf", "--dim", "2"), "--nesting must be finite, got inf"),
     (("--lattice", "a2", "--op", "cosets", "--nesting", "-inf"), "--nesting must be finite, got -inf"),
+    (("--op", "moment", "--seed=-3"), "--seed must be at least 0, got -3"),
+    (("--op", "nsm", "--dim", "0"), "--dim must be at least 1, got 0"),
+    (("--op", "construction-a", "--dim=-2"), "--dim must be at least 1, got -2"),
 ], ids=["singular-generator-file", "construction-a-p1", "cosets-nesting-beyond-int64",
-        "cosets-nesting-inf-zn", "cosets-nesting-minus-inf-a2"])
+        "cosets-nesting-inf-zn", "cosets-nesting-minus-inf-a2", "seed-negative", "dim-zero",
+        "dim-negative"])
 def test_lattice_invalid_inputs_exit_two(capsys, tmp_path, args, message):
     singular = tmp_path / "singular.json"
     singular.write_text('{"dim": 2, "gen": [1.0, 2.0, 2.0, 4.0]}')

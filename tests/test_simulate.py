@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import epi_entropy_quadrature, run_block_reference, run_cells_reference
-from pin_golden import _codecs
+from pin_golden import _codecs, _z4_codecs
 
 from latfun import (
     DegenerateSideInfo,
@@ -58,7 +59,6 @@ from latfun.simulate import (
     _draw,
     _gaussian_factor,
     _k_user_plan,
-    _map_chunks,
     _row_any,
     _row_mean,
     _run_block,
@@ -66,6 +66,7 @@ from latfun.simulate import (
     _side_info_plan,
     _sources,
     _two_user_plan,
+    _with_dithers,
 )
 
 M88 = two_user_model(0.8, 0.8)
@@ -217,14 +218,6 @@ def _chunk(plan, x, rng=None):
     return _run_block(plan, *_draw(plan, x.shape[0], _ChosenNormals(x, rng)))
 
 
-def _with_dithers(plan, dithers):
-    """A one-cell plan whose members keep the given dithers fixed."""
-    (cell,) = plan.cells
-    members = tuple(m._replace(dither=np.asarray(u, dtype=np.float64))
-                    for m, u in zip(cell.members, dithers))
-    return plan._replace(cells=(cell._replace(members=members),))
-
-
 # ---------------------------------------------------------------------------
 # engine hand cases (hand codec: fine lattices Z, coarse 4Z, n = 1)
 
@@ -232,7 +225,7 @@ def _with_dithers(plan, dithers):
 def test_encode_fixed_point():
     # A fine point inside the coarse cell, zero dither: transmitted as is.
     codec = _hand_codec()
-    plan = _two_user_plan(codec, (np.zeros(1), np.zeros(1)))
+    plan = _with_dithers(_two_user_plan(codec), (np.zeros(1), np.zeros(1)))
     z, zhat, v, overload, _ = _chunk(plan, [[[1.0, 0.0]]])
     assert np.array_equal(z, [[1.0]])
     assert np.array_equal(v[0], [[1.0]])
@@ -246,7 +239,7 @@ def test_encode_hand_case_with_ties():
     # because the wrap tie between 0 and 4 also resolves to the smaller
     # coordinate; for the same reason v = 2 is no overload.
     codec = _hand_codec()
-    plan = _two_user_plan(codec, (np.array([0.5]), np.array([0.5])))
+    plan = _with_dithers(_two_user_plan(codec), (np.array([0.5]), np.array([0.5])))
     _, zhat, v, overload, _ = _chunk(plan, [[[2.0, 0.0]]])
     assert np.array_equal(v[0], [[2.0]])
     assert np.array_equal(zhat, [[codec.beta * 2.0]])
@@ -270,7 +263,7 @@ def test_decode_zero_dither_equal_indices():
     # All-zero sources and dithers decode to zero, and so do equal fine
     # points X1 = c X2 = 1.
     codec = _hand_codec()
-    plan = _two_user_plan(codec, (np.zeros(1), np.zeros(1)))
+    plan = _with_dithers(_two_user_plan(codec), (np.zeros(1), np.zeros(1)))
     _, zhat, v, overload, _ = _chunk(plan, [[[0.0, 0.0]], [[1.0, 1.25]]])
     assert np.array_equal(v[0], np.zeros((2, 1)))
     assert np.array_equal(zhat, np.zeros((2, 1)))
@@ -477,8 +470,8 @@ def _hand_plan(fine):
 def _fixed_dither_plan():
     codec = _codecs()["z1"]
     drng = np.random.default_rng(7)
-    return _two_user_plan(codec, (sample_dither(codec.fine1, drng, 1)[0],
-                                  sample_dither(codec.fine2, drng, 1)[0]))
+    return _with_dithers(_two_user_plan(codec), (sample_dither(codec.fine1, drng, 1)[0],
+                                                 sample_dither(codec.fine2, drng, 1)[0]))
 
 
 _ENGINE_PLANS = {
@@ -632,14 +625,13 @@ _SEQUENCE_RUNS = {
 }
 
 
-def test_workspace_reuse_matches_fresh_processes(monkeypatch):
-    monkeypatch.setenv("LATFUN_THREADS", "1")
+def test_workspace_reuse_matches_fresh_processes():
     namespace = {}
     exec(_SEQUENCE_SETUP, namespace)
     order = ["k_user", "side_info", "larger_chunk", "k_user"]
     got = [eval(_SEQUENCE_RUNS[name], namespace).to_json() for name in order]
     src = str(Path(simulate.__file__).resolve().parent.parent)
-    env = dict(os.environ, LATFUN_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     fresh = {}
     for name, run in _SEQUENCE_RUNS.items():
@@ -648,6 +640,56 @@ def test_workspace_reuse_matches_fresh_processes(monkeypatch):
         assert proc.returncode == 0, proc.stderr
         fresh[name] = proc.stdout.strip()
     assert got == [fresh[name] for name in order]
+
+
+def _in_threads(*runs):
+    """The reports' JSON of ``runs``, each called in a thread of its own, all
+    released together by a barrier, with a short switch interval so that the
+    threads interleave often; an error in a thread is raised here."""
+    barrier = threading.Barrier(len(runs))
+    results = [None] * len(runs)
+
+    def target(i):
+        try:
+            barrier.wait(timeout=60)
+            results[i] = runs[i]().to_json()
+        except Exception as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def test_concurrent_experiments_equal_their_serial_runs():
+    # Each thread runs its chunks in its own workspace: experiments of
+    # several chunks, run at once, give the bytes of their runs one by one,
+    # also when both threads run one codec object whose plan neither has built.
+    model, plan, _ = _z4_codecs()
+    runs = [
+        lambda: run_two_user_experiment(_codecs()["a2"], 20_000, seed=1, chunk_size=2_500),
+        lambda: run_k_user_experiment(model, plan, n=4, trials=20_000, seed=2, margin=2.0,
+                                      chunk_size=1_500),
+    ]
+    assert _in_threads(*runs) == [run().to_json() for run in runs]
+    shared = _a2_two_user_codec()
+    runs = [lambda seed=seed: run_two_user_experiment(shared, 20_000, seed, chunk_size=2_000)
+            for seed in (3, 4)]
+    serial = [run_two_user_experiment(_a2_two_user_codec(), 20_000, seed, chunk_size=2_000)
+              for seed in (3, 4)]
+    assert _in_threads(*runs) == [rep.to_json() for rep in serial]
 
 
 def test_diagonal_codecs_never_reach_the_kernel(monkeypatch):
@@ -698,21 +740,6 @@ def _k_user_run():
                                          margin=2.0, chunk_size=10_000)
 
 
-@pytest.mark.parametrize("make_run", [
-    pytest.param(lambda: _two_user_run(False), id="two_user"),
-    pytest.param(lambda: _two_user_run(True), id="fixed_dither"),
-    pytest.param(_side_info_run, id="side_info"),
-    pytest.param(_k_user_run, id="k_user"),
-])
-def test_experiment_thread_count_does_not_change_output(monkeypatch, make_run):
-    run = make_run()
-    outputs = []
-    for threads in ("1", "2", "abc"):  # a value that is not a count means 1
-        monkeypatch.setenv("LATFUN_THREADS", threads)
-        outputs.append(run().to_json())
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def _a2_two_user_codec():
     base = hexagonal_lattice()
     est = second_moment(base, 2000, np.random.default_rng(0))
@@ -750,10 +777,10 @@ def test_a_codec_builds_and_checks_its_plan_once(monkeypatch, tag):
         run(codec, 300, seed, chunk_size=128)
         assert (len(factors), len(checks)) == (1, 1), f"run {seed}"
     if tag.startswith("two_user"):
-        # A fixed dither depends on the seed, so each such run builds its own plan.
+        # A fixed-dither run swaps its dithers into the codec's checked plan.
         for seed in range(2):
             run(codec, 300, seed, chunk_size=128, fixed_dither=True)
-        assert (len(factors), len(checks)) == (3, 3)
+        assert (len(factors), len(checks)) == (1, 1)
 
 
 def test_k_user_runs_and_failed_checks_keep_no_plan(monkeypatch):
@@ -771,43 +798,13 @@ def test_k_user_runs_and_failed_checks_keep_no_plan(monkeypatch):
     assert codec._plan is None
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("tag", sorted(_CACHING_CODECS))
-def test_repeated_runs_of_a_codec_equal_runs_of_a_fresh_one(monkeypatch, tag, threads):
-    monkeypatch.setenv("LATFUN_THREADS", threads)
+def test_repeated_runs_of_a_codec_equal_runs_of_a_fresh_one(tag):
     make, run = _CACHING_CODECS[tag]
     codec = make()
     for seed, trials in ((3, 700), (4, 257), (3, 700)):
         assert run(codec, trials, seed, chunk_size=256).to_json() == \
             run(make(), trials, seed, chunk_size=256).to_json(), f"seed {seed}, {trials} trials"
-
-
-def test_one_worker_computes_each_chunk_after_the_last_is_consumed(monkeypatch):
-    monkeypatch.setenv("LATFUN_THREADS", "1")
-    events = []
-
-    def fn(k):
-        events.append(("computed", k))
-        return k
-
-    for k in _map_chunks(fn, 3):
-        events.append(("consumed", k))
-    assert events == [(kind, k) for k in range(3) for kind in ("computed", "consumed")]
-
-
-def test_one_chunk_runs_in_the_calling_thread(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk run started a thread pool")
-
-    run = _two_user_run(False)
-    monkeypatch.setenv("LATFUN_THREADS", "1")
-    codec = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
-    want = run_two_user_experiment(codec, 1024, seed=12).to_json()
-    monkeypatch.setenv("LATFUN_THREADS", "2")
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
-    assert run_two_user_experiment(codec, 1024, seed=12).to_json() == want
-    with pytest.raises(AssertionError, match="thread pool"):
-        run()  # ten chunks still use the pool
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3])
@@ -947,7 +944,7 @@ def test_k_user_moment_checks_match_cell_variances():
         assert abs(got - want) < se
 
 
-def test_k_user_on_a_singular_covariance(monkeypatch):
+def test_k_user_on_a_singular_covariance():
     # The all-ones covariance has no Cholesky factor, so the sources come
     # from its eigendecomposition.
     cov = np.ones((3, 3))
@@ -957,13 +954,8 @@ def test_k_user_on_a_singular_covariance(monkeypatch):
     assert np.allclose(factor @ factor.T, cov, atol=1e-12)
     model = SourceModel(cov, np.array([1.0, -0.8, 0.5]))
     plan = PartitionPlan(((0, 1), (2,)), (0, 1), (0.05, 0.05, 0.05))
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LATFUN_THREADS", threads)
-        reports.append(run_k_user_experiment(model, plan, n=2, trials=3000, seed=3, margin=2.0,
-                                             chunk_size=1000).to_json())
-    assert reports[0] == reports[1]
-    values = json.loads(reports[0])
+    values = json.loads(run_k_user_experiment(model, plan, n=2, trials=3000, seed=3, margin=2.0,
+                                              chunk_size=1000).to_json())
     numbers = [v for key in ("cell_moment_checks", "cell_overload_rates", "rates_bits")
                for v in values[key]]
     numbers += [values[key] for key in ("conditional_distortion", "distortion_std_error",
@@ -978,7 +970,7 @@ def test_cell_moment_check_is_nan_for_a_cell_with_no_clean_trial():
     arrays.overload[:] = False
     arrays.v_sq[:] = [[2.0, 5.0], [4.0, 7.0]]
     arrays.clean_before[:] = [[True, False], [True, False]]
-    acc.add(acc.chunk_sums(arrays))
+    acc.add(arrays)
     rep = acc.report(RatePoint((1.0, 1.0), 0.1, SCHEME_LATTICE), 0, 1.0, 1, per_cell=True)
     assert rep.cell_moment_checks[0] == 3.0
     assert math.isnan(rep.cell_moment_checks[1])
