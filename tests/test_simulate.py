@@ -798,13 +798,17 @@ def test_k_user_runs_and_failed_checks_keep_no_plan(monkeypatch):
     assert codec._plan is None
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("tag", sorted(_CACHING_CODECS))
-def test_repeated_runs_of_a_codec_equal_runs_of_a_fresh_one(tag):
+def test_repeated_runs_of_a_codec_equal_runs_of_a_fresh_one(tag, threads):
+    # One codec object, run again and again from ``threads`` threads at once
+    # (the first runs racing to build its plan), gives a fresh codec's bytes.
     make, run = _CACHING_CODECS[tag]
     codec = make()
     for seed, trials in ((3, 700), (4, 257), (3, 700)):
-        assert run(codec, trials, seed, chunk_size=256).to_json() == \
-            run(make(), trials, seed, chunk_size=256).to_json(), f"seed {seed}, {trials} trials"
+        fresh = run(make(), trials, seed, chunk_size=256).to_json()
+        runs = [lambda: run(codec, trials, seed, chunk_size=256)] * threads
+        assert _in_threads(*runs) == [fresh] * threads, f"seed {seed}, {trials} trials"
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3])
