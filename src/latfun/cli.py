@@ -11,6 +11,7 @@ error, an unreadable or malformed input file included.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -20,20 +21,21 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import lattices, regions, simulate
+from . import gaussian, lattices, regions, simulate
 from .errors import InvalidCount, LatfunError
 from .gaussian import (
     PartitionPlan,
     SourceModel,
-    _two_user_variances,
     function_variance,
     noisy_function_side_model,
     two_user_model,
 )
-from .simulate import _g6
 
 CSV_SCHEMA_LINE = "# schema=1"
 SWEEP_HEADER = "rho,c,D,lattice_sum_bits,bt_sum_bits,gap_bits,regime"
+# One sweep row: six numbers at 6 significant digits (the bytes of
+# simulate._g6, which formats with the same float formatter), then the label.
+SWEEP_ROW = "%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%s"
 
 
 def _print_json(payload) -> None:
@@ -84,10 +86,11 @@ def _load_model(args) -> SourceModel:
 
 
 def _check_counts(args, **least: int) -> None:
-    """Reject an integer flag below its least value, naming the flag."""
+    """Reject an integer flag below its least value, naming the flag; an
+    unset flag (None) passes."""
     for dest, low in least.items():
         value = getattr(args, dest)
-        if value < low:
+        if value is not None and value < low:
             raise InvalidCount(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
 
 
@@ -156,8 +159,11 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """CSV rows; one per (rho, c, D), or per (rho, c) when collapsing to the
     distortion with the largest gap.
 
-    ``d_of_model`` maps Var(Z) to a distortion grid. ``_whole_grid`` gives
-    every Var(Z) and grid, and ``_grid_rows`` every row, in one array pass.
+    ``d_of_model`` maps Var(Z) to a distortion grid. The cells are the
+    columns ``np.repeat(rho_values, n_c)`` and ``np.tile(c_values, n_rho)``;
+    ``_whole_grid`` gives every Var(Z) and grid, and ``_grid_rows`` every
+    row, in one array pass. A grid that keeps no D in (0, Var Z) gives no
+    rows, so a sweep may return none.
 
     When that pass cannot run (rho outside (0, 1), a non-finite c, an
     overflowing Var(Z), a failing ``d_of_model`` call or a grid that is not
@@ -168,15 +174,16 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     must be two-user, and its rows come from the same array pass on that
     cell alone.
     """
-    cells = [(rho, c) for rho in rho_values for c in c_values]
-    if not cells:
+    n_rho, n_c = len(rho_values), len(c_values)
+    if not (n_rho and n_c):
         return []
-    rho, c = np.array(cells, dtype=np.float64).T
+    rho = np.repeat(np.asarray(rho_values, dtype=np.float64), n_c)
+    c = np.tile(np.asarray(c_values, dtype=np.float64), n_rho)
     whole = _whole_grid(rho, c, d_of_model)
     if whole is not None:
         return _grid_rows(rho, c, *whole, collapse_d)
     rows = []
-    for k, cell in enumerate(cells):
+    for k, cell in enumerate(itertools.product(rho_values, c_values)):
         model = two_user_model(*cell)
         var_z = function_variance(model)
         grid = d_of_model(var_z)
@@ -193,28 +200,37 @@ def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
 
     Finite c and rho in (0, 1) imply every check that ``two_user_model``
     and ``require_two_user`` make, so no model is built. Var(Z) is one
-    stacked product (``_two_user_variances``), where a non-finite entry
-    means some model raises VarianceOverflow. The grids come from one call
-    on the array of Var(Z), along the last axis. np.linspace (with which
-    np.geomspace spaces its logs) switches every row to another formula
-    when one row's step is zero, and such a row is not strictly monotone
-    past two points; so strictly monotone grids are the per-cell ones bit
-    for bit.
+    stacked product (``gaussian._two_user_variances``), where a non-finite
+    entry means some model raises VarianceOverflow. The grids come from one
+    call on the array of Var(Z), along the last axis. np.linspace (with
+    which np.geomspace spaces its logs) switches every row to another
+    formula when one row's step is zero, and such a row is not strictly
+    monotone past two points; so strictly monotone grids are the per-cell
+    ones bit for bit.
     """
     if not (((rho > 0) & (rho < 1)).all() and np.isfinite(c).all()):
         return None
-    var_z = _two_user_variances(rho, c)
+    var_z = gaussian._two_user_variances(rho, c)
     if not np.isfinite(var_z).all():
         return None
     try:
         grids = d_of_model(var_z)
     except ValueError:
         return None
-    grids = np.broadcast_to(grids, (len(var_z), grids.shape[-1]))
-    steps = np.diff(grids, axis=-1)
-    if not ((steps > 0).all(axis=-1) | (steps < 0).all(axis=-1)).all():
+    if grids.shape[:-1] != var_z.shape:
+        grids = np.broadcast_to(grids, (len(var_z), grids.shape[-1]))
+    if not _strictly_monotone(grids):
         return None
     return var_z, grids
+
+
+def _strictly_monotone(grids: np.ndarray) -> bool:
+    """Whether every row's steps are all > 0 or all < 0, as
+    ``((steps > 0).all(-1) | (steps < 0).all(-1)).all()``, in fewer passes:
+    each step must have its row's first step's sign, and that sign must not
+    be 0. NaN equals no sign; a row of one point has no steps."""
+    signs = np.sign(np.diff(grids, axis=-1))
+    return bool((signs == signs[..., :1]).all() and signs[..., :1].all())
 
 
 def _grid_rows(rho, c, var_z, grids, collapse_d: bool) -> List[str]:
@@ -223,7 +239,8 @@ def _grid_rows(rho, c, var_z, grids, collapse_d: bool) -> List[str]:
     the distortions outside (0, Var Z) are replaced by Var(Z), which every
     formula takes, and then left out: the rows are all kept entries in
     row-major order, or with ``collapse_d`` each cell's largest gap (the
-    others at -inf). Only these entries get a regime label."""
+    others at -inf). Only these entries get a regime label, and each row
+    is one ``SWEEP_ROW % values``."""
     keep = (grids > 0) & (grids < var_z[:, None])
     d = np.where(keep, grids, var_z[:, None])
     lattice_bits = regions._log2_twice_ratio(var_z[:, None], d)
@@ -236,22 +253,21 @@ def _grid_rows(rho, c, var_z, grids, collapse_d: bool) -> List[str]:
         k, i = np.nonzero(keep)
     rho, c, d = rho[k], c[k], d[k, i]
     columns = [v.tolist() for v in (rho, c, d, lattice_bits[k, i], bt_bits[k, i], gaps[k, i])]
-    regimes = regions._bt_regimes(rho, c, d).tolist()
-    return [",".join([*map(_g6, values), regime]) for *values, regime in zip(*columns, regimes)]
+    columns.append(regions._bt_regimes(rho, c, d).tolist())
+    return [SWEEP_ROW % row for row in zip(*columns)]
 
 
 def sweep_rows_fig3():
     """Direct-scheme sum-rate surface over (c, D) at correlation 0.8, from
-    one stacked Var(Z), one np.geomspace call and one rate pass."""
+    one stacked Var(Z), one np.geomspace call and one rate pass; the
+    quantize-and-bin columns read nan."""
     c = np.linspace(0.05, 2.0, 40)
-    var_z = _two_user_variances(np.full(40, 0.8), c)
+    var_z = gaussian._two_user_variances(np.full(40, 0.8), c)
     d = np.geomspace(0.01, 0.99 * var_z, 40, axis=-1)
     lattice_bits = regions._log2_twice_ratio(var_z[:, None], d)
     columns = (np.repeat(c, 40).tolist(), d.ravel().tolist(), lattice_bits.ravel().tolist())
-    return [
-        ",".join([_g6(0.8), _g6(c_k), _g6(d_k), _g6(bits), "nan", "nan", "lattice-only"])
-        for c_k, d_k, bits in zip(*columns)
-    ]
+    return [SWEEP_ROW % (0.8, c_k, d_k, bits, math.nan, math.nan, "lattice-only")
+            for c_k, d_k, bits in zip(*columns)]
 
 
 def sweep_rows_fig4():
@@ -314,12 +330,14 @@ def cmd_sweep(args) -> int:
             return grid
 
         rows = _sweep_rows(rho_values, c_values, d_grid, collapse_d=False)
+        if not rows:
+            raise LatfunError(
+                f"no distortion from --d-min {args.d_min:g} to --d-max {args.d_max:g} "
+                "times Var(Z) lies in (0, Var(Z)) for any cell"
+            )
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(CSV_SCHEMA_LINE + "\n")
-            fh.write(SWEEP_HEADER + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            fh.write("\n".join([CSV_SCHEMA_LINE, SWEEP_HEADER, *rows, ""]))
     except OSError as exc:
         sys.stderr.write(f"failed to write {args.out}: {exc}\n")
         return 1
@@ -380,15 +398,21 @@ def cmd_simulate(args) -> int:
 
 
 def _resolve_lattice(args) -> lattices.Lattice:
+    """The lattice of ``--lattice``: Z^n at ``--dim`` (1 when unset), A2 or
+    a lattice file, whose dimension a given ``--dim`` must equal."""
     if args.lattice == "zn":
-        return lattices.integer_lattice(args.dim, args.scale)
+        return lattices.integer_lattice(1 if args.dim is None else args.dim, args.scale)
     if args.lattice == "a2":
-        return lattices.hexagonal_lattice(args.scale)
-    return _read_input(args.lattice, "lattice", lattices.Lattice.from_json)
+        lat = lattices.hexagonal_lattice(args.scale)
+    else:
+        lat = _read_input(args.lattice, "lattice", lattices.Lattice.from_json)
+    if args.dim is not None and args.dim != lat.dim:
+        raise LatfunError(f"--dim {args.dim} does not match the lattice's dimension {lat.dim}")
+    return lat
 
 
 def cmd_lattice(args) -> int:
-    _check_counts(args, dim=1, seed=0)
+    _check_counts(args, dim=1, samples=1, seed=0)
     rng = np.random.default_rng(args.seed)
     lat = _resolve_lattice(args)
     if args.op == "construction-a":
@@ -528,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("--lattice", type=str, default="zn",
                        help="zn, a2, or a path to a lattice JSON file")
     p_lat.add_argument("--op", choices=["moment", "nsm", "cosets", "construction-a"], required=True)
-    p_lat.add_argument("--dim", type=int, default=1)
+    p_lat.add_argument("--dim", type=int, default=None,
+                       help="dimension of zn (default 1); for a2 or a file, must match it")
     p_lat.add_argument("--scale", type=float, default=1.0)
     p_lat.add_argument("--samples", type=int, default=200_000)
     p_lat.add_argument("--seed", type=int, default=0)

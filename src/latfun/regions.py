@@ -115,17 +115,19 @@ class ScalingOptimum:
 
 
 def _log2_twice_ratio(var, d) -> np.ndarray:
-    """log2(2 var / D), elementwise over the broadcast arrays. Where the
-    ratio overflows (tiny D), the logs are taken apart as 1 + log2(var) -
-    log2(D); elsewhere the ratio keeps its bits. Each log is ``math.log2``:
-    numpy's log2 differs from it in the last bit on some inputs."""
-    var, d = np.broadcast_arrays(np.asarray(var, dtype=np.float64), np.asarray(d, dtype=np.float64))
+    """log2(2 var / D), elementwise, in the shape var and D broadcast to.
+    Where the ratio overflows (tiny D), the logs are taken apart as 1 +
+    log2(var) - log2(D), and only then are var and D broadcast; elsewhere
+    the ratio keeps its bits. Each log is ``math.log2``: numpy's log2
+    differs from it in the last bit on some inputs."""
+    var, d = np.asarray(var, dtype=np.float64), np.asarray(d, dtype=np.float64)
     with np.errstate(over="ignore"):
         ratio = 2.0 * var / d
     out = np.fromiter(map(math.log2, ratio.ravel().tolist()), np.float64, ratio.size)
     out = out.reshape(ratio.shape)
     apart = ratio == math.inf
     if apart.any():
+        var, d = np.broadcast_arrays(var, d)
         out[apart] = [
             1.0 + math.log2(v) - math.log2(x) for v, x in zip(var[apart].tolist(), d[apart].tolist())
         ]
@@ -219,8 +221,8 @@ def bt_regime_boundary(model: SourceModel) -> float:
 
 def _bt_boundary(rho, c):
     """``bt_regime_boundary`` for c > 0, elementwise."""
-    alpha = 1.0 - rho * rho
-    return np.minimum(2.0 * alpha * c / (rho + c), 2.0 * alpha * c * c / (1.0 + rho * c))
+    two_alpha_c = 2.0 * (1.0 - rho * rho) * c
+    return np.minimum(two_alpha_c / (rho + c), two_alpha_c * c / (1.0 + rho * c))
 
 
 def bt_optimal_q(model: SourceModel, d: float) -> BtOptimum:
@@ -298,9 +300,10 @@ def _bt_min_sum(rho, c, d: np.ndarray) -> np.ndarray:
     alpha = 1.0 - rho * rho
     sz2 = 1.0 + c * c - 2.0 * rho * c
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        two_alpha_c, rho_c = 2.0 * alpha * c, rho * c
         # q1* > 0 and q2* > 0, since alpha and D are positive.
-        stationary = (c * (2.0 * alpha * c - (rho + c) * d) > 0) & (
-            2.0 * alpha * c * c - (1.0 + rho * c) * d > 0
+        stationary = (c * (two_alpha_c - (rho + c) * d) > 0) & (
+            two_alpha_c * c - (1.0 + rho_c) * d > 0
         )
         d_sq = d * d
         rate = 0.5 * np.log2(4.0 * c * (alpha * c - rho * d) / d_sq)
@@ -312,13 +315,13 @@ def _bt_min_sum(rho, c, d: np.ndarray) -> np.ndarray:
             logs = np.log2(4.0 * abs(c)) + np.log2(np.abs(alpha * c - rho * d))
             rate = np.where(apart, 0.5 * logs - np.log2(d), rate)
         best = np.where(stationary, rate, np.inf)
-        for floor, lift in ((alpha * c * c, (1.0 - rho * c) ** 2), (alpha, (c - rho) ** 2)):
+        for floor, lift in ((alpha * c * c, (1.0 - rho_c) ** 2), (alpha, (c - rho) ** 2)):
             excess = d - floor
             rate = 0.5 * np.log2(lift / excess)
             apart = rate == np.inf
             if apart.any():
                 rate = np.where(apart, 0.5 * (np.log2(lift) - np.log2(excess)), rate)
-            best = np.minimum(best, np.where(d > floor, rate, np.inf))
+            np.minimum(best, rate, out=best, where=d > floor)
     return np.where(d >= sz2, 0.0, np.maximum(best, 0.0))
 
 

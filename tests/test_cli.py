@@ -24,8 +24,9 @@ from latfun import (
     lattice_min_sum_rate,
     two_user_model,
 )
-from latfun.cli import _g6, _sweep_rows, main, sweep_rows_fig3
+from latfun.cli import _strictly_monotone, _sweep_rows, main, sweep_rows_fig3
 from latfun.gaussian import PartitionPlan, singleton_plan
+from latfun.simulate import _g6
 from oracles import sweep_rows_fig3 as per_c_fig3_rows
 from pin_golden import CLI_CASES, CLI_PINS
 
@@ -224,11 +225,57 @@ def test_sweep_fig3_surface_is_direct_min_sum(capsys, tmp_path):
         assert lattice_bits == pytest.approx(math.log2(2 * sz2 / d), rel=1e-4)
 
 
+# The sweep's row template with every number at full precision: a float's
+# repr reads back as the same double.
+_FULL_PRECISION_ROW = "%r,%r,%r,%r,%r,%r,%s"
+
+
+def _full(x):
+    """A number as ``_FULL_PRECISION_ROW`` writes it."""
+    return repr(float(x))
+
+
 def test_sweep_fig3_rows_match_the_per_c_loop(monkeypatch):
     assert sweep_rows_fig3() == per_c_fig3_rows(_g6)
     # every D and every rate, bit for bit
-    monkeypatch.setattr(latfun.cli, "_g6", _hex)
-    assert sweep_rows_fig3() == per_c_fig3_rows(_hex)
+    monkeypatch.setattr(latfun.cli, "SWEEP_ROW", _FULL_PRECISION_ROW)
+    assert sweep_rows_fig3() == per_c_fig3_rows(_full)
+
+
+_ROW_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e300, -1e300,
+                    1e-300, -1e-300, 999999.5, 9.999995e-5, 1e16, -1e16, 123456789e10, 0.8]
+
+
+@pytest.mark.parametrize("x", _ROW_EDGE_VALUES)
+def test_sweep_row_template_gives_the_g6_bytes(x):
+    values = (x, -x, 0.8, x, 1.0, x / 3)
+    assert latfun.cli.SWEEP_ROW % (*values, "interior") == ",".join([*map(_g6, values), "interior"])
+
+
+_MONOTONE_ROWS = {
+    "increasing": [[1.0, 2.0, 3.0]],
+    "decreasing": [[3.0, 2.0, -1.0]],
+    "zero-step": [[1.0, 1.0, 2.0]],
+    "zero-first-step": [[1.0, 1.0]],
+    "minus-zero-step": [[0.0, -0.0, -1.0]],
+    "nan-step": [[1.0, math.nan, 3.0]],
+    "nan-first-point": [[math.nan, 1.0]],
+    "mixed-signs": [[1.0, 2.0, 1.5]],
+    "one-point": [[1.0], [2.0]],
+    "two-points": [[1.0, 2.0], [2.0, 1.0]],
+    "rows-disagree": [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [1.0, 1.0, 1.0]],
+    "subnormal-steps": [[5e-324, 1e-323, 1.5e-323]],
+    "infinite-step": [[-math.inf, 0.0, 1.0]],
+    "one-dim": [1.0, 0.5, 0.25],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MONOTONE_ROWS))
+def test_strictly_monotone_is_the_per_row_predicate(name):
+    grids = np.array(_MONOTONE_ROWS[name])
+    steps = np.diff(grids, axis=-1)
+    want = ((steps > 0).all(-1) | (steps < 0).all(-1)).all()
+    assert _strictly_monotone(grids) == bool(want)
 
 
 def test_sweep_custom_grid(capsys, tmp_path):
@@ -272,10 +319,6 @@ def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d, fmt=_g6):
                 values = (rho, c, d, float(lattice_bits[i]), float(bt_bits[i]), float(gaps[i]))
                 rows.append(",".join([fmt(v) for v in values] + [bt_regime(model, d)]))
     return rows
-
-
-def _hex(x):
-    return float(x).hex()
 
 
 def _geom(lo, hi, n):
@@ -325,10 +368,10 @@ def test_sweep_rows_match_per_cell_reference(monkeypatch, name):
         whole = latfun.cli._whole_grid(rho, c, d_of_var)
         assert (whole is None) == (name in _CELL_BY_CELL)
     # Every D of every grid, every rate and every gap, bit for bit.
-    monkeypatch.setattr(latfun.cli, "_g6", _hex)
+    monkeypatch.setattr(latfun.cli, "SWEEP_ROW", _FULL_PRECISION_ROW)
     for collapse in {collapse_d, False}:
         assert _sweep_rows(rho_values, c_values, d_of_var, collapse) == _reference_sweep_rows(
-            rho_values, c_values, d_of_var, collapse, fmt=_hex
+            rho_values, c_values, d_of_var, collapse, fmt=_full
         )
 
 
@@ -366,6 +409,9 @@ def test_sweep_rows_raise_the_first_failing_cell_error(rho_values, c_values, d_o
     ("--d-max", "1e300", "--c-min", "1e10", "--c-max", "1e10"),
     ("--d-min=-1.5", "--d-max", "1.5", "--d-scale", "linear", "--c-min", "1e154",
      "--c-max", "1e154"),
+    # every cell's grid lies at or above Var(Z): no rows
+    ("--d-min", "1", "--d-count", "1"),
+    ("--d-min", "1.5", "--d-max", "2", "--c-min", "-1", "--c-count", "3"),
 ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
 def test_sweep_custom_grid_rejects_bad_inputs(capsys, tmp_path, args):
     out = tmp_path / "bad.csv"
@@ -872,6 +918,7 @@ def test_sweep_fuzzed_arguments_write_csv_or_exit_two(fuzz_dir, preset, scale, c
     schema, header, *rows = out.read_text().splitlines()
     assert schema == "# schema=1"
     assert header == "rho,c,D,lattice_sum_bits,bt_sum_bits,gap_bits,regime"
+    assert rows, args  # a grid with no rows is an error
     for row in rows:
         *numbers, regime = row.split(",")
         assert len(numbers) == 6 and regime, (args, row)
@@ -902,6 +949,14 @@ def test_lattice_a2_nsm_monte_carlo(capsys):
     assert abs(payload["normalized_second_moment"] - target) < 3 * payload["std_error"] + 1e-6
 
 
+def test_lattice_dim_may_restate_the_lattice_dimension(capsys, tmp_path):
+    plane = tmp_path / "plane.json"
+    plane.write_text('{"dim": 2, "gen": [1.0, 0.0, 0.0, 1.0]}')
+    for lattice in ("a2", str(plane)):
+        args = ("lattice", "--lattice", lattice, "--op", "cosets", "--nesting", "2")
+        assert run_json(capsys, *args, "--dim", "2") == run_json(capsys, *args)
+
+
 def test_lattice_cosets(capsys):
     payload = run_json(capsys, "lattice", "--lattice", "zn", "--dim", "2",
                        "--op", "cosets", "--nesting", "2")
@@ -919,13 +974,22 @@ def test_lattice_cosets(capsys):
     (("--op", "moment", "--seed=-3"), "--seed must be at least 0, got -3"),
     (("--op", "nsm", "--dim", "0"), "--dim must be at least 1, got 0"),
     (("--op", "construction-a", "--dim=-2"), "--dim must be at least 1, got -2"),
+    # Z^n's moment is exact and would ignore the count
+    (("--op", "moment", "--samples=-1"), "--samples must be at least 1, got -1"),
+    (("--lattice", "a2", "--op", "nsm", "--samples", "0"), "--samples must be at least 1, got 0"),
+    (("--lattice", "a2", "--op", "moment", "--dim", "7"),
+     "--dim 7 does not match the lattice's dimension 2"),
+    (("--lattice", "PLANE", "--op", "cosets", "--dim", "3"),
+     "--dim 3 does not match the lattice's dimension 2"),
 ], ids=["singular-generator-file", "construction-a-p1", "cosets-nesting-beyond-int64",
         "cosets-nesting-inf-zn", "cosets-nesting-minus-inf-a2", "seed-negative", "dim-zero",
-        "dim-negative"])
+        "dim-negative", "samples-negative-zn", "samples-zero-a2", "dim-of-a2", "dim-of-file"])
 def test_lattice_invalid_inputs_exit_two(capsys, tmp_path, args, message):
-    singular = tmp_path / "singular.json"
-    singular.write_text('{"dim": 2, "gen": [1.0, 2.0, 2.0, 4.0]}')
-    args = [str(singular) if a == "SINGULAR" else a for a in args]
+    files = {"SINGULAR": '{"dim": 2, "gen": [1.0, 2.0, 2.0, 4.0]}',
+             "PLANE": '{"dim": 2, "gen": [1.0, 0.0, 0.0, 1.0]}'}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    args = [str(tmp_path / f"{a}.json") if a in files else a for a in args]
     code, out, err = run_cli(capsys, "lattice", *args)
     assert code == 2
     assert out == ""
