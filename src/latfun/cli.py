@@ -159,8 +159,11 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """CSV rows; one per (rho, c, D), or per (rho, c) when collapsing to the
     distortion with the largest gap.
 
-    ``d_of_model`` maps Var(Z) to a distortion grid. The cells are the
-    columns ``np.repeat(rho_values, n_c)`` and ``np.tile(c_values, n_rho)``;
+    ``d_of_model`` maps Var(Z) to a distortion grid. The presets and the
+    custom sweep space it, rho and c with ``_spacing``: numpy's values bit
+    for bit, with np.linspace's rule that one row's zero step switches
+    every row to another formula. The cells are the columns
+    ``np.repeat(rho_values, n_c)`` and ``np.tile(c_values, n_rho)``;
     ``_whole_grid`` gives every Var(Z) and grid, and ``_grid_rows`` every
     row, in one array pass. A grid that keeps no D in (0, Var Z) gives no
     rows, so a sweep may return none.
@@ -202,11 +205,11 @@ def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
     and ``require_two_user`` make, so no model is built. Var(Z) is one
     stacked product (``gaussian._two_user_variances``), where a non-finite
     entry means some model raises VarianceOverflow. The grids come from one
-    call on the array of Var(Z), along the last axis. np.linspace (with
-    which np.geomspace spaces its logs) switches every row to another
-    formula when one row's step is zero, and such a row is not strictly
-    monotone past two points; so strictly monotone grids are the per-cell
-    ones bit for bit.
+    call on the array of Var(Z), along the last axis. ``_spacing`` follows
+    np.linspace's switch (with which np.geomspace spaces its logs): every
+    row takes another formula when one row's step is zero, and such a row
+    is not strictly monotone past two points; so strictly monotone grids
+    are the per-cell ones bit for bit.
     """
     if not (((rho > 0) & (rho < 1)).all() and np.isfinite(c).all()):
         return None
@@ -222,6 +225,47 @@ def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
     if not _strictly_monotone(grids):
         return None
     return var_z, grids
+
+
+def _spacing(lo, hi, num: int, log: bool) -> np.ndarray:
+    """``np.geomspace(lo, hi, num, axis=-1)`` if ``log``, else
+    ``np.linspace``, bit for bit, by numpy 2.4's own steps but without its
+    argument handling; array bounds give a C-ordered (cells, num) array.
+
+    As in np.linspace, the points are ``arange(num) * (delta / div)``,
+    unless any row's step is zero: then every row takes
+    ``arange(num) / div * delta``. Then the start is added and the last
+    point set to the stop. The log scale raises ValueError on a zero bound,
+    spaces the logs of the bounds over the start's sign so, takes
+    ``10 ** y``, resets both ends to those bounds and restores the sign."""
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if log:
+        if np.count_nonzero(lo) < lo.size or np.count_nonzero(hi) < hi.size:
+            raise ValueError("Geometric sequence cannot include zero")
+        sign = np.sign(lo)[..., None]
+        lo, hi = lo[..., None] / sign, hi[..., None] / sign
+        start, stop = np.log10(lo), np.log10(hi)
+    else:
+        start, stop = lo[..., None], hi[..., None]
+    delta, div = stop - start, num - 1
+    y = np.arange(num, dtype=np.float64)
+    if div > 0:
+        step = delta / div
+        y = y / div * delta if np.count_nonzero(step) < step.size else y * step
+    else:
+        y = y * delta
+    y += start
+    if div > 0:
+        y[..., -1:] = stop
+    if log:
+        np.power(10.0, y, out=y)
+        y[..., :1] = lo
+        if div > 0:
+            y[..., -1:] = hi
+        y *= sign
+    return y
 
 
 def _strictly_monotone(grids: np.ndarray) -> bool:
@@ -259,11 +303,12 @@ def _grid_rows(rho, c, var_z, grids, collapse_d: bool) -> List[str]:
 
 def sweep_rows_fig3():
     """Direct-scheme sum-rate surface over (c, D) at correlation 0.8, from
-    one stacked Var(Z), one np.geomspace call and one rate pass; the
+    one stacked Var(Z), ``_spacing`` for c and the D grids (numpy's values
+    bit for bit, its zero-step rule included) and one rate pass; the
     quantize-and-bin columns read nan."""
-    c = np.linspace(0.05, 2.0, 40)
+    c = _spacing(0.05, 2.0, 40, log=False)
     var_z = gaussian._two_user_variances(np.full(40, 0.8), c)
-    d = np.geomspace(0.01, 0.99 * var_z, 40, axis=-1)
+    d = _spacing(0.01, 0.99 * var_z, 40, log=True)
     lattice_bits = regions._log2_twice_ratio(var_z[:, None], d)
     columns = (np.repeat(c, 40).tolist(), d.ravel().tolist(), lattice_bits.ravel().tolist())
     return [SWEEP_ROW % (0.8, c_k, d_k, bits, math.nan, math.nan, "lattice-only")
@@ -271,18 +316,24 @@ def sweep_rows_fig3():
 
 
 def sweep_rows_fig4():
-    """Both schemes against distortion at rho = c = 0.8; shows the crossover."""
-    return _sweep_rows([0.8], [0.8], lambda sz2: np.geomspace(0.021, 0.355, 256), collapse_d=False)
+    """Both schemes against distortion at rho = c = 0.8; shows the crossover.
+    The distortions come from ``_spacing``, np.geomspace's bit for bit, its
+    zero-step rule included."""
+    return _sweep_rows([0.8], [0.8], lambda sz2: _spacing(0.021, 0.355, 256, log=True),
+                       collapse_d=False)
 
 
 def sweep_rows_fig5(n_c: int = 128, n_rho: int = 9, n_d: int = 32):
-    """Max-over-distortion gap per (rho, c) cell over the scan rectangle."""
-    rho_values = np.linspace(0.1, 0.9, n_rho)
-    c_values = np.linspace(-2.0, 2.0, n_c)
+    """Max-over-distortion gap per (rho, c) cell over the scan rectangle.
+    rho, c and the D grids come from ``_spacing``, numpy's values bit for
+    bit, its zero-step rule included; the D grids of all cells as one
+    C-ordered (cells, n_d) array."""
+    rho_values = _spacing(0.1, 0.9, n_rho, log=False)
+    c_values = _spacing(-2.0, 2.0, n_c, log=False)
     return _sweep_rows(
         rho_values,
         c_values,
-        lambda sz2: np.geomspace(0.01 * sz2, 0.95 * sz2, n_d, axis=-1),
+        lambda sz2: _spacing(0.01 * sz2, 0.95 * sz2, n_d, log=True),
         collapse_d=True,
     )
 
@@ -309,20 +360,25 @@ def cmd_sweep(args) -> int:
         rows = sweep_rows_fig5()
     else:
         _check_custom_grid(args)
-        rho_values = np.linspace(args.rho_min, args.rho_max, args.rho_count)
-        c_values = np.linspace(args.c_min, args.c_max, args.c_count)
-
-        space = np.linspace if args.d_scale == "linear" else np.geomspace
+        rho_values = _spacing(args.rho_min, args.rho_max, args.rho_count, log=False)
+        c_values = _spacing(args.c_min, args.c_max, args.c_count, log=False)
+        log = args.d_scale == "log"
 
         def d_grid(sz2):
             # numpy's overflow warnings are silenced and the result checked
             # instead: the values are unchanged, and an overflow becomes an
-            # error that names its flag.
+            # error that names its flag. A log-scale bound that underflows
+            # to 0 is named here, where the spacing would reject it unnamed.
+            var_z = f"Var(Z) = {np.max(sz2):.6g}"
             with np.errstate(over="ignore", invalid="ignore"):
                 lo, hi = args.d_min * sz2, args.d_max * sz2
-                grid = space(lo, hi, args.d_count, axis=-1)
-            var_z = f"Var(Z) = {np.max(sz2):.6g}"
-            for flag, frac, bound in (("--d-min", args.d_min, lo), ("--d-max", args.d_max, hi)):
+                bounds = (("--d-min", args.d_min, lo), ("--d-max", args.d_max, hi))
+                for flag, frac, bound in bounds:
+                    if log and not np.all(bound):
+                        raise LatfunError(f"{flag} {frac} times {var_z} is 0 in float64, "
+                                          "which the log scale cannot space")
+                grid = _spacing(lo, hi, args.d_count, log)
+            for flag, frac, bound in bounds:
                 if not np.isfinite(bound).all():
                     raise LatfunError(f"{flag} {frac:g} times {var_z} overflows")
             if not np.isfinite(grid).all():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latfun
@@ -24,7 +24,14 @@ from latfun import (
     lattice_min_sum_rate,
     two_user_model,
 )
-from latfun.cli import _strictly_monotone, _sweep_rows, main, sweep_rows_fig3
+from latfun.cli import (
+    _spacing,
+    _strictly_monotone,
+    _sweep_rows,
+    main,
+    sweep_rows_fig3,
+    sweep_rows_fig5,
+)
 from latfun.gaussian import PartitionPlan, singleton_plan
 from latfun.simulate import _g6
 from oracles import sweep_rows_fig3 as per_c_fig3_rows
@@ -278,6 +285,47 @@ def test_strictly_monotone_is_the_per_row_predicate(name):
     assert _strictly_monotone(grids) == bool(want)
 
 
+_SPACING_BOUND = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, 1.0, -2.0, 0.95,
+                                  1.7e308, -1.7e308, math.inf, -math.inf, math.nan]) \
+    | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _spacing_bounds(cells):
+    """(lo, hi), each a scalar or a list of ``cells`` bounds."""
+    one = _SPACING_BOUND | st.lists(_SPACING_BOUND, min_size=cells, max_size=cells)
+    return st.tuples(one, one)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounds=st.integers(1, 4).flatmap(_spacing_bounds),
+       num=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 300), log=st.booleans())
+@example(bounds=(0.4, 0.4), num=5, log=True)                     # equal bounds: zero steps
+@example(bounds=([0.5, 0.01], [0.5, 0.95]), num=32, log=False)  # a zero-step row switches both
+@example(bounds=([0.4, 0.01], [0.4, 0.95]), num=32, log=True)
+@example(bounds=(5e-324, 1e-322), num=300, log=False)           # the step underflows to 0
+@example(bounds=([2.0, 1.0], [1.0, 5e-324]), num=32, log=True)  # descending, to 5e-324
+@example(bounds=(-2.0, [-1e-300, -1.7e308]), num=7, log=True)   # negative geometric bounds
+@example(bounds=([1.7e308, -1.7e308], [-1.7e308, 1.7e308]), num=3, log=False)
+@example(bounds=([-math.inf, 1.0], [1.0, math.inf]), num=2, log=False)
+@example(bounds=([1.0, 0.0], 2.0), num=3, log=True)             # a zero geometric bound
+@example(bounds=(1.0, -0.0), num=1, log=True)
+@example(bounds=(0.1, 0.9), num=1, log=False)
+@example(bounds=(0.1, 0.9), num=-1, log=True)                   # a negative count
+def test_spacing_is_numpys_bit_for_bit(bounds, num, log):
+    space = np.geomspace if log else np.linspace
+    with np.errstate(all="ignore"):
+        try:
+            want = space(*bounds, num, axis=-1)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _spacing(*bounds, num, log)
+            return
+        got = _spacing(*bounds, num, log)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_sweep_custom_grid(capsys, tmp_path):
     out = tmp_path / "custom.csv"
     code, _, _ = run_cli(
@@ -350,6 +398,10 @@ _SWEEP_GRIDS = {
     "skip_non_two_user": ([0.0, 0.5], [-1.0], lambda var_z: np.geomspace(2.5, 2.9, 4), False),
     # equal D bounds: every grid repeats one D, so no grid is strictly monotone
     "equal_d_bounds": ([0.3, 0.8], [-1.0, 0.8], _geom(0.4, 0.4, 5), False),
+    # the fig5 preset at the benchmark's shapes (n_rho x n_c cells, 32 D each)
+    **{f"fig5_{n_rho}x{n_c}": (np.linspace(0.1, 0.9, n_rho), np.linspace(-2.0, 2.0, n_c),
+                               _geom(0.01, 0.95, 32), True)
+       for n_rho, n_c in ((1, 12), (2, 6), (3, 4), (6, 2))},
 }
 
 # the grids on which the whole-grid pass cannot run, so the cells go one by one
@@ -372,6 +424,11 @@ def test_sweep_rows_match_per_cell_reference(monkeypatch, name):
     for collapse in {collapse_d, False}:
         assert _sweep_rows(rho_values, c_values, d_of_var, collapse) == _reference_sweep_rows(
             rho_values, c_values, d_of_var, collapse, fmt=_full
+        )
+    if name.startswith("fig5"):
+        # the preset spaces the same rho, c and D with cli._spacing
+        assert sweep_rows_fig5(len(c_values), len(rho_values), 32) == _reference_sweep_rows(
+            rho_values, c_values, d_of_var, True, fmt=_full
         )
 
 
@@ -412,6 +469,9 @@ def test_sweep_rows_raise_the_first_failing_cell_error(rho_values, c_values, d_o
     # every cell's grid lies at or above Var(Z): no rows
     ("--d-min", "1", "--d-count", "1"),
     ("--d-min", "1.5", "--d-max", "2", "--c-min", "-1", "--c-count", "3"),
+    # on the log scale, --d-min or --d-max times Var(Z) underflows to 0
+    ("--d-min", "5e-324"),
+    ("--d-max", "5e-324", "--d-min", "0.5"),
 ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
 def test_sweep_custom_grid_rejects_bad_inputs(capsys, tmp_path, args):
     out = tmp_path / "bad.csv"
