@@ -17,6 +17,7 @@ from .errors import (
     LatfunError,
     MissingMomentEstimate,
     MomentOverflow,
+    NonFiniteSum,
     NonFiniteTarget,
     NonPositiveQ,
     NonPositiveTarget,

@@ -13,6 +13,10 @@ class NonFiniteTarget(LatfunError):
     """A query point has a NaN or infinite coordinate."""
 
 
+class NonFiniteSum(LatfunError):
+    """A codec chunk's sums hold a NaN or an infinity."""
+
+
 class CoordinateOutOfRange(LatfunError):
     """A closest-point coordinate is beyond the integers its array type holds exactly."""
 

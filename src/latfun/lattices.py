@@ -87,9 +87,11 @@ class Lattice:
     base holds a closest-point search context (QR factors, relevant vectors
     and the slicer's ``kernels.slicer_lift``), computed on first use, so
     every scaling of a base shares it, and the search's tolerances act at
-    the base's scale. Each searched lattice also keeps its own rotation
-    into that frame (``_rotation``), the base's ``Q^T / f`` for its factor
-    f, or the base's ``Q^T`` itself at f = 1, computed on its first search:
+    the base's scale, or at unit scale where every entry of the base is
+    below 1/2 (``_unit_frame``). Each searched lattice also keeps its own
+    rotation into that frame (``_rotation``), the base's ``Q^T / f`` for
+    its factor f, or the base's ``Q^T`` itself at f = 1, computed on its
+    first search:
     a codec searches each of its lattices once per row block, and the
     division is then not redone.
 
@@ -260,11 +262,21 @@ def _round_half_down(x: np.ndarray, scales: Union[float, np.ndarray],
     return np.ceil(q, out=q)
 
 
+def _unit_frame(gen: np.ndarray) -> float:
+    """The power of two 2^-e that brings the largest |entry| of ``gen`` from
+    below 1/2 into [1/2, 1), or 1.0 where that entry is at least 1/2."""
+    _, e = math.frexp(float(np.max(np.abs(gen))))
+    return math.ldexp(1.0, -e) if e < 0 else 1.0
+
+
 def _sphere_context(lat: Lattice):
     """``(Q^T, R, relevant vectors, slicer lift)`` of a non-diagonal base
-    lattice, cached on it."""
+    lattice, cached on it. They are those of the base's generator times
+    ``_unit_frame``, an exact power of two, so that the search's absolute
+    tie tolerances act at unit scale on a base whose entries are all small;
+    a base with an entry of at least 1/2 keeps its own generator's frame."""
     if lat._sphere is None:
-        q, r = kernels.qr_factor(lat.gen)
+        q, r = kernels.qr_factor(lat.gen * _unit_frame(lat.gen))
         relevant = kernels.relevant_vectors(r)
         object.__setattr__(lat, "_sphere", (q.T.copy(), r, relevant,
                                             kernels.slicer_lift(r, relevant)))
@@ -273,9 +285,11 @@ def _sphere_context(lat: Lattice):
 
 def _rotation(lat: Lattice) -> np.ndarray:
     """The rotation of ``lat``'s targets into its base's frame, ``Q^T / f``
-    (see ``Lattice``), cached on ``lat``."""
+    (see ``Lattice``), cached on ``lat``; f includes the base's power of two
+    (``_unit_frame``), so the division is exact in that power."""
     if lat._rotation is None:
         base, factor = lat._frame or (lat, 1.0)
+        factor /= _unit_frame(base.gen)
         qt = _sphere_context(base)[0]
         object.__setattr__(lat, "_rotation", qt if factor == 1.0 else qt / factor)
     return lat._rotation
@@ -394,7 +408,8 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
 
 
 def _with_point(lat: Lattice, b: np.ndarray):
-    return b, nearest_point(lat, b)
+    # An exactly diagonal lattice takes b as it is (see ``reduce_stacked``).
+    return b, (_diagonal_point(lat, b) if lat._exact_diag else nearest_point(lat, b))
 
 
 def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
@@ -410,7 +425,11 @@ def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
     int64 copy (see ``nearest_point``). A diagonal base takes each b from
     ``arrays`` only as the caller takes its pair: stacking would only add
     copies, and holding every array at once costs a codec block page faults.
-    Targets raise as in ``nearest_point``.
+    An exactly diagonal lattice takes the caller's arrays as they are, with
+    ``nearest_point``'s bits but without its conversion, dimension check
+    and finiteness pass, so each b must be a finite float64 array of its
+    dimension (a NaN or infinite row gives a non-finite point, and no
+    error). Other targets raise as in ``nearest_point``.
     """
     base = _base(lats[0])
     if base.is_diagonal:  # map, unlike a generator, drops each b once its pair is taken

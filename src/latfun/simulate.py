@@ -94,7 +94,16 @@ with the decoding reduction. On a non-diagonal base each step is one kernel
 call on the stacked rows, so a two-user chunk makes 1 + 3 per block calls
 rather than 2 + 6; each row is searched on its own, so the bits are those
 of separate calls. A diagonal base rounds one array at a time, as the
-caller takes its pair: stacking would only add copies and page faults.
+caller takes its pair: stacking would only add copies and page faults. An
+exactly diagonal base (Z^n scaled) rounds the engine's arrays as they are,
+without ``nearest_point``'s conversion, dimension check and finiteness
+pass: the engine made them, of the lattice's dimension, from finite draws.
+A NaN or an infinity that arises anyway, from an overflow say, is not
+raised there but runs on into the trial's error and mod-input moments and
+so into the chunk's sums, and ``_Accumulator.add`` rejects a chunk whose
+sums are not finite (``NonFiniteSum``), so no report carries one. A run
+therefore ignores numpy's overflow and invalid-value warnings: the error
+takes their place.
 
 What a run needs beyond its chunks is built once where it can be. A
 two-user or side-information codec is read-only, so its random-dither plan
@@ -102,10 +111,15 @@ two-user or side-information codec is read-only, so its random-dither plan
 checked against float64's resolution (``_require_resolvable``) on its
 first run and kept on the codec (``_codec_plan``); later runs of that codec
 object reuse both. A fixed-dither run swaps its seed's dithers into that
-plan's members, which the check does not read. The K-user runner builds
-its codec, and so its plan, on every call. A chunk makes the per-cell sums
-(``_Accumulator``) only where the report gives per-cell values, which is
-the K-user report.
+plan's members, which the check does not read. The K-user runner takes a
+model and a partition plan rather than a codec, so the model keeps the
+last codec built for it, with that codec's checked engine plan and the
+(plan, n, margin, base lattice) they were built for (``_k_user_setup``),
+as a lattice keeps its search context: a run of that configuration again
+builds nothing, a plan that fails its check is never kept, and threads
+that run one model share only that read-only codec and plan. A chunk
+makes the per-cell sums (``_Accumulator``) only where the report gives
+per-cell values, which is the K-user report.
 """
 
 from __future__ import annotations
@@ -124,6 +138,7 @@ from .errors import (
     DistortionOutOfRange,
     InvalidCount,
     MomentOverflow,
+    NonFiniteSum,
     NonPositiveQ,
     QOutOfRange,
     UnresolvableDistortion,
@@ -294,8 +309,13 @@ class _Accumulator:
     trials, chunk_size). A chunk's float sums are numpy's sums of contiguous
     arrays: the scaled errors, their squares, the errors of the trials
     without overload and the last cell's mod-input moments of its clean
-    trials; and per cell, numpy's sum over the trial axis of the (trials,
-    cells) moments with the trials that are not clean set to zero.
+    trials; and per cell, the sum over the trial axis of the (trials,
+    cells) moments with the trials that are not clean set to zero, which
+    ``_column_sums`` takes one column at a time with the bits of numpy's
+    ``np.sum(..., axis=0)``. ``add`` rejects a chunk with a float sum that
+    is not finite (``NonFiniteSum``): the engine does not check its arrays
+    on an exactly diagonal base (see the module docstring), and a NaN or an
+    infinity in them reaches these sums.
 
     The errors and their squares are summed in the frame ``err * 2^-e``, with
     2^e the binary magnitude of the target distortion ``d``, and the report
@@ -334,12 +354,17 @@ class _Accumulator:
         np.copyto(flat, arrays.v_sq[:, self.last])
         v_sq_sum = float(np.sum(flat if count == m else flat[mask]))
         cells = (0, 0, 0)
+        floats = (err_sum, err_sq_sum, cond_err_sum, v_sq_sum)
         if self.per_cell:
             spare.fill(0.0)
             np.copyto(spare, arrays.v_sq, where=arrays.clean_before)
-            # numpy sums one cell pairwise and two or more sequentially: keep its call.
-            cells = (_column_counts(arrays.overload), np.sum(spare, axis=0),
+            cell_v_sq = _column_sums(spare, arrays.scaled)  # scaled is summed, free as scratch
+            cells = (_column_counts(arrays.overload), cell_v_sq,
                      _column_counts(arrays.clean_before))
+            floats += tuple(cell_v_sq)
+        if not all(map(math.isfinite, floats)):
+            raise NonFiniteSum("a chunk's error or mod-input sums are not finite: the codec's "
+                               "arithmetic overflowed or met a NaN")
         sums = (m, err_sum, err_sq_sum, cond_err_sum, overloads, v_sq_sum, count, *cells)
         self.total = _ChunkSums(*(a + b for a, b in zip(self.total, sums)))
 
@@ -406,6 +431,22 @@ def _row_mean(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         total += a[:, j]
     total /= k
     return total
+
+
+def _column_sums(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=0)`` of a C-ordered (m, k) array, bit for bit; the
+    cumulative sums run through ``scratch`` (m floats), which is overwritten.
+
+    For k >= 2 numpy adds each column's entries in row order to +0.0, so
+    the last entry of the column's ``np.cumsum``, plus 0.0 (which makes a
+    column of -0.0 sum to +0.0, and changes nothing else), is that sum,
+    without numpy's strided reduction. One column is contiguous and numpy
+    sums it pairwise, so its own call is kept there."""
+    if a.shape[1] == 1:
+        return np.sum(a, axis=0)
+    sums = np.array([np.cumsum(a[:, j], out=scratch)[-1] for j in range(a.shape[1])])
+    sums += 0.0
+    return sums
 
 
 def _column_counts(a: np.ndarray) -> np.ndarray:
@@ -755,8 +796,10 @@ def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimRep
     acc = _Accumulator(len(plan.cells), plan.order[-1], codec.rates.distortion, per_cell)
     shape = _chunk_shape(plan)
     ws = _workspace()
-    for k, m in enumerate(sizes):
-        acc.add(_run_cells(plan, m, _chunk_rng(seed, k), ws.arrays(m, *shape)))
+    # A NaN or an infinity ends in ``acc.add``'s error, not in a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, m in enumerate(sizes):
+            acc.add(_run_cells(plan, m, _chunk_rng(seed, k), ws.arrays(m, *shape)))
     return acc.report(codec.rates, seed, codec.margin, codec.n, per_cell)
 
 
@@ -1039,9 +1082,25 @@ def run_k_user_experiment(
     moments are reported alongside the end-to-end distortion.
     """
     sizes = _chunk_sizes(trials, chunk_size)
+    codec, checked = _k_user_setup(model, plan, n, margin, base_lattice)
+    return _run(checked, sizes, seed, codec, per_cell=True)
+
+
+def _k_user_setup(model: SourceModel, plan: PartitionPlan, n, margin, base_lattice):
+    """The codec of ``build_k_user_codec(model, plan, n, margin,
+    base_lattice)`` and its plan, checked by ``_require_resolvable``. The
+    model keeps the last pair it was given (see the module docstring): a
+    run with an equal plan, and n and margin equal and of the same type
+    (the report prints them), with the same base lattice object reuses
+    them, and a pair whose check fails is not kept."""
+    key = (plan, n, type(n), margin, type(margin), base_lattice)
+    kept = model._k_user
+    if kept is not None and kept[0] == key:
+        return kept[1], kept[2]
     codec = build_k_user_codec(model, plan, n, margin, base_lattice)
-    return _run(_require_resolvable(_k_user_plan(codec), codec.rates.distortion), sizes, seed,
-                codec, per_cell=True)
+    checked = _require_resolvable(_k_user_plan(codec), codec.rates.distortion)
+    object.__setattr__(model, "_k_user", (key, codec, checked))
+    return codec, checked
 
 
 def _k_user_plan(codec: KUserCodec) -> _Plan:

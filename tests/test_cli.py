@@ -21,6 +21,7 @@ from latfun import (
     bt_min_sum_rates,
     bt_regime,
     function_variance,
+    hexagonal_lattice,
     lattice_min_sum_rate,
     two_user_model,
 )
@@ -1007,6 +1008,23 @@ def test_lattice_a2_nsm_monte_carlo(capsys):
                        "--samples", "200000", "--seed", "2")
     target = 5.0 / (36.0 * math.sqrt(3.0))
     assert abs(payload["normalized_second_moment"] - target) < 3 * payload["std_error"] + 1e-6
+
+
+def test_lattice_file_of_a_small_base_matches_the_scaled_lattice(capsys, tmp_path):
+    # A2's generator times 1e-6, read from a file, is its own base lattice.
+    # Its search runs in an exact power-of-two frame of unit scale, so it
+    # prints what --scale 1e-6 prints (a search at the absolute tie
+    # tolerances printed 0.3748 here, against A2's 0.0802).
+    small = tmp_path / "a2-small.json"
+    gen = hexagonal_lattice().gen * 1e-6
+    small.write_text(json.dumps({"dim": 2, "gen": gen.ravel().tolist()}))
+    args = ("--op", "nsm", "--samples", "20000")
+    code, by_file, err = run_cli(capsys, "lattice", "--lattice", str(small), *args)
+    assert code == 0, err
+    code, by_scale, err = run_cli(capsys, "lattice", "--lattice", "a2", "--scale", "1e-6", *args)
+    assert code == 0, err
+    assert by_file == by_scale
+    assert json.loads(by_file)["normalized_second_moment"] == pytest.approx(0.0804, abs=5e-4)
 
 
 def test_lattice_dim_may_restate_the_lattice_dimension(capsys, tmp_path):

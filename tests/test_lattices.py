@@ -556,15 +556,38 @@ def test_scaled_lattice_searches_like_its_own_generator(gen, factor, rng):
         assert nearest_point(scaled, x).tobytes() == (got @ scaled.gen.T).tobytes()
 
 
+def _golden_basis(n: int):
+    """The conditioned random basis of the golden corpus at dimension n, and
+    the stream that drew it."""
+    rng = np.random.default_rng([n, 19])
+    while True:
+        gen = rng.normal(size=(n, n))
+        if np.linalg.cond(gen) < 6.0:
+            return gen, rng
+
+
+@pytest.mark.parametrize("gen", [A2.gen, _golden_basis(4)[0]], ids=["a2", "golden-n4"])
+def test_a_base_scaled_by_a_power_of_two_keeps_its_coordinates(gen):
+    """``Lattice(G 2^-k)`` at ``x 2^-k`` has the coordinates of ``Lattice(G)``
+    at x, ties included: a base whose entries are all below 1/2 is searched
+    in the power-of-two frame where its largest entry is of order 1. With
+    the search's absolute tolerances at the base's own scale, A2 went wrong
+    from k = 16."""
+    n = gen.shape[0]
+    rng = np.random.default_rng([n, 40])
+    x = np.concatenate([rng.normal(scale=2.0, size=(300, n)),
+                        0.5 * rng.integers(-4, 5, size=(300, n))]) @ gen.T
+    want = nearest_point_coords(Lattice(gen), x)
+    for k in range(41):
+        got = nearest_point_coords(Lattice(gen * 2.0**-k), x * 2.0**-k)
+        assert np.array_equal(got, want), f"k = {k}"
+
+
 def _closest_point_cases():
     """One conditioned random basis per n = 2..8, with Gaussian targets over a
     few cells and targets at half-integer coordinates (Voronoi ties)."""
     for n in range(2, 9):
-        rng = np.random.default_rng([n, 19])
-        while True:
-            gen = rng.normal(size=(n, n))
-            if np.linalg.cond(gen) < 6.0:
-                break
+        gen, rng = _golden_basis(n)
         gaussian = rng.normal(scale=2.0, size=(300, n)) @ gen.T
         halves = 0.5 * rng.integers(-4, 5, size=(300, n)) @ gen.T
         yield pytest.param(Lattice(gen), gaussian, id=f"n{n}-gaussian")

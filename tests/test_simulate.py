@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import epi_entropy_quadrature, run_block_reference, run_cells_reference
 from pin_golden import _codecs, _z4_codecs
@@ -22,6 +24,7 @@ from latfun import (
     InvalidCount,
     Lattice,
     MomentOverflow,
+    NonFiniteSum,
     NonPositiveQ,
     PartitionPlan,
     QOutOfRange,
@@ -56,6 +59,7 @@ from latfun.simulate import (
     _Workspace,
     _chunk_rng,
     _column_counts,
+    _column_sums,
     _draw,
     _gaussian_factor,
     _k_user_plan,
@@ -692,6 +696,20 @@ def test_concurrent_experiments_equal_their_serial_runs():
     assert _in_threads(*runs) == [rep.to_json() for rep in serial]
 
 
+def test_threads_on_one_k_user_model_equal_its_serial_runs():
+    # Four threads, more than the cores CI has, run one model at two
+    # margins, each replacing the codec the model keeps while the others
+    # run: every run gives the bytes of a run on a fresh model.
+    margins = (2.0, 3.0, 2.0, 3.0)
+    shared = _k_user_model_and_plan()
+    for seed in range(3):
+        serial = [_run_k_user(_k_user_model_and_plan(), 3_000, seed, 256, margin=margin).to_json()
+                  for margin in margins]
+        runs = [lambda margin=margin: _run_k_user(shared, 3_000, seed, 256, margin=margin)
+                for margin in margins]
+        assert _in_threads(*runs) == serial, f"seed {seed}"
+
+
 def test_diagonal_codecs_never_reach_the_kernel(monkeypatch):
     z1 = build_two_user_codec(M88, 0.1, 0.06, n=1, margin=2.0)
     plan = single_cell_plan(2, (0.05, 0.05))
@@ -732,12 +750,24 @@ def _side_info_run():
     return lambda: run_side_info_experiment(codec, 100_000, seed=12, chunk_size=10_000)
 
 
-def _k_user_run():
+def _k_user_model_and_plan():
     model = SourceModel(np.array([[1.0, 0.6, 0.6], [0.6, 1.0, 0.6], [0.6, 0.6, 1.0]]),
                         np.array([1.0, -0.8, 0.5]))
-    plan = PartitionPlan(((0, 1), (2,)), (1, 0), (0.05, 0.05, 0.05))
+    return model, PartitionPlan(((0, 1), (2,)), (1, 0), (0.05, 0.05, 0.05))
+
+
+def _k_user_run():
+    model, plan = _k_user_model_and_plan()
     return lambda: run_k_user_experiment(model, plan, n=2, trials=100_000, seed=12,
                                          margin=2.0, chunk_size=10_000)
+
+
+def _run_k_user(model_and_plan, trials, seed, chunk_size, margin=2.0):
+    """The K-user runner at n = 2 on a ``(model, plan)`` pair, which stands
+    for a codec here: the model keeps the codec that the runner builds."""
+    model, plan = model_and_plan
+    return run_k_user_experiment(model, plan, n=2, trials=trials, seed=seed, margin=margin,
+                                 chunk_size=chunk_size)
 
 
 def _a2_two_user_codec():
@@ -756,6 +786,7 @@ _CACHING_CODECS = {
                     run_two_user_experiment),
     "two_user_a2": (_a2_two_user_codec, run_two_user_experiment),
     "side_info_z2": (_z2_side_info_codec, run_side_info_experiment),
+    "k_user_z2": (_k_user_model_and_plan, _run_k_user),
 }
 
 
@@ -773,6 +804,7 @@ def test_a_codec_builds_and_checks_its_plan_once(monkeypatch, tag):
     codec = make()
     factors = _count_calls(monkeypatch, np.linalg, "cholesky")
     checks = _count_calls(monkeypatch, simulate, "_require_resolvable")
+    builds = _count_calls(monkeypatch, simulate, "build_k_user_codec")
     for seed in range(3):
         run(codec, 300, seed, chunk_size=128)
         assert (len(factors), len(checks)) == (1, 1), f"run {seed}"
@@ -781,16 +813,41 @@ def test_a_codec_builds_and_checks_its_plan_once(monkeypatch, tag):
         for seed in range(2):
             run(codec, 300, seed, chunk_size=128, fixed_dither=True)
         assert (len(factors), len(checks)) == (1, 1)
+    if tag.startswith("k_user"):
+        assert len(builds) == 1
+        # The model keeps the last configuration only: a new margin or plan
+        # builds anew, and so does a margin of another type, which the
+        # report prints as it is given. An equal plan object reuses it.
+        model, plan = codec
+        other = PartitionPlan(((0,), (1,), (2,)), (2, 0, 1), (0.05, 0.05, 0.05))
+        run(codec, 300, 0, chunk_size=128, margin=3.0)
+        run((model, other), 300, 0, chunk_size=128)
+        run((model, PartitionPlan(other.partition, other.decode_order, other.q)), 300, 1,
+            chunk_size=128)
+        run(codec, 300, 0, chunk_size=128)
+        assert json.loads(run(codec, 300, 0, chunk_size=128, margin=2).to_json())["margin"] == 2
+        assert len(builds) == len(factors) == len(checks) == 5
 
 
 def test_k_user_runs_and_failed_checks_keep_no_plan(monkeypatch):
-    # The K-user runner builds its codec on every call, so it has no plan to
-    # keep; a codec whose target float64 cannot resolve fails on every run.
+    # Runs of one K-user configuration build its codec once, and a codec
+    # whose target float64 cannot resolve fails on every run and is never
+    # kept, by the K-user runner's model as by a two-user codec.
     factors = _count_calls(monkeypatch, np.linalg, "cholesky")
     run = _k_user_run()
     run()
     run()
-    assert len(factors) == 2
+    assert len(factors) == 1
+    model, plan = _k_user_model_and_plan()
+    tiny = PartitionPlan(plan.partition, plan.decode_order, (1e-40,) * 3)
+    for fresh in (True, False):  # a fresh model, then one that keeps a codec
+        kept = model._k_user
+        assert (kept is None) == fresh
+        for _ in range(2):
+            with pytest.raises(UnresolvableDistortion):
+                _run_k_user((model, tiny), 100, 0, 100)
+        assert model._k_user is kept
+        _run_k_user((model, plan), 100, 0, 100)
     codec = build_two_user_codec(M88, 1e-40, 0.6e-40)
     for _ in range(2):
         with pytest.raises(UnresolvableDistortion):
@@ -862,6 +919,53 @@ def test_trial_axis_reductions_match_numpy_bit_for_bit(m, k):
     counts = _column_counts(flags)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, np.sum(flags, axis=0)), f"_column_counts differs at {where}"
+
+
+# Magnitudes of the column-sum inputs: 1e+-300, normal, and the subnormals
+# (multiples of 5e-324), so that sums overflow, cancel and underflow.
+_SUM_SCALES = np.array([1e-300, 1e-10, 1.0, 1e10, 1e300, 5e-324 * 2.0**20, 5e-324])
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.one_of(st.integers(1, 64), st.integers(1, 70_000)), k=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.2, 1.0]))
+@example(m=70_000, k=2, seed=0, zeros=0.0)  # a benchmark chunk's cells, and more
+@example(m=70_000, k=1, seed=1, zeros=0.0)  # one cell: numpy's pairwise sum
+@example(m=1, k=8, seed=2, zeros=0.0)
+@example(m=5, k=3, seed=3, zeros=1.0)       # columns of -0.0 sum to +0.0
+def test_column_sums_are_numpys_bit_for_bit(m, k, seed, zeros):
+    # The fold's per-cell moments are summed one column at a time; the sums
+    # must keep np.sum(a, axis=0)'s bits for every cell count the engine
+    # makes, with mixed signs, signed zeros, subnormals and overflow.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, k)) * rng.choice(_SUM_SCALES, size=(m, k))
+    a[rng.random((m, k)) < zeros] = -0.0
+    scratch = np.empty(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _column_sums(a, scratch), np.sum(a, axis=0)
+    assert got.shape == (k,)
+    assert got.tobytes() == want.tobytes(), f"m = {m}, k = {k}, numpy {np.__version__}"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("tag", ["two_user_z1", "k_user_z2"])
+def test_a_chunk_with_a_non_finite_value_raises_one_line(monkeypatch, tag, value):
+    # The engine leaves a diagonal lattice's targets unchecked: a NaN or an
+    # infinity in a source runs through the chunk into its sums, and the
+    # fold rejects the chunk before any report is made, with no warning.
+    sources = simulate._sources
+
+    def with_value(*args):
+        x = sources(*args)
+        x[1][5, 0] = value
+        return x
+
+    make, run = _CACHING_CODECS[tag]
+    codec = make()
+    monkeypatch.setattr(simulate, "_sources", with_value)
+    with pytest.raises(NonFiniteSum) as err:
+        run(codec, 300, 0, chunk_size=128)
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("margin", [math.inf, math.nan, 0.5])
