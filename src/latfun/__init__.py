@@ -12,6 +12,7 @@ from .errors import (
     DegenerateSideInfo,
     DimensionMismatch,
     DistortionOutOfRange,
+    IllConditionedLattice,
     InvalidCount,
     InvalidPrime,
     LatfunError,

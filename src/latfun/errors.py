@@ -29,6 +29,10 @@ class SingularLattice(LatfunError):
     """Generator matrix is singular or numerically rank deficient."""
 
 
+class IllConditionedLattice(LatfunError):
+    """Generator's condition number is beyond what the closest-point search can answer."""
+
+
 class MomentOverflow(LatfunError):
     """A second moment inflated by the margin is not a finite number."""
 

@@ -110,6 +110,15 @@ def relevant_vectors(r_mat: np.ndarray) -> np.ndarray:
     ``s / 2``; a candidate ``v`` is kept only if ``|<v, r>| < |r|^2`` for
     every other candidate ``r``. Both signs of each kept vector are returned.
     Coordinates do not change when the lattice is scaled.
+
+    The keep test's band, ``1e-9 |r|^2``, holds because ``lattices`` refuses
+    a base whose condition number exceeds 1e4 before it gets here. Every
+    candidate is a nonzero lattice vector at most twice the covering radius
+    long, so its squared norm lies between sigma_min^2 and n sigma_max^2 (the
+    extreme singular values of G). Any two squared norms compared here then
+    differ by a factor of at most n 1e8 <= 8e8, below 1e9, and the band stays
+    below the smaller of them. On a base past that bound the band can
+    swallow ``|r|^2 - <v, r>`` and drop a relevant vector.
     """
     r_mat = np.ascontiguousarray(r_mat, dtype=np.float64)
     n = r_mat.shape[0]

@@ -29,6 +29,7 @@ from . import kernels
 from .errors import (
     CoordinateOutOfRange,
     DimensionMismatch,
+    IllConditionedLattice,
     InvalidPrime,
     LatfunError,
     MissingMomentEstimate,
@@ -42,6 +43,8 @@ from .gaussian import _frozen
 
 MAX_SPHERE_DIM = 8
 MAX_COSET_ENUM = 4096
+# Largest condition number of a base that the closest-point search takes.
+MAX_SEARCH_COND = 1e4
 
 _DET_GUARD = 1e-12
 _RANGE_ERROR = (
@@ -71,14 +74,15 @@ class Lattice:
 
     ``moment`` caches a second-moment estimate so that scaling operations can
     reuse it; diagonal generators never need the cache because their moments
-    are exact. The diagonal test runs once, at construction: a generator whose
-    off-diagonal entries are within 1e-12 of its largest entry is diagonal,
-    and ``_scales`` keeps its diagonal, as one float where every diagonal
+    are exact. The diagonal test runs once, at construction: a generator is
+    diagonal only when every off-diagonal entry is exactly 0, and
+    ``_scales`` then keeps its diagonal, as one float where every diagonal
     entry is equal (c Z^n). numpy divides and multiplies an (m, n) array by a
     scalar several times faster than by an (n,) row at small n, and IEEE
-    arithmetic gives the same bits either way. Where the off-diagonal entries
-    are exactly zero (``_exact_diag``), quantization and dithers stay in
-    float64 and skip the matrix product.
+    arithmetic gives the same bits either way. A diagonal lattice is
+    quantized by rounding each coordinate, and its quantization and dithers
+    stay in float64 and skip the matrix product; every other generator,
+    however close to diagonal, is searched.
 
     A non-diagonal lattice is searched in the frame of its base lattice
     (``_frame``, see ``kernels``): ``scaled(f)`` records the lattice it was
@@ -88,7 +92,9 @@ class Lattice:
     and the slicer's ``kernels.slicer_lift``), computed on first use, so
     every scaling of a base shares it, and the search's tolerances act at
     the base's scale, or at unit scale where every entry of the base is
-    below 1/2 (``_unit_frame``). Each searched lattice also keeps its own
+    below 1/2 (``_unit_frame``). A base whose condition number exceeds
+    ``MAX_SEARCH_COND`` has no search context: its first search raises
+    ``IllConditionedLattice``. Each searched lattice also keeps its own
     rotation into that frame (``_rotation``), the base's ``Q^T / f`` for
     its factor f, or the base's ``Q^T`` itself at f = 1, computed on its
     first search:
@@ -108,7 +114,6 @@ class Lattice:
     _sphere: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _scales: Union[float, np.ndarray, None] = field(default=None, init=False, repr=False,
                                                     compare=False)
-    _exact_diag: bool = field(default=False, init=False, repr=False, compare=False)
     _frame: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _rotation: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                             compare=False)
@@ -133,12 +138,10 @@ class Lattice:
             raise SingularLattice("generator is singular within tolerance")
         if not (math.isfinite(det) and det != 0.0):
             raise SingularLattice(_RANGE_ERROR.format(np.max(np.abs(g))))
-        off = g - np.diag(np.diag(g))
-        if np.all(np.abs(off) <= 1e-12 * np.max(np.abs(g))):
-            diag = np.diag(g).copy()
+        diag = np.diag(g).copy()
+        if not np.any(g - np.diag(diag)):
             scales = float(diag[0]) if np.all(diag == diag[0]) else diag
             object.__setattr__(self, "_scales", scales)
-            object.__setattr__(self, "_exact_diag", not np.any(off))
 
     @property
     def dim(self) -> int:
@@ -274,8 +277,19 @@ def _sphere_context(lat: Lattice):
     lattice, cached on it. They are those of the base's generator times
     ``_unit_frame``, an exact power of two, so that the search's absolute
     tie tolerances act at unit scale on a base whose entries are all small;
-    a base with an entry of at least 1/2 keeps its own generator's frame."""
+    a base with an entry of at least 1/2 keeps its own generator's frame.
+
+    A base whose condition number exceeds ``MAX_SEARCH_COND`` raises
+    ``IllConditionedLattice`` instead: past it the set-up slows by orders of
+    magnitude, and float64 can drop relevant vectors (see
+    ``kernels.relevant_vectors``), and with them the closest point. The
+    test is scale-free and runs once per base, as its context is built."""
     if lat._sphere is None:
+        cond = np.linalg.cond(lat.gen)
+        if not cond <= MAX_SEARCH_COND:
+            raise IllConditionedLattice(
+                f"generator condition number {cond:.3g} exceeds {MAX_SEARCH_COND:g}, "
+                "beyond which the closest-point search cannot be trusted in float64")
         q, r = kernels.qr_factor(lat.gen * _unit_frame(lat.gen))
         relevant = kernels.relevant_vectors(r)
         object.__setattr__(lat, "_sphere", (q.T.copy(), r, relevant,
@@ -303,12 +317,14 @@ def _check_finite(x: np.ndarray):
 def nearest_point_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     """Integer coordinates of the nearest lattice points (batched), as int64.
 
-    ``x`` has shape (..., n). Diagonal generators use componentwise rounding
-    at any dimension; general generators use the exact closest-point search
-    of ``kernels``, limited to n <= 8. A NaN or infinite coordinate raises
-    ``NonFiniteTarget``: it has no nearest lattice point. A coordinate
-    outside the int64 range, or, on a general generator, one that float64
-    cannot hold exactly (2^53 and beyond), raises ``CoordinateOutOfRange``.
+    ``x`` has shape (..., n). Diagonal generators (every off-diagonal entry
+    exactly 0) use componentwise rounding at any dimension; every other
+    generator uses the exact closest-point search of ``kernels``, limited to
+    n <= 8 and to bases that ``_sphere_context`` accepts. A NaN or infinite
+    coordinate raises ``NonFiniteTarget``: it has no nearest lattice point. A
+    coordinate outside the int64 range, or, on a general generator, one that
+    float64 cannot hold exactly (2^53 and beyond), raises
+    ``CoordinateOutOfRange``.
     This is the only place where the coordinates become integers; the
     search keeps them in float64.
     """
@@ -371,27 +387,27 @@ def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     ``NonFiniteTarget``, and a target whose coordinates
     ``nearest_point_coords`` rejects raises ``CoordinateOutOfRange``.
 
-    A non-diagonal generator multiplies the search's float64 coordinates by
-    G as they come, which gives the bits of ``nearest_point_coords(lat, x)
-    @ lat.gen.T`` (the integers are exact in float64, and numpy's product
-    reads either layout in the same order). An exactly diagonal generator
-    stays in float64 too: the rounded coordinates are multiplied by the
-    scales, and adding 0.0 turns -0.0 into +0.0, so the result equals
-    ``nearest_point_coords(lat, x) @ lat.gen.T`` bit for bit without the
-    matrix product.
+    There are two paths. A generator with any nonzero off-diagonal entry,
+    however small, is searched: its base must have a condition number of at
+    most ``MAX_SEARCH_COND`` or the call raises ``IllConditionedLattice``,
+    and the search's float64 coordinates are multiplied by G as they come,
+    which gives the bits of ``nearest_point_coords(lat, x) @ lat.gen.T``
+    (the integers are exact in float64, and numpy's product reads either
+    layout in the same order). A diagonal generator stays in float64 too:
+    the rounded coordinates are multiplied by the scales, and adding 0.0
+    turns -0.0 into +0.0, so the result equals ``nearest_point_coords(lat,
+    x) @ lat.gen.T`` bit for bit without the matrix product.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_dim(lat, x)
     if not lat.is_diagonal:
         return _search([lat], [x.reshape(-1, lat.dim)]).reshape(x.shape) @ lat.gen.T
-    if not lat._exact_diag:
-        return nearest_point_coords(lat, x) @ lat.gen.T
     _check_finite(x)
     return _diagonal_point(lat, x)
 
 
 def _diagonal_point(lat: Lattice, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``nearest_point`` of an exactly diagonal lattice, unchecked, written
+    """``nearest_point`` of a diagonal lattice, unchecked, written
     to ``out`` or a fresh array."""
     point = _round_half_down(x, lat._scales, out)
     point *= lat._scales
@@ -408,8 +424,8 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
 
 
 def _with_point(lat: Lattice, b: np.ndarray):
-    # An exactly diagonal lattice takes b as it is (see ``reduce_stacked``).
-    return b, (_diagonal_point(lat, b) if lat._exact_diag else nearest_point(lat, b))
+    # A diagonal lattice takes b as it is (see ``reduce_stacked``).
+    return b, _diagonal_point(lat, b)
 
 
 def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
@@ -422,14 +438,16 @@ def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
     kernel searches each row on its own, in the base's frame, and each point
     is that array's rows of the kernel's float64 coordinates times its own
     lattice's G, multiplied as they stand: the bits of the product of their
-    int64 copy (see ``nearest_point``). A diagonal base takes each b from
-    ``arrays`` only as the caller takes its pair: stacking would only add
-    copies, and holding every array at once costs a codec block page faults.
-    An exactly diagonal lattice takes the caller's arrays as they are, with
-    ``nearest_point``'s bits but without its conversion, dimension check
-    and finiteness pass, so each b must be a finite float64 array of its
-    dimension (a NaN or infinite row gives a non-finite point, and no
-    error). Other targets raise as in ``nearest_point``.
+    int64 copy (see ``nearest_point``); a base that the search refuses
+    raises ``IllConditionedLattice`` before any row is searched. A diagonal
+    base (every off-diagonal entry exactly 0) takes each b from ``arrays``
+    only as the caller takes its pair: stacking would only add copies, and
+    holding every array at once costs a codec block page faults. It rounds
+    the caller's arrays as they are, with ``nearest_point``'s bits but
+    without its conversion, dimension check and finiteness pass, so each b
+    must be a finite float64 array of its dimension (a NaN or infinite row
+    gives a non-finite point, and no error). Other targets raise as in
+    ``nearest_point``.
     """
     base = _base(lats[0])
     if base.is_diagonal:  # map, unlike a generator, drops each b once its pair is taken
@@ -456,8 +474,8 @@ def sample_dither(lat: Lattice, rng: np.random.Generator, size: int = 1) -> np.n
 
     Draws uniformly over the fundamental parallelepiped ``G [0,1)^n`` and
     reduces mod the lattice; the mod map carries any fundamental region
-    uniformly onto the Voronoi cell, so no rejection loop is needed. An
-    exactly diagonal generator maps the draws ``w`` as ``w * scales + 0.0``,
+    uniformly onto the Voronoi cell, so no rejection loop is needed. A
+    diagonal generator maps the draws ``w`` as ``w * scales + 0.0``,
     which equals ``w @ G.T`` bit for bit.
     """
     w = rng.random((size, lat.dim))
@@ -469,14 +487,14 @@ def _uniform_to_voronoi(lats: Sequence[Lattice], ws: Iterable[np.ndarray], scrat
     """The map of ``sample_dither``, in place, for each array of uniform
     draws ``w`` over [0, 1)^n that the iterable ``ws`` yields, shape
     (rows, n), with its lattice in ``lats``: w becomes ``u - nearest_point(lat,
-    u)`` for ``u = w @ G.T``, with its bits. Exactly diagonal lattices take
+    u)`` for ``u = w @ G.T``, with its bits. Diagonal lattices take
     and map one array at a time, through ``scratch``, a float64 array of w's
     shape, which is overwritten, and allocate nothing, which lets the codec
     engine map its dithers in its own buffers while each is fresh in cache;
     the points are finite by construction, so the finiteness check is
     skipped there. Any other lattices take every array first and reduce
     them by ``reduce_stacked``."""
-    if all(lat._exact_diag for lat in lats):
+    if all(lat.is_diagonal for lat in lats):
         for lat, w in zip(lats, ws):
             w *= lat._scales
             w += 0.0

@@ -830,12 +830,6 @@ class TwoUserCodec:
         sz2 = function_variance(self.model)
         return (sz2 - self.d_target) / sz2
 
-    @property
-    def coarse_moment_nominal(self) -> float:
-        """Coarse second moment before the margin inflation."""
-        sz2 = function_variance(self.model)
-        return sz2**2 / (sz2 - self.d_target)
-
 
 def q1_interval(sz2: float, d: float) -> float:
     """Upper end of the admissible q1 interval (0, D Var(Z) / (Var(Z) - D))."""

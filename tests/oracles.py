@@ -171,6 +171,47 @@ def sphere_directions(k, n):
     raise ValueError("direction grids exist for k = 2 and k = 3")
 
 
+def closest_point_oracle(gen, x):
+    """Integer coordinates u of the point G u of the lattice {G u : u integer}
+    closest to the target ``x``, by brute-force Fincke-Pohst enumeration
+    (Fincke and Pohst, Math. Comp. 44, 1985).
+
+    With G = Q R, |G u - x| = |R u - Q^T x|. Every integer u within the
+    distance of Babai's nearest-plane point (inflated by 1e-9, so that point
+    survives rounding) is enumerated, level by level from the last
+    coordinate down, all candidates of a level at once; the closest of them
+    by |G u - x|^2, recomputed from G, wins, and exact ties go to the
+    lexicographically smallest u. Exhaustive, so its cost grows with the
+    basis's skew: for tests on small, moderately conditioned bases only.
+    """
+    gen = np.asarray(gen, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    q, r = np.linalg.qr(gen)
+    y = q.T @ x
+    babai = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        babai[i] = np.rint((y[i] - r[i, i + 1:] @ babai[i + 1:]) / r[i, i])
+    radius2 = float(np.sum((r @ babai - y) ** 2)) * (1.0 + 1e-9)
+    us = np.zeros((1, 0))  # the enumerated coordinates i + 1 .. n - 1
+    partial = np.zeros(1)  # their share of the squared distance
+    for i in range(n - 1, -1, -1):
+        center = (y[i] - us @ r[i, i + 1:]) / r[i, i]
+        half = np.sqrt(np.maximum(radius2 - partial, 0.0)) / abs(r[i, i])
+        lo = np.ceil(center - half)
+        counts = np.maximum(np.floor(center + half) - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(us)), counts)
+        step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        ui = lo[parent] + step
+        partial = partial[parent] + (r[i, i] * (center[parent] - ui)) ** 2
+        us = np.column_stack([ui, us[parent]])
+        keep = partial <= radius2
+        us, partial = us[keep], partial[keep]
+    d2 = np.sum((us @ gen.T - x) ** 2, axis=1)
+    best = np.lexsort([*us.T[::-1], d2])[0]
+    return us[best].astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Membership and scheme comparison, on latfun's public API
 

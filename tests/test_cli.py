@@ -689,6 +689,23 @@ def test_lattice_nsm_of_a_tiny_scaled_lattice_ends():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("op", ["moment", "nsm", "cosets"])
+@pytest.mark.parametrize("gen", [[1.0, 1e-12, 0.0, 1e-12], [1e12, 1.0, 0.0, 1.0]],
+                         ids=["sliver", "shear"])
+def test_ill_conditioned_lattice_file_exits_two_in_time(tmp_path, op, gen):
+    # Both generators once counted as diagonal, and were rounded
+    # componentwise: the shear's moment printed 4.17e22, twice its true
+    # 2.08e22, as exact ("samples": 0). Searched, the shear takes minutes.
+    # Their condition numbers, about 1e12, are beyond what the search takes.
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"dim": 2, "gen": gen}))
+    proc = _run_cli_process("lattice", "--lattice", str(path), "--op", op, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: generator condition number")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_lattice_diagonal_moment_at_the_edge_of_the_range():
     # Each squared scale (1.44e308) is finite but their sum is not.
     proc = _run_cli_process("lattice", "--op", "moment", "--dim", "2", "--scale", "1.2e154",

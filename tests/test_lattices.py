@@ -15,6 +15,7 @@ from scipy import stats
 
 from latfun import (
     CoordinateOutOfRange,
+    IllConditionedLattice,
     InvalidPrime,
     Lattice,
     LatfunError,
@@ -42,7 +43,7 @@ from latfun.errors import DimensionMismatch
 from latfun.lattices import _hermite_basis, _search, reduce_stacked
 from latfun.simulate import _row_any
 
-from oracles import contains, in_voronoi
+from oracles import closest_point_oracle, contains, in_voronoi
 from pin_golden import D4_GEN
 
 A2 = hexagonal_lattice()
@@ -170,7 +171,7 @@ def test_diagonal_fast_path_matches_generic_formulas(rng, n, step):
         lat = integer_lattice(n, step)
         assert type(lat._scales) is float and lat._scales == step
         cell = abs(step)
-    assert lat.is_diagonal and lat._exact_diag
+    assert lat.is_diagonal
     ties = (rng.integers(-4, 5, size=(40, n)) + rng.choice([-0.5, 0.5], size=(40, n))) * scales
     x = np.concatenate([
         rng.normal(scale=4.0 * cell, size=(300, n)),
@@ -197,24 +198,22 @@ _NEAR_DIAGONAL_GEN = np.diag([1.5, 0.5, 2.0])
 _NEAR_DIAGONAL_GEN[0, 2] = 1e-13 * 2.0
 
 
-def test_near_diagonal_generator_keeps_its_branch(rng):
-    # Off-diagonal entries within 1e-12 of the largest entry: still diagonal,
-    # rounded componentwise, and mapped through the full generator.
-    gen = _NEAR_DIAGONAL_GEN.copy()
-    lat = Lattice(gen)
-    assert lat.is_diagonal and not lat._exact_diag
+def test_near_diagonal_generator_is_searched(rng):
+    # One off-diagonal entry of 2e-13, 1e-13 of the largest entry: not
+    # diagonal, so searched like any other generator, and its points are
+    # the brute-force oracle's.
+    lat = Lattice(_NEAR_DIAGONAL_GEN)
+    assert not lat.is_diagonal and lat._sphere is None
     x = rng.normal(scale=3.0, size=(200, 3))
     coords = nearest_point_coords(lat, x)
-    assert np.array_equal(coords, np.ceil(x / np.diag(gen) - 0.5).astype(np.int64))
-    _assert_same_bits(nearest_point(lat, x), coords @ gen.T)
-    assert lat._sphere is None
-    gen[0, 2] = 1e-11 * 2.0
-    assert not Lattice(gen).is_diagonal
+    assert lat._sphere is not None
+    assert np.array_equal(coords, [closest_point_oracle(lat.gen, row) for row in x])
+    _assert_same_bits(nearest_point(lat, x), coords @ lat.gen.T)
 
 
 def test_near_diagonal_dither_is_the_generic_map(rng):
-    # The dither of a diagonal generator that is not exactly diagonal takes
-    # the path of non-diagonal ones: u - nearest_point(u), u = w G^T.
+    # The dither of a generator with a tiny off-diagonal entry takes the
+    # path of every non-diagonal one: u - nearest_point(u), u = w G^T.
     lat = Lattice(_NEAR_DIAGONAL_GEN)
     w = np.concatenate([rng.random((500, 3)), np.zeros((1, 3))])
     u = w @ lat.gen.T
@@ -392,18 +391,23 @@ def test_coordinates_answer_below_two_to_the_53():
 @pytest.mark.filterwarnings("error")
 def test_diagonal_coordinates_outside_int64_raise(lat):
     x = np.full(lat.dim, 1e19)
+    if not lat.is_diagonal:
+        # Any nonzero off-diagonal entry takes the search, which holds its
+        # coordinates in float64 and stops at 2^53.
+        for call in (nearest_point_coords, nearest_point):
+            with pytest.raises(CoordinateOutOfRange, match="2\\^53") as err:
+                call(lat, x)
+            assert "\n" not in str(err.value)
+        return
     with pytest.raises(CoordinateOutOfRange, match="outside the int64 range") as err:
         nearest_point_coords(lat, x)
     assert "\n" not in str(err.value)
     inside = np.full(lat.dim, 2.0**62)
     assert nearest_point_coords(lat, inside).tolist() == [
         int(v) for v in np.rint(inside / np.diag(lat.gen))]
-    if lat._exact_diag:  # the float path needs no integers
-        assert nearest_point(lat, x).tolist() == (np.rint(x / np.diag(lat.gen))
-                                                  * np.diag(lat.gen)).tolist()
-    else:
-        with pytest.raises(CoordinateOutOfRange):
-            nearest_point(lat, x)
+    # The float path needs no integers.
+    assert nearest_point(lat, x).tolist() == (np.rint(x / np.diag(lat.gen))
+                                              * np.diag(lat.gen)).tolist()
 
 
 _PROPERTY_BASES = {}
@@ -453,6 +457,66 @@ def test_float_coordinates_give_the_points_of_their_int64_copy(n, rows, factor, 
     assert nearest_point(lat, x).tobytes() == (got @ g).tobytes()
     one = nearest_point_coords(lat, x[-1])
     assert one.dtype == np.int64 and nearest_point(lat, x[-1]).tobytes() == (one @ g).tobytes()
+
+
+def _conditioned_basis(n, cond, rng):
+    """U diag(s) V^T with U and V random rotations and singular values s
+    from 1 to ``cond``: every basis of condition number ``cond`` has this
+    form, up to scale."""
+    u, v = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+    s = np.sort(np.concatenate([[1.0, cond], cond ** rng.random(n - 2)]))
+    return u @ np.diag(s) @ v.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), spread=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=2, spread=1.0, seed=0)
+@example(n=4, spread=1.0, seed=0)
+def test_search_matches_the_brute_force_oracle(n, spread, seed):
+    """Every base the search accepts gets the closest points: condition
+    numbers up to the bound, 1e4, at n = 2 (0.999e4, as rounding moves the
+    SVD's figure) and up to 1e2 at n = 3 and 4, against Fincke-Pohst
+    enumeration, on targets within a few cells of the origin."""
+    rng = np.random.default_rng(seed)
+    gen = _conditioned_basis(n, (0.999e4 if n == 2 else 1e2) ** spread, rng)
+    x = rng.uniform(-3.0, 3.0, size=(20, n)) @ gen.T
+    got = nearest_point_coords(Lattice(gen), x)
+    assert np.array_equal(got, [closest_point_oracle(gen, row) for row in x])
+
+
+def _rotated_rectangle(aspect):
+    """R(theta) diag(1, aspect): orthogonal columns, condition number aspect."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    return np.array([[c, -s], [s, c]]) @ np.diag([1.0, aspect])
+
+
+def test_search_refuses_bases_beyond_its_condition_bound(rng):
+    # The bound is scale-free: a rotated rectangle of aspect 0.99e4 is
+    # searched at any scale, and one of aspect 1.01e4 raises at any scale.
+    for scale in (1e-6, 1.0, 1e6):
+        gen = scale * _rotated_rectangle(0.99e4)
+        x = rng.uniform(-3.0, 3.0, size=(50, 2)) @ gen.T
+        got = nearest_point_coords(Lattice(gen), x)
+        assert np.array_equal(got, [closest_point_oracle(gen, row) for row in x])
+        lat = Lattice(scale * _rotated_rectangle(1.01e4))
+        for call in (nearest_point_coords, nearest_point, mod_lattice):
+            with pytest.raises(IllConditionedLattice, match="condition number") as err:
+                call(lat, [0.0, 0.6])
+            assert "\n" not in str(err.value)
+        assert lat._sphere is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_shear_generator_raises_at_once(rng):
+    # Its off-diagonal 1 is within 1e-12 of its largest entry, so it was once
+    # rounded componentwise, to (1, 1) at (0, 0.6), though the origin is
+    # closer; searched, it takes minutes. Its condition number is 1e12.
+    lat = Lattice(np.array([[1e12, 1.0], [0.0, 1.0]]))
+    assert not lat.is_diagonal
+    with pytest.raises(IllConditionedLattice, match="condition number 1e\\+12 exceeds 10000"):
+        nearest_point(lat, [0.0, 0.6])
+    with pytest.raises(IllConditionedLattice):
+        second_moment(lat, 1000, rng)
 
 
 def test_search_context_is_cached_and_carried_through_scaling(rng):

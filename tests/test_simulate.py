@@ -303,7 +303,8 @@ def test_two_user_experiment_hits_target_distortion():
     rep = run_two_user_experiment(codec, 200_000, seed=7)
     assert rep.conditional_distortion == pytest.approx(0.1, rel=0.05)
     assert rep.overload_rate < 1e-3
-    expected_moment = codec.coarse_moment_nominal
+    var_z = function_variance(M88)
+    expected_moment = var_z**2 / (var_z - 0.1)  # the coarse moment before the margin
     se = 3.0 * math.sqrt(2.0) * expected_moment / math.sqrt(rep.trials)
     assert abs(rep.dither_moment_check - expected_moment) < se
 
