@@ -511,7 +511,8 @@ def cmd_lattice(args) -> int:
     else:  # cosets
         if not math.isfinite(args.nesting):
             raise LatfunError(f"--nesting must be finite, got {args.nesting}")
-        coarse = lattices.Lattice(lat.gen * args.nesting)
+        with np.errstate(over="ignore"):  # an infinite entry is rejected in one line
+            coarse = lattices.Lattice(lat.gen * args.nesting)
         pair = lattices.NestedPair(lat, coarse)
         leaders = lattices.coset_leaders(pair)
         _print_json(

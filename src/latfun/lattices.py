@@ -12,8 +12,9 @@ generator matrix ``G`` (columns generate). Quantization ties on Voronoi
 boundaries resolve to the lexicographically smallest integer coordinate
 vector, so every operation here is deterministic. Randomized operations take
 an explicit ``numpy.random.Generator``. Every lattice step of the codec
-engine is a nearest point, or the error left after one, made by
-``reduce_stacked``.
+engine is a nearest point, or the error left after one: on a non-diagonal
+base made by ``reduce_stacked``, on a diagonal one rounded by the engine
+itself (``_round_half_down``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from .gaussian import _frozen
 
 MAX_SPHERE_DIM = 8
 MAX_COSET_ENUM = 4096
+# Largest prime that construction_a takes: its trial division stays fast
+# there, and a fine lattice of steps 1/p fails its nesting check in float64
+# well below it (at p = 2^31 - 1, after passing at p = 10,000,019).
+MAX_CODE_PRIME = 2**31 - 1
 # Largest condition number of a base that the closest-point search takes.
 MAX_SEARCH_COND = 1e4
 
@@ -171,7 +176,9 @@ class Lattice:
         est = self.moment
         if est is not None:
             est = MomentEstimate(est.value * factor**2, est.std_error * factor**2, est.samples)
-        out = Lattice(self.gen * factor, est)
+        with np.errstate(over="ignore"):  # an infinite entry is rejected below, in one line
+            gen = self.gen * factor
+        out = Lattice(gen, est)
         if not self.is_diagonal:
             base, f = self._frame or (self, 1.0)
             object.__setattr__(out, "_frame", (base, f * factor))
@@ -211,7 +218,9 @@ class NestedPair:
             raise DimensionMismatch("fine and coarse dimensions differ")
         coords = np.linalg.solve(self.fine.gen, self.coarse.gen)
         j = np.rint(coords)
-        if not (np.all(np.abs(coords - j) <= _INT_TOL) and abs(np.linalg.det(j)) > 1.0 - 1e-9):
+        with np.errstate(over="ignore"):  # an overflowing det is past the int64 check below
+            det = abs(np.linalg.det(j))
+        if not (np.all(np.abs(coords - j) <= _INT_TOL) and det > 1.0 - 1e-9):
             raise SingularLattice("coarse lattice is not a sublattice of the fine one")
         if not np.all(np.abs(j) < 2.0**63):
             raise LatfunError(
@@ -403,13 +412,7 @@ def nearest_point(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     if not lat.is_diagonal:
         return _search([lat], [x.reshape(-1, lat.dim)]).reshape(x.shape) @ lat.gen.T
     _check_finite(x)
-    return _diagonal_point(lat, x)
-
-
-def _diagonal_point(lat: Lattice, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``nearest_point`` of a diagonal lattice, unchecked, written
-    to ``out`` or a fresh array."""
-    point = _round_half_down(x, lat._scales, out)
+    point = _round_half_down(x, lat._scales)
     point *= lat._scales
     point += 0.0
     return point
@@ -423,35 +426,28 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
     return np.subtract(x, point, out=point)
 
 
-def _with_point(lat: Lattice, b: np.ndarray):
-    # A diagonal lattice takes b as it is (see ``reduce_stacked``).
-    return b, _diagonal_point(lat, b)
+def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray],
+                   outs: Optional[Sequence[np.ndarray]] = None):
+    """The pairs ``(b, nearest_point(lat, b))``, with their bits, of the
+    (rows, n) arrays b that the iterable ``arrays`` yields, each with its
+    lattice ``lat`` in ``lats``: non-diagonal scalings of one base lattice.
 
-
-def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
-    """The pair ``(b, nearest_point(lat, b))``, with its bits, for each
-    (rows, n) array b that the iterable ``arrays`` yields, with its lattice
-    ``lat`` in ``lats``, one per array: scalings of one base lattice.
-
-    On a non-diagonal base, the rows of all the arrays go to the kernel in
-    one stacked call, which pays the search's fixed cost per call once; the
-    kernel searches each row on its own, in the base's frame, and each point
-    is that array's rows of the kernel's float64 coordinates times its own
-    lattice's G, multiplied as they stand: the bits of the product of their
-    int64 copy (see ``nearest_point``); a base that the search refuses
-    raises ``IllConditionedLattice`` before any row is searched. A diagonal
-    base (every off-diagonal entry exactly 0) takes each b from ``arrays``
-    only as the caller takes its pair: stacking would only add copies, and
-    holding every array at once costs a codec block page faults. It rounds
-    the caller's arrays as they are, with ``nearest_point``'s bits but
-    without its conversion, dimension check and finiteness pass, so each b
-    must be a finite float64 array of its dimension (a NaN or infinite row
-    gives a non-finite point, and no error). Other targets raise as in
-    ``nearest_point``.
+    The rows of all the arrays go to the kernel in one stacked call, which
+    pays the search's fixed cost per call once; the kernel searches each row
+    on its own, in the base's frame, and each point is that array's rows of
+    the kernel's float64 coordinates times its own lattice's G, multiplied
+    as they stand: the bits of the product of their int64 copy (see
+    ``nearest_point``). Each point is written to its array of ``outs`` where
+    given, which may be b itself, since the kernel has read every b by then
+    (b is then the point). A base that the search refuses raises
+    ``IllConditionedLattice`` before any row is searched, and other targets
+    raise as in ``nearest_point``. A diagonal base raises ``ValueError``:
+    rounding needs no stacking, and ``nearest_point`` rounds it.
     """
     base = _base(lats[0])
-    if base.is_diagonal:  # map, unlike a generator, drops each b once its pair is taken
-        return map(_with_point, lats, arrays)
+    if base.is_diagonal:
+        raise ValueError("reduce_stacked searches non-diagonal bases; nearest_point rounds "
+                         "a diagonal one")
     arrays = list(arrays)
     for lat, a in zip(lats, arrays):
         if _base(lat) is not base:
@@ -459,8 +455,8 @@ def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray]):
         _check_dim(base, a)
     coords = _search(lats, arrays)
     pairs, lo = [], 0  # slicing by hand: np.split costs about ten times more
-    for lat, b in zip(lats, arrays):
-        pairs.append((b, coords[lo:lo + len(b)] @ lat.gen.T))
+    for lat, b, out in zip(lats, arrays, outs or [None] * len(arrays)):
+        pairs.append((b, np.matmul(coords[lo:lo + len(b)], lat.gen.T, out=out)))
         lo += len(b)
     return pairs
 
@@ -475,8 +471,9 @@ def sample_dither(lat: Lattice, rng: np.random.Generator, size: int = 1) -> np.n
     Draws uniformly over the fundamental parallelepiped ``G [0,1)^n`` and
     reduces mod the lattice; the mod map carries any fundamental region
     uniformly onto the Voronoi cell, so no rejection loop is needed. A
-    diagonal generator maps the draws ``w`` as ``w * scales + 0.0``,
-    which equals ``w @ G.T`` bit for bit.
+    diagonal generator maps the draws without the matrix product, by a
+    comparison in place of the rounding, with the bits of the generic map
+    (see ``_uniform_to_voronoi``).
     """
     w = rng.random((size, lat.dim))
     _uniform_to_voronoi([lat], [w], np.empty_like(w))
@@ -487,18 +484,29 @@ def _uniform_to_voronoi(lats: Sequence[Lattice], ws: Iterable[np.ndarray], scrat
     """The map of ``sample_dither``, in place, for each array of uniform
     draws ``w`` over [0, 1)^n that the iterable ``ws`` yields, shape
     (rows, n), with its lattice in ``lats``: w becomes ``u - nearest_point(lat,
-    u)`` for ``u = w @ G.T``, with its bits. Diagonal lattices take
-    and map one array at a time, through ``scratch``, a float64 array of w's
-    shape, which is overwritten, and allocate nothing, which lets the codec
-    engine map its dithers in its own buffers while each is fresh in cache;
-    the points are finite by construction, so the finiteness check is
-    skipped there. Any other lattices take every array first and reduce
+    u)`` for ``u = w @ G.T``, with its bits.
+
+    Diagonal lattices take and map one array at a time, through
+    ``scratch``, a float64 array of w's shape, which is overwritten, and
+    allocate nothing, which lets the codec engine map its dithers in its
+    own buffers while each is fresh in cache. With t = w s for the scales
+    s, t / s lies in [0, 1], so the point's coordinate ``ceil(t / s -
+    1/2)`` is [t / s > 1/2] (a half rounds down) and u = t - s [t / s >
+    1/2], in six passes with the generic map's bits and no ``+ 0.0``:
+    where the coordinate is 0, t - 0 s is t, which is never -0.0 for s > 0
+    (a draw of [0, 1) is never -0.0). For s < 0 a draw of 0 gives t = -0.0,
+    and the generic map +0.0, so a lattice with a negative scale adds 0.0
+    after the map. Any other lattices take every array first and reduce
     them by ``reduce_stacked``."""
     if all(lat.is_diagonal for lat in lats):
         for lat, w in zip(lats, ws):
-            w *= lat._scales
-            w += 0.0
-            np.subtract(w, _diagonal_point(lat, w, scratch), out=w)
+            scales = lat._scales
+            w *= scales
+            step = _round_half_down(w, scales, scratch)
+            step *= scales
+            w -= step
+            if np.min(scales) < 0.0:
+                w += 0.0
         return
     ws = list(ws)
     us = [w @ lat.gen.T for lat, w in zip(lats, ws)]
@@ -668,7 +676,12 @@ def construction_a(
     to the lattice ``(1/p) C + Z^n`` and maps through the coarse generator,
     yielding a fine lattice containing the coarse one with p^rank cosets.
     Rank-deficient draws are reported, not rejected; the coset count adjusts.
+    A p above ``MAX_CODE_PRIME`` raises ``InvalidPrime`` before the prime
+    test, whose trial division would run for minutes at p near 2^63.
     """
+    if p > MAX_CODE_PRIME:
+        raise InvalidPrime(f"p = {p} exceeds {MAX_CODE_PRIME}, beyond which the fine lattice's "
+                           "steps of 1/p cannot be nested in float64")
     if not _is_prime(p):
         raise InvalidPrime(f"p = {p} is not prime")
     n = coarse.dim

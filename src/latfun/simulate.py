@@ -31,7 +31,8 @@ Within a chunk, work runs along the trial axis. Each source column is a
 contiguous (m, n) array (see ``_sources``), and every per-trial reduction
 over the short axis of an (m, k) array, k being the dimension n or the
 number of cells, is k whole-column passes over the m trials
-(``_row_any``, ``_row_mean``, ``_column_counts``), not numpy's row-by-row
+(``_row_any``, ``_row_nonzero``, ``_row_mean``, ``_column_counts``), not
+numpy's row-by-row
 reduction. The passes keep numpy's order, so the bits are numpy's: an OR
 and an integer count are exact in any order, and a mean sums the columns
 left to right from +0.0 and divides by k, as numpy does for k < 8 (from
@@ -42,62 +43,67 @@ array: the source normals, then each member's dither in decode order.
 Nothing else reads the stream, so drawing the dithers ahead of the
 arithmetic keeps it, where drawing them per block would interleave the
 members' draws and change it. The arithmetic (``_run_block``) then runs
-on row blocks of ``_BLOCK // n`` trials, so that a block's (rows, n)
-temporaries take 64 KiB each, below glibc's 128 KiB mmap threshold: the
-heap hands the same pages back block after block (unless glibc trims its
-top between chunks), where larger arrays are mapped afresh and faulted
-in again. Each block keeps only its per-trial results: the squared
-error, and per cell the mod-input second moment, overload and clean
-history. No pass of a block adds, subtracts or multiplies a term that
-changes nothing but the sign of a zero: a cell's sums start from its
-first member's arrays, a cell with no predictor term skips it, a scale or
-weight of exactly 1.0 multiplies nothing, a weighted sum starts from its
-first term, and at n = 1 a square is its own mean. No result reads that
-sign: each is a square or a nonzero test of a coarse point, and a
-reduction maps +0.0 and -0.0 to points of equal magnitude. Each result
-depends on its own row alone (the closest-point products reduce over the
-n coordinates of a row), so blocks give the bits of one pass, which the
-golden pins check on chunks of several blocks. A block of one row is the
-exception: numpy multiplies a lone row by a non-diagonal generator through
-its matrix-vector product, whose last bits differ from the same row's
-inside a larger array, so a one-row tail joins the block before it, and
-only a one-trial chunk is one row.
+on row blocks of ``_BLOCK // n`` trials. Every (rows, n) array a block
+forms is a slot of the thread's workspace (see below), so the block size
+is set by per-call overhead alone: at 16,384 floats, 128 KiB a slot, a
+Z^1 block runs half the numpy calls per trial of 8,192, and 32,768 reads
+no better.
+Each block keeps only its per-trial results: the squared error, and per
+cell the mod-input second moment, overload and clean history, the masks
+written straight into the chunk's rows. No pass of a block adds,
+subtracts or multiplies a term that changes nothing but the sign of a
+zero: a cell's sums start from its first member's arrays, a cell with no
+predictor term skips it, a scale or weight of exactly 1.0 multiplies
+nothing, a weighted sum starts from its first term, a diagonal point
+skips ``nearest_point``'s ``+ 0.0``, and at n = 1 a square is its own
+mean. No result reads that sign: each is a square or a nonzero test of a
+coarse point, and a reduction maps +0.0 and -0.0 to points of equal
+magnitude. Each result depends on its own row alone (the closest-point
+products reduce over the n coordinates of a row), so blocks give the bits
+of one pass, which the golden pins check on chunks of several blocks. A
+block of one row is the exception: numpy multiplies a lone row by a
+non-diagonal generator through its matrix-vector product, whose last bits
+differ from the same row's inside a larger array, so a one-row tail joins
+the block before it, and only a one-trial chunk is one row.
 ``_BLOCK`` is a constant because no result depends on it: it trades
 memory traffic against per-block overhead, and is not a parameter of the
 experiment.
 
-The whole-chunk arrays live in the calling thread's workspace
+The whole-chunk and block arrays live in the calling thread's workspace
 (``_Workspace``): a float and a flag buffer, which grow to the thread's
-largest chunk and are reused after that. Every chunk carves its views
-from them afresh: the normals, with the dithers drawn over them once the
-source columns are formed, the columns, the dither mapping's quotient,
-the per-trial results and the fold's scratch. So a chunk no larger than
-one its thread has run allocates no whole-chunk array, outside the
-closest-point kernel that a non-diagonal lattice's dither reduction
-reaches. The thread keeps its workspace, at the size of its largest
-chunk, for later runs. Each thread has its own, so experiments run from
-several threads at once never share arrays. The arrays of ``_draw`` and
-``_run_cells`` are valid only until that thread's next chunk, so each
-chunk is folded into its sums (``_Accumulator.add``) before the next
-runs.
+largest chunk, and a float buffer of block slots, which grows to its
+largest block (``_slot_count`` slots), all reused after that. Every chunk
+carves its views from them afresh: the normals, with the dithers drawn
+over them once the source columns are formed, the columns, the dither
+mapping's quotient, the per-trial results and the fold's scratch; and
+every block its slots. So a chunk no larger than one its thread has run
+allocates no chunk- or block-sized array, outside the closest-point
+kernel that a non-diagonal lattice reaches, and takes no fresh pages,
+whatever the heap's history (glibc may trim its top between chunks). The
+thread keeps
+its workspace for later runs. Each thread has its own, so experiments run
+from several threads at once never share arrays. The arrays of ``_draw``,
+``_run_cells`` and ``_run_block`` are valid only until that thread's next
+chunk or block, so each chunk is folded into its sums
+(``_Accumulator.add``) before the next runs.
 
 Every lattice of a codec is its base lattice scaled, and a non-diagonal
 lattice is searched in its base's frame (see ``lattices.Lattice``). Each
-reduction step is one ``lattices.reduce_stacked(lats, arrays)`` call, which
-yields each array b with its nearest point: a mod is ``np.subtract(b,
-point, out=point)``, and overload is a nonzero coarse point of the mod
-input. The steps are a chunk's dither maps (exactly diagonal lattices map
-theirs in place; on a non-diagonal base every dither is drawn, in stream
-order, before any is mapped), and per block the members' fine
-quantizations, their coarse reductions, and the mod input's overload test
-with the decoding reduction. On a non-diagonal base each step is one kernel
-call on the stacked rows, so a two-user chunk makes 1 + 3 per block calls
-rather than 2 + 6; each row is searched on its own, so the bits are those
-of separate calls. A diagonal base rounds one array at a time, as the
-caller takes its pair: stacking would only add copies and page faults. An
-exactly diagonal base (Z^n scaled) rounds the engine's arrays as they are,
-without ``nearest_point``'s conversion, dimension check and finiteness
-pass: the engine made them, of the lattice's dimension, from finite draws.
+reduction step (``_reduce``) writes nearest points into block slots: a mod
+is ``np.subtract(b, point, out=point)``, and overload is a nonzero coarse
+point of the mod input. The steps are a chunk's dither maps (exactly
+diagonal lattices map theirs in place; on a non-diagonal base every dither
+is drawn, in stream order, before any is mapped), and per block the
+members' fine quantizations, their coarse reductions, and the mod input's
+overload test with the decoding reduction. On a non-diagonal base each
+step is one ``lattices.reduce_stacked`` call, one kernel call on the
+stacked rows, so a two-user chunk makes 1 + 3 per block calls rather than
+2 + 6; each row is searched on its own, so the bits are those of separate
+calls. An exactly diagonal base (Z^n scaled) rounds the engine's arrays as
+they are, one at a time, without ``nearest_point``'s conversion, dimension
+check, finiteness pass and ``+ 0.0``: the engine made them, of the
+lattice's dimension, from finite draws. Its overload test stops at the
+mod input's rounded coordinates, which are nonzero where the point is.
 A NaN or an infinity that arises anyway, from an overflow say, is not
 raised there but runs on into the trial's error and mod-input moments and
 so into the chunk's sums, and ``_Accumulator.add`` rejects a chunk whose
@@ -155,16 +161,18 @@ from .gaussian import (
 )
 from .lattices import (
     Lattice,
+    _round_half_down,
     _uniform_to_voronoi,
     integer_lattice,
     reduce_stacked,
     sample_dither,
     scale_to_second_moment,
+    second_moment,
 )
 from .regions import RatePoint, SCHEME_LATTICE, _half_log2_ratio, k_user_rates
 
 DEFAULT_CHUNK = 65536
-_BLOCK = 8192  # floats per (rows, n) array of a row block: 64 KiB (see the module docstring)
+_BLOCK = 16384  # floats per (rows, n) slot of a row block: 128 KiB (see the module docstring)
 
 
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
@@ -415,6 +423,20 @@ def _row_any(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
+def _row_nonzero(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.any(a, axis=-1)`` of an (m, k) float array, written to ``out`` (m
+    bools); a is overwritten for k > 1. A row's sum of absolute values is
+    nonzero exactly where an entry is (adding non-negative floats never
+    cancels, and a NaN stays NaN), and unlike a running OR of the float
+    columns into ``out`` it casts nothing, so numpy takes no buffer."""
+    total = a[:, 0]
+    if a.shape[1] > 1:
+        np.abs(a, out=a)
+        for j in range(1, a.shape[1]):
+            total += a[:, j]
+    return np.not_equal(total, 0.0, out=out)
+
+
 def _row_mean(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.mean(a, axis=-1)`` of an (m, k) array, bit for bit, written to
     ``out`` (m floats) if given.
@@ -509,14 +531,24 @@ class _ChunkArrays(NamedTuple):
 
 
 class _Workspace:
-    """One thread's chunk arrays: a float and a flag buffer, each grown to
-    the largest chunk so far, from which every chunk carves its views."""
+    """One thread's chunk and block arrays: a float and a flag buffer, each
+    grown to the largest chunk so far, from which every chunk carves its
+    views, and a float buffer grown to the largest row block so far, from
+    which every block carves its slots."""
 
-    __slots__ = ("floats", "flags")
+    __slots__ = ("floats", "flags", "block")
 
     def __init__(self):
         self.floats = np.empty(0)
         self.flags = np.empty(0, dtype=bool)
+        self.block = np.empty(0)
+
+    def slots(self, rows: int, n: int, count: int):
+        """``count`` (rows, n) float arrays for one row block's arrays."""
+        size = rows * n
+        if self.block.size < count * size:
+            self.block = np.empty(count * size)
+        return [self.block[i * size:(i + 1) * size].reshape(rows, n) for i in range(count)]
 
     def arrays(self, m: int, n: int, cols: int, draws: int, cells: int) -> _ChunkArrays:
         """The arrays of a chunk of m trials of n coordinates, with ``cols``
@@ -556,6 +588,14 @@ def _workspace() -> _Workspace:
     if ws is None:
         ws = _thread_state.workspace = _Workspace()
     return ws
+
+
+def _slot_count(plan: _Plan) -> int:
+    """Slots of a row block of the plan (see ``_run_block``): one per side
+    value, two per cell, and the work slots, three or two per member after
+    a cell's first, whichever is more."""
+    members = max(len(cell.members) for cell in plan.cells)
+    return len(plan.side) + 2 * len(plan.cells) + max(3, 2 * members - 2)
 
 
 def _chunk_shape(plan: _Plan) -> Tuple[int, int, int, int]:
@@ -620,62 +660,108 @@ def _draw(plan: _Plan, m: int, rng: np.random.Generator,
     return x, dithers
 
 
-def _weighted_sum(weights, arrays):
-    """``sum(w * a for w, a in zip(weights, arrays))``, or None for no term.
+def _weighted_sum(weights, arrays, out, scratch):
+    """``sum(w * a for w, a in zip(weights, arrays))`` written to ``out``, with
+    ``scratch`` for a product, both block slots apart from ``arrays``; None
+    for no term.
 
     The sum starts from its first term, not from the int 0, and a weight of
     exactly 1.0 multiplies nothing; each changes at most the sign of a zero.
-    The result is a fresh array, except that a lone term of weight 1.0 is
-    that array itself."""
+    A lone term of weight 1.0 is that array itself, not ``out``."""
     total = None
     for w, a in zip(weights, arrays):
-        term = a if w == 1.0 else w * a
         if total is None:
-            total = term
-        elif fresh:
-            total += term
-        else:  # the first term is one of ``arrays``: add into a fresh array
-            total = np.add(total, term, out=None if term is a else term)
-        fresh = total is not a
+            total = a if w == 1.0 else np.multiply(a, w, out=out)
+            continue
+        term = a if w == 1.0 else np.multiply(a, w, out=scratch if total is out else out)
+        total = np.add(total, term, out=out)
     return total
 
 
-def _run_block(plan: _Plan, x, dithers):
+def _reduce(lats, arrays, outs):
+    """The nearest point of each (rows, n) array of ``arrays`` in its lattice
+    of ``lats``, scalings of one base, written to its array of ``outs``, which
+    may be that array itself; returns ``outs``.
+
+    A non-diagonal base makes one stacked ``reduce_stacked`` call, with
+    ``nearest_point``'s bits. An exactly diagonal base rounds each array as
+    it stands, in four passes (``_round_half_down``, then the scales), with
+    the bits of ``nearest_point`` but for the sign of a zero: the engine
+    skips its ``+ 0.0``, which no result reads (see the module docstring),
+    and its conversion, dimension check and finiteness pass, since the
+    engine made the arrays, of the lattice's dimension, from finite
+    draws."""
+    if not lats[0].is_diagonal:
+        reduce_stacked(lats, arrays, outs)
+        return outs
+    for lat, b, out in zip(lats, arrays, outs):
+        _round_half_down(b, lat._scales, out)
+        out *= lat._scales
+    return outs
+
+
+def _run_block(plan: _Plan, x, dithers, slots=None, overload=None, clean_before=None):
     """The codec on the trials of the source columns ``x`` with the drawn
-    ``dithers`` of ``_draw``; returns Z, its estimate, the shift-free mod
-    input of each cell, and the per-cell overload and clean-history masks.
-    The estimate and the mod inputs are the block's own arrays; Z may be a
-    source column.
+    ``dithers`` of ``_draw``; writes the per-cell overload and clean-history
+    masks into ``overload`` and ``clean_before``, (rows, cells) bool arrays,
+    and returns Z, its estimate, the shift-free mod input of each cell and
+    those masks. Every array it forms is one of ``slots``,
+    ``_slot_count(plan)`` arrays of x's shape, which Z, its estimate and the
+    mod inputs are too; Z may instead be a source column. Called with the
+    source columns and dithers alone, it takes its slots from the calling
+    thread's workspace and makes fresh masks.
+
+    The slots are laid out as the side values, each cell's sum (which it
+    decodes in place) and its shift-free mod input, then the work slots.
+    A cell's first member forms its fine and coarse points in that cell's
+    two slots, which become its sums, and every later member in a pair of
+    work slots, freed as it is added in; the predictor, the overload test
+    and the decoding point, and at the end Z and its estimate, take the
+    work slots once the members are summed.
 
     No pass here changes anything but the sign of a zero (see the module
     docstring): a cell's sums start as the first member's arrays, negated
     in place if it is subtracted; a cell with no predictor term skips it;
-    and Z, its estimate and each predictor are ``_weighted_sum``s. No
+    Z, its estimate and each predictor are ``_weighted_sum``s; and a
+    diagonal point skips ``nearest_point``'s ``+ 0.0`` (``_reduce``). No
     per-trial result reads that sign: each is a square or a nonzero test
     of a coarse point, and a reduction maps +0.0 and -0.0 to points of
-    equal magnitude."""
+    equal magnitude. On a diagonal coarse lattice the overload test reads
+    the mod input's rounded coordinates, which are nonzero where its point
+    is, and skips the point's pass."""
     m, n = x[0].shape
-    drawn = iter(dithers)
+    if slots is None:
+        slots = _workspace().slots(m, n, _slot_count(plan))
+        overload = np.zeros((m, len(plan.cells)), dtype=bool)
+        clean_before = np.zeros_like(overload)
+    side, cells = len(plan.side), len(plan.cells)
+    sums = slots[side:side + cells]
+    v = slots[side + cells:side + 2 * cells]
+    work = slots[side + 2 * cells:]
     # Side values are always multiplied, so each is the block's own array.
-    known = [w * x[col] for col, w in plan.side]
-    decoded = [None] * len(plan.cells)
-    v = [None] * len(plan.cells)
-    overload = np.zeros((m, len(plan.cells)), dtype=bool)
-    clean_before = np.zeros_like(overload)
-    clean = np.ones(m, dtype=bool)  # no overload in earlier cells yet
+    known = [np.multiply(x[col], w, out=out) for (col, w), out in zip(plan.side, slots)]
+    drawn = iter(dithers)
+    decoded = [None] * cells
+    prev = None
     for idx in plan.order:
         cell = plan.cells[idx]
-        total = ideal = None  # the cell sum, and that sum free of coarse coset shifts
         dith = [next(drawn) for _ in cell.members]
-        coarse = [cell.coarse] * len(cell.members)
-        # The members' fine quantizations, their coarse reductions, and
-        # below the overload test with the decoding reduction, are each one
-        # stacked reduction (see the module docstring); the fine targets
-        # are dropped as their points are made.
-        targets = ((x[mem.col] if mem.scale == 1.0 else mem.scale * x[mem.col]) + u
-                   for mem, u in zip(cell.members, dith))
-        ys = map(itemgetter(1), reduce_stacked([mem.fine for mem in cell.members], targets))
-        for mem, u, (y, point) in zip(cell.members, dith, reduce_stacked(coarse, ys)):
+        ys = [v[idx], *work[0:2 * len(dith) - 2:2]]
+        points = [sums[idx], *work[1:2 * len(dith) - 2:2]]
+        # The members' fine quantizations, in place of their targets, and
+        # their coarse reductions, and below the overload test with the
+        # decoding reduction, are each one stacked reduction on a
+        # non-diagonal base (see the module docstring).
+        for mem, u, y in zip(cell.members, dith, ys):
+            if mem.scale == 1.0:
+                np.add(x[mem.col], u, out=y)
+            else:
+                np.multiply(x[mem.col], mem.scale, out=y)
+                y += u
+        _reduce([mem.fine for mem in cell.members], ys, ys)
+        _reduce([cell.coarse] * len(ys), ys, points)
+        total = ideal = None  # the cell sum, and that sum free of coarse coset shifts
+        for mem, u, y, point in zip(cell.members, dith, ys, points):
             mod = np.subtract(y, point, out=point)
             mod -= u
             y -= u
@@ -690,30 +776,33 @@ def _run_block(plan: _Plan, x, dithers):
             else:
                 total += mod
                 ideal += y
-            # Free each block-sized array once used, so that a cell holds
-            # one member's at a time beside its sums.
-            del y, point, mod
-        pred = _weighted_sum(cell.pred, known)
+        pred = _weighted_sum(cell.pred, known, work[0], work[1])
         # Overload is wraparound of the shift-free mod input, a nonzero coarse
         # point; the transmitted sum additionally carries coarse points,
         # which the reduction removes.
         if pred is not None:
             ideal -= pred
             total -= pred
-        v[idx] = ideal
-        (_, v_point), (total, point) = reduce_stacked([cell.coarse] * 2, [ideal, total])
-        overload[:, idx] = _row_any(v_point)
-        decoded[idx] = np.subtract(total, point, out=point)
-        del v_point, total, point, ideal  # as above, before the next cell's are made
+        if cell.coarse.is_diagonal:
+            tested = _round_half_down(ideal, cell.coarse._scales, work[1])
+            (point,) = _reduce([cell.coarse], [total], work[2:3])
+        else:
+            tested, point = _reduce([cell.coarse] * 2, [ideal, total], work[1:3])
+        _row_nonzero(tested, overload[:, idx])
+        decoded[idx] = np.subtract(total, point, out=total)
         # The mod-input moment is meaningful where earlier cells decoded
-        # correctly; wrapped predictors would contaminate it.
-        clean_before[:, idx] = clean
-        clean = clean & ~overload[:, idx]
+        # correctly; wrapped predictors would contaminate it. True > False
+        # is the one true comparison: clean before and not overloaded.
+        if prev is None:
+            clean_before[:, idx] = True
+        else:
+            np.greater(clean_before[:, prev], overload[:, prev], out=clean_before[:, idx])
+        prev = idx
         if pred is not None:
             decoded[idx] += pred
         known.append(decoded[idx])
-    z = _weighted_sum(plan.coeffs, x)
-    zhat = _weighted_sum(plan.final, known[: len(plan.side)] + decoded)
+    z = _weighted_sum(plan.coeffs, x, work[0], work[2])
+    zhat = _weighted_sum(plan.final, known[:side] + decoded, work[1], work[2])
     return z, zhat, v, overload, clean_before
 
 
@@ -736,13 +825,17 @@ def _run_cells(plan: _Plan, m: int, rng: np.random.Generator,
     arrays of overload, mod-input second moment and clean history, into the
     chunk's ``arrays`` (by default from the calling thread's workspace),
     which it returns."""
-    arrays = arrays or _workspace().arrays(m, *_chunk_shape(plan))
+    ws = _workspace()
+    arrays = arrays or ws.arrays(m, *_chunk_shape(plan))
     x, dithers = _draw(plan, m, rng, arrays)
     err, v_sq = arrays.err, arrays.v_sq
-    for rows in _row_blocks(m, max(1, _BLOCK // x[0].shape[1])):
-        z, zhat, v, arrays.overload[rows], arrays.clean_before[rows] = _run_block(
-            plan, [col[rows] for col in x], [u[rows] for u in dithers])
-        # Into the estimate, which the block owns: Z may be a source column.
+    n, count = x[0].shape[1], _slot_count(plan)
+    for rows in _row_blocks(m, max(1, _BLOCK // n)):
+        z, zhat, v, _, _ = _run_block(
+            plan, [col[rows] for col in x], [u[rows] for u in dithers],
+            ws.slots(rows.stop - rows.start, n, count), arrays.overload[rows],
+            arrays.clean_before[rows])
+        # Into the estimate, a slot: Z may be a source column.
         _mean_square(np.subtract(z, zhat, out=zhat), err[rows])
         for idx, vi in enumerate(v):
             _mean_square(vi, v_sq[rows, idx])
@@ -830,6 +923,12 @@ class TwoUserCodec:
         sz2 = function_variance(self.model)
         return (sz2 - self.d_target) / sz2
 
+    @property
+    def coded_rates(self) -> Tuple[float, float]:
+        """The rates the two encoders pay, in bits per dimension (see
+        ``_coded_rate``): ``rates.rates`` plus log2(margin)."""
+        return _coded_rate(self.coarse, self.fine1), _coded_rate(self.coarse, self.fine2)
+
 
 def q1_interval(sz2: float, d: float) -> float:
     """Upper end of the admissible q1 interval (0, D Var(Z) / (Var(Z) - D))."""
@@ -844,6 +943,22 @@ def _base_lattice(n: int, margin: float, base_lattice: Optional[Lattice]) -> Lat
     if base.dim != n:
         raise DimensionMismatch(f"base lattice dimension {base.dim} != n = {n}")
     return base
+
+
+def _moment(lat: Lattice) -> float:
+    """A codec lattice's second moment per dimension: exact on a diagonal
+    one, and its scaled estimate on any other (see ``scale_to_second_moment``)."""
+    return second_moment(lat).value if lat.is_diagonal else lat.moment.value
+
+
+def _coded_rate(coarse: Lattice, fine: Lattice) -> float:
+    """The rate an encoder pays, in bits per dimension: log2 of the volume
+    of the coarse cell over the fine one, per dimension. Both are scalings
+    of one base, so it is 1/2 log2 of the coarse second moment over the
+    fine one, which exceeds the region's rate by log2(margin), since the
+    margin inflates the coarse moment by margin^2."""
+    fine_moment = _moment(fine)
+    return _half_log2_ratio(_moment(coarse), fine_moment, (fine_moment,))
 
 
 def _inflated_moment(moment: float, margin: float) -> float:
@@ -972,6 +1087,11 @@ class SideInfoCodec:
         beta, _ = self.si_model.side_regression()
         return beta
 
+    @property
+    def coded_rates(self) -> Tuple[float, float]:
+        """The rates the two encoders pay, as ``TwoUserCodec.coded_rates``."""
+        return _coded_rate(self.coarse, self.fine1), _coded_rate(self.coarse, self.fine2)
+
 
 def build_side_info_codec(
     si_model: SideInfoModel,
@@ -1034,6 +1154,14 @@ class KUserCodec:
     margin: float
     n: int
     rates: RatePoint
+
+    @property
+    def coded_rates(self) -> Tuple[float, ...]:
+        """The rate each user pays, over its cell's coarse lattice (see
+        ``_coded_rate``): ``rates.rates`` plus log2(margin)."""
+        cell_of = {i: cell for cell in self.plan.partition for i in cell}
+        return tuple(_coded_rate(self.coarses[cell_of[i]], fine)
+                     for i, fine in enumerate(self.fines))
 
 
 def build_k_user_codec(

@@ -20,6 +20,7 @@ from latfun import (
     bt_min_sum_rate,
     function_variance,
     lattice_min_sum_rate,
+    nearest_point,
     nearest_point_coords,
     two_user_model,
 )
@@ -272,6 +273,19 @@ def sum_rate_gap(rho, c, d):
 
 
 # ---------------------------------------------------------------------------
+# Dither map reference
+
+
+def rounding_dither_map(scales, w):
+    """The dither map of a diagonal lattice with scales ``scales`` as first
+    written, on uniform draws ``w`` over [0, 1)^n: u = w s + 0.0, less its
+    nearest point, rounded half down and made +0.0 at zero,
+    ``ceil(u / s - 1/2) s + 0.0``."""
+    u = w * scales + 0.0
+    return u - (np.ceil(u / scales - 0.5) * scales + 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Codec engine reference, on the engine's draws and reductions
 
 
@@ -279,9 +293,14 @@ def run_block_reference(plan, x, dithers):
     """``simulate._run_block`` as first written: every cell sum starts from
     zeros, a cell with no predictor term subtracts and adds the int 0, every
     member scale and weight multiplies, and Z, its estimate and each
-    predictor are Python ``sum()``s from the int 0."""
-    from latfun.lattices import reduce_stacked
+    predictor are Python ``sum()``s from the int 0. Each reduction is
+    ``nearest_point``, array by array, whose bits ``reduce_stacked`` and the
+    engine's diagonal rounding share (the latter up to the sign of a
+    zero)."""
     from latfun.simulate import _row_any
+
+    def pairs(lats, arrays):
+        return [(b, nearest_point(lat, b)) for lat, b in zip(lats, arrays)]
 
     m, n = x[0].shape
     drawn = iter(dithers)
@@ -298,8 +317,8 @@ def run_block_reference(plan, x, dithers):
         dith = [next(drawn) for _ in cell.members]
         coarse = [cell.coarse] * len(cell.members)
         targets = (mem.scale * x[mem.col] + u for mem, u in zip(cell.members, dith))
-        ys = map(itemgetter(1), reduce_stacked([mem.fine for mem in cell.members], targets))
-        for mem, u, (y, point) in zip(cell.members, dith, reduce_stacked(coarse, ys)):
+        ys = map(itemgetter(1), pairs([mem.fine for mem in cell.members], targets))
+        for mem, u, (y, point) in zip(cell.members, dith, pairs(coarse, ys)):
             mod = np.subtract(y, point, out=point)
             mod -= u
             y -= u
@@ -312,7 +331,7 @@ def run_block_reference(plan, x, dithers):
         pred = sum(w * value for w, value in zip(cell.pred, known))
         v[idx] = ideal - pred
         total -= pred
-        (_, v_point), (total, point) = reduce_stacked([cell.coarse] * 2, [v[idx], total])
+        (_, v_point), (total, point) = pairs([cell.coarse] * 2, [v[idx], total])
         overload[:, idx] = _row_any(v_point)
         decoded[idx] = np.subtract(total, point, out=point)
         clean_before[:, idx] = clean

@@ -13,11 +13,13 @@ Four groups of cases. The first three are pinned as sha256 digests in
   default chunk, 300-trial chunks and a fixed dither; and of the Z^4
   K-user and side-information codecs, built as that file's ``SequentialZ4``
   builds them, at two seeds with the default chunk and with 1,500-trial
-  chunks (three chunks). Four more cases have chunks that span several of
-  the engine's 8,192-trial row blocks: A2, K-user and side information in
-  one 20,000-trial chunk, and the Z^1 two-user codec of
-  ``perfbench/workloads.py`` at 16,385 trials in 8,193-trial chunks, whose
-  first chunk ends one row past a block.
+  chunks (three chunks). Six more cases have chunks that span several of
+  the engine's row blocks or end one row past one: A2, K-user and side
+  information in one 20,000-trial chunk, and the Z^1 two-user codec of
+  ``perfbench/workloads.py`` at 16,385 trials in 8,193-trial chunks (one
+  row past a block of the engine's first, 8,192-float blocks), in one
+  16,385-trial chunk (one row past a block of its 16,384-float blocks),
+  and in one 40,000-trial chunk of three blocks.
 
 The fourth, ``cli.json``, stores the full stdout of ``latfun region``,
 ``simulate`` and ``lattice`` cases run in-process through
@@ -113,6 +115,8 @@ Z4_TAGS = ("kuser", "sideinfo")
 BLOCK_SETTINGS = {
     "trials20000": {"trials": 20_000},
     "trials16385-chunk8193": {"trials": 16_385, "chunk_size": 8193},
+    "trials16385": {"trials": 16_385},
+    "trials40000": {"trials": 40_000},
 }
 CODEC_CASES = [
     f"{tag}-seed{seed}-{setting}"
@@ -122,7 +126,8 @@ CODEC_CASES = [
     for tag in Z4_TAGS for seed in (0, 7) for setting in Z4_SETTINGS
 ] + [
     f"{tag}-seed0-trials20000" for tag in ("a2", *Z4_TAGS)
-] + ["z1-seed0-trials16385-chunk8193"]
+] + [f"z1-seed0-{setting}"
+     for setting in ("trials16385-chunk8193", "trials16385", "trials40000")]
 
 # name -> ``latfun`` arguments; ``PLAN`` and ``LATTICE`` stand for the paths
 # of files holding CLI_FILES["PLAN"] and CLI_FILES["LATTICE"]

@@ -36,7 +36,7 @@ from latfun.cli import (
 from latfun.gaussian import PartitionPlan, singleton_plan
 from latfun.simulate import _g6
 from oracles import sweep_rows_fig3 as per_c_fig3_rows
-from pin_golden import CLI_CASES, CLI_PINS
+from pin_golden import CLI_CASES, CLI_PINS, D4_GEN
 
 
 def run_cli(capsys, *args):
@@ -1003,8 +1003,135 @@ def test_sweep_fuzzed_arguments_write_csv_or_exit_two(fuzz_dir, preset, scale, c
         assert all(math.isfinite(float(x)) for x in numbers), (args, row)
 
 
-# ---------------------------------------------------------------------------
-# lattice
+# The lattice command, fuzzed in child processes, since a closest-point
+# search or a prime test can hang: each case runs ``main`` in one child per
+# batch, which prints [exit code, stdout, stderr] per case as it ends.
+_LATTICE_CHILD = """
+import contextlib, io, json, sys
+from latfun.cli import main
+for args in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
+"""
+
+_A2_ROWS = [1.0, 0.5, 0.0, math.sqrt(3.0) / 2.0]
+# Lattice files: entries at 1e+-300 and A2 at 1e+-150; the near-diagonal
+# generator (one off-diagonal 2e-13), the sliver and the 1e12 shear; D4; and
+# malformed files.
+_LATTICE_FILES = {
+    "tiny": {"dim": 2, "gen": [1e-300, 0.0, 0.0, 1e-300]},
+    "huge": {"dim": 2, "gen": [1e300, 0.0, 0.0, 1e300]},
+    "mixed": {"dim": 2, "gen": [1e300, 0.0, 0.0, 1e-300]},
+    "a2-1e-150": {"dim": 2, "gen": [1e-150 * v for v in _A2_ROWS]},
+    "a2-1e150": {"dim": 2, "gen": [1e150 * v for v in _A2_ROWS]},
+    "near-diagonal": {"dim": 3, "gen": [1.5, 0.0, 2e-13, 0.0, 0.5, 0.0, 0.0, 0.0, 2.0]},
+    "sliver": {"dim": 2, "gen": [1.0, 1e-12, 0.0, 1e-12]},
+    "shear": {"dim": 2, "gen": [1e12, 1.0, 0.0, 1.0]},
+    "d4": {"dim": 4, "gen": D4_GEN.reshape(-1).tolist()},
+}
+_MALFORMED_LATTICE_FILES = {
+    "truncated": "{", "list": "[]", "null": "null", "no-gen": '{"dim": 2}',
+    "short-gen": '{"dim": 2, "gen": [1, 2, 3]}', "text-dim": '{"dim": "two", "gen": [1]}',
+    "nan-entry": '{"dim": 2, "gen": [NaN, 0, 0, 1]}', "dim-0": '{"dim": 0, "gen": []}',
+    "dim-1e400": '{"dim": 1e400, "gen": [1]}', "text-entry": '{"dim": 2, "gen": ["a", 0, 0, 1]}',
+    "singular": '{"dim": 2, "gen": [1, 1, 1, 1]}',
+}
+_LATTICE_FLOATS = _FUZZ_VALUES + ["-5e-324", "1e-310", "1e154", "1e-154", "1.5"]
+
+
+@pytest.fixture(scope="module")
+def lattice_files(tmp_path_factory):
+    """Name -> path of every fuzzed lattice file, and of one that is missing."""
+    path = tmp_path_factory.mktemp("lattices")
+    files = {name: json.dumps(payload) for name, payload in _LATTICE_FILES.items()}
+    files.update(_MALFORMED_LATTICE_FILES)
+    for name, text in files.items():
+        (path / f"{name}.json").write_text(text)
+    return {name: str(path / f"{name}.json") for name in (*files, "missing")}
+
+
+def _run_lattice_cases(cases):
+    """Run ``latfun`` on each argument list of ``cases`` in one child
+    process, with warnings as errors; each must exit 0 with one line of
+    strict JSON, or 2 with one stderr line and no stdout. A case that raises,
+    or does not end within the batch's 60 s, fails the test by name.
+    Returns the payloads, None for an exit 2."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    try:
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", _LATTICE_CHILD],
+                              input=json.dumps(cases), capture_output=True, text=True,
+                              timeout=60, env=env)
+        lines, stderr = proc.stdout.splitlines(), proc.stderr
+    except subprocess.TimeoutExpired as exc:
+        lines, stderr = (exc.stdout or b"").decode().splitlines(), "timed out"
+    assert len(lines) == len(cases), f"latfun {' '.join(cases[len(lines)])}: {stderr}"
+    payloads = []
+    for args, line in zip(cases, lines):
+        code, out, err = json.loads(line)
+        if code == 0:
+            assert err == "" and out.count("\n") == 1, (args, out, err)
+            payloads.append(json.loads(out, parse_constant=_reject_constant))
+        else:
+            assert code == 2 and out == "", (args, code, out)
+            assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+            payloads.append(None)
+    return payloads
+
+
+def test_lattice_named_edge_cases_answer_or_exit_two(lattice_files):
+    # The Baseline's near-diagonal generator is searched and answers; the
+    # sliver and the shear exit 2; a prime past 2^31 - 1 exits 2 at once (2^63
+    # - 25 took minutes of trial division); nestings that overflow the
+    # generator or the nesting determinant exit 2 with no warning line.
+    f = lattice_files
+    cases = {
+        "near-diagonal": ["--lattice", f["near-diagonal"], "--op", "nsm", "--samples", "2000"],
+        "sliver": ["--lattice", f["sliver"], "--op", "moment", "--samples", "2000"],
+        "shear": ["--lattice", f["shear"], "--op", "cosets"],
+        "p-2^63-25": ["--op", "construction-a", "--p", "9223372036854775783", "--dim", "2"],
+        "p-2^31": ["--op", "construction-a", "--p", "2147483659", "--dim", "2"],
+        "nesting-overflow": ["--lattice", f["a2-1e150"], "--op", "cosets", "--nesting", "1e300"],
+        "det-overflow": ["--lattice", f["a2-1e-150"], "--op", "cosets", "--nesting", "1e300"],
+        "tiny": ["--lattice", f["tiny"], "--op", "moment"],
+        "malformed": ["--lattice", f["truncated"], "--op", "nsm"],
+        "missing": ["--lattice", f["missing"], "--op", "nsm"],
+    }
+    got = dict(zip(cases, _run_lattice_cases([["lattice", *args] for args in cases.values()])))
+    assert got.pop("near-diagonal")["samples"] == 2000
+    assert got == dict.fromkeys(got)  # every other case exits 2
+
+
+@settings(max_examples=3, deadline=None)
+@given(cases=st.lists(st.fixed_dictionaries({
+    "--op": st.sampled_from(["moment", "nsm", "cosets", "construction-a"]),
+    "--lattice": st.sampled_from(["zn", "zn", "a2", *_LATTICE_FILES, *_MALFORMED_LATTICE_FILES,
+                                  "missing"]),
+    "--samples": st.sampled_from(["-1", "0", "1", "999", "1000", "3000"]),
+    "--dim": st.none() | st.integers(-1, 9).map(str),
+    "--scale": st.none() | st.sampled_from(_LATTICE_FLOATS),
+    "--nesting": st.none() | st.sampled_from(_LATTICE_FLOATS),
+    "--seed": st.none() | st.sampled_from(["-1", "0", "7"]),
+    "--p": st.none() | st.sampled_from(["-3", "0", "1", "2", "3", "4", "7", "2147483647",
+                                        "2147483659", "9223372036854775783"]),
+    "--k": st.none() | st.integers(-1, 9).map(str),
+}), min_size=30, max_size=30))
+def test_lattice_fuzzed_arguments_answer_or_exit_two(lattice_files, cases):
+    # Every op; --scale and --nesting at +-inf, NaN, +-1e+-300, subnormals,
+    # 0 and negative values; --samples, --dim, --p and --k at and past their
+    # bounds; lattice files at 1e+-300, the near-diagonal, sliver and shear
+    # generators, and malformed or missing files. --samples is always given,
+    # so that a non-diagonal moment draws at most 3,000 points.
+    def argv(case):
+        case = dict(case, **{"--lattice": lattice_files.get(case["--lattice"], case["--lattice"])})
+        return ["lattice", *(f"{flag}={value}" for flag, value in case.items() if value is not None)]
+
+    _run_lattice_cases([argv(case) for case in cases])
 
 
 def test_lattice_zn_nsm(capsys):

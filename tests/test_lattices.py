@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -43,7 +43,7 @@ from latfun.errors import DimensionMismatch
 from latfun.lattices import _hermite_basis, _search, reduce_stacked
 from latfun.simulate import _row_any
 
-from oracles import closest_point_oracle, contains, in_voronoi
+from oracles import closest_point_oracle, contains, in_voronoi, rounding_dither_map
 from pin_golden import D4_GEN
 
 A2 = hexagonal_lattice()
@@ -192,6 +192,45 @@ def test_diagonal_fast_path_matches_generic_formulas(rng, n, step):
     dither = sample_dither(lat, _FixedDraws(w), len(w))
     u = w @ lat.gen.T
     _assert_same_bits(dither, u - nearest_point_coords(lat, u) @ lat.gen.T)
+
+
+# Draws where the comparison with 1/2 decides: 0, 1/2 and the floats on
+# either side of it, and the largest draw below 1.
+_DRAW_EDGES = [0.0, float(np.nextafter(0.5, 0.0)), 0.5, float(np.nextafter(0.5, 1.0)),
+               1.0 - 2.0**-53]
+_SCALE_EDGES = [1e-150, 1e150, 1.0, 0.37, 3.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), per_coordinate=st.booleans(), data=st.data())
+@example(n=1, per_coordinate=False, data=None)
+@example(n=2, per_coordinate=True, data=None)
+def test_diagonal_dither_map_is_the_rounding_map_bit_for_bit(n, per_coordinate, data):
+    # The map that compares t / s with 1/2, for t = w s, against the map
+    # that rounds and adds 0.0 twice; one scale (c Z^n) or one per
+    # coordinate, of either sign, from 1e-150 to 1e150.
+    if data is None:  # every edge draw in every coordinate, at every edge scale of both signs
+        scales = [[s] * n if not per_coordinate else [s, -s][:n] for s in _SCALE_EDGES]
+        scales += [[-s for s in row] for row in scales]
+        draws = np.array(list(product(_DRAW_EDGES, repeat=n)))
+    else:
+        magnitude = st.one_of(st.sampled_from(_SCALE_EDGES), st.floats(1e-150, 1e150))
+        scale = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+        row = data.draw(st.lists(scale, min_size=n, max_size=n)) if per_coordinate \
+            else [data.draw(scale)] * n
+        scales = [row]
+        draw = st.one_of(st.sampled_from(_DRAW_EDGES), st.floats(0.0, 1.0, exclude_max=True))
+        draws = np.array(data.draw(st.lists(st.lists(draw, min_size=n, max_size=n),
+                                            min_size=1, max_size=20)))
+    for row in scales:
+        try:
+            lat = Lattice(np.diag(row))
+        except SingularLattice:  # a determinant beyond float64's range
+            assume(data is not None)
+            continue
+        assert lat.is_diagonal and (type(lat._scales) is float) == (len(set(row)) == 1)
+        _assert_same_bits(sample_dither(lat, _FixedDraws(draws), len(draws)),
+                          rounding_dither_map(np.array(row), draws))
 
 
 _NEAR_DIAGONAL_GEN = np.diag([1.5, 0.5, 2.0])
@@ -694,17 +733,27 @@ def test_reduce_stacked_calls_the_kernel_once_and_only_off_the_diagonal(lat, rng
             taken.append(len(q))
             yield q
 
-    pairs = iter(reduce_stacked(lats, arrays()))
-    first = next(pairs)
-    # A diagonal base takes each array only as its pair is asked for.
-    assert taken == ([5] if lats[0].is_diagonal else [5, 7, 3])
-    second = next(pairs)
-    assert taken == ([5, 7] if lats[0].is_diagonal else [5, 7, 3])
-    pairs = [first, second, *pairs]
-    assert calls == ([] if lats[0].is_diagonal else [15])
+    if lats[0].is_diagonal:
+        # A diagonal base is rounded, by nearest_point or the codec engine,
+        # never stacked: it is refused before any array is taken.
+        with pytest.raises(ValueError, match="non-diagonal"):
+            reduce_stacked(lats, arrays())
+        assert taken == [] and calls == []
+        return
+    pairs = reduce_stacked(lats, arrays())
+    assert taken == [5, 7, 3]
+    assert calls == [15]
     assert [p[0] is q for p, q in zip(pairs, (a, b, c))] == [True, True, True]
-    assert [p[1].tobytes() for p in pairs] == [nearest_point(lat_q, q).tobytes()
-                                               for lat_q, q in zip(lats, (a, b, c))]
+    want = [nearest_point(lat_q, q).tobytes() for lat_q, q in zip(lats, (a, b, c))]
+    assert [p[1].tobytes() for p in pairs] == want
+    # Points written to given arrays, or over the targets themselves, keep
+    # those bits.
+    outs = [np.empty_like(q) for q in (a, b, c)]
+    assert [p[1] is o for p, o in zip(reduce_stacked(lats, [a, b, c], outs), outs)] == [True] * 3
+    assert [o.tobytes() for o in outs] == want
+    targets = [q.copy() for q in (a, b, c)]
+    reduce_stacked(lats, targets, targets)
+    assert [t.tobytes() for t in targets] == want
 
 
 def test_reduce_stacked_rejects_lattices_of_two_bases(rng):

@@ -119,6 +119,39 @@ def test_build_two_user_codec_margin_inflates_only_coarse():
     )
 
 
+def _a2_base():
+    base = hexagonal_lattice()
+    return base.with_moment(second_moment(base, 4000, np.random.default_rng(5)))
+
+
+_CODED_RATE_CODECS = {
+    "two-user-z1": lambda margin: build_two_user_codec(M88, 0.1, 0.06, n=1, margin=margin),
+    "two-user-a2": lambda margin: build_two_user_codec(M88, 0.1, 0.06, n=2, margin=margin,
+                                                       base_lattice=_a2_base()),
+    "side-info-z4": lambda margin: build_side_info_codec(
+        noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02, n=4, margin=margin),
+    "side-info-a2": lambda margin: build_side_info_codec(
+        noisy_function_side_model(0.8, 0.8, 0.1), 0.05, 0.02, n=2, margin=margin,
+        base_lattice=_a2_base()),
+    "k-user-z4": lambda margin: build_k_user_codec(*_k_user_model_and_plan(), n=4, margin=margin),
+    "k-user-a2": lambda margin: build_k_user_codec(*_k_user_model_and_plan(), n=2, margin=margin,
+                                                   base_lattice=_a2_base()),
+}
+
+
+@pytest.mark.parametrize("margin", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("tag", sorted(_CODED_RATE_CODECS))
+def test_coded_rates_are_the_region_rates_plus_log2_margin(tag, margin):
+    # The lattices' volume ratio per dimension: at margin 1 the region's
+    # rates, and log2(margin) more per user at a larger margin, which
+    # inflates only the coarse cells.
+    codec = _CODED_RATE_CODECS[tag](margin)
+    coded, region = codec.coded_rates, codec.rates.rates
+    assert len(coded) == len(region)
+    for got, want in zip(coded, region):
+        assert abs(got - (want + math.log2(margin))) <= 1e-12
+
+
 def test_build_two_user_codec_q1_boundary():
     q_hi = 0.1 * 0.36 / 0.26
     near = build_two_user_codec(M88, 0.1, q_hi - 1e-6)
@@ -574,8 +607,8 @@ def _z4_k_user_plan():
 def test_a_chunk_size_run_before_allocates_no_whole_chunk_array():
     # Once the thread has run a 65,536-trial Z^4 K-user chunk, the draws,
     # source columns, dithers and per-trial results of the next (18 MB when
-    # each was allocated afresh) all live in its workspace, and what is left
-    # is row blocks of 64 KiB temporaries.
+    # each was allocated afresh) all live in its workspace, and so do its
+    # row blocks' arrays (see the test below).
     plan = _z4_k_user_plan()
     _run_cells(plan, 65536, _chunk_rng(0, 0))
     tracemalloc.start()
@@ -585,6 +618,29 @@ def test_a_chunk_size_run_before_allocates_no_whole_chunk_array():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("tag, rows", [("z1", None), ("z4", None), ("z4", 16384)],
+                         ids=["z1-two-user", "z4-k-user", "z4-k-user-16384-rows"])
+def test_a_warm_chunk_allocates_no_block_sized_array(monkeypatch, tag, rows):
+    # Every array a row block forms is a slot of the thread's workspace, and
+    # its masks are rows of the chunk's own, so a chunk its thread has run
+    # before allocates less than the smallest array a block could: a (rows,)
+    # bool mask, 16 KiB at 16,384 rows. The Z^1 block has 16,384 rows; the
+    # default Z^4 block has 4,096, whose 4 KiB mask the chunk's small Python
+    # objects hide, so the Z^4 plan also runs at 16,384 rows a block.
+    plan = _two_user_plan(_codecs()["z1"]) if tag == "z1" else _z4_k_user_plan()
+    if rows:
+        monkeypatch.setattr(simulate, "_BLOCK", rows * plan.cells[0].coarse.dim)
+    _run_cells(plan, 65536, _chunk_rng(0, 0))
+    rng = _chunk_rng(0, 1)
+    tracemalloc.start()
+    try:
+        _run_cells(plan, 65536, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384
 
 
 def _one_cell_plan(fine):
