@@ -443,9 +443,18 @@ def _stacked_searches(monkeypatch, run):
     return calls
 
 
-@pytest.mark.parametrize("trials, searches", [(1000, 6), (_A2_ROWS + 1, 6), (_A2_ROWS + 2, 10),
-                                              (2 * _A2_ROWS + 1, 10)])
-def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, searches):
+def _a2_block_cases(rows):
+    """Trial counts at the block edges of an A2 chunk with ``rows`` rows a
+    block, each with the lattices its chunk searches."""
+    return [pytest.param(trials, searches, rows, id=f"{trials}-{searches}")
+            for trials, searches in [(rows + 1, 6), (rows + 2, 10), (2 * rows + 1, 10)]]
+
+
+# The default block, and blocks of half as many rows.
+@pytest.mark.parametrize("trials, searches, rows",
+                         [pytest.param(1000, 6, _A2_ROWS, id="1000-6"),
+                          *_a2_block_cases(_A2_ROWS), *_a2_block_cases(_A2_ROWS // 2)])
+def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, searches, rows):
     # The three lattices are scalings of one base, searched in its frame.
     # Per chunk: one stacked dither reduction of both members (two fine
     # lattices); per block: one stacked fine quantization of both members
@@ -459,6 +468,7 @@ def test_a2_codec_stacks_its_coarse_reductions(monkeypatch, trials, searches):
     base = hexagonal_lattice()
     base = base.with_moment(second_moment(base, 2000, np.random.default_rng(3)))
     codec = build_two_user_codec(M88, 0.1, 0.06, n=2, margin=2.0, base_lattice=base)
+    monkeypatch.setattr(simulate, "_BLOCK", 2 * rows)
     calls = _stacked_searches(monkeypatch, lambda: run_two_user_experiment(codec, trials, seed=1))
     assert sum(lats for lats, _ in calls) == searches
     blocks = (searches - 2) // 4
