@@ -13,8 +13,8 @@ boundaries resolve to the lexicographically smallest integer coordinate
 vector, so every operation here is deterministic. Randomized operations take
 an explicit ``numpy.random.Generator``. Every lattice step of the codec
 engine is a nearest point, or the error left after one: on a non-diagonal
-base made by ``reduce_stacked``, on a diagonal one rounded by the engine
-itself (``_round_half_down``).
+base made by ``reduce_stacked``, on a diagonal one by ``_round_into``,
+which rounds the engine's own arrays in place of ``nearest_point``.
 """
 
 from __future__ import annotations
@@ -274,6 +274,21 @@ def _round_half_down(x: np.ndarray, scales: Union[float, np.ndarray],
     return np.ceil(q, out=q)
 
 
+def _round_into(lat: Lattice, b: np.ndarray, out: np.ndarray,
+                coords_only: bool = False) -> np.ndarray:
+    """The codec engine's rounding on an exactly diagonal lattice: the
+    nearest point of the (rows, n) array ``b``, written to ``out`` (which
+    may be b), or with ``coords_only`` its rounded coordinates, which are
+    nonzero where the point is. The bits are ``nearest_point``'s but for
+    the sign of a zero: it skips the ``+ 0.0``, the conversion, the
+    dimension check and the finiteness pass, since the engine makes its
+    arrays itself, of the lattice's dimension, from finite draws."""
+    _round_half_down(b, lat._scales, out)
+    if not coords_only:
+        out *= lat._scales
+    return out
+
+
 def _unit_frame(gen: np.ndarray) -> float:
     """The power of two 2^-e that brings the largest |entry| of ``gen`` from
     below 1/2 into [1/2, 1), or 1.0 where that entry is at least 1/2."""
@@ -471,9 +486,10 @@ def sample_dither(lat: Lattice, rng: np.random.Generator, size: int = 1) -> np.n
     Draws uniformly over the fundamental parallelepiped ``G [0,1)^n`` and
     reduces mod the lattice; the mod map carries any fundamental region
     uniformly onto the Voronoi cell, so no rejection loop is needed. A
-    diagonal generator maps the draws without the matrix product, by a
-    comparison in place of the rounding, with the bits of the generic map
-    (see ``_uniform_to_voronoi``).
+    diagonal generator maps the draws without the matrix product, rounding
+    half down as ``nearest_point`` does but without either of its
+    ``+ 0.0`` passes, with the bits of the generic map (see
+    ``_uniform_to_voronoi``).
     """
     w = rng.random((size, lat.dim))
     _uniform_to_voronoi([lat], [w], np.empty_like(w))
@@ -489,12 +505,14 @@ def _uniform_to_voronoi(lats: Sequence[Lattice], ws: Iterable[np.ndarray], scrat
     Diagonal lattices take and map one array at a time, through
     ``scratch``, a float64 array of w's shape, which is overwritten, and
     allocate nothing, which lets the codec engine map its dithers in its
-    own buffers while each is fresh in cache. With t = w s for the scales
-    s, t / s lies in [0, 1], so the point's coordinate ``ceil(t / s -
-    1/2)`` is [t / s > 1/2] (a half rounds down) and u = t - s [t / s >
-    1/2], in six passes with the generic map's bits and no ``+ 0.0``:
-    where the coordinate is 0, t - 0 s is t, which is never -0.0 for s > 0
-    (a draw of [0, 1) is never -0.0). For s < 0 a draw of 0 gives t = -0.0,
+    own buffers while each is fresh in cache. Each is t = w s for the
+    scales s, less its point ``ceil(t / s - 1/2) s``, rounded half down as
+    in ``nearest_point``, in six passes: both of the generic map's
+    ``+ 0.0`` passes (after t and after the point) are skipped, with its
+    bits. The bits hold because t / s lies in [0, 1], so the coordinate is
+    [t / s > 1/2]: where it is 1 the point is s, whose sign is no matter;
+    where it is 0, u = t - (+-0.0) is t, which is never -0.0 for s > 0 (a
+    draw of [0, 1) is never -0.0). For s < 0 a draw of 0 gives t = -0.0,
     and the generic map +0.0, so a lattice with a negative scale adds 0.0
     after the map. Any other lattices take every array first and reduce
     them by ``reduce_stacked``."""

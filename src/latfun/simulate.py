@@ -161,7 +161,7 @@ from .gaussian import (
 )
 from .lattices import (
     Lattice,
-    _round_half_down,
+    _round_into,
     _uniform_to_voronoi,
     integer_lattice,
     reduce_stacked,
@@ -685,31 +685,25 @@ def _reduce(lats, arrays, outs):
 
     A non-diagonal base makes one stacked ``reduce_stacked`` call, with
     ``nearest_point``'s bits. An exactly diagonal base rounds each array as
-    it stands, in four passes (``_round_half_down``, then the scales), with
-    the bits of ``nearest_point`` but for the sign of a zero: the engine
-    skips its ``+ 0.0``, which no result reads (see the module docstring),
-    and its conversion, dimension check and finiteness pass, since the
-    engine made the arrays, of the lattice's dimension, from finite
-    draws."""
+    it stands, in four passes (``lattices._round_into``), with the bits of
+    ``nearest_point`` but for the sign of a zero, which no result reads
+    (see the module docstring)."""
     if not lats[0].is_diagonal:
         reduce_stacked(lats, arrays, outs)
         return outs
     for lat, b, out in zip(lats, arrays, outs):
-        _round_half_down(b, lat._scales, out)
-        out *= lat._scales
+        _round_into(lat, b, out)
     return outs
 
 
-def _run_block(plan: _Plan, x, dithers, slots=None, overload=None, clean_before=None):
+def _run_block(plan: _Plan, x, dithers, slots, overload, clean_before):
     """The codec on the trials of the source columns ``x`` with the drawn
     ``dithers`` of ``_draw``; writes the per-cell overload and clean-history
     masks into ``overload`` and ``clean_before``, (rows, cells) bool arrays,
     and returns Z, its estimate, the shift-free mod input of each cell and
     those masks. Every array it forms is one of ``slots``,
     ``_slot_count(plan)`` arrays of x's shape, which Z, its estimate and the
-    mod inputs are too; Z may instead be a source column. Called with the
-    source columns and dithers alone, it takes its slots from the calling
-    thread's workspace and makes fresh masks.
+    mod inputs are too; Z may instead be a source column.
 
     The slots are laid out as the side values, each cell's sum (which it
     decodes in place) and its shift-free mod input, then the work slots.
@@ -729,11 +723,6 @@ def _run_block(plan: _Plan, x, dithers, slots=None, overload=None, clean_before=
     equal magnitude. On a diagonal coarse lattice the overload test reads
     the mod input's rounded coordinates, which are nonzero where its point
     is, and skips the point's pass."""
-    m, n = x[0].shape
-    if slots is None:
-        slots = _workspace().slots(m, n, _slot_count(plan))
-        overload = np.zeros((m, len(plan.cells)), dtype=bool)
-        clean_before = np.zeros_like(overload)
     side, cells = len(plan.side), len(plan.cells)
     sums = slots[side:side + cells]
     v = slots[side + cells:side + 2 * cells]
@@ -784,7 +773,7 @@ def _run_block(plan: _Plan, x, dithers, slots=None, overload=None, clean_before=
             ideal -= pred
             total -= pred
         if cell.coarse.is_diagonal:
-            tested = _round_half_down(ideal, cell.coarse._scales, work[1])
+            tested = _round_into(cell.coarse, ideal, work[1], coords_only=True)
             (point,) = _reduce([cell.coarse], [total], work[2:3])
         else:
             tested, point = _reduce([cell.coarse] * 2, [ideal, total], work[1:3])

@@ -39,7 +39,7 @@ from latfun import (
     singleton_plan,
     two_user_model,
 )
-from latfun.simulate import _chunk_rng, _draw, _run_block, _sources, _two_user_plan
+from latfun.simulate import _chunk_rng, _draw, _run_block, _slot_count, _sources, _two_user_plan
 
 RHO_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 C_GRID = [0.25, 0.5, 0.8, 1.0, 1.5, 2.0]
@@ -173,7 +173,10 @@ def test_criterion_07_pipeline_equivalence():
     model = two_user_model(0.8, 0.8)
     codec = build_two_user_codec(model, 0.1, 0.06, n=1, margin=2.0)
     plan = _two_user_plan(codec)
-    z, zhat, v, overload, _ = _run_block(plan, *_draw(plan, 10_000, _chunk_rng(777, 0)))
+    overload = np.zeros((10_000, 1), dtype=bool)
+    slots = [np.empty((10_000, 1)) for _ in range(_slot_count(plan))]
+    z, zhat, v, overload, _ = _run_block(plan, *_draw(plan, 10_000, _chunk_rng(777, 0)),
+                                         slots, overload, np.zeros_like(overload))
     # Reference: Z from the chunk's sources drawn again, and the equivalent
     # pipeline w = v - Q_coarse(v), which reduces the shift-free mod input v
     # instead of the transmitted sum; overload is where that reduction moves v.

@@ -194,7 +194,7 @@ def test_diagonal_fast_path_matches_generic_formulas(rng, n, step):
     _assert_same_bits(dither, u - nearest_point_coords(lat, u) @ lat.gen.T)
 
 
-# Draws where the comparison with 1/2 decides: 0, 1/2 and the floats on
+# Draws where the half-down rounding decides: 0, 1/2 and the floats on
 # either side of it, and the largest draw below 1.
 _DRAW_EDGES = [0.0, float(np.nextafter(0.5, 0.0)), 0.5, float(np.nextafter(0.5, 1.0)),
                1.0 - 2.0**-53]
@@ -206,8 +206,8 @@ _SCALE_EDGES = [1e-150, 1e150, 1.0, 0.37, 3.0]
 @example(n=1, per_coordinate=False, data=None)
 @example(n=2, per_coordinate=True, data=None)
 def test_diagonal_dither_map_is_the_rounding_map_bit_for_bit(n, per_coordinate, data):
-    # The map that compares t / s with 1/2, for t = w s, against the map
-    # that rounds and adds 0.0 twice; one scale (c Z^n) or one per
+    # The map that rounds t = w s half down without a + 0.0 pass against
+    # the map that adds 0.0 twice; one scale (c Z^n) or one per
     # coordinate, of either sign, from 1e-150 to 1e150.
     if data is None:  # every edge draw in every coordinate, at every edge scale of both signs
         scales = [[s] * n if not per_coordinate else [s, -s][:n] for s in _SCALE_EDGES]

@@ -68,6 +68,7 @@ from latfun.simulate import (
     _run_block,
     _run_cells,
     _side_info_plan,
+    _slot_count,
     _sources,
     _two_user_plan,
     _with_dithers,
@@ -224,10 +225,21 @@ def test_small_a2_codec_meets_its_target():
     assert abs(rep.empirical_distortion / d - 1.0) < 0.05
 
 
+def _fresh_block(plan, x, dithers):
+    """``_run_block`` in fresh slots and masks, so that its results outlive
+    the thread's next chunk; Z, which may be a source column of the
+    thread's workspace, is copied."""
+    m, n = x[0].shape
+    slots = [np.empty((m, n)) for _ in range(_slot_count(plan))]
+    overload = np.zeros((m, len(plan.cells)), dtype=bool)
+    z, *rest = _run_block(plan, x, dithers, slots, overload, np.zeros_like(overload))
+    return (z.copy(), *rest)
+
+
 def _two_user_chunk(codec, trials, seed):
     """The first chunk of a two-user run: Z, Zhat, v, overload, clean_before."""
     plan = _two_user_plan(codec)
-    return _run_block(plan, *_draw(plan, trials, _chunk_rng(seed, 0)))
+    return _fresh_block(plan, *_draw(plan, trials, _chunk_rng(seed, 0)))
 
 
 class _ChosenNormals:
@@ -252,7 +264,7 @@ def _chunk(plan, x, rng=None):
     the plan's covariance factor becomes the identity."""
     x = np.asarray(x, dtype=np.float64)
     plan = plan._replace(factor=np.eye(x.shape[-1]))
-    return _run_block(plan, *_draw(plan, x.shape[0], _ChosenNormals(x, rng)))
+    return _fresh_block(plan, *_draw(plan, x.shape[0], _ChosenNormals(x, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +608,7 @@ def test_engine_block_on_signed_zeros_ties_and_subnormals(fine, make_plan):
     x = [_read_only(gen.choice(_EDGE_SOURCES, size=(m, n))) for _ in range(plan.factor.shape[0])]
     members = sum(len(cell.members) for cell in plan.cells)
     dithers = [_read_only(gen.choice(_EDGE_DITHERS, size=(m, n))) for _ in range(members)]
-    got = _run_block(plan, x, dithers)
+    got = _fresh_block(plan, x, dithers)
     want = run_block_reference(plan, x, dithers)
     for g, w in zip(got[3:], want[3:]):
         assert np.array_equal(g, w)
