@@ -454,30 +454,37 @@ def cmd_simulate(args) -> int:
 
 
 def _resolve_lattice(args) -> lattices.Lattice:
-    """The lattice of ``--lattice``: Z^n at ``--dim`` (1 when unset), A2 or
-    a lattice file, whose dimension a given ``--dim`` must equal."""
+    """The lattice of ``--lattice``, times ``--scale`` where given: Z^n at
+    ``--dim`` (1 when unset), A2 or a lattice file, whose dimension a given
+    ``--dim`` must equal."""
     if args.lattice == "zn":
-        return lattices.integer_lattice(1 if args.dim is None else args.dim, args.scale)
-    if args.lattice == "a2":
-        lat = lattices.hexagonal_lattice(args.scale)
+        lat = lattices.integer_lattice(1 if args.dim is None else args.dim)
+    elif args.lattice == "a2":
+        lat = lattices.hexagonal_lattice()
     else:
         lat = _read_input(args.lattice, "lattice", lattices.Lattice.from_json)
     if args.dim is not None and args.dim != lat.dim:
         raise LatfunError(f"--dim {args.dim} does not match the lattice's dimension {lat.dim}")
-    return lat
+    return lat if args.scale is None else lat.scaled(args.scale)
 
 
 def cmd_lattice(args) -> int:
     _check_counts(args, dim=1, samples=1, seed=0)
+    if args.op != "cosets":
+        _reject_unused(args, f"--op {args.op}", "nesting")
+    if args.op != "construction-a":
+        _reject_unused(args, f"--op {args.op}", "p", "k")
     rng = np.random.default_rng(args.seed)
     lat = _resolve_lattice(args)
     if args.op == "construction-a":
-        result = lattices.construction_a(lat, args.p, args.k, rng)
+        p = 3 if args.p is None else args.p
+        k = 1 if args.k is None else args.k
+        result = lattices.construction_a(lat, p, k, rng)
         _print_json(
             {
                 "op": "construction-a",
-                "p": args.p,
-                "k": args.k,
+                "p": p,
+                "k": k,
                 "rank": result.rank,
                 "rank_deficient": result.rank_deficient,
                 "coset_count": result.coset_count,
@@ -509,10 +516,11 @@ def cmd_lattice(args) -> int:
             }
         )
     else:  # cosets
-        if not math.isfinite(args.nesting):
-            raise LatfunError(f"--nesting must be finite, got {args.nesting}")
+        nesting = 2.0 if args.nesting is None else args.nesting
+        if not math.isfinite(nesting):
+            raise LatfunError(f"--nesting must be finite, got {nesting}")
         with np.errstate(over="ignore"):  # an infinite entry is rejected in one line
-            coarse = lattices.Lattice(lat.gen * args.nesting)
+            coarse = lattices.Lattice(lat.gen * nesting)
         pair = lattices.NestedPair(lat, coarse)
         leaders = lattices.coset_leaders(pair)
         _print_json(
@@ -611,13 +619,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("--op", choices=["moment", "nsm", "cosets", "construction-a"], required=True)
     p_lat.add_argument("--dim", type=int, default=None,
                        help="dimension of zn (default 1); for a2 or a file, must match it")
-    p_lat.add_argument("--scale", type=float, default=1.0)
+    p_lat.add_argument("--scale", type=float, default=None,
+                       help="multiply the lattice's generator (default 1)")
     p_lat.add_argument("--samples", type=int, default=200_000)
     p_lat.add_argument("--seed", type=int, default=0)
-    p_lat.add_argument("--p", type=int, default=3)
-    p_lat.add_argument("--k", type=int, default=1)
-    p_lat.add_argument("--nesting", type=float, default=2.0,
-                       help="coarse = nesting * lattice for the cosets op")
+    p_lat.add_argument("--p", type=int, default=None,
+                       help="prime of the construction-a op (default 3)")
+    p_lat.add_argument("--k", type=int, default=None,
+                       help="code rows of the construction-a op (default 1)")
+    p_lat.add_argument("--nesting", type=float, default=None,
+                       help="coarse = nesting * lattice for the cosets op (default 2)")
     p_lat.set_defaults(func=cmd_lattice)
 
     # Any token that starts with '-' and a digit, or '-.' and a digit, is a

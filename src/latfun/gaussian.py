@@ -65,7 +65,7 @@ def _two_user_problem(cov: np.ndarray, coeffs: np.ndarray) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceModel:
     """K jointly Gaussian sources and the linear function to reconstruct.
 
@@ -75,15 +75,14 @@ class SourceModel:
     here. What the model derives from them is computed once, at
     construction: the function variance (``_variance``) and the outcome of
     the two-user check (``_two_user_error``, None when it passes).
-    ``_k_user`` holds the last K-user codec that ``simulate`` built for the
-    model, with its checked engine plan and what it was built for.
+    Equality is identity (``eq=False``), so a model is hashable; an
+    equality of its array fields would raise, not answer.
     """
 
     cov: np.ndarray
     coeffs: np.ndarray
     _variance: float = field(default=0.0, init=False, repr=False, compare=False)
     _two_user_error: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    _k_user: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cov = _frozen(self.cov)

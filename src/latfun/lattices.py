@@ -443,18 +443,18 @@ def mod_lattice(lat: Lattice, x: Sequence[float]) -> np.ndarray:
 
 def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray],
                    outs: Optional[Sequence[np.ndarray]] = None):
-    """The pairs ``(b, nearest_point(lat, b))``, with their bits, of the
-    (rows, n) arrays b that the iterable ``arrays`` yields, each with its
-    lattice ``lat`` in ``lats``: non-diagonal scalings of one base lattice.
+    """The points ``nearest_point(lat, b)``, with their bits, of the (rows,
+    n) arrays b that the iterable ``arrays`` yields, each with its lattice
+    ``lat`` in ``lats``: non-diagonal scalings of one base lattice.
 
     The rows of all the arrays go to the kernel in one stacked call, which
     pays the search's fixed cost per call once; the kernel searches each row
     on its own, in the base's frame, and each point is that array's rows of
     the kernel's float64 coordinates times its own lattice's G, multiplied
     as they stand: the bits of the product of their int64 copy (see
-    ``nearest_point``). Each point is written to its array of ``outs`` where
-    given, which may be b itself, since the kernel has read every b by then
-    (b is then the point). A base that the search refuses raises
+    ``nearest_point``). Where ``outs`` is given, each point is its array
+    of ``outs``, which may be b itself, since the kernel has read every b
+    by then. A base that the search refuses raises
     ``IllConditionedLattice`` before any row is searched, and other targets
     raise as in ``nearest_point``. A diagonal base raises ``ValueError``:
     rounding needs no stacking, and ``nearest_point`` rounds it.
@@ -469,11 +469,11 @@ def reduce_stacked(lats: Sequence[Lattice], arrays: Iterable[np.ndarray],
             raise ValueError("reduce_stacked needs scalings of one base lattice")
         _check_dim(base, a)
     coords = _search(lats, arrays)
-    pairs, lo = [], 0  # slicing by hand: np.split costs about ten times more
+    points, lo = [], 0  # slicing by hand: np.split costs about ten times more
     for lat, b, out in zip(lats, arrays, outs or [None] * len(arrays)):
-        pairs.append((b, np.matmul(coords[lo:lo + len(b)], lat.gen.T, out=out)))
+        points.append(np.matmul(coords[lo:lo + len(b)], lat.gen.T, out=out))
         lo += len(b)
-    return pairs
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +528,7 @@ def _uniform_to_voronoi(lats: Sequence[Lattice], ws: Iterable[np.ndarray], scrat
         return
     ws = list(ws)
     us = [w @ lat.gen.T for lat, w in zip(lats, ws)]
-    for w, (u, point) in zip(ws, reduce_stacked(lats, us)):
+    for w, u, point in zip(ws, us, reduce_stacked(lats, us)):
         np.subtract(u, point, out=w)
 
 

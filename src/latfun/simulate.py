@@ -111,25 +111,28 @@ sums are not finite (``NonFiniteSum``), so no report carries one. A run
 therefore ignores numpy's overflow and invalid-value warnings: the error
 takes their place.
 
-What a run needs beyond its chunks is built once where it can be. A
-two-user or side-information codec is read-only, so its random-dither plan
-(``_Plan``, with the Cholesky factor of the source covariance) is built and
-checked against float64's resolution (``_require_resolvable``) on its
-first run and kept on the codec (``_codec_plan``); later runs of that codec
-object reuse both. A fixed-dither run swaps its seed's dithers into that
-plan's members, which the check does not read. The K-user runner takes a
-model and a partition plan rather than a codec, so the model keeps the
-last codec built for it, with that codec's checked engine plan and the
-(plan, n, margin, base lattice) they were built for (``_k_user_setup``),
-as a lattice keeps its search context: a run of that configuration again
-builds nothing, a plan that fails its check is never kept, and threads
-that run one model share only that read-only codec and plan. A chunk
-makes the per-cell sums (``_Accumulator``) only where the report gives
-per-cell values, which is the K-user report.
+What a run needs beyond its chunks is built once where it can be. Every
+codec is read-only, so its random-dither plan (``_Plan``, with the
+Cholesky factor of the source covariance) is built and checked against
+float64's resolution (``_require_resolvable``) on its first run and kept
+on the codec (``_codec_plan``), one rule for all three codecs: later runs
+of that codec object reuse both, and a plan that fails its check is never
+kept, so such a codec fails on every run. A fixed-dither run swaps its
+seed's dithers into that plan's members, which the check does not read.
+The K-user runner takes a model and a partition plan rather than a codec,
+and finds its codec in a one-entry cache (``_k_user_codec``) keyed by the
+run's (model, plan, n, margin, base lattice): runs of one configuration
+build one codec and check one plan, and threads that run it share only
+that read-only codec and plan. The cache keeps the last configuration
+only, so two configurations run in turn rebuild their codec and plan on
+every run; no workload or CLI path does that, and a CLI run is one run
+per process. A chunk makes the per-cell sums (``_Accumulator``) only
+where the report gives per-cell values, which is the K-user report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -332,7 +335,7 @@ class _Accumulator:
     any finite normal d.
     """
 
-    def __init__(self, n_cells: int, last: int, d: float, per_cell: bool = True):
+    def __init__(self, n_cells: int, last: int, d: float, per_cell: bool):
         self.last = last
         self.per_cell = per_cell
         _, self.exp = math.frexp(d)
@@ -376,12 +379,11 @@ class _Accumulator:
         sums = (m, err_sum, err_sq_sum, cond_err_sum, overloads, v_sq_sum, count, *cells)
         self.total = _ChunkSums(*(a + b for a, b in zip(self.total, sums)))
 
-    def report(self, rates: RatePoint, seed: int, margin: float, n: int,
-               per_cell: bool = False) -> SimReport:
+    def report(self, rates: RatePoint, seed: int, margin: float, n: int) -> SimReport:
         """The run's statistics; the standard error of one trial, and the
         conditional distortion or a mod-input moment with no trial to
-        measure, are NaN (JSON null). ``per_cell`` reports the per-cell
-        values, which an accumulator made with ``per_cell`` has summed."""
+        measure, are NaN (JSON null). An accumulator made with ``per_cell``
+        reports the per-cell values it has summed."""
         tot = self.total
         t = tot.trials
         mean = tot.err_sum / t
@@ -391,7 +393,7 @@ class _Accumulator:
         cond_trials = t - tot.overloads
         cond = math.ldexp(tot.cond_err_sum / cond_trials, self.exp) if cond_trials else math.nan
         moment = tot.v_sq_sum / tot.v_count if tot.v_count else math.nan
-        if per_cell:
+        if self.per_cell:
             moments = np.full(tot.cell_v_sq.shape, np.nan)
             np.divide(tot.cell_v_sq, tot.cell_v_counts, out=moments, where=tot.cell_v_counts > 0)
         return SimReport(
@@ -405,8 +407,8 @@ class _Accumulator:
             seed=seed,
             margin=margin,
             n=n,
-            cell_overload_rates=tuple(tot.cell_overloads / t) if per_cell else (),
-            cell_moment_checks=tuple(moments) if per_cell else (),
+            cell_overload_rates=tuple(tot.cell_overloads / t) if self.per_cell else (),
+            cell_moment_checks=tuple(moments) if self.per_cell else (),
         )
 
 
@@ -635,17 +637,15 @@ def _sources(factor: np.ndarray, rng: np.random.Generator, g: np.ndarray, column
     return [col.reshape(m, n) for col in columns]
 
 
-def _draw(plan: _Plan, m: int, rng: np.random.Generator,
-          arrays: Optional[_ChunkArrays] = None):
+def _draw(plan: _Plan, m: int, rng: np.random.Generator, arrays: _ChunkArrays):
     """Every rng draw of one chunk of m trials, in the stream's order: the
     (m, n, cols) source normals, as source columns (see ``_sources``), then
     one (m, n) dither per member of each cell in decode order, each that of
     ``sample_dither``. Returns the columns and the dithers, flat in that
-    order, in the chunk's ``arrays`` (by default from the calling thread's
-    workspace), where they stay valid until that thread's next chunk. A
-    fixed dither draws nothing: its (n,) row is broadcast, read-only, over
-    the m trials."""
-    arrays = arrays or _workspace().arrays(m, *_chunk_shape(plan))
+    order, in the chunk's ``arrays``, where they stay valid while those
+    arrays are; in a thread's workspace, until its next chunk. A fixed
+    dither draws nothing: its (n,) row is broadcast, read-only, over the m
+    trials."""
     x = _sources(plan.factor, rng, arrays.normals, arrays.sources)
     # The draws overlay the normals, which the columns no longer need. They
     # are drawn in the stream's order as the mapping takes them: all before
@@ -681,7 +681,7 @@ def _weighted_sum(weights, arrays, out, scratch):
 def _reduce(lats, arrays, outs):
     """The nearest point of each (rows, n) array of ``arrays`` in its lattice
     of ``lats``, scalings of one base, written to its array of ``outs``, which
-    may be that array itself; returns ``outs``.
+    may be that array itself; returns the points, the arrays of ``outs``.
 
     A non-diagonal base makes one stacked ``reduce_stacked`` call, with
     ``nearest_point``'s bits. An exactly diagonal base rounds each array as
@@ -689,8 +689,7 @@ def _reduce(lats, arrays, outs):
     ``nearest_point`` but for the sign of a zero, which no result reads
     (see the module docstring)."""
     if not lats[0].is_diagonal:
-        reduce_stacked(lats, arrays, outs)
-        return outs
+        return reduce_stacked(lats, arrays, outs)
     for lat, b, out in zip(lats, arrays, outs):
         _round_into(lat, b, out)
     return outs
@@ -808,14 +807,13 @@ def _row_blocks(m: int, rows: int):
 
 
 def _run_cells(plan: _Plan, m: int, rng: np.random.Generator,
-               arrays: Optional[_ChunkArrays] = None) -> _ChunkArrays:
+               arrays: _ChunkArrays) -> _ChunkArrays:
     """One chunk of m trials, run in row blocks after its draws (see the
     module docstring); writes the per-trial squared error, and (m, cells)
     arrays of overload, mod-input second moment and clean history, into the
-    chunk's ``arrays`` (by default from the calling thread's workspace),
-    which it returns."""
+    chunk's ``arrays``, which it returns. The row blocks' slots are the
+    calling thread's."""
     ws = _workspace()
-    arrays = arrays or ws.arrays(m, *_chunk_shape(plan))
     x, dithers = _draw(plan, m, rng, arrays)
     err, v_sq = arrays.err, arrays.v_sq
     n, count = x[0].shape[1], _slot_count(plan)
@@ -863,9 +861,10 @@ def _with_dithers(plan: _Plan, dithers) -> _Plan:
 
 
 def _codec_plan(codec, make_plan) -> _Plan:
-    """The random-dither plan ``make_plan(codec)`` of a two-user or
-    side-information codec, checked by ``_require_resolvable`` on its first
-    run and kept on the codec for later runs (see the module docstring)."""
+    """The random-dither plan ``make_plan(codec)`` of any codec, checked by
+    ``_require_resolvable`` on its first run and kept on the codec for later
+    runs; a plan that fails its check is not kept (see the module
+    docstring)."""
     if codec._plan is None:
         object.__setattr__(codec, "_plan",
                            _require_resolvable(make_plan(codec), codec.rates.distortion))
@@ -882,7 +881,7 @@ def _run(plan: _Plan, sizes, seed: int, codec, per_cell: bool = False) -> SimRep
     with np.errstate(over="ignore", invalid="ignore"):
         for k, m in enumerate(sizes):
             acc.add(_run_cells(plan, m, _chunk_rng(seed, k), ws.arrays(m, *shape)))
-    return acc.report(codec.rates, seed, codec.margin, codec.n, per_cell)
+    return acc.report(codec.rates, seed, codec.margin, codec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,7 +1133,8 @@ def run_side_info_experiment(
 
 @dataclass(frozen=True)
 class KUserCodec:
-    """Per-cell nested lattices plus the sequential decoding coefficients."""
+    """Per-cell nested lattices plus the sequential decoding coefficients.
+    Its ``_plan`` is kept as ``TwoUserCodec``'s is."""
 
     model: SourceModel
     plan: PartitionPlan
@@ -1143,6 +1143,7 @@ class KUserCodec:
     margin: float
     n: int
     rates: RatePoint
+    _plan: Optional[_Plan] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def coded_rates(self) -> Tuple[float, ...]:
@@ -1193,25 +1194,19 @@ def run_k_user_experiment(
     moments are reported alongside the end-to-end distortion.
     """
     sizes = _chunk_sizes(trials, chunk_size)
-    codec, checked = _k_user_setup(model, plan, n, margin, base_lattice)
-    return _run(checked, sizes, seed, codec, per_cell=True)
+    codec = _k_user_codec(model, plan, n, margin, base_lattice)
+    return _run(_codec_plan(codec, _k_user_plan), sizes, seed, codec, per_cell=True)
 
 
-def _k_user_setup(model: SourceModel, plan: PartitionPlan, n, margin, base_lattice):
-    """The codec of ``build_k_user_codec(model, plan, n, margin,
-    base_lattice)`` and its plan, checked by ``_require_resolvable``. The
-    model keeps the last pair it was given (see the module docstring): a
-    run with an equal plan, and n and margin equal and of the same type
-    (the report prints them), with the same base lattice object reuses
-    them, and a pair whose check fails is not kept."""
-    key = (plan, n, type(n), margin, type(margin), base_lattice)
-    kept = model._k_user
-    if kept is not None and kept[0] == key:
-        return kept[1], kept[2]
-    codec = build_k_user_codec(model, plan, n, margin, base_lattice)
-    checked = _require_resolvable(_k_user_plan(codec), codec.rates.distortion)
-    object.__setattr__(model, "_k_user", (key, codec, checked))
-    return codec, checked
+@functools.lru_cache(maxsize=1, typed=True)
+def _k_user_codec(model: SourceModel, plan: PartitionPlan, n, margin, base_lattice) -> KUserCodec:
+    """``build_k_user_codec(model, plan, n, margin, base_lattice)``, kept for
+    the last configuration run (see the module docstring). A run reuses it,
+    with the plan it keeps, for the same model and base lattice objects, an
+    equal plan, and n and margin equal and of the same type (the report
+    prints them as given). Threads that miss at once may each build it, as
+    they may each build a codec's plan; either is read-only."""
+    return build_k_user_codec(model, plan, n, margin, base_lattice)
 
 
 def _k_user_plan(codec: KUserCodec) -> _Plan:

@@ -1042,6 +1042,8 @@ _MALFORMED_LATTICE_FILES = {
     "singular": '{"dim": 2, "gen": [1, 1, 1, 1]}',
 }
 _LATTICE_FLOATS = _FUZZ_VALUES + ["-5e-324", "1e-310", "1e154", "1e-154", "1.5"]
+# The flags that only one op reads.
+_LATTICE_OP_FLAGS = {"cosets": ("--nesting",), "construction-a": ("--p", "--k")}
 
 
 @pytest.fixture(scope="module")
@@ -1120,15 +1122,21 @@ def test_lattice_named_edge_cases_answer_or_exit_two(lattice_files):
     "--p": st.none() | st.sampled_from(["-3", "0", "1", "2", "3", "4", "7", "2147483647",
                                         "2147483659", "9223372036854775783"]),
     "--k": st.none() | st.integers(-1, 9).map(str),
+    "unread": st.sampled_from([False, False, False, True]),
 }), min_size=30, max_size=30))
 def test_lattice_fuzzed_arguments_answer_or_exit_two(lattice_files, cases):
     # Every op; --scale and --nesting at +-inf, NaN, +-1e+-300, subnormals,
     # 0 and negative values; --samples, --dim, --p and --k at and past their
     # bounds; lattice files at 1e+-300, the near-diagonal, sliver and shear
     # generators, and malformed or missing files. --samples is always given,
-    # so that a non-diagonal moment draws at most 3,000 points.
+    # so that a non-diagonal moment draws at most 3,000 points. An op exits
+    # 2 on a flag it does not read, so only a case drawn with ``unread``
+    # keeps those flags; the others reach the op.
     def argv(case):
         case = dict(case, **{"--lattice": lattice_files.get(case["--lattice"], case["--lattice"])})
+        if not case.pop("unread"):
+            read = _LATTICE_OP_FLAGS.get(case["--op"], ())
+            case.update((flag, None) for flag in ("--nesting", "--p", "--k") if flag not in read)
         return ["lattice", *(f"{flag}={value}" for flag, value in case.items() if value is not None)]
 
     _run_lattice_cases([argv(case) for case in cases])
@@ -1171,6 +1179,17 @@ def test_lattice_file_of_a_small_base_matches_the_scaled_lattice(capsys, tmp_pat
     assert json.loads(by_file)["normalized_second_moment"] == pytest.approx(0.0804, abs=5e-4)
 
 
+def test_lattice_scale_multiplies_a_lattice_file(capsys, tmp_path):
+    # --scale multiplies a file's generator, as it does Z^n's and A2's, so a
+    # moment at the same seed grows by the scale's square.
+    d4 = tmp_path / "d4.json"
+    d4.write_text(json.dumps({"dim": 4, "gen": D4_GEN.reshape(-1).tolist()}))
+    args = ("lattice", "--lattice", str(d4), "--op", "moment", "--samples", "2000")
+    plain = run_json(capsys, *args)["second_moment"]
+    scaled = run_json(capsys, *args, "--scale", "5")["second_moment"]
+    assert scaled == pytest.approx(25.0 * plain, rel=1e-9)
+
+
 def test_lattice_dim_may_restate_the_lattice_dimension(capsys, tmp_path):
     plane = tmp_path / "plane.json"
     plane.write_text('{"dim": 2, "gen": [1.0, 0.0, 0.0, 1.0]}')
@@ -1203,9 +1222,20 @@ def test_lattice_cosets(capsys):
      "--dim 7 does not match the lattice's dimension 2"),
     (("--lattice", "PLANE", "--op", "cosets", "--dim", "3"),
      "--dim 3 does not match the lattice's dimension 2"),
+    # An op refuses a flag it would not read, even at the value it would take.
+    (("--op", "nsm", "--dim", "2", "--p", "11", "--nesting", "9"),
+     "--nesting does not apply to --op nsm"),
+    (("--lattice", "PLANE", "--op", "moment", "--nesting", "2"),
+     "--nesting does not apply to --op moment"),
+    (("--op", "construction-a", "--dim", "2", "--nesting", "2"),
+     "--nesting does not apply to --op construction-a"),
+    (("--lattice", "a2", "--op", "moment", "--p", "3"), "--p does not apply to --op moment"),
+    (("--op", "cosets", "--k", "1"), "--k does not apply to --op cosets"),
 ], ids=["singular-generator-file", "construction-a-p1", "cosets-nesting-beyond-int64",
         "cosets-nesting-inf-zn", "cosets-nesting-minus-inf-a2", "seed-negative", "dim-zero",
-        "dim-negative", "samples-negative-zn", "samples-zero-a2", "dim-of-a2", "dim-of-file"])
+        "dim-negative", "samples-negative-zn", "samples-zero-a2", "dim-of-a2", "dim-of-file",
+        "nesting-unread-by-nsm", "nesting-unread-by-moment", "nesting-unread-by-construction-a",
+        "p-unread-by-moment", "k-unread-by-cosets"])
 def test_lattice_invalid_inputs_exit_two(capsys, tmp_path, args, message):
     files = {"SINGULAR": '{"dim": 2, "gen": [1.0, 2.0, 2.0, 4.0]}',
              "PLANE": '{"dim": 2, "gen": [1.0, 0.0, 0.0, 1.0]}'}

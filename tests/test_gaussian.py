@@ -254,6 +254,14 @@ def test_model_keeps_read_only_copies_of_its_arrays():
         si.cov[2, 2] = 0.0
 
 
+def test_a_model_is_hashable_and_equal_only_to_itself():
+    # Equality is identity: a model of the same arrays is another model.
+    cov, coeffs = np.array([[1.0, 0.8], [0.8, 1.0]]), np.array([1.0, -0.8])
+    model, twin = SourceModel(cov, coeffs), SourceModel(cov, coeffs)
+    assert model == model and model != twin
+    assert len({model, twin, model}) == 2
+
+
 @pytest.mark.parametrize("cov, coeffs, message", [
     (np.eye(3), [1.0, -0.5, 0.2], "operation requires a two-user model"),
     ([[2.0, 0.5], [0.5, 1.0]], [1.0, -0.5], "two-user closed forms require unit source variances"),

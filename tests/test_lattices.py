@@ -488,8 +488,8 @@ def test_float_coordinates_give_the_points_of_their_int64_copy(n, rows, factor, 
     assert (coords @ g).tobytes() == (ints @ g).tobytes()
     cuts = sorted({0, 1, min(2, rows), int(rng.integers(0, rows + 1)), rows})
     parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    pairs = reduce_stacked([lat] * len(parts), [x[p] for p in parts])
-    for p, (_, point) in zip(parts, pairs):
+    points = reduce_stacked([lat] * len(parts), [x[p] for p in parts])
+    for p, point in zip(parts, points):
         assert (coords[p] @ g).tobytes() == (ints[p] @ g).tobytes() == point.tobytes()
     got = nearest_point_coords(lat, x)
     assert got.dtype == np.int64 and got.tobytes() == ints.tobytes()
@@ -597,7 +597,7 @@ def test_a_scaled_lattice_computes_its_rotation_once(rng):
     assert rotations[2] is qt  # at factor 1, the base's own Q^T
     for _ in range(2):
         again = reduce_stacked(scaled, [x] * 3)
-        assert all(np.array_equal(a[1], b[1]) for a, b in zip(first, again))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
         nearest_point(scaled[0], x)
     assert all(s._rotation is rot for s, rot in zip(scaled, rotations))
     assert scaled[0].with_moment(second_moment(scaled[0], 1000, rng))._rotation is rotations[0]
@@ -709,10 +709,10 @@ def test_stacked_rows_equal_separate_calls_byte_for_byte(lat, targets):
     assert mod_lattice(lat, targets).tobytes() == separate.tobytes()
     # reduce_stacked multiplies each part on its own, so its points match
     # nearest_point's on every part, the one-row part included.
-    pairs = reduce_stacked([lat] * len(parts), parts)
-    assert len(pairs) == len(parts)
-    for p, (b, got) in zip(parts, pairs):
-        assert b is p and got.tobytes() == nearest_point(lat, p).tobytes()
+    points = reduce_stacked([lat] * len(parts), parts)
+    assert len(points) == len(parts)
+    for p, got in zip(parts, points):
+        assert got.tobytes() == nearest_point(lat, p).tobytes()
 
 
 @pytest.mark.parametrize("lat", [integer_lattice(2, 0.5), Lattice(np.diag([1.0, 3.0])),
@@ -740,16 +740,15 @@ def test_reduce_stacked_calls_the_kernel_once_and_only_off_the_diagonal(lat, rng
             reduce_stacked(lats, arrays())
         assert taken == [] and calls == []
         return
-    pairs = reduce_stacked(lats, arrays())
+    points = reduce_stacked(lats, arrays())
     assert taken == [5, 7, 3]
     assert calls == [15]
-    assert [p[0] is q for p, q in zip(pairs, (a, b, c))] == [True, True, True]
     want = [nearest_point(lat_q, q).tobytes() for lat_q, q in zip(lats, (a, b, c))]
-    assert [p[1].tobytes() for p in pairs] == want
+    assert [p.tobytes() for p in points] == want
     # Points written to given arrays, or over the targets themselves, keep
     # those bits.
     outs = [np.empty_like(q) for q in (a, b, c)]
-    assert [p[1] is o for p, o in zip(reduce_stacked(lats, [a, b, c], outs), outs)] == [True] * 3
+    assert [p is o for p, o in zip(reduce_stacked(lats, [a, b, c], outs), outs)] == [True] * 3
     assert [o.tobytes() for o in outs] == want
     targets = [q.copy() for q in (a, b, c)]
     reduce_stacked(lats, targets, targets)

@@ -58,6 +58,7 @@ from latfun.simulate import (
     _Member,
     _Workspace,
     _chunk_rng,
+    _chunk_shape,
     _column_counts,
     _column_sums,
     _draw,
@@ -72,6 +73,7 @@ from latfun.simulate import (
     _sources,
     _two_user_plan,
     _with_dithers,
+    _workspace,
 )
 
 M88 = two_user_model(0.8, 0.8)
@@ -225,6 +227,12 @@ def test_small_a2_codec_meets_its_target():
     assert abs(rep.empirical_distortion / d - 1.0) < 0.05
 
 
+def _fresh_arrays(plan, m):
+    """The arrays of a chunk of m trials of ``plan`` in a workspace of their
+    own, so that they outlive the thread's next chunk."""
+    return _Workspace().arrays(m, *_chunk_shape(plan))
+
+
 def _fresh_block(plan, x, dithers):
     """``_run_block`` in fresh slots and masks, so that its results outlive
     the thread's next chunk; Z, which may be a source column of the
@@ -239,7 +247,8 @@ def _fresh_block(plan, x, dithers):
 def _two_user_chunk(codec, trials, seed):
     """The first chunk of a two-user run: Z, Zhat, v, overload, clean_before."""
     plan = _two_user_plan(codec)
-    return _fresh_block(plan, *_draw(plan, trials, _chunk_rng(seed, 0)))
+    return _fresh_block(plan, *_draw(plan, trials, _chunk_rng(seed, 0),
+                                     _fresh_arrays(plan, trials)))
 
 
 class _ChosenNormals:
@@ -264,7 +273,8 @@ def _chunk(plan, x, rng=None):
     the plan's covariance factor becomes the identity."""
     x = np.asarray(x, dtype=np.float64)
     plan = plan._replace(factor=np.eye(x.shape[-1]))
-    return _fresh_block(plan, *_draw(plan, x.shape[0], _ChosenNormals(x, rng)))
+    m = x.shape[0]
+    return _fresh_block(plan, *_draw(plan, m, _ChosenNormals(x, rng), _fresh_arrays(plan, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +516,11 @@ def test_one_row_tail_gives_the_bits_of_one_pass(monkeypatch, tag):
     n = plan.cells[0].coarse.dim
     for m in (8193, simulate._BLOCK // n + 1):
         for seed in range(30):
-            blocked = [a.copy() for a in _results(_run_cells(plan, m, _chunk_rng(seed, 0)))]
+            blocked = _results(_run_cells(plan, m, _chunk_rng(seed, 0), _fresh_arrays(plan, m)))
             with monkeypatch.context() as patch:
                 patch.setattr(simulate, "_BLOCK", m * n)
-                one_pass = _results(_run_cells(plan, m, _chunk_rng(seed, 0)))
+                one_pass = _results(_run_cells(plan, m, _chunk_rng(seed, 0),
+                                               _fresh_arrays(plan, m)))
             for got, want in zip(blocked, one_pass):
                 assert got.tobytes() == want.tobytes(), f"{tag}, {m} trials, seed {seed}"
 
@@ -563,7 +574,7 @@ def test_engine_chunks_equal_the_reference_engine_bit_for_bit(monkeypatch, tag, 
     draw = simulate._draw
     monkeypatch.setattr(simulate, "_draw", lambda *args: tuple(
         [_read_only(a) for a in arrays] for arrays in draw(*args)))
-    got = [a.copy() for a in _results(_run_cells(plan, m, _chunk_rng(3, 0)))]
+    got = _results(_run_cells(plan, m, _chunk_rng(3, 0), _fresh_arrays(plan, m)))
     want = _results(run_cells_reference(plan, m, _chunk_rng(3, 0)))
     for name, g, w in zip(("err", "overload", "v_sq", "clean_before"), got, want):
         assert g.tobytes() == w.tobytes(), f"{tag}, {m} trials: {name} differs"
@@ -579,7 +590,7 @@ def test_engine_chunks_equal_the_reference_engine_bit_for_bit(monkeypatch, tag, 
 def test_reports_equal_the_reference_engine(monkeypatch, make_run):
     run = make_run()
     got = run().to_json()
-    monkeypatch.setattr(simulate, "_run_cells", lambda plan, m, rng, arrays=None:
+    monkeypatch.setattr(simulate, "_run_cells", lambda plan, m, rng, arrays:
                         run_cells_reference(plan, m, rng))
     assert got == run().to_json()
 
@@ -632,10 +643,10 @@ def test_a_chunk_size_run_before_allocates_no_whole_chunk_array():
     # each was allocated afresh) all live in its workspace, and so do its
     # row blocks' arrays (see the test below).
     plan = _z4_k_user_plan()
-    _run_cells(plan, 65536, _chunk_rng(0, 0))
+    _run_cells(plan, 65536, _chunk_rng(0, 0), _workspace().arrays(65536, *_chunk_shape(plan)))
     tracemalloc.start()
     try:
-        _run_cells(plan, 65536, _chunk_rng(0, 1))
+        _run_cells(plan, 65536, _chunk_rng(0, 1), _workspace().arrays(65536, *_chunk_shape(plan)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -654,11 +665,11 @@ def test_a_warm_chunk_allocates_no_block_sized_array(monkeypatch, tag, rows):
     plan = _two_user_plan(_codecs()["z1"]) if tag == "z1" else _z4_k_user_plan()
     if rows:
         monkeypatch.setattr(simulate, "_BLOCK", rows * plan.cells[0].coarse.dim)
-    _run_cells(plan, 65536, _chunk_rng(0, 0))
+    _run_cells(plan, 65536, _chunk_rng(0, 0), _workspace().arrays(65536, *_chunk_shape(plan)))
     rng = _chunk_rng(0, 1)
     tracemalloc.start()
     try:
-        _run_cells(plan, 65536, rng)
+        _run_cells(plan, 65536, rng, _workspace().arrays(65536, *_chunk_shape(plan)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -680,7 +691,7 @@ def _one_cell_plan(fine):
 @pytest.mark.parametrize("m", [1, 2, 1000])
 def test_engine_dithers_equal_sample_dither(fine, m):
     plan = _one_cell_plan(fine)
-    _, dithers = _draw(plan, m, _chunk_rng(5, 0))
+    _, dithers = _draw(plan, m, _chunk_rng(5, 0), _fresh_arrays(plan, m))
     rng = _chunk_rng(5, 0)
     rng.standard_normal((m, fine.dim, 2))
     for mem, got in zip(plan.cells[0].members, dithers):
@@ -777,7 +788,7 @@ def test_concurrent_experiments_equal_their_serial_runs():
 
 def test_threads_on_one_k_user_model_equal_its_serial_runs():
     # Four threads, more than the cores CI has, run one model at two
-    # margins, each replacing the codec the model keeps while the others
+    # margins, each replacing the codec the runner keeps while the others
     # run: every run gives the bytes of a run on a fresh model.
     margins = (2.0, 3.0, 2.0, 3.0)
     shared = _k_user_model_and_plan()
@@ -843,7 +854,7 @@ def _k_user_run():
 
 def _run_k_user(model_and_plan, trials, seed, chunk_size, margin=2.0):
     """The K-user runner at n = 2 on a ``(model, plan)`` pair, which stands
-    for a codec here: the model keeps the codec that the runner builds."""
+    for a codec here: the runner keeps the codec that it builds for them."""
     model, plan = model_and_plan
     return run_k_user_experiment(model, plan, n=2, trials=trials, seed=seed, margin=margin,
                                  chunk_size=chunk_size)
@@ -894,7 +905,7 @@ def test_a_codec_builds_and_checks_its_plan_once(monkeypatch, tag):
         assert (len(factors), len(checks)) == (1, 1)
     if tag.startswith("k_user"):
         assert len(builds) == 1
-        # The model keeps the last configuration only: a new margin or plan
+        # The runner keeps the last configuration only: a new margin or plan
         # builds anew, and so does a margin of another type, which the
         # report prints as it is given. An equal plan object reuses it.
         model, plan = codec
@@ -909,24 +920,26 @@ def test_a_codec_builds_and_checks_its_plan_once(monkeypatch, tag):
 
 
 def test_k_user_runs_and_failed_checks_keep_no_plan(monkeypatch):
-    # Runs of one K-user configuration build its codec once, and a codec
-    # whose target float64 cannot resolve fails on every run and is never
-    # kept, by the K-user runner's model as by a two-user codec.
-    factors = _count_calls(monkeypatch, np.linalg, "cholesky")
-    run = _k_user_run()
-    run()
-    run()
-    assert len(factors) == 1
+    # A K-user configuration whose target float64 cannot resolve fails on
+    # every run, and its codec keeps no plan, as a two-user codec keeps
+    # none; a good configuration run after it builds its codec and checks
+    # its plan once over two runs.
+    codecs = []
+    build = simulate.build_k_user_codec
+    monkeypatch.setattr(simulate, "build_k_user_codec",
+                        lambda *args: codecs.append(build(*args)) or codecs[-1])
+    checks = _count_calls(monkeypatch, simulate, "_require_resolvable")
     model, plan = _k_user_model_and_plan()
     tiny = PartitionPlan(plan.partition, plan.decode_order, (1e-40,) * 3)
-    for fresh in (True, False):  # a fresh model, then one that keeps a codec
-        kept = model._k_user
-        assert (kept is None) == fresh
-        for _ in range(2):
-            with pytest.raises(UnresolvableDistortion):
-                _run_k_user((model, tiny), 100, 0, 100)
-        assert model._k_user is kept
+    for _ in range(2):
+        with pytest.raises(UnresolvableDistortion):
+            _run_k_user((model, tiny), 100, 0, 100)
+    assert (len(codecs), len(checks)) == (1, 2)
+    assert codecs[0]._plan is None
+    for _ in range(2):
         _run_k_user((model, plan), 100, 0, 100)
+    assert (len(codecs), len(checks)) == (2, 3)
+    assert codecs[1]._plan is not None
     codec = build_two_user_codec(M88, 1e-40, 0.6e-40)
     for _ in range(2):
         with pytest.raises(UnresolvableDistortion):
@@ -1151,14 +1164,14 @@ def test_k_user_on_a_singular_covariance():
 
 
 def test_cell_moment_check_is_nan_for_a_cell_with_no_clean_trial():
-    acc = _Accumulator(2, last=1, d=0.1)
+    acc = _Accumulator(2, last=1, d=0.1, per_cell=True)
     arrays = _Workspace().arrays(m=2, n=1, cols=2, draws=2, cells=2)
     arrays.err[:] = [0.1, 0.3]
     arrays.overload[:] = False
     arrays.v_sq[:] = [[2.0, 5.0], [4.0, 7.0]]
     arrays.clean_before[:] = [[True, False], [True, False]]
     acc.add(arrays)
-    rep = acc.report(RatePoint((1.0, 1.0), 0.1, SCHEME_LATTICE), 0, 1.0, 1, per_cell=True)
+    rep = acc.report(RatePoint((1.0, 1.0), 0.1, SCHEME_LATTICE), 0, 1.0, 1)
     assert rep.cell_moment_checks[0] == 3.0
     assert math.isnan(rep.cell_moment_checks[1])
     assert math.isnan(rep.dither_moment_check)
