@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from typing import List, Optional
@@ -159,85 +158,66 @@ def _sweep_rows(rho_values, c_values, d_of_model, collapse_d: bool):
     """CSV rows; one per (rho, c, D), or per (rho, c) when collapsing to the
     distortion with the largest gap.
 
-    ``d_of_model`` maps Var(Z) to a distortion grid. The presets and the
-    custom sweep space it, rho and c with ``_spacing``: numpy's values bit
-    for bit, with np.linspace's rule that one row's zero step switches
-    every row to another formula. The cells are the columns
-    ``np.repeat(rho_values, n_c)`` and ``np.tile(c_values, n_rho)``;
-    ``_whole_grid`` gives every Var(Z) and grid, and ``_grid_rows`` every
-    row, in one array pass. A grid that keeps no D in (0, Var Z) gives no
-    rows, so a sweep may return none.
+    The cells are the columns ``np.repeat(rho_values, n_c)`` and
+    ``np.tile(c_values, n_rho)``. ``d_of_model`` maps Var(Z) to a
+    distortion grid, and the array of every cell's Var(Z) row by row to
+    the (cells, n_d) array of their grids; the presets and the custom sweep
+    space it, rho and c with ``_spacing``, which gives each cell numpy's
+    own grid for that cell, bit for bit. Var(Z) is one stacked product
+    (``gaussian._two_user_variances``), the grids one ``d_of_model`` call,
+    and ``_grid_rows`` gives every row in one array pass. A grid that keeps
+    no D in (0, Var Z) gives no rows, so a sweep may return none.
 
-    When that pass cannot run (rho outside (0, 1), a non-finite c, an
-    overflowing Var(Z), a failing ``d_of_model`` call or a grid that is not
-    strictly monotone), the cells are taken in turn, so that the first
-    failing cell raises the error a cell-by-cell sweep gives. Each cell's
-    model is built, then its grid; a cell whose grid keeps no D in
-    (0, Var Z) is skipped, even if it is not two-user; every other cell
-    must be two-user, and its rows come from the same array pass on that
-    cell alone.
+    Rho in (0, 1) and a finite Var(Z) (which needs a finite c) imply every
+    check that ``two_user_model`` and ``require_two_user`` make, so no
+    model is built. Where they fail, or where ``d_of_model`` raises on the
+    array, ``_check_cells`` raises the error a cell-by-cell sweep gives; a
+    sweep it passes is rated from the same array pass.
     """
     n_rho, n_c = len(rho_values), len(c_values)
     if not (n_rho and n_c):
         return []
     rho = np.repeat(np.asarray(rho_values, dtype=np.float64), n_c)
     c = np.tile(np.asarray(c_values, dtype=np.float64), n_rho)
-    whole = _whole_grid(rho, c, d_of_model)
-    if whole is not None:
-        return _grid_rows(rho, c, *whole, collapse_d)
-    rows = []
-    for k, cell in enumerate(itertools.product(rho_values, c_values)):
-        model = two_user_model(*cell)
-        var_z = function_variance(model)
-        grid = d_of_model(var_z)
-        if not ((grid > 0) & (grid < var_z)).any():
-            continue
-        model.require_two_user()
-        rows += _grid_rows(rho[k:k + 1], c[k:k + 1], np.array([var_z]), grid[None], collapse_d)
-    return rows
-
-
-def _whole_grid(rho: np.ndarray, c: np.ndarray, d_of_model):
-    """(Var(Z), distortion grids) of every cell from one pass, or None when
-    the cells must be taken in turn.
-
-    Finite c and rho in (0, 1) imply every check that ``two_user_model``
-    and ``require_two_user`` make, so no model is built. Var(Z) is one
-    stacked product (``gaussian._two_user_variances``), where a non-finite
-    entry means some model raises VarianceOverflow. The grids come from one
-    call on the array of Var(Z), along the last axis. ``_spacing`` follows
-    np.linspace's switch (with which np.geomspace spaces its logs): every
-    row takes another formula when one row's step is zero, and such a row
-    is not strictly monotone past two points; so strictly monotone grids
-    are the per-cell ones bit for bit.
-    """
-    if not (((rho > 0) & (rho < 1)).all() and np.isfinite(c).all()):
-        return None
     var_z = gaussian._two_user_variances(rho, c)
-    if not np.isfinite(var_z).all():
-        return None
+    if not (((rho > 0) & (rho < 1)).all() and np.isfinite(var_z).all()):
+        _check_cells(rho_values, c_values, d_of_model)
     try:
         grids = d_of_model(var_z)
     except ValueError:
-        return None
+        _check_cells(rho_values, c_values, d_of_model)
+        raise
     if grids.shape[:-1] != var_z.shape:
         grids = np.broadcast_to(grids, (len(var_z), grids.shape[-1]))
-    if not _strictly_monotone(grids):
-        return None
-    return var_z, grids
+    return _grid_rows(rho, c, var_z, grids, collapse_d)
+
+
+def _check_cells(rho_values, c_values, d_of_model) -> None:
+    """Raise the first failing cell's error, in the order a cell-by-cell
+    sweep raises it: each cell's model is built, then its grid; a cell
+    whose grid keeps no D in (0, Var Z) is skipped, even if it is not
+    two-user; every other cell must be two-user. Builds no rows."""
+    for cell in itertools.product(rho_values, c_values):
+        model = two_user_model(*cell)
+        var_z = function_variance(model)
+        grid = d_of_model(var_z)
+        if ((grid > 0) & (grid < var_z)).any():
+            model.require_two_user()
 
 
 def _spacing(lo, hi, num: int, log: bool) -> np.ndarray:
-    """``np.geomspace(lo, hi, num, axis=-1)`` if ``log``, else
-    ``np.linspace``, bit for bit, by numpy 2.4's own steps but without its
-    argument handling; array bounds give a C-ordered (cells, num) array.
+    """``np.geomspace(lo, hi, num)`` if ``log``, else ``np.linspace``, bit
+    for bit, by numpy 2.4's own steps but without its argument handling.
+    Array bounds give a C-ordered (cells, num) array whose every row is
+    numpy's call on that row's bounds alone.
 
-    As in np.linspace, the points are ``arange(num) * (delta / div)``,
-    unless any row's step is zero: then every row takes
-    ``arange(num) / div * delta``. Then the start is added and the last
-    point set to the stop. The log scale raises ValueError on a zero bound,
-    spaces the logs of the bounds over the start's sign so, takes
-    ``10 ** y``, resets both ends to those bounds and restores the sign."""
+    The points are ``arange(num) * (delta / div)``, but a row whose step is
+    zero takes ``arange(num) / div * delta``, np.linspace's rule for a call
+    with that step (an array call switches every row when one step is
+    zero). Then the start is added and the last point set to the stop.
+    The log scale raises ValueError on a zero bound, spaces the logs of the
+    bounds over the start's sign so, takes ``10 ** y``, resets both ends to
+    those bounds and restores the sign."""
     if num < 0:
         raise ValueError(f"Number of samples, {num}, must be non-negative.")
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
@@ -253,7 +233,8 @@ def _spacing(lo, hi, num: int, log: bool) -> np.ndarray:
     y = np.arange(num, dtype=np.float64)
     if div > 0:
         step = delta / div
-        y = y / div * delta if np.count_nonzero(step) < step.size else y * step
+        zero = step == 0
+        y = np.where(zero, y / div * delta, y * step) if zero.any() else y * step
     else:
         y = y * delta
     y += start
@@ -268,31 +249,26 @@ def _spacing(lo, hi, num: int, log: bool) -> np.ndarray:
     return y
 
 
-def _strictly_monotone(grids: np.ndarray) -> bool:
-    """Whether every row's steps are all > 0 or all < 0, as
-    ``((steps > 0).all(-1) | (steps < 0).all(-1)).all()``, in fewer passes:
-    each step must have its row's first step's sign, and that sign must not
-    be 0. NaN equals no sign; a row of one point has no steps."""
-    signs = np.sign(np.diff(grids, axis=-1))
-    return bool((signs == signs[..., :1]).all() and signs[..., :1].all())
-
-
 def _grid_rows(rho, c, var_z, grids, collapse_d: bool) -> List[str]:
-    """Rows of two-user cells, with their Var(Z) and (cells, n_d) grids, in
-    one array pass. Each rate is its scalar function's value bit for bit;
-    the distortions outside (0, Var Z) are replaced by Var(Z), which every
+    """Rows of the cells, with their Var(Z) and (cells, n_d) grids, in one
+    array pass. Only the cells whose grid keeps a D in (0, Var Z) are rated
+    (they are two-user cells); the others are dropped first, where there
+    are any. Each rate is its scalar function's value bit for bit; the
+    distortions outside (0, Var Z) are replaced by Var(Z), which every
     formula takes, and then left out: the rows are all kept entries in
     row-major order, or with ``collapse_d`` each cell's largest gap (the
     others at -inf). Only these entries get a regime label, and each row
     is one ``SWEEP_ROW % values``."""
     keep = (grids > 0) & (grids < var_z[:, None])
+    rated = keep.any(axis=1)
+    if not rated.all():
+        rho, c, var_z, grids, keep = (v[rated] for v in (rho, c, var_z, grids, keep))
     d = np.where(keep, grids, var_z[:, None])
     lattice_bits = regions._log2_twice_ratio(var_z[:, None], d)
     bt_bits = regions._bt_min_sum(rho[:, None], c[:, None], d)
     gaps = np.where(keep, bt_bits - lattice_bits, -np.inf)
     if collapse_d:
-        k = np.flatnonzero(keep.any(axis=1))
-        i = gaps[k].argmax(axis=1)
+        k, i = np.arange(len(d)), gaps.argmax(axis=1)
     else:
         k, i = np.nonzero(keep)
     rho, c, d = rho[k], c[k], d[k, i]
@@ -303,8 +279,8 @@ def _grid_rows(rho, c, var_z, grids, collapse_d: bool) -> List[str]:
 
 def sweep_rows_fig3():
     """Direct-scheme sum-rate surface over (c, D) at correlation 0.8, from
-    one stacked Var(Z), ``_spacing`` for c and the D grids (numpy's values
-    bit for bit, its zero-step rule included) and one rate pass; the
+    one stacked Var(Z), ``_spacing`` for c and the D grids (each c's grid
+    numpy's own call on its bounds, bit for bit) and one rate pass; the
     quantize-and-bin columns read nan."""
     c = _spacing(0.05, 2.0, 40, log=False)
     var_z = gaussian._two_user_variances(np.full(40, 0.8), c)
@@ -317,8 +293,8 @@ def sweep_rows_fig3():
 
 def sweep_rows_fig4():
     """Both schemes against distortion at rho = c = 0.8; shows the crossover.
-    The distortions come from ``_spacing``, np.geomspace's bit for bit, its
-    zero-step rule included."""
+    The distortions come from ``_spacing``, np.geomspace's bit for bit, one
+    grid for the one cell."""
     return _sweep_rows([0.8], [0.8], lambda sz2: _spacing(0.021, 0.355, 256, log=True),
                        collapse_d=False)
 
@@ -326,8 +302,8 @@ def sweep_rows_fig4():
 def sweep_rows_fig5(n_c: int = 128, n_rho: int = 9, n_d: int = 32):
     """Max-over-distortion gap per (rho, c) cell over the scan rectangle.
     rho, c and the D grids come from ``_spacing``, numpy's values bit for
-    bit, its zero-step rule included; the D grids of all cells as one
-    C-ordered (cells, n_d) array."""
+    bit; the D grids of all cells as one C-ordered (cells, n_d) array, each
+    row numpy's own call on that cell's bounds."""
     rho_values = _spacing(0.1, 0.9, n_rho, log=False)
     c_values = _spacing(-2.0, 2.0, n_c, log=False)
     return _sweep_rows(
@@ -437,9 +413,8 @@ def cmd_simulate(args) -> int:
     sys.stdout.write(report.to_json() + "\n")
     if args.csv is not None:
         try:
-            fresh = not os.path.exists(args.csv)
             with open(args.csv, "a", encoding="utf-8") as fh:
-                if fresh:
+                if fh.tell() == 0:  # a new or empty file gets the schema and header
                     fh.write(CSV_SCHEMA_LINE + "\n")
                     fh.write(simulate.SimReport.CSV_HEADER + "\n")
                 fh.write(report.csv_row() + "\n")

@@ -28,6 +28,18 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
+def _json_values(key: str, values, number: bool = False):
+    """``values`` read from a JSON file's ``key``, each a JSON integer, or
+    with ``number`` a JSON integer or float; a JSON true or false, a string
+    or a fraction where an integer belongs is a TypeError naming ``key``."""
+    types = (int, float) if number else (int,)
+    for value in values:
+        if type(value) not in types:
+            kind = "numbers" if number else "integers"
+            raise TypeError(f"{key!r} takes JSON {kind} only, got {value!r}")
+    return tuple(values)
+
+
 def _check_covariance(cov: np.ndarray, coeffs: np.ndarray):
     """Checks shared by the source models: finite entries and a symmetric
     positive semidefinite covariance."""
@@ -197,9 +209,9 @@ class PartitionPlan:
     def from_json(text: str) -> "PartitionPlan":
         payload = json.loads(text)
         return PartitionPlan(
-            tuple(tuple(cell) for cell in payload["partition"]),
-            tuple(payload["order"]),
-            tuple(payload["q"]),
+            tuple(_json_values("partition", cell) for cell in payload["partition"]),
+            _json_values("order", payload["order"]),
+            _json_values("q", payload["q"], number=True),
         )
 
 

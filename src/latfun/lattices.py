@@ -40,7 +40,7 @@ from .errors import (
     TooManyCosets,
     UnsupportedDimension,
 )
-from .gaussian import _frozen
+from .gaussian import _frozen, _json_values
 
 MAX_SPHERE_DIM = 8
 MAX_COSET_ENUM = 4096
@@ -191,7 +191,7 @@ class Lattice:
     @staticmethod
     def from_json(text: str) -> "Lattice":
         payload = json.loads(text)
-        n = int(payload["dim"])
+        (n,) = _json_values("dim", [payload["dim"]])
         return Lattice(np.asarray(payload["gen"], dtype=np.float64).reshape(n, n))
 
 

@@ -88,6 +88,14 @@ CASES = {
                       "--rho-count", "4", "--c-min", "-1.5", "--c-max", "1.5",
                       "--c-count", "7", "--d-min", "0.01", "--d-max", "1.3",
                       "--d-count", "33"],
+    # the rho = 1, c = 1 cell has Var(Z) = 0, keeps no D and is skipped
+    "custom-zero-var-cell": ["--d-scale", "linear", "--rho-min", "0.6", "--rho-max", "1.0",
+                             "--rho-count", "2", "--c-min", "1", "--c-max", "1",
+                             "--c-count", "1", "--d-count", "24"],
+    # equal D bounds: every grid repeats one D, spaced with a zero step
+    "custom-equal-d": ["--rho-min", "0.3", "--rho-max", "0.8", "--rho-count", "2",
+                       "--c-min", "-1", "--c-max", "0.8", "--c-count", "2",
+                       "--d-min", "0.4", "--d-max", "0.4", "--d-count", "5"],
 }
 
 # n-targets-op, e.g. ``n5-halves-mod``

@@ -27,10 +27,10 @@ from latfun import (
 )
 from latfun.cli import (
     _spacing,
-    _strictly_monotone,
     _sweep_rows,
     main,
     sweep_rows_fig3,
+    sweep_rows_fig4,
     sweep_rows_fig5,
 )
 from latfun.gaussian import PartitionPlan, singleton_plan
@@ -260,32 +260,6 @@ def test_sweep_row_template_gives_the_g6_bytes(x):
     assert latfun.cli.SWEEP_ROW % (*values, "interior") == ",".join([*map(_g6, values), "interior"])
 
 
-_MONOTONE_ROWS = {
-    "increasing": [[1.0, 2.0, 3.0]],
-    "decreasing": [[3.0, 2.0, -1.0]],
-    "zero-step": [[1.0, 1.0, 2.0]],
-    "zero-first-step": [[1.0, 1.0]],
-    "minus-zero-step": [[0.0, -0.0, -1.0]],
-    "nan-step": [[1.0, math.nan, 3.0]],
-    "nan-first-point": [[math.nan, 1.0]],
-    "mixed-signs": [[1.0, 2.0, 1.5]],
-    "one-point": [[1.0], [2.0]],
-    "two-points": [[1.0, 2.0], [2.0, 1.0]],
-    "rows-disagree": [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [1.0, 1.0, 1.0]],
-    "subnormal-steps": [[5e-324, 1e-323, 1.5e-323]],
-    "infinite-step": [[-math.inf, 0.0, 1.0]],
-    "one-dim": [1.0, 0.5, 0.25],
-}
-
-
-@pytest.mark.parametrize("name", sorted(_MONOTONE_ROWS))
-def test_strictly_monotone_is_the_per_row_predicate(name):
-    grids = np.array(_MONOTONE_ROWS[name])
-    steps = np.diff(grids, axis=-1)
-    want = ((steps > 0).all(-1) | (steps < 0).all(-1)).all()
-    assert _strictly_monotone(grids) == bool(want)
-
-
 _SPACING_BOUND = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, 1.0, -2.0, 0.95,
                                   1.7e308, -1.7e308, math.inf, -math.inf, math.nan]) \
     | st.floats(allow_nan=False, allow_infinity=False)
@@ -301,7 +275,7 @@ def _spacing_bounds(cells):
 @given(bounds=st.integers(1, 4).flatmap(_spacing_bounds),
        num=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 300), log=st.booleans())
 @example(bounds=(0.4, 0.4), num=5, log=True)                     # equal bounds: zero steps
-@example(bounds=([0.5, 0.01], [0.5, 0.95]), num=32, log=False)  # a zero-step row switches both
+@example(bounds=([0.5, 0.01], [0.5, 0.95]), num=32, log=False)  # a zero-step row beside another
 @example(bounds=([0.4, 0.01], [0.4, 0.95]), num=32, log=True)
 @example(bounds=(5e-324, 1e-322), num=300, log=False)           # the step underflows to 0
 @example(bounds=([2.0, 1.0], [1.0, 5e-324]), num=32, log=True)  # descending, to 5e-324
@@ -313,15 +287,21 @@ def _spacing_bounds(cells):
 @example(bounds=(0.1, 0.9), num=1, log=False)
 @example(bounds=(0.1, 0.9), num=-1, log=True)                   # a negative count
 def test_spacing_is_numpys_bit_for_bit(bounds, num, log):
+    # Scalar bounds give numpy's call on them; list bounds give one row per
+    # cell, numpy's call on that cell's bounds alone.
     space = np.geomspace if log else np.linspace
+    cells = [len(b) for b in bounds if isinstance(b, list)]
+    rows = [tuple(b[k] if isinstance(b, list) else b for b in bounds)
+            for k in range(cells[0])] if cells else [bounds]
     with np.errstate(all="ignore"):
         try:
-            want = space(*bounds, num, axis=-1)
+            want = [space(*row, num) for row in rows]
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 _spacing(*bounds, num, log)
             return
         got = _spacing(*bounds, num, log)
+    want = np.array(want) if cells else want[0]
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -370,12 +350,27 @@ def _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d, fmt=_g6):
     return rows
 
 
+def _per_row(space, lo, hi, n):
+    """Var(Z) to ``space(lo * Var(Z), hi * Var(Z), n)``, and an array of
+    Var(Z) row by row, each row ``space``'s call on that Var(Z) alone, as
+    ``_sweep_rows`` asks of its grids."""
+    def d_of_var(var_z):
+        if np.ndim(var_z) == 0:
+            return space(lo * var_z, hi * var_z, n)
+        return np.array([space(lo * v, hi * v, n) for v in var_z])
+    return d_of_var
+
+
 def _geom(lo, hi, n):
-    return lambda var_z: np.geomspace(lo * var_z, hi * var_z, n, axis=-1)
+    return _per_row(np.geomspace, lo, hi, n)
 
 
 def _lin(lo, hi, n):
-    return lambda var_z: np.linspace(lo * var_z, hi * var_z, n, axis=-1)
+    return _per_row(np.linspace, lo, hi, n)
+
+
+# the (n_rho, n_c) shapes of the benchmark's fig5 sweeps, 32 D each
+_BENCH_FIG5_SHAPES = ((1, 12), (2, 6), (3, 4), (6, 2))
 
 
 _SWEEP_GRIDS = {
@@ -387,7 +382,7 @@ _SWEEP_GRIDS = {
     "linear": (np.linspace(0.1, 0.9, 7), np.linspace(-2.0, 2.0, 9), _lin(0.01, 1.3, 33), False),
     # a Var(Z) = 0 cell (rho = 1, c = 1) keeps no D; spaced with the other
     # cell in one np.linspace call, its zero step would move 7 of that
-    # cell's 24 distortions by an ulp
+    # cell's 24 distortions by an ulp, so each row is spaced alone
     "zero_var": ([0.6, 1.0], [1.0], _lin(0.05, 0.95, 24), False),
     # an empty sweep
     "empty": ([], [0.8], _geom(0.01, 0.95, 8), False),
@@ -397,16 +392,13 @@ _SWEEP_GRIDS = {
     "huge_c": ([0.3, 0.7], [-1e150, 1e150], _geom(0.01, 0.95, 16), False),
     # the rho = 0 cell is not two-user, but keeps no D, so it is skipped
     "skip_non_two_user": ([0.0, 0.5], [-1.0], lambda var_z: np.geomspace(2.5, 2.9, 4), False),
-    # equal D bounds: every grid repeats one D, so no grid is strictly monotone
+    # equal D bounds: every grid repeats one D, spaced with a zero step
     "equal_d_bounds": ([0.3, 0.8], [-1.0, 0.8], _geom(0.4, 0.4, 5), False),
     # the fig5 preset at the benchmark's shapes (n_rho x n_c cells, 32 D each)
     **{f"fig5_{n_rho}x{n_c}": (np.linspace(0.1, 0.9, n_rho), np.linspace(-2.0, 2.0, n_c),
                                _geom(0.01, 0.95, 32), True)
-       for n_rho, n_c in ((1, 12), (2, 6), (3, 4), (6, 2))},
+       for n_rho, n_c in _BENCH_FIG5_SHAPES},
 }
-
-# the grids on which the whole-grid pass cannot run, so the cells go one by one
-_CELL_BY_CELL = {"zero_var", "skip_non_two_user", "equal_d_bounds"}
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP_GRIDS))
@@ -415,11 +407,6 @@ def test_sweep_rows_match_per_cell_reference(monkeypatch, name):
     rows = _sweep_rows(rho_values, c_values, d_of_var, collapse_d)
     assert rows == _reference_sweep_rows(rho_values, c_values, d_of_var, collapse_d)
     assert bool(rows) == (name != "empty")
-    if rows:
-        cells = [(rho, c) for rho in rho_values for c in c_values]
-        rho, c = (np.array(v, dtype=np.float64) for v in zip(*cells))
-        whole = latfun.cli._whole_grid(rho, c, d_of_var)
-        assert (whole is None) == (name in _CELL_BY_CELL)
     # Every D of every grid, every rate and every gap, bit for bit.
     monkeypatch.setattr(latfun.cli, "SWEEP_ROW", _FULL_PRECISION_ROW)
     for collapse in {collapse_d, False}:
@@ -431,6 +418,32 @@ def test_sweep_rows_match_per_cell_reference(monkeypatch, name):
         assert sweep_rows_fig5(len(c_values), len(rho_values), 32) == _reference_sweep_rows(
             rho_values, c_values, d_of_var, True, fmt=_full
         )
+
+
+# sweeps -> whether some cell is not two-user (or has Var(Z) = 0), so that
+# the cells are taken in turn to find the first error
+_CELLS_IN_TURN = {
+    "fig3": (sweep_rows_fig3, False),
+    "fig4": (sweep_rows_fig4, False),
+    "fig5": (sweep_rows_fig5, False),
+    **{f"fig5_{n_rho}x{n_c}": (lambda n_rho=n_rho, n_c=n_c: sweep_rows_fig5(n_c, n_rho, 32), False)
+       for n_rho, n_c in _BENCH_FIG5_SHAPES},
+    **{name: (lambda name=name: _sweep_rows(*_SWEEP_GRIDS[name]), True)
+       for name in ("zero_var", "skip_non_two_user")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CELLS_IN_TURN))
+def test_only_sweeps_with_an_invalid_cell_take_the_cells_in_turn(monkeypatch, name):
+    """A sweep of two-user cells builds every row from the array pass and
+    never runs the per-cell check, which would only slow it down."""
+    sweep, in_turn = _CELLS_IN_TURN[name]
+    calls = []
+    check_cells = latfun.cli._check_cells
+    monkeypatch.setattr(latfun.cli, "_check_cells",
+                        lambda *args: calls.append(args) or check_cells(*args))
+    assert sweep()
+    assert bool(calls) == in_turn
 
 
 @pytest.mark.parametrize("rho_values, c_values, d_of_var", [
@@ -486,6 +499,18 @@ def test_sweep_custom_grid_rejects_bad_inputs(capsys, tmp_path, args):
     assert not out.exists()
 
 
+def test_sweep_custom_error_names_the_first_failing_cell(capsys, tmp_path):
+    # Both cells' --d-min times Var(Z) underflows to 0 (Var(Z) is 0.36, then
+    # 0.4); the error names the first cell's Var(Z), not the largest.
+    out = tmp_path / "bad.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--out", str(out), "--d-min", "5e-324",
+                                "--c-min", "0.8", "--c-max", "1", "--c-count", "2")
+    assert (code, stdout) == (2, "")
+    assert err == ("error: --d-min 5e-324 times Var(Z) = 0.36 is 0 in float64, "
+                   "which the log scale cannot space\n")
+    assert not out.exists()
+
+
 def test_sweep_tiny_distortions_give_finite_rates(capsys, tmp_path):
     out = tmp_path / "tiny.csv"
     with warnings.catch_warnings():
@@ -530,6 +555,17 @@ def test_simulate_two_user_json_and_csv(capsys, tmp_path):
     assert lines[0] == "# schema=1"
     assert lines[1].startswith("scheme,")
     assert len(lines) == 3
+
+
+def test_simulate_csv_on_an_empty_file_writes_the_schema_once(capsys, tmp_path):
+    csv_path = tmp_path / "runs.csv"
+    csv_path.touch()
+    for _ in range(2):
+        code, _, err = run_cli(capsys, "simulate", "--trials", "1000", "--csv", str(csv_path))
+        assert code == 0, err
+    lines = csv_path.read_text().splitlines()
+    assert lines[:2] == ["# schema=1", latfun.simulate.SimReport.CSV_HEADER]
+    assert len(lines) == 4 and lines[2] == lines[3]
 
 
 def test_simulate_csv_to_an_unwritable_path_exits_one(capsys, tmp_path):
@@ -1331,8 +1367,21 @@ _INPUT_FLAGS = {
     ("cov", '{"cov": [1, 0, 0, 1]}'),
     ("lattice", '{"dim": 2}'),
     ("lattice", "[1, 2]"),
+    # integer fields take JSON integers, not fractions, bools or strings
+    ("lattice", '{"dim": 2.7, "gen": [1, 0, 0, 1]}'),
+    ("lattice", '{"dim": true, "gen": [1]}'),
+    ("lattice", '{"dim": "2", "gen": [1, 0, 0, 1]}'),
+    ("plan", '{"partition": [[0], [1.9]], "order": [0, 1], "q": [0.1, 0.1]}'),
+    ("plan", '{"partition": [[false], [true]], "order": [0, 1], "q": [0.1, 0.1]}'),
+    ("plan", '{"partition": [[0], [1]], "order": [0, 1.0], "q": [0.1, 0.1]}'),
+    ("plan", '{"partition": [[0], [1]], "order": [0, true], "q": [0.1, 0.1]}'),
+    # q takes JSON numbers, not bools or strings
+    ("plan", '{"partition": [[0], [1]], "order": [0, 1], "q": ["0.1", 0.1]}'),
+    ("plan", '{"partition": [[0], [1]], "order": [0, 1], "q": [0.1, true]}'),
 ], ids=["plan-dir", "cov-dir", "lattice-dir", "plan-empty", "plan-partition-int", "plan-empty-cell",
-        "cov-object", "lattice-no-gen", "lattice-list"])
+        "cov-object", "lattice-no-gen", "lattice-list", "lattice-fraction-dim", "lattice-bool-dim",
+        "lattice-string-dim", "plan-fraction-user", "plan-bool-user", "plan-float-order",
+        "plan-bool-order", "plan-string-q", "plan-bool-q"])
 def test_malformed_input_file_exit_two(capsys, tmp_path, kind, text):
     """A directory, or a file of the wrong JSON shape, is one line naming it."""
     plan_file = tmp_path / "plan.json"
